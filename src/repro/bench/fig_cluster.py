@@ -76,8 +76,9 @@ def _drive_stream(
 ) -> tuple[float, float]:
     """Run ``ops`` split across sessions on alternating servers.
 
-    ``batch_size > 1`` turns on client-side wire batching (inserts
-    coalesce into ``client_insert_batch`` messages).  Returns (virtual
+    ``batch_size`` is how many pending ops a session coalesces into
+    one ``client_insert_batch`` / ``client_query_batch`` message (1 =
+    every op is a batch of one).  Returns (virtual
     start, virtual end) of the measurement window."""
     start = cluster.clock.now
     chunks = [ops[i::sessions] for i in range(sessions)]

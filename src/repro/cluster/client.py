@@ -15,14 +15,14 @@ or the server reports ``insert_failed`` -- the concurrency slot is
 always released.  Workers deduplicate ``op_id``s, so retransmitted or
 fault-duplicated inserts apply exactly once.
 
-With ``batch_size > 1`` the session coalesces pending inserts into one
-``client_insert_batch`` message and pending queries into one
-``client_query_batch`` message (each buffer flushed when it fills or
-after ``batch_linger`` seconds, whichever is first).  Batching changes
+There is one wire path: pending inserts travel in
+``client_insert_batch`` messages and pending queries in
+``client_query_batch`` messages, each buffer flushed when it holds
+``batch_size`` ops or after ``batch_linger`` seconds, whichever is
+first.  ``batch_size=1`` flushes every op at once as a batch of one,
+and a retransmit is the op alone in a one-row batch.  Batching changes
 only the wire framing: every operation keeps its own ``op_id``, timer,
-and :class:`OpRecord`, and retransmits always go out as singleton
-``client_insert`` / ``client_query`` messages, so the retry/dedup
-machinery is untouched.
+and :class:`OpRecord`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .transport import Entity, Message, Transport
 __all__ = ["ClientSession"]
 
 
-@dataclass
+@dataclass(eq=False)  # identity semantics: one object per in-flight op
 class _PendingOp:
     op: Operation
     op_id: int
@@ -85,11 +85,9 @@ class ClientSession(Entity):
         self._op_seq = 0
         self.batch_size = batch_size
         self.batch_linger = batch_linger
-        self._buffer: list[_PendingOp] = []
-        self._flush_gen = 0
+        #: ops waiting for their first flush, per op kind
+        self._buffers: dict[str, list[_PendingOp]] = {"insert": [], "query": []}
         self.batches_sent = 0
-        self._qbuffer: list[_PendingOp] = []
-        self._qflush_gen = 0
         self.query_batches_sent = 0
         self.completed = 0
         self.retries = 0
@@ -123,116 +121,58 @@ class ClientSession(Entity):
                 op_id=op_id,
             )
         self._pending[op_id] = pending
-        if op.is_insert and self.batch_size > 1:
-            self._buffer.append(pending)
-            self._arm_timer(op_id, self.retry.timeout)
-            if len(self._buffer) >= self.batch_size:
-                self._flush()
-            elif len(self._buffer) == 1:
-                gen = self._flush_gen
-
-                def linger_fire() -> None:
-                    if self._flush_gen == gen and self._buffer:
-                        self._flush()
-
-                self.transport.clock.after(self.batch_linger, linger_fire)
-            return
-        if not op.is_insert and self.batch_size > 1:
-            self._qbuffer.append(pending)
-            self._arm_timer(op_id, self.retry.timeout)
-            if len(self._qbuffer) >= self.batch_size:
-                self._flush_queries()
-            elif len(self._qbuffer) == 1:
-                gen = self._qflush_gen
-
-                def qlinger_fire() -> None:
-                    if self._qflush_gen == gen and self._qbuffer:
-                        self._flush_queries()
-
-                self.transport.clock.after(self.batch_linger, qlinger_fire)
-            return
-        self._send(pending)
+        buffer = self._buffers[op.kind]
+        buffer.append(pending)
         self._arm_timer(op_id, self.retry.timeout)
+        if len(buffer) >= self.batch_size:
+            self._flush(buffer)
+        elif len(buffer) == 1:
+            # first op of a new batch: the batch waits at most one linger
+            def linger_fire() -> None:
+                if buffer and buffer[0] is pending:
+                    self._flush(buffer)
 
-    def _flush(self) -> None:
-        """Ship the buffered inserts as one ``client_insert_batch``."""
-        if not self._buffer:
-            return
-        self._flush_gen += 1
-        rows = [
-            (
-                p.op_id,
-                p.op.coords,
-                p.op.measure,
-                p.span.ctx if p.span is not None else None,
-            )
-            for p in self._buffer
-        ]
-        self._buffer.clear()
-        self.batches_sent += 1
-        self.transport.send(
-            self.server,
-            Message(
-                "client_insert_batch",
-                (rows, self),
-                sender=self,
-            ),
-        )
+            self.transport.clock.after(self.batch_linger, linger_fire)
 
-    def _flush_queries(self) -> None:
-        """Ship the buffered queries as one ``client_query_batch``."""
-        if not self._qbuffer:
-            return
-        self._qflush_gen += 1
-        rows = [
-            (
-                p.op_id,
-                p.op.query,
-                p.span.ctx if p.span is not None else None,
-            )
-            for p in self._qbuffer
-        ]
-        self._qbuffer.clear()
-        self.query_batches_sent += 1
-        self.transport.send(
-            self.server,
-            Message(
-                "client_query_batch",
-                (rows, self),
-                sender=self,
-            ),
-        )
+    def _flush(self, buffer: list[_PendingOp]) -> None:
+        """Ship every buffered op as one batch message."""
+        batch = buffer[:]
+        buffer.clear()
+        self._ship(batch)
 
-    def _send(self, pending: _PendingOp) -> None:
-        op = pending.op
-        buffer = self._buffer if op.is_insert else self._qbuffer
-        for i, p in enumerate(buffer):
-            # a retransmit raced the linger flush: this op now travels
-            # alone, so it must not also go out with the batch
-            if p is pending:
-                del buffer[i]
-                break
-        ctx = pending.span.ctx if pending.span is not None else None
-        if op.is_insert:
-            self.transport.send(
-                self.server,
-                Message(
-                    "client_insert",
-                    (pending.op_id, op.coords, op.measure, self),
-                    sender=self,
-                    ctx=ctx,
-                ),
-            )
+    def _ship(self, batch: list[_PendingOp]) -> None:
+        """One ``client_insert_batch`` / ``client_query_batch`` message
+        carrying ``batch`` (ops of one kind)."""
+        if batch[0].op.is_insert:
+            self.batches_sent += 1
+            kind = "client_insert_batch"
+            rows = [
+                (
+                    p.op_id,
+                    p.op.coords,
+                    p.op.measure,
+                    p.span.ctx if p.span is not None else None,
+                )
+                for p in batch
+            ]
         else:
-            self.transport.send(
-                self.server,
-                Message(
-                    "client_query",
-                    (pending.op_id, op.query, self),
-                    sender=self,
-                    ctx=ctx,
-                ),
-            )
+            self.query_batches_sent += 1
+            kind = "client_query_batch"
+            rows = [
+                (p.op_id, p.op.query, p.span.ctx if p.span is not None else None)
+                for p in batch
+            ]
+        self.transport.send(self.server, Message(kind, (rows, self), sender=self))
+
+    def _retransmit(self, pending: _PendingOp) -> None:
+        """Resend a timed-out op alone, as a batch of one."""
+        buffer = self._buffers[pending.op.kind]
+        if pending in buffer:
+            # its timeout beat the linger: it has not been sent yet, so
+            # its first transmission is the flush of its batch
+            self._flush(buffer)
+        else:
+            self._ship([pending])
 
     # -- timeouts / retries ------------------------------------------------
 
@@ -255,7 +195,7 @@ class ClientSession(Entity):
             backoff = self.retry.backoff(cur.attempts - 1, self._rng)
             self.transport.clock.after(
                 backoff,
-                lambda: self._send(cur) if op_id in self._pending else None,
+                lambda: self._retransmit(cur) if op_id in self._pending else None,
             )
             self._arm_timer(op_id, backoff + self.retry.timeout)
 
@@ -274,7 +214,7 @@ class ClientSession(Entity):
         self._finish_span(pending, ok=False)
         op = pending.op
         rec = OpRecord(
-            "insert" if op.is_insert else "query",
+            op.kind,
             pending.submit_time,
             self.transport.clock.now,
             coverage=(
@@ -305,16 +245,7 @@ class ClientSession(Entity):
                     )
                 )
             return
-        if msg.kind == "insert_done":
-            op_id = msg.payload[0]
-            pending = self._pending.pop(op_id, None)
-            if pending is None:
-                return  # duplicated or post-timeout reply
-            self._finish_span(pending, ok=True)
-            rec = OpRecord(
-                "insert", pending.submit_time, now, attempts=pending.attempts
-            )
-        elif msg.kind == "insert_failed":
+        if msg.kind == "insert_failed":
             op_id = msg.payload[0]
             pending = self._pending.pop(op_id, None)
             if pending is None:

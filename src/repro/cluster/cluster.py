@@ -10,13 +10,11 @@ time control.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from ..core.aggregates import Aggregate
 from ..core.config import TreeConfig
 from ..core.hilbert_trees import HilbertPDCTree
 from ..hilbert.id_expansion import HilbertKeyMapper
@@ -39,20 +37,6 @@ from .worker import Worker
 from .zookeeper import Zookeeper
 
 __all__ = ["ClusterConfig", "VOLAPCluster", "QueryResult", "RollupConfig"]
-
-#: aliases already warned about (one warning per process, clearable in tests)
-_warned_batch_aliases: set[str] = set()
-
-
-def _warn_alias(old: str, new: str, scope: str = "ClusterConfig") -> None:
-    if old in _warned_batch_aliases:
-        return
-    _warned_batch_aliases.add(old)
-    warnings.warn(
-        f"{scope}.{old} is deprecated; use {scope}.{new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -83,17 +67,13 @@ class ClusterConfig:
     store_cls: type = HilbertPDCTree
     client_concurrency: int = 16
     #: client-side wire batching: coalesce up to this many inserts into
-    #: one ``client_insert_batch`` message; 1 keeps the classic
-    #: one-message-per-insert path byte-identical.  Same spelling as
-    #: ``ClientSession(batch_size=...)`` / ``session(batch_size=...)``.
+    #: one ``client_insert_batch`` message (and queries into one
+    #: ``client_query_batch``); 1 sends every op at once as a batch of
+    #: one.  Same spelling as ``ClientSession(batch_size=...)`` /
+    #: ``session(batch_size=...)``.
     batch_size: int = 1
     #: how long a partially filled client batch waits before flushing
     batch_linger: float = 2e-3
-    #: deprecated aliases of ``batch_size`` / ``batch_linger`` -- kept
-    #: one release for old callers; a one-time DeprecationWarning fires
-    #: and the value forwards to the new field
-    client_batch_size: Optional[int] = field(default=None, repr=False)
-    client_batch_linger: Optional[float] = field(default=None, repr=False)
     seed: int = 0
     #: request timeouts / retries / backoff (clients and servers)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -139,17 +119,6 @@ class ClusterConfig:
     #: ``{"streams": True}`` to carry the asyncio data plane over
     #: loopback TCP)
     runtime_options: Optional[dict] = None
-
-    def __post_init__(self) -> None:
-        if self.client_batch_size is not None:
-            _warn_alias("client_batch_size", "batch_size")
-            object.__setattr__(self, "batch_size", self.client_batch_size)
-        if self.client_batch_linger is not None:
-            _warn_alias("client_batch_linger", "batch_linger")
-            object.__setattr__(self, "batch_linger", self.client_batch_linger)
-        # old readers of the legacy names keep seeing the resolved values
-        object.__setattr__(self, "client_batch_size", self.batch_size)
-        object.__setattr__(self, "client_batch_linger", self.batch_linger)
 
 
 class VOLAPCluster:
@@ -622,24 +591,6 @@ class VOLAPCluster:
         )
         out = [results[op_id] for op_id, _, _ in rows]
         return out[0] if single else out
-
-    # -- deprecated query surface (one release of shims) -----------------------
-
-    def query_batch(
-        self, queries, server_index: int = 0
-    ) -> list[tuple[Aggregate, float]]:
-        """Deprecated alias of :meth:`execute` returning the old
-        ``(aggregate, achieved)`` tuples; use ``execute`` for
-        :class:`QueryResult` objects with staleness and source."""
-        _warn_alias("query_batch", "execute", scope="VOLAPCluster")
-        results = self.execute(list(queries), server_index=server_index)
-        return [(r.value, r.coverage) for r in results]
-
-    def query(self, query: Query, server_index: int = 0):
-        """Deprecated singleton alias of :meth:`execute`."""
-        _warn_alias("query", "execute", scope="VOLAPCluster")
-        r = self.execute(query, server_index=server_index)
-        return r.value, r.coverage
 
     # -- execution ------------------------------------------------------------
 

@@ -31,13 +31,13 @@ class CostModel:
     # ingests several hundred k items/s, ~an order of magnitude above
     # point insertion (the paper's 400k/s vs 50k/s gap)
     bulk_item: float = 15e-6
-    #: per item in a batched *online* insert: pricier than offline bulk
+    #: per item in an *online* insert message: pricier than offline bulk
     #: packing (the tree still does ordered-run descents and locked
-    #: splices) but far below a full per-item dispatch
+    #: splices) but far below a full per-message dispatch
     batch_item: float = 30e-6
-    #: per query in a batched query message: the shared vectorized
-    #: descent amortizes dispatch and pruning, so each extra query
-    #: costs well below a full ``query_base`` dispatch
+    #: per query in a query message: the shared vectorized descent
+    #: amortizes dispatch and pruning, so each extra query costs well
+    #: below a full ``query_base`` dispatch
     batch_query_item: float = 120e-6
     split_item: float = 4e-6  # per item when splitting a shard
     serialize_item: float = 1e-6
@@ -63,16 +63,10 @@ class CostModel:
 
     # -- worker ----------------------------------------------------------
 
-    def insert_time(self, stats: OpStats) -> float:
-        return self.insert_base + self.work_unit * stats.work
-
-    def query_time(self, stats: OpStats) -> float:
-        return self.query_base + self.work_unit * stats.work
-
     def query_batch_time(self, queries: int, stats: OpStats) -> float:
-        """Batched query execution: one base dispatch for the whole
-        batch, a per-query floor, plus the measured structural work of
-        the shared vectorized descent."""
+        """One ``query_batch`` message: one base dispatch for the whole
+        message, a per-query floor, plus the measured structural work
+        of the descents."""
         return (
             self.query_base
             + self.batch_query_item * queries
@@ -83,9 +77,9 @@ class CostModel:
         return self.insert_base + self.bulk_item * items
 
     def insert_batch_time(self, items: int, stats: OpStats) -> float:
-        """Batched online insert: one base dispatch for the whole batch,
-        a per-item floor, plus the run-amortised structural work the
-        tree actually measured."""
+        """One ``insert_batch`` message: one base dispatch for the whole
+        message, a per-item floor, plus the run-amortised structural
+        work the tree actually measured."""
         return (
             self.insert_base
             + self.batch_item * items

@@ -165,26 +165,13 @@ class Server(Entity):
         if span is not None and self.transport.obs is not None:
             self.transport.obs.finish_span(span, **tags)
 
-    def _on_client_insert(self, msg: Message) -> None:
-        op_id, coords, measure, reply_to = msg.payload
-        token = self._next_token()
-        span = None
-        if self.transport.obs is not None:
-            span = self.transport.obs.start_span(
-                "server.route_insert", self.name, parent=msg.ctx, op_id=op_id
-            )
-        self._pending_inserts[token] = _PendingInsert(
-            token, op_id, reply_to, self.clock.now, coords, measure, span=span
-        )
-        self._route_insert(token)
-        self._arm_insert_timer(token, self.retry.insert_timeout)
-
     def _on_client_insert_batch(self, msg: Message) -> None:
-        """Batched ingest: one pending insert (with its own token and
-        timer) per row, but routing and forwarding are grouped -- rows
-        bound for the same worker travel in one ``insert_batch``
-        message.  Retries of individual rows fall back to the singleton
-        path, so batching never weakens the delivery guarantees."""
+        """Ingest: one pending insert (with its own token and timer)
+        per row, but routing and forwarding are grouped -- rows bound
+        for the same worker travel in one ``insert_batch`` message.  A
+        row that must be retried is re-routed alone as a one-entry
+        ``insert_batch``, so batching never weakens the delivery
+        guarantees."""
         rows, reply_to = msg.payload
         now = self.clock.now
         obs = self.transport.obs
@@ -230,8 +217,9 @@ class Server(Entity):
         self.pool.submit(service, forward)
 
     def _on_insert_batch_ack(self, msg: Message) -> None:
-        """Per-op acks from a batched apply: complete the acked tokens
-        (one ``insert_done_batch`` per client), re-route the nacked."""
+        """Per-op acks from a worker's apply: complete the acked tokens
+        (one ``insert_done_batch`` per client), re-route the nacked
+        (stale route) after one image refresh for the whole message."""
         tokens, _worker_id, nacked = msg.payload
         done: dict[Entity, list[int]] = {}
         for token in tokens:
@@ -249,10 +237,14 @@ class Server(Entity):
                     sender=self,
                 ),
             )
+        if nacked:
+            self.load_image()
         for token, _shard_id in nacked:
-            self._retry_insert(token, refresh=True)
+            self._retry_insert(token)
 
     def _route_insert(self, token: int) -> None:
+        """Re-route one pending insert (a retry) as a one-entry
+        ``insert_batch``."""
         pending = self._pending_inserts.get(token)
         if pending is None:
             return
@@ -260,28 +252,20 @@ class Server(Entity):
         self.inserts_routed += 1
         service = self.cost.route_time(self.image.nodes_visited_last)
         worker = self.workers[info.worker_id]
-
-        ctx = pending.span.ctx if pending.span is not None else None
-
-        def forward() -> None:
-            self.transport.send(
-                worker,
-                Message(
-                    "insert",
-                    (
-                        info.shard_id,
-                        pending.coords,
-                        pending.measure,
-                        token,
-                        pending.op_id,
-                        self,
-                    ),
-                    sender=self,
-                    ctx=ctx,
-                ),
-            )
-
-        self.pool.submit(service, forward)
+        entry = (
+            info.shard_id,
+            pending.coords,
+            pending.measure,
+            token,
+            pending.op_id,
+            pending.span.ctx if pending.span is not None else None,
+        )
+        self.pool.submit(
+            service,
+            lambda: self.transport.send(
+                worker, Message("insert_batch", ([entry], self), sender=self)
+            ),
+        )
 
     def _arm_insert_timer(self, token: int, delay: float) -> None:
         pending = self._pending_inserts.get(token)
@@ -294,11 +278,11 @@ class Server(Entity):
             if cur is None or cur.retries != attempt:
                 return  # completed, failed, or already retried
             self.insert_timeouts += 1
-            self._retry_insert(token, refresh=False)
+            self._retry_insert(token)
 
         self.clock.after(delay, fire)
 
-    def _retry_insert(self, token: int, refresh: bool) -> None:
+    def _retry_insert(self, token: int) -> None:
         """Shared retry path for nacks (stale route) and timeouts
         (lost message / dead worker): bounded attempts with exponential
         backoff + jitter, then an explicit ``insert_failed``."""
@@ -311,8 +295,6 @@ class Server(Entity):
             self._fail_insert(token)
             return
         delay = self.retry.backoff(pending.retries, self._rng)
-        if refresh:
-            self.load_image()
 
         def resend() -> None:
             # the image may have converged during the backoff; re-read
@@ -336,24 +318,6 @@ class Server(Entity):
                 sender=self,
             ),
         )
-
-    def _on_insert_ack(self, msg: Message) -> None:
-        token, _worker_id = msg.payload
-        pending = self._pending_inserts.pop(token, None)
-        if pending is None:
-            return
-        self._finish_span(pending.span, ok=True)
-        self.transport.send(
-            pending.reply_to,
-            Message(
-                "insert_done", (pending.op_id, pending.submit_time), sender=self
-            ),
-        )
-
-    def _on_insert_nack(self, msg: Message) -> None:
-        """Stale route: refresh from Zookeeper and retry (bounded)."""
-        token, _shard_id = msg.payload
-        self._retry_insert(token, refresh=True)
 
     # -- bounded-staleness read routing (replication) --------------------------
 
@@ -435,102 +399,13 @@ class Server(Entity):
             by_worker.setdefault(wid, []).append(info.shard_id)
         return by_worker, staleness
 
-    def _on_client_query(self, msg: Message) -> None:
-        op_id, query, reply_to = msg.payload
-        token = self._next_token()
-        span = None
-        if self.transport.obs is not None:
-            span = self.transport.obs.start_span(
-                "server.route_query", self.name, parent=msg.ctx, op_id=op_id
-            )
-        infos = self.image.search(query.box)
-        self.queries_routed += 1
-        service = self.cost.route_time(self.image.nodes_visited_last)
-        if not infos:
-            pending = _PendingQuery(
-                token, op_id, reply_to, self.clock.now, Aggregate.empty(),
-                0, query.coverage, {}, 0, span=span,
-            )
-            self.pool.submit(
-                service, lambda: self._finish_query(pending)
-            )
-            return
-        budget = getattr(query, "max_staleness", None)
-        if budget is None:
-            budget = self.max_staleness
-        plan = (
-            self.router.plan(query, infos, self.clock.now)
-            if self.router is not None
-            else None
-        )
-        if plan is not None and not plan.stale_infos:
-            # pure rollup hit: answered from server-resident cube
-            # slabs, no worker fan-out at all -- so no fan-out planning
-            # cost either, just the image probe plus the hit itself
-            # (``rollup_hit_base`` covers dispatch + cube match +
-            # freshness scan)
-            pending = _PendingQuery(
-                token, op_id, reply_to, self.clock.now, plan.agg,
-                plan.cube_served, query.coverage, {}, len(infos),
-                span=span, staleness=plan.staleness, source="rollup",
-            )
-            self.pool.submit(
-                self.cost.route_node * self.image.nodes_visited_last
-                + self.cost.rollup_hit_time(plan.cells),
-                lambda: self._finish_query(pending),
-            )
-            return
-        shards_total = len(infos)
-        if plan is not None:
-            # hybrid: cube slabs cover the fresh shards; only the
-            # stale/unsynced tail goes down the tree path
-            infos = plan.stale_infos
-            service += self.cost.rollup_hit_time(plan.cells)
-        by_worker, staleness = self._route_shards(infos, budget)
-        pending = _PendingQuery(
-            token,
-            op_id,
-            reply_to,
-            self.clock.now,
-            plan.agg if plan is not None else Aggregate.empty(),
-            plan.cube_served if plan is not None else 0,
-            query.coverage,
-            {wid: len(sids) for wid, sids in by_worker.items()},
-            shards_total,
-            span=span,
-            staleness=max(
-                staleness, plan.staleness if plan is not None else 0.0
-            ),
-            source="hybrid" if plan is not None else "tree",
-        )
-        self._pending_queries[token] = pending
-        box_t = query.box.to_tuple()
-        ctx = span.ctx if span is not None else None
-
-        def fan_out() -> None:
-            for worker_id, shard_ids in by_worker.items():
-                self.transport.send(
-                    self.workers[worker_id],
-                    Message(
-                        "query",
-                        (token, shard_ids, box_t, self),
-                        sender=self,
-                        ctx=ctx,
-                    ),
-                )
-
-        self.pool.submit(service, fan_out)
-        self.clock.after(
-            self.retry.query_deadline, lambda: self._query_deadline(token)
-        )
-
     def _on_client_query_batch(self, msg: Message) -> None:
-        """Batched queries: one pending query (with its own token,
-        deadline, and degraded-coverage accounting) per row, but the
-        fan-out is grouped -- all (box, shard-list) pairs bound for the
-        same worker travel in one ``query_batch`` message.  Replies are
+        """Queries: one pending query (with its own token, deadline,
+        and degraded-coverage accounting) per row, but the fan-out is
+        grouped -- all (box, shard-list) pairs bound for the same
+        worker travel in one ``query_batch`` message.  Replies are
         per-op ``query_done`` messages, so ``ClusterStats`` records
-        each logical query exactly as on the singleton path."""
+        each logical query on its own."""
         rows, reply_to = msg.payload
         now = self.clock.now
         obs = self.transport.obs
@@ -544,11 +419,7 @@ class Server(Entity):
             span = None
             if obs is not None:
                 span = obs.start_span(
-                    "server.route_query",
-                    self.name,
-                    parent=ctx,
-                    op_id=op_id,
-                    batched=True,
+                    "server.route_query", self.name, parent=ctx, op_id=op_id
                 )
             infos = self.image.search(query.box)
             visited = self.image.nodes_visited_last
@@ -640,41 +511,29 @@ class Server(Entity):
 
         self.pool.submit(service, fan_out)
 
-    def _on_query_result(self, msg: Message) -> None:
-        token, agg_t, searched, worker_id, unresolved = msg.payload
-        self._apply_query_result(token, agg_t, searched, worker_id, unresolved)
-
     def _on_query_result_batch(self, msg: Message) -> None:
-        """Per-op partial results from a batched worker execution."""
+        """Per-op partial results from one worker: merge each into its
+        pending query and finish the queries whose fan-out is complete."""
         replies, worker_id = msg.payload
-        for token, agg_t, searched, missing in replies:
-            self._apply_query_result(token, agg_t, searched, worker_id, missing)
-
-    def _apply_query_result(
-        self,
-        token: int,
-        agg_t: tuple,
-        searched: int,
-        worker_id: int,
-        unresolved: int,
-    ) -> None:
-        pending = self._pending_queries.get(token)
-        if pending is None:
-            return  # finished, or deadline already returned a partial
-        if pending.per_worker.pop(worker_id, None) is None:
-            return  # duplicated result: this worker already counted
-        pending.agg.merge(Aggregate(*agg_t))
-        pending.shards_searched += searched
-        pending.unresolved += unresolved
-        if not pending.per_worker:
-            del self._pending_queries[token]
-            service = self.cost.merge_time(pending.shards_searched)
-            achieved = self._achieved(pending)
-            if achieved < 1.0:
-                self.degraded_queries += 1
-            self.pool.submit(
-                service, lambda: self._finish_query(pending, achieved)
-            )
+        for token, agg_t, searched, unresolved in replies:
+            pending = self._pending_queries.get(token)
+            if pending is None:
+                continue  # finished, or deadline already returned a partial
+            if pending.per_worker.pop(worker_id, None) is None:
+                continue  # duplicated result: this worker already counted
+            pending.agg.merge(Aggregate(*agg_t))
+            pending.shards_searched += searched
+            pending.unresolved += unresolved
+            if not pending.per_worker:
+                del self._pending_queries[token]
+                service = self.cost.merge_time(pending.shards_searched)
+                achieved = self._achieved(pending)
+                if achieved < 1.0:
+                    self.degraded_queries += 1
+                self.pool.submit(
+                    service,
+                    lambda p=pending, a=achieved: self._finish_query(p, a),
+                )
 
     def _achieved(self, pending: _PendingQuery, at_deadline: bool = False) -> float:
         missing = pending.unresolved

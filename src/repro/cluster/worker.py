@@ -33,7 +33,6 @@ from ..core.aggregates import Aggregate
 from ..core.base import Hyperplane, ShardStore
 from ..core.config import OpStats, TreeConfig
 from ..core.hilbert_trees import HilbertPDCTree
-from ..obs.metrics import DEFAULT_COUNT_BUCKETS
 from ..olap.keys import Box
 from ..olap.records import RecordBatch, concat_batches
 from ..olap.rollup import CubeKey, accumulate_cells
@@ -601,90 +600,26 @@ class Worker(Entity):
 
     # insert ------------------------------------------------------------
 
-    def _on_insert(self, msg: Message) -> None:
-        shard_id, coords, measure, token, op_id, reply_to = msg.payload
-        obs = self.transport.obs
-        if op_id and op_id in self._seen_ops:
-            # duplicated or retransmitted insert: already applied, so
-            # just re-ack (exactly-once effect under at-least-once sends)
-            self.dedup_hits += 1
-            self.transport.send(
-                reply_to,
-                Message("insert_ack", (token, self.worker_id), sender=self),
-            )
-            return
-        span = None
-        if obs is not None:
-            span = obs.start_span(
-                "worker.apply_insert", self.name, parent=msg.ctx, op_id=op_id
-            )
-        sid = self._resolve_insert(shard_id, coords)
-        rehydrate_cost = 0.0
-        if sid in self.frozen:
-            target = self.queues[sid]
-        elif sid in self.shards:
-            target = self.shards[sid]
-        elif sid in self.storage.cold:
-            # WARM shard: inserts always rehydrate (the spilled blob
-            # would go stale otherwise), charged to this op's service
-            target, rehydrate_cost = self._rehydrate_for_access(
-                sid, trigger="insert"
-            )
-        else:
-            # Shard moved away entirely; a stale route. Reject so the
-            # server can retry against its refreshed image.
-            if obs is not None:
-                obs.finish_span(span, ok=False, nack=True)
-            self.transport.send(
-                reply_to, Message("insert_nack", (token, shard_id), sender=self)
-            )
-            return
-        tspan = None
-        if obs is not None:
-            tspan = obs.start_span(
-                "tree.insert",
-                self.name,
-                parent=span.ctx if span is not None else None,
-                shard=sid,
-            )
-        stats = target.insert(coords, measure)
-        if op_id:
-            self._seen_ops.add(op_id)
-        if sid not in self.frozen:
-            self._tee(sid, [(coords, measure, op_id)])
-            self._touch(sid)
-            self._enforce_budget(protect={sid})
-        self.inserts_done += 1
-        service = self.cost.insert_time(stats) + rehydrate_cost
-
-        def ack() -> None:
-            if obs is not None:
-                obs.record_tree_op("insert", stats)
-                obs.finish_span(tspan, nodes=stats.nodes_visited)
-                obs.finish_span(span, ok=True)
-            self.transport.send(
-                reply_to,
-                Message("insert_ack", (token, self.worker_id), sender=self),
-            )
-
-        self._submit(service, ack)
-
     def _on_insert_batch(self, msg: Message) -> None:
-        """Apply a batched online insert (paper's high-velocity path).
+        """Apply a server's online inserts (paper's high-velocity path).
 
         Each row keeps its own idempotency ``op_id``: rows already seen
         are re-acked without applying (a retransmitted or duplicated
-        batch is harmless), rows whose shard moved away are nacked
-        individually, and the rest are grouped per resolved shard and
-        applied through :meth:`ShardStore.insert_batch` -- so the tree
-        sees one Hilbert-sorted run sequence, not ``n`` point inserts.
+        message is harmless), rows whose shard moved away are nacked
+        individually so the server can retry against its refreshed
+        image, and the rest are grouped per resolved shard and applied
+        through :meth:`ShardStore.insert_batch` -- so the tree sees one
+        Hilbert-sorted run sequence, not ``n`` point inserts.
         """
         entries, reply_to = msg.payload
         obs = self.transport.obs
+        tracing = obs is not None and obs.spans_enabled
         acked: list[int] = []
         nacked: list[tuple[int, int]] = []
-        row_spans: list = []
+        #: resolved shard -> [(coords, measure, op_id)] and, when tracing,
+        #: the rows' worker.apply_insert spans in the same order
         groups: dict[int, list[tuple[np.ndarray, float, object]]] = {}
+        row_spans: dict[int, list] = {}
         for shard_id, coords, measure, token, op_id, ctx in entries:
             if op_id and op_id in self._seen_ops:
                 self.dedup_hits += 1
@@ -698,14 +633,10 @@ class Worker(Entity):
             ):
                 nacked.append((token, shard_id))
                 continue
-            if obs is not None:
-                row_spans.append(
+            if tracing:
+                row_spans.setdefault(sid, []).append(
                     obs.start_span(
-                        "worker.apply_insert",
-                        self.name,
-                        parent=ctx,
-                        op_id=op_id,
-                        batched=True,
+                        "worker.apply_insert", self.name, parent=ctx, op_id=op_id
                     )
                 )
             groups.setdefault(sid, []).append((coords, measure, op_id))
@@ -714,6 +645,7 @@ class Worker(Entity):
             acked.append(token)
         applied = 0
         stats = OpStats()
+        tree_spans: list = []
         rehydrate_cost = 0.0
         for sid, rows in groups.items():
             batch = RecordBatch(
@@ -724,7 +656,9 @@ class Worker(Entity):
                 target = self.queues[sid]
             else:
                 # look up at apply time: an earlier group's budget
-                # enforcement may have spilled this shard again
+                # enforcement may have spilled this shard again; a WARM
+                # shard always rehydrates for an insert (the spilled
+                # blob would go stale otherwise)
                 target = self.shards.get(sid)
                 if target is None:
                     target, c = self._rehydrate_for_access(
@@ -733,7 +667,22 @@ class Worker(Entity):
                     rehydrate_cost += c
                 if target is None:  # pragma: no cover - defensive
                     continue
-            stats.merge(target.insert_batch(batch))
+            group_stats = target.insert_batch(batch)
+            stats.merge(group_stats)
+            if tracing:
+                # one tree call serves the whole group: every row's
+                # tree.insert stage reports that shared descent
+                for span in row_spans[sid]:
+                    tree_spans.append(
+                        obs.start_span(
+                            "tree.insert",
+                            self.name,
+                            parent=span.ctx,
+                            shard=sid,
+                            rows=len(rows),
+                            nodes=group_stats.nodes_visited,
+                        )
+                    )
             if sid not in self.frozen:
                 self._tee(sid, rows)
                 self._touch(sid)
@@ -743,10 +692,13 @@ class Worker(Entity):
         service = self.cost.insert_batch_time(applied, stats) + rehydrate_cost
 
         def ack() -> None:
-            if obs is not None:
-                if applied:
-                    obs.record_tree_op("insert_batch", stats, rows=applied)
-                for s in row_spans:
+            if obs is not None and applied:
+                obs.record_tree_op("insert_batch", stats, rows=applied)
+            # children close before parents
+            for s in tree_spans:
+                obs.finish_span(s, ok=True)
+            for group in row_spans.values():
+                for s in group:
                     obs.finish_span(s, ok=True)
             self.transport.send(
                 reply_to,
@@ -824,152 +776,62 @@ class Worker(Entity):
 
     # query ---------------------------------------------------------------
 
-    def _on_query(self, msg: Message) -> None:
-        token, shard_ids, box_t, reply_to = msg.payload
-        obs = self.transport.obs
-        span = None
-        if obs is not None:
-            span = obs.start_span("worker.query", self.name, parent=msg.ctx)
-        box = Box.from_tuple(box_t)
-        agg = Aggregate.empty()
-        total_stats = OpStats()
-        searched = 0
-        missing = 0
-        rehydrate_cost = 0.0
-        for requested in shard_ids:
-            hit = False
-            for sid in self._resolve_query(requested):
-                store = self.shards.get(sid)
-                if store is None:
-                    entry = self.storage.cold.get(sid)
-                    if entry is not None:
-                        if entry.intersects(box):
-                            store, c = self._rehydrate_for_access(
-                                sid, trigger="query"
-                            )
-                            rehydrate_cost += c
-                        else:
-                            # layer-map pruning: the WARM shard's
-                            # bounding key misses the box, so it
-                            # contributes the empty aggregate without
-                            # the blob ever being read
-                            searched += 1
-                            hit = True
-                    else:
-                        # bounded-staleness read routed here by the
-                        # server: serve from the replica copy
-                        store = self.replicas.get(sid)
-                        if store is not None:
-                            self.replica_queries += 1
-                else:
-                    self._touch(sid)
-                if store is not None:
-                    tspan = None
-                    if obs is not None:
-                        tspan = obs.start_span(
-                            "tree.query",
-                            self.name,
-                            parent=span.ctx if span is not None else None,
-                            shard=sid,
-                        )
-                    sub, stats = store.query(box)
-                    agg.merge(sub)
-                    total_stats.merge(stats)
-                    searched += 1
-                    hit = True
-                    if obs is not None:
-                        obs.record_tree_op("query", stats)
-                        obs.finish_span(tspan, nodes=stats.nodes_visited)
-                queue = self.queues.get(sid)
-                if queue is not None and len(queue):
-                    sub, stats = queue.query(box)
-                    agg.merge(sub)
-                    total_stats.merge(stats)
-                    hit = True
-                    if obs is not None:
-                        obs.record_tree_op("query", stats)
-            if not hit:
-                # the system image still names this worker for a shard it
-                # no longer holds (e.g. restarted after a crash, restore
-                # pending): report the gap so coverage stays honest
-                missing += 1
-        self.queries_done += 1
-        service = self.cost.query_time(total_stats) + rehydrate_cost
-
-        def reply() -> None:
-            if obs is not None:
-                obs.finish_span(span, searched=searched, missing=missing)
-            self.transport.send(
-                reply_to,
-                Message(
-                    "query_result",
-                    (token, agg.to_tuple(), searched, self.worker_id, missing),
-                    sender=self,
-                ),
-            )
-
-        self._submit(service, reply)
-
     def _on_query_batch(self, msg: Message) -> None:
-        """Execute a server's batched query fan-out.
+        """Execute a server's query fan-out.
 
         Each entry keeps its own token, requested shard list, box and
-        span context, and is resolved and answered with exactly the
-        singleton semantics (mapping-table resolution per shard, queue
-        lookups, missing shards reported per entry) -- only the
-        execution is grouped: every box addressed to one shard runs
-        through :meth:`ShardStore.query_batch` in a single vectorized
-        descent.  Per-entry merge order over its shards is preserved,
-        so each aggregate is bit-identical to the singleton path.
+        span context, and is resolved and answered on its own
+        (mapping-table resolution per shard, queue lookups, missing
+        shards reported per entry) -- only the execution is grouped:
+        the boxes addressed to one shard run through
+        :meth:`ShardStore.query_batch` in a single vectorized descent,
+        a lone box through :meth:`ShardStore.query` (same answer and
+        ``OpStats``, no batch set-up).  Per-entry merge order over its
+        shards is preserved, so an aggregate does not depend on what
+        else shared the message.
         """
         entries, reply_to = msg.payload
         obs = self.transport.obs
-        batch_span = None
-        spans: list = []
-        if obs is not None:
-            batch_span = obs.start_span(
-                "worker.query_batch", self.name, queries=len(entries)
+        tracing = obs is not None and obs.spans_enabled
+        shards, cold = self.shards, self.storage.cold
+        #: per entry: (token, parts, searched, missing, span); ``parts``
+        #: holds the entry's partial aggregates in merge order, each
+        #: slot filled when its group runs
+        plans: list[tuple] = []
+        #: (shard id, source) -> [(box, parts, slot, span)], source
+        #: 0 = primary shard, 1 = insertion queue, 2 = replica
+        groups: dict[tuple[int, int], list[tuple]] = {}
+        for token, shard_ids, box_t, ctx in entries:
+            span = (
+                obs.start_span("worker.query", self.name, parent=ctx)
+                if tracing
+                else None
             )
-            obs.registry.histogram(
-                "volap_query_batch_size",
-                help="queries per query_batch message",
-                buckets=DEFAULT_COUNT_BUCKETS,
-            ).observe(len(entries))
-        boxes: list[Box] = []
-        slots: list[list[tuple[int, int]]] = []
-        searched = [0] * len(entries)
-        missing = [0] * len(entries)
-        # (shard id, source) -> [(entry index, slot position)] where
-        # source is 0 = primary shard, 1 = insertion queue, 2 = replica
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for e, (token, shard_ids, box_t, ctx) in enumerate(entries):
-            if obs is not None:
-                spans.append(
-                    obs.start_span(
-                        "worker.query", self.name, parent=ctx, batched=True
-                    )
-                )
-            boxes.append(Box.from_tuple(box_t))
+            box = Box.from_tuple(box_t)
             order: list[tuple[int, int]] = []
+            searched = missing = 0
             for requested in shard_ids:
                 hit = False
                 for sid in self._resolve_query(requested):
-                    if sid in self.shards:
+                    if sid in shards:
                         order.append((sid, 0))
-                        searched[e] += 1
+                        searched += 1
                         hit = True
-                    elif sid in self.storage.cold:
-                        searched[e] += 1
+                    elif sid in cold:
+                        searched += 1
                         hit = True
                         # layer-map pruning per entry: only boxes that
                         # touch the WARM shard's bounding key get a
                         # slot (a pruned entry's contribution is the
-                        # empty aggregate -- the merge identity)
-                        if self.storage.cold[sid].intersects(boxes[e]):
+                        # empty aggregate -- the merge identity -- and
+                        # the blob is never read)
+                        if cold[sid].intersects(box):
                             order.append((sid, 0))
                     elif sid in self.replicas:
+                        # bounded-staleness read routed here by the
+                        # server: serve from the replica copy
                         order.append((sid, 2))
-                        searched[e] += 1
+                        searched += 1
                         hit = True
                         self.replica_queries += 1
                     queue = self.queues.get(sid)
@@ -977,11 +839,15 @@ class Worker(Entity):
                         order.append((sid, 1))
                         hit = True
                 if not hit:
-                    missing[e] += 1
-            slots.append(order)
-            for pos, gkey in enumerate(order):
-                groups.setdefault(gkey, []).append((e, pos))
-        results: dict[tuple[int, int], Aggregate] = {}
+                    # the system image still names this worker for a
+                    # shard it no longer holds (e.g. restarted after a
+                    # crash, restore pending): report the gap so
+                    # coverage stays honest
+                    missing += 1
+            parts: list = [None] * len(order)
+            for slot, gkey in enumerate(order):
+                groups.setdefault(gkey, []).append((box, parts, slot, span))
+            plans.append((token, parts, searched, missing, span))
         total_stats = OpStats()
         rehydrate_cost = 0.0
         for (sid, source), members in groups.items():
@@ -989,37 +855,49 @@ class Worker(Entity):
                 # look up at execution time: an earlier group's budget
                 # enforcement may have spilled this shard, and a WARM
                 # shard with a slot needs rehydrating now
-                store = self.shards.get(sid)
+                store = shards.get(sid)
                 if store is None:
                     store, c = self._rehydrate_for_access(
                         sid, trigger="query"
                     )
                     rehydrate_cost += c
                 if store is None:  # pragma: no cover - defensive
-                    for e, pos in members:
-                        results[(e, pos)] = Aggregate.empty()
+                    for _box, parts, slot, _span in members:
+                        parts[slot] = Aggregate.empty()
                     continue
                 self._touch(sid)
             elif source == 1:
                 store = self.queues[sid]
             else:
                 store = self.replicas[sid]
-            group_stats = OpStats()
-            res = store.query_batch([boxes[e] for e, _ in members])
-            for (e, pos), (sub, stats) in zip(members, res):
-                results[(e, pos)] = sub
-                group_stats.merge(stats)
-            total_stats.merge(group_stats)
+            if len(members) == 1:
+                kernel = "query"
+                res = (store.query(members[0][0]),)
+            else:
+                kernel = "query_batch"
+                res = store.query_batch([m[0] for m in members])
+            for (_box, parts, slot, span), (sub, stats) in zip(members, res):
+                parts[slot] = sub
+                total_stats.merge(stats)
+                if span is not None and source != 1:
+                    # zero-duration marker; ``nodes`` is this box's work
+                    obs.finish_span(
+                        obs.start_span(
+                            "tree.query", self.name, parent=span.ctx, shard=sid
+                        ),
+                        nodes=stats.nodes_visited,
+                    )
             if obs is not None:
-                obs.record_tree_op(
-                    "query_batch", group_stats, rows=len(members)
-                )
+                group_stats = OpStats()
+                for _sub, stats in res:
+                    group_stats.merge(stats)
+                obs.record_tree_op(kernel, group_stats, rows=len(members))
         replies: list[tuple] = []
-        for e, (token, _sids, _box, _ctx) in enumerate(entries):
+        for token, parts, searched, missing, _span in plans:
             agg = Aggregate.empty()
-            for pos in range(len(slots[e])):
-                agg.merge(results[(e, pos)])
-            replies.append((token, agg.to_tuple(), searched[e], missing[e]))
+            for sub in parts:
+                agg.merge(sub)
+            replies.append((token, agg.to_tuple(), searched, missing))
         self.queries_done += len(entries)
         service = (
             self.cost.query_batch_time(len(entries), total_stats)
@@ -1027,10 +905,9 @@ class Worker(Entity):
         )
 
         def reply() -> None:
-            if obs is not None:
-                for e, s in enumerate(spans):
-                    obs.finish_span(s, searched=searched[e], missing=missing[e])
-                obs.finish_span(batch_span)
+            if tracing:
+                for _token, _parts, searched, missing, span in plans:
+                    obs.finish_span(span, searched=searched, missing=missing)
             self.transport.send(
                 reply_to,
                 Message(

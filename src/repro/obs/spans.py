@@ -2,11 +2,12 @@
 
 Every client operation (and every manager-initiated balancing op) opens
 a *trace*: a causally-linked tree of spans, one per processing stage.
-The context -- ``(trace_id, span_id)`` -- rides on the
-:class:`~repro.cluster.transport.Message` envelope (singleton requests)
-or inside batch rows, so a receiving entity can parent its own span
-under the sender's.  Stage names are fixed and documented in
-``docs/observability.md``:
+The context -- ``(trace_id, span_id)`` -- rides inside the rows of the
+data-plane batch messages (and on the
+:class:`~repro.cluster.transport.Message` envelope for manager ops), so
+a receiving entity can parent its own span under the sender's.  Stage
+names are fixed and documented in ``docs/observability.md``; an op's
+span tree does not depend on the batch it travelled in:
 
 ========  =====================================================
 path      stage sequence (root first)
@@ -14,9 +15,7 @@ path      stage sequence (root first)
 insert    ``client.insert`` > ``server.route_insert`` >
           ``worker.apply_insert`` > ``tree.insert``
 query     ``client.query`` > ``server.route_query`` >
-          ``worker.query`` > ``tree.query`` (one per shard);
-          batched wire queries add one ``worker.query_batch``
-          span per ``query_batch`` message
+          ``worker.query`` > ``tree.query`` (one per shard)
 split     ``manager.split`` > ``worker.split``
 migrate   ``manager.migrate``
 restore   ``manager.restore``

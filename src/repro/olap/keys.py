@@ -229,7 +229,7 @@ class Box:
 
     @staticmethod
     def from_tuple(t: tuple[Sequence[int], Sequence[int]]) -> "Box":
-        return Box(np.array(t[0], dtype=np.int64), np.array(t[1], dtype=np.int64))
+        return Box(t[0], t[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Box):

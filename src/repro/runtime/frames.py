@@ -9,12 +9,14 @@ tiny envelope::
 
 ``route`` is the destination entity name a worker-originated reply
 carries back to the parent process; ``reply`` is the name of the
-reply-to entity embedded in a request payload.  All numeric payload
-fields travel as int64/float64 columns (scalars in a packed meta
-column), so insert batches, query batches, and bulk loads cross
-process boundaries as raw column buffers -- **no data-plane field is
-ever pickled**, which :func:`codec_stats` asserts (``data_pickled``
-must stay 0).
+reply-to entity embedded in a request payload.  The data plane is one
+message family -- ``insert_batch`` / ``query_batch`` / ``bulk_insert``
+and their replies; a single op is a batch of one -- and all numeric
+payload fields travel as int64/float64 columns (per-entry fields as the
+rows of 2-D columns, message scalars in a packed meta column), so
+insert batches, query batches, and bulk loads cross process boundaries
+as raw column buffers -- **no data-plane field is ever pickled**, which
+:func:`codec_stats` asserts (``data_pickled`` must stay 0).
 
 The same column builders power exact message-size accounting
 (:func:`wire_size`): the simulated transport charges bandwidth for
@@ -49,39 +51,14 @@ __all__ = [
 ]
 
 #: kinds with a full encode/decode column codec -- the mp data plane
-REQUEST_KINDS = frozenset(
-    {"insert", "insert_batch", "bulk_insert", "query", "query_batch"}
-)
-REPLY_KINDS = frozenset(
-    {
-        "insert_ack",
-        "insert_nack",
-        "insert_batch_ack",
-        "bulk_ack",
-        "query_result",
-        "query_result_batch",
-    }
-)
+REQUEST_KINDS = frozenset({"insert_batch", "bulk_insert", "query_batch"})
+REPLY_KINDS = frozenset({"insert_batch_ack", "bulk_ack", "query_result_batch"})
 DATA_KINDS = REQUEST_KINDS | REPLY_KINDS
 
 #: kinds with column builders used for exact sizing only (they never
 #: cross a process boundary: client<->server and worker<->worker hops
 #: stay in the parent process on every backend)
-_SIZE_REQUEST = frozenset(
-    {"client_insert", "client_insert_batch", "client_query", "client_query_batch"}
-)
-_SIZE_REPLY = frozenset(
-    {
-        "insert_done",
-        "insert_failed",
-        "insert_done_batch",
-        "query_done",
-        "replica_batch",
-        "replica_ack",
-        "primary_handoff",
-        "handoff_ack",
-    }
-)
+_SIZE_REQUEST = frozenset({"client_insert_batch", "client_query_batch"})
 
 _stats = {
     "data_frames": 0,  # column frames encoded or decoded
@@ -112,8 +89,11 @@ def note_data_frame(nbytes: int) -> None:
 
 # -- column builders ---------------------------------------------------------
 #
-# Each builder maps a payload to [(name, array)] columns.  Scalars ride
-# in the packed "m" (int64) / "g" (float64) meta columns.
+# Each builder maps a payload to [(name, array)] columns.  A message of
+# n entries carries its per-entry integers as the rows of one 2-D int64
+# column and its per-entry floats as the rows of one 2-D float64
+# column, so a one-entry message costs as few array constructions as a
+# 64-entry one.  Message-level scalars ride in a packed "m" column.
 
 _I64 = np.int64
 _F64 = np.float64
@@ -131,23 +111,12 @@ def _op(op_id) -> int:
     return int(op_id) if op_id else 0
 
 
-def _cols_insert(p):
-    shard_id, coords, measure, token, op_id, _reply = p
-    return [
-        ("m", _i([shard_id, token, _op(op_id)])),
-        ("c", _i(coords)),
-        ("g", _f([measure])),
-    ]
-
-
 def _cols_insert_batch(p):
     entries, _reply = p
     return [
-        ("s", _i([e[0] for e in entries])),
-        ("c", _i(np.stack([e[1] for e in entries]))),
+        ("x", _i([(e[0], e[3], _op(e[4])) for e in entries])),  # shard, token, op
+        ("c", _i([e[1] for e in entries])),
         ("v", _f([e[2] for e in entries])),
-        ("t", _i([e[3] for e in entries])),
-        ("o", _i([_op(e[4]) for e in entries])),
     ]
 
 
@@ -160,126 +129,65 @@ def _cols_bulk_insert(p):
     ]
 
 
-def _cols_query(p):
-    token, shard_ids, box_t, _reply = p
-    return [
-        ("m", _i([token])),
-        ("s", _i(list(shard_ids))),
-        ("lo", _i(box_t[0])),
-        ("hi", _i(box_t[1])),
-    ]
-
-
 def _cols_query_batch(p):
     entries, _reply = p
-    offsets = [0]
-    sids: list[int] = []
-    for _, shard_ids, _, _ in entries:
-        sids.extend(int(s) for s in shard_ids)
-        offsets.append(len(sids))
     return [
-        ("t", _i([e[0] for e in entries])),
-        ("off", _i(offsets)),
-        ("s", _i(sids)),
-        ("lo", _i(np.stack([np.asarray(e[2][0]) for e in entries]))),
-        ("hi", _i(np.stack([np.asarray(e[2][1]) for e in entries]))),
+        # token, requested shard count, box lo, box hi
+        ("x", _i([(e[0], len(e[1]), *e[2][0], *e[2][1]) for e in entries])),
+        ("s", _i([s for e in entries for s in e[1]])),
     ]
 
 
-def _cols_insert_ack(p):
-    return [("m", _i(list(p)))]  # (token, worker_id)
+def _cols_bulk_ack(p):
+    return [("m", _i(p))]  # (token, worker_id)
 
 
 def _cols_insert_batch_ack(p):
     acked, worker_id, nacked = p
     return [
-        ("a", _i(list(acked))),
+        ("a", _i(acked)),
+        ("n", _i(nacked).reshape(-1, 2)),  # token, shard
         ("m", _i([worker_id])),
-        ("nt", _i([t for t, _ in nacked])),
-        ("ns", _i([s for _, s in nacked])),
-    ]
-
-
-def _cols_query_result(p):
-    token, agg_t, searched, worker_id, missing = p
-    return [
-        ("m", _i([token, agg_t[0], searched, worker_id, missing])),
-        ("g", _f([agg_t[1], agg_t[2], agg_t[3]])),
     ]
 
 
 def _cols_query_result_batch(p):
     replies, worker_id = p
     return [
-        ("t", _i([r[0] for r in replies])),
-        ("cnt", _i([r[1][0] for r in replies])),
-        ("srch", _i([r[2] for r in replies])),
-        ("miss", _i([r[3] for r in replies])),
-        ("tot", _f([r[1][1] for r in replies])),
-        ("mn", _f([r[1][2] for r in replies])),
-        ("mx", _f([r[1][3] for r in replies])),
-        ("m", _i([worker_id])),
+        # token, count, searched, missing, worker
+        ("x", _i([(r[0], r[1][0], r[2], r[3], worker_id) for r in replies])),
+        ("g", _f([r[1][1:] for r in replies])),  # total, min, max
     ]
 
 
 # size-only builders ---------------------------------------------------------
 
 
-def _cols_client_insert(p):
-    op_id, coords, measure, _reply = p
-    return [("m", _i([_op(op_id)])), ("c", _i(coords)), ("g", _f([measure]))]
-
-
 def _cols_client_insert_batch(p):
     rows, _reply = p
     return [
         ("o", _i([_op(r[0]) for r in rows])),
-        ("c", _i(np.stack([r[1] for r in rows]))),
+        ("c", _i([r[1] for r in rows])),
         ("v", _f([r[2] for r in rows])),
-    ]
-
-
-def _query_fields(q):
-    if getattr(q, "group_levels", None):
-        return None  # rollup-built group queries: no fixed column shape
-    staleness = getattr(q, "max_staleness", None)
-    return (
-        np.asarray(q.box.lo),
-        np.asarray(q.box.hi),
-        float(q.coverage),
-        float("nan") if staleness is None else float(staleness),
-    )
-
-
-def _cols_client_query(p):
-    op_id, q, _reply = p
-    fields = _query_fields(q)
-    if fields is None:
-        return None
-    lo, hi, cov, stal = fields
-    return [
-        ("m", _i([_op(op_id)])),
-        ("lo", _i(lo)),
-        ("hi", _i(hi)),
-        ("g", _f([cov, stal])),
     ]
 
 
 def _cols_client_query_batch(p):
     rows, _reply = p
-    fields = [_query_fields(q) for _, q, _ in rows]
-    if any(f is None for f in fields):
-        return None
-    return [
-        ("o", _i([_op(r[0]) for r in rows])),
-        ("lo", _i(np.stack([f[0] for f in fields]))),
-        ("hi", _i(np.stack([f[1] for f in fields]))),
-        ("cov", _f([f[2] for f in fields])),
-        ("stal", _f([f[3] for f in fields])),
+    if any(getattr(q, "group_levels", None) for _, q, _ in rows):
+        return None  # rollup-built group queries: no fixed column shape
+    nan = float("nan")
+    # op id, box lo, box hi
+    x = [(_op(op), *q.box.lo.tolist(), *q.box.hi.tolist()) for op, q, _ in rows]
+    # coverage, staleness budget (nan: none)
+    g = [
+        (q.coverage, nan if q.max_staleness is None else q.max_staleness)
+        for _, q, _ in rows
     ]
+    return [("x", _i(x)), ("g", _f(g))]
 
 
-def _cols_insert_done(p):
+def _cols_insert_failed(p):
     return [("m", _i([_op(p[0])]))]
 
 
@@ -339,23 +247,15 @@ def _cols_handoff_ack(p):
 
 
 _BUILDERS: dict[str, Callable] = {
-    "insert": _cols_insert,
     "insert_batch": _cols_insert_batch,
     "bulk_insert": _cols_bulk_insert,
-    "query": _cols_query,
     "query_batch": _cols_query_batch,
-    "insert_ack": _cols_insert_ack,
-    "insert_nack": _cols_insert_ack,  # same (token, id) shape
     "insert_batch_ack": _cols_insert_batch_ack,
-    "bulk_ack": _cols_insert_ack,
-    "query_result": _cols_query_result,
+    "bulk_ack": _cols_bulk_ack,
     "query_result_batch": _cols_query_result_batch,
-    "client_insert": _cols_client_insert,
     "client_insert_batch": _cols_client_insert_batch,
-    "client_query": _cols_client_query,
     "client_query_batch": _cols_client_query_batch,
-    "insert_done": _cols_insert_done,
-    "insert_failed": _cols_insert_done,
+    "insert_failed": _cols_insert_failed,
     "insert_done_batch": _cols_insert_done_batch,
     "query_done": _cols_query_done,
     "replica_batch": _cols_replica_batch,
@@ -466,69 +366,44 @@ def decode(blob: bytes, resolve: Callable[[str], object]) -> tuple:
     note_data_frame(len(blob))
     reply = resolve(reply_name) if reply_name else None
 
-    if kind == "insert":
-        m, c, g = cols["m"], cols["c"], cols["g"]
-        return kind, (
-            int(m[0]), c, float(g[0]), int(m[1]), int(m[2]), reply
-        ), route
     if kind == "insert_batch":
-        s, c, v, t, o = cols["s"], cols["c"], cols["v"], cols["t"], cols["o"]
         entries = [
-            (int(s[i]), c[i], float(v[i]), int(t[i]), int(o[i]), None)
-            for i in range(len(s))
+            (sid, c, v, token, op, None)
+            for (sid, token, op), c, v in zip(
+                cols["x"].tolist(), cols["c"], cols["v"].tolist()
+            )
         ]
         return kind, (entries, reply), route
     if kind == "bulk_insert":
         m = cols["m"]
         batch = RecordBatch(cols["c"], cols["v"], copy=True)
         return kind, (int(m[0]), batch, int(m[1]), reply), route
-    if kind == "query":
-        m = cols["m"]
-        box_t = (tuple(int(x) for x in cols["lo"]), tuple(int(x) for x in cols["hi"]))
-        return kind, (
-            int(m[0]), [int(x) for x in cols["s"]], box_t, reply
-        ), route
     if kind == "query_batch":
-        t, off, s = cols["t"], cols["off"], cols["s"]
-        lo, hi = cols["lo"], cols["hi"]
-        entries = [
-            (
-                int(t[i]),
-                [int(x) for x in s[off[i] : off[i + 1]]],
-                (tuple(int(x) for x in lo[i]), tuple(int(x) for x in hi[i])),
-                None,
+        sids = cols["s"].tolist()
+        entries = []
+        pos = 0
+        for token, n, *box in cols["x"].tolist():
+            d = len(box) // 2
+            entries.append(
+                (token, sids[pos : pos + n], (tuple(box[:d]), tuple(box[d:])), None)
             )
-            for i in range(len(t))
-        ]
+            pos += n
         return kind, (entries, reply), route
-    if kind in ("insert_ack", "insert_nack", "bulk_ack"):
-        m = cols["m"]
-        return kind, (int(m[0]), int(m[1])), route
+    if kind == "bulk_ack":
+        return kind, tuple(cols["m"].tolist()), route
     if kind == "insert_batch_ack":
         return kind, (
-            [int(x) for x in cols["a"]],
+            cols["a"].tolist(),
             int(cols["m"][0]),
-            list(zip((int(x) for x in cols["nt"]), (int(x) for x in cols["ns"]))),
+            [tuple(pair) for pair in cols["n"].tolist()],
         ), route
-    if kind == "query_result":
-        m, g = cols["m"], cols["g"]
-        agg_t = (int(m[1]), float(g[0]), float(g[1]), float(g[2]))
-        return kind, (int(m[0]), agg_t, int(m[2]), int(m[3]), int(m[4])), route
     if kind == "query_result_batch":
-        t = cols["t"]
+        x = cols["x"].tolist()
         replies = [
-            (
-                int(t[i]),
-                (
-                    int(cols["cnt"][i]),
-                    float(cols["tot"][i]),
-                    float(cols["mn"][i]),
-                    float(cols["mx"][i]),
-                ),
-                int(cols["srch"][i]),
-                int(cols["miss"][i]),
+            (token, (count, *floats), searched, missing)
+            for (token, count, searched, missing, _w), floats in zip(
+                x, cols["g"].tolist()
             )
-            for i in range(len(t))
         ]
-        return kind, (replies, int(cols["m"][0])), route
+        return kind, (replies, x[0][4]), route
     raise AssertionError(f"unhandled kind {kind!r}")  # pragma: no cover

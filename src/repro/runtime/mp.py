@@ -4,8 +4,9 @@ The parent process runs servers, clients, manager, Zookeeper and the
 asyncio loop; each worker is forked into its own process hosting the
 *real* :class:`~repro.cluster.worker.Worker` class -- the same code
 path the sim executes -- behind a :class:`WorkerProxy` entity on the
-parent side.  The data plane (inserts, bulk chunks, queries and their
-replies) crosses the worker pipe exclusively as column frames
+parent side.  The data plane (``insert_batch``, ``bulk_insert``,
+``query_batch`` and their replies -- a single op is a batch of one)
+crosses the worker pipe exclusively as column frames
 (:mod:`repro.runtime.frames`): zero pickling per row, the property the
 codec spy counters assert.
 

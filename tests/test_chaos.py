@@ -30,7 +30,9 @@ from .conftest import make_schema, random_batch
 pytestmark = pytest.mark.sim_only
 
 
-INSERT_KINDS = {"client_insert", "insert", "insert_ack", "insert_done"}
+INSERT_KINDS = {
+    "client_insert_batch", "insert_batch", "insert_batch_ack", "insert_done_batch",
+}
 
 #: tight timers so chaos runs converge in little virtual time
 CHAOS_RETRY = RetryPolicy(

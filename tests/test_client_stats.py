@@ -23,25 +23,27 @@ class EchoServer(Entity):
         self.seen = 0
 
     def receive(self, msg):
-        self.seen += 1
-        op_id = msg.payload[0]
-        client = msg.payload[-1]
-        if msg.kind == "client_insert_batch":
-            self.batches = getattr(self, "batches", 0) + 1
-            op_ids = [row[0] for row in msg.payload[0]]
-            reply = Message("insert_done_batch", (op_ids,))
-        elif msg.kind == "client_insert":
-            reply = Message("insert_done", (op_id, self.clock.now))
-        else:
-            from repro.core.aggregates import Aggregate
+        from repro.core.aggregates import Aggregate
 
-            query = msg.payload[1]
-            reply = Message(
-                "query_done",
-                (op_id, self.clock.now, Aggregate.of_value(1.0), 2,
-                 query.coverage, 1.0, 0.0, "tree"),
+        self.seen += 1
+        rows, client = msg.payload
+        if msg.kind == "client_insert_batch":
+            replies = [Message("insert_done_batch", ([row[0] for row in rows],))]
+        elif msg.kind == "client_query_batch":
+            replies = [
+                Message(
+                    "query_done",
+                    (op_id, self.clock.now, Aggregate.of_value(1.0), 2,
+                     query.coverage, 1.0, 0.0, "tree"),
+                )
+                for op_id, query, _ctx in rows
+            ]
+        else:
+            raise ValueError(f"echo: unknown message {msg.kind!r}")
+        for reply in replies:
+            self.clock.after(
+                self.delay, lambda reply=reply: client.receive(reply)
             )
-        self.clock.after(self.delay, lambda: client.receive(reply))
 
 
 def make_rig(delay=0.01):

@@ -11,7 +11,7 @@ Covers the documented guarantees of docs/observability.md:
 * the metrics snapshot schema, and the regression that two sequential
   clusters in one process report independent metrics (no module state);
 * the Prometheus text exposition against a golden file;
-* the batching-knob deprecation shim (warns once, forwards);
+* the batching knobs have one spelling (the old aliases are gone);
 * zero-overhead defaults: ``transport.obs`` / ``tree.profiler`` None.
 """
 
@@ -29,7 +29,6 @@ from repro.cluster import (
     RetryPolicy,
     VOLAPCluster,
 )
-from repro.cluster import cluster as cluster_mod
 from repro.core import HilbertPDCTree, TreeConfig
 from repro.obs.export import to_prometheus
 from repro.olap.query import full_query
@@ -130,16 +129,18 @@ class TestSpanTrees:
         cluster.unobserve()
         assert cluster.obs is None
 
-    def test_singleton_insert_and_query_sequences(self, schema):
-        """Fault-free, unbatched: the exact documented stage sequences,
-        one trace per op, everything closed, child ends <= parent ends."""
-        cluster = small_cluster(schema, batch_size=1)
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_insert_and_query_sequences(self, schema, batch_size):
+        """Fault-free: the exact documented stage sequences, whatever
+        the batch size -- one trace per op, everything closed, child
+        ends <= parent ends."""
+        cluster = small_cluster(schema, batch_size=batch_size)
         obs = cluster.observe()
         extra = random_batch(schema, 30, seed=11)
         ops = insert_ops(extra) + [
             Operation("query", query=full_query(schema)) for _ in range(5)
         ]
-        run_ops(cluster, ops)
+        run_ops(cluster, ops, concurrency=16)
 
         traces = obs.traces()
         assert len(traces) == len(ops)
@@ -147,6 +148,7 @@ class TestSpanTrees:
         n_insert = n_query = 0
         for tid, spans in traces.items():
             seq = obs.span_tree(tid)
+            assert not any("batched" in s.tags for s in spans)
             if seq[0] == "client.insert":
                 n_insert += 1
                 assert seq == [
@@ -173,34 +175,33 @@ class TestSpanTrees:
                 assert s.end <= by_id[s.parent_id].end
         assert_well_formed(obs)
 
-    def test_batched_insert_sequences(self, schema):
-        """Wire batching: per-row worker spans tagged batched=True and
-        no tree.insert stage (the batch applies through insert_batch)."""
+    def test_profiler_reports_the_kernel_that_ran(self, schema):
+        """Inserts always apply through one ``insert_batch`` tree call
+        per (message, shard), so the profiler never sees a per-row
+        ``insert``; a shard queried by one box of a message runs the
+        ``query`` kernel, by several the ``query_batch`` kernel."""
         cluster = small_cluster(schema, batch_size=8)
         obs = cluster.observe()
         extra = random_batch(schema, 40, seed=12)
         run_ops(cluster, insert_ops(extra), concurrency=16)
 
         assert obs.open_spans() == []
-        worker_rows = 0
-        for tid in obs.traces():
-            seq = obs.span_tree(tid)
-            assert seq == [
-                "client.insert",
-                "server.route_insert",
-                "worker.apply_insert",
-            ]
-        for s in obs.tracer.spans:
-            if s.name == "worker.apply_insert":
-                assert s.tags.get("batched") is True
-                worker_rows += 1
+        worker_rows = sum(
+            s.name == "worker.apply_insert" for s in obs.tracer.spans
+        )
         assert worker_rows == len(extra)
-        # the profiler saw batched tree applies, not per-row inserts
         kinds = {p.kind for p in obs.profiler.records}
         assert "insert_batch" in kinds and "insert" not in kinds
         assert sum(
             p.rows for p in obs.profiler.select("insert_batch")
         ) == len(extra)
+
+        cluster.execute(Query(full_query(schema).box))
+        assert obs.profiler.select("query")
+        assert not obs.profiler.select("query_batch")
+        cluster.execute([Query(full_query(schema).box) for _ in range(4)])
+        assert obs.profiler.select("query_batch")
+        assert all(p.rows == 4 for p in obs.profiler.select("query_batch"))
 
     def test_span_durations_feed_registry(self, schema):
         cluster = small_cluster(schema)
@@ -221,7 +222,10 @@ class TestSpansUnderChaos:
         second server subtree may outlive the client span by design."""
         cluster = small_cluster(schema, retry=FAST_RETRY)
         obs = cluster.observe()
-        kinds = {"client_insert", "insert", "insert_ack", "insert_done"}
+        kinds = {
+            "client_insert_batch", "insert_batch", "insert_batch_ack",
+            "insert_done_batch",
+        }
         inj = cluster.inject_faults(
             FaultPlan().drop(0.10, kinds=kinds).duplicate(0.10, kinds=kinds),
             seed=7,
@@ -363,32 +367,18 @@ class TestPrometheusGolden:
                 float(value)  # parseable number
 
 
-class TestDeprecationShim:
-    def setup_method(self):
-        cluster_mod._warned_batch_aliases.clear()
-
-    def test_old_names_warn_once_and_forward(self):
-        with pytest.warns(DeprecationWarning) as rec:
-            cfg = ClusterConfig(client_batch_size=8, client_batch_linger=1e-3)
-        msgs = [str(w.message) for w in rec]
-        assert any("client_batch_size" in m for m in msgs)
-        assert any("client_batch_linger" in m for m in msgs)
-        assert cfg.batch_size == 8
-        assert cfg.batch_linger == 1e-3
-        # legacy attrs read back the resolved values for old readers
-        assert cfg.client_batch_size == 8
-        # second use: already warned, silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg2 = ClusterConfig(client_batch_size=4)
-        assert cfg2.batch_size == 4
-
-    def test_new_names_never_warn(self):
+class TestBatchingKnobs:
+    def test_one_spelling_no_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg = ClusterConfig(batch_size=16, batch_linger=2e-3)
         assert cfg.batch_size == 16
-        assert cfg.client_batch_size == 16  # mirror, no warning
+        assert cfg.batch_linger == 2e-3
+        # the pre-PR-3 aliases are gone, not silently ignored
+        with pytest.raises(TypeError):
+            ClusterConfig(client_batch_size=8)
+        with pytest.raises(TypeError):
+            ClusterConfig(client_batch_linger=1e-3)
 
 
 class TestTreeProfiler:

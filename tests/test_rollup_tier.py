@@ -316,17 +316,6 @@ class TestUnifiedAPI:
         for fam in list(snap["counters"]) + list(snap["gauges"]):
             assert "rollup" not in fam
 
-    def test_query_singleton_shim(self):
-        from repro.cluster import cluster as cluster_mod
-
-        cluster = make_cluster(self.schema, self.boot, rollup=None)
-        q = full_query(self.schema)
-        cluster_mod._warned_batch_aliases.discard("query")
-        with pytest.warns(DeprecationWarning, match="use VOLAPCluster.execute"):
-            agg, achieved = cluster.query(q)
-        assert agg.count == len(self.boot)
-        assert achieved == 1.0
-
     def test_rollup_builder_cross_product(self):
         qs = Query.rollup(self.schema, group_by=("d0:1", "d1:1"))
         h0 = self.schema.dimensions[0].hierarchy

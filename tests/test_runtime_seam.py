@@ -27,7 +27,9 @@ from repro.workloads.streams import Operation
 
 from .conftest import make_schema, random_batch
 
-INSERT_KINDS = {"client_insert", "insert", "insert_ack", "insert_done"}
+INSERT_KINDS = {
+    "client_insert_batch", "insert_batch", "insert_batch_ack", "insert_done_batch",
+}
 
 #: retry timers for wall-clock chaos runs.  On a real runtime, model
 #: time also elapses while handlers burn real CPU (real seconds /
@@ -70,79 +72,89 @@ def small_config(runtime, **kw):
 # -------------------------------------------------------------------------
 
 
+def _data_payload(kind, n, sink):
+    """A payload of ``n`` entries for one of ``frames.DATA_KINDS``, in
+    exactly the Python shape the entities send and receive."""
+    rng = np.random.default_rng(n)
+    coords = rng.integers(0, 1 << 20, size=(n, 3)).astype(np.int64)
+    values = rng.random(n)
+    token = (1 << 32) | 7  # server 1's token space: needs all 64 bits
+    if kind == "insert_batch":
+        return (
+            [
+                (i % 5, coords[i], float(values[i]), token + i, (3 << 24) | i, None)
+                for i in range(n)
+            ],
+            sink,
+        )
+    if kind == "bulk_insert":
+        return (7, RecordBatch(coords, values), (0xBBB << 32) | n, sink)
+    if kind == "query_batch":
+        # ragged shard lists, the empty one included
+        return (
+            [
+                (
+                    token + i,
+                    list(range(i % 3)),
+                    (tuple(coords[i].tolist()), tuple((coords[i] + i).tolist())),
+                    None,
+                )
+                for i in range(n)
+            ],
+            sink,
+        )
+    if kind == "insert_batch_ack":
+        return (
+            [token + i for i in range(n)],
+            2,
+            [(token + n + i, i % 5) for i in range(n // 2)],
+        )
+    if kind == "bulk_ack":
+        return ((0xBBB << 32) | n, 1)
+    if kind == "query_result_batch":
+        return (
+            [
+                (token + i, (i, float(values[i]), -1.5, float("inf")), i % 4, i % 2)
+                for i in range(n)
+            ],
+            1,
+        )
+    raise AssertionError(f"no sample payload for data kind {kind!r}")
+
+
+def _same(a, b):
+    """Structural equality that also compares arrays and batches."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, RecordBatch):
+        return _same(a.coords, b.coords) and _same(a.measures, b.measures)
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same(x, y) for x, y in zip(a, b))
+        )
+    return type(a) is type(b) and a == b
+
+
 class TestFrames:
-    def roundtrip(self, kind, payload, route="worker-0"):
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("kind", sorted(frames.DATA_KINDS))
+    def test_round_trip_is_exact_and_sized(self, kind, n):
+        sink = _Sink()
+        route = "worker-0" if kind in frames.REQUEST_KINDS else "server-0"
+        payload = _data_payload(kind, n, sink)
         blob = frames.encode(kind, payload, route=route)
         assert frames.wire_size(kind, payload, route) == len(blob)
-        sink = _Sink()
         got_kind, got, got_route = frames.decode(blob, lambda name: sink)
-        assert got_kind == kind
-        assert got_route == route
-        return got
+        assert (got_kind, got_route) == (kind, route)
+        assert _same(got, payload)
 
-    def test_insert(self):
-        sink = _Sink()
-        coords = np.array([3, 5, 7], dtype=np.int64)
-        got = self.roundtrip("insert", (2, coords, 0.25, 91, 17, sink))
-        sid, c, v, token, op_id, reply = got
-        assert (sid, token, op_id) == (2, 91, 17)
-        assert np.array_equal(c, coords) and v == 0.25
-        assert reply.name == "sink"
-
-    def test_insert_batch(self):
-        sink = _Sink()
-        entries = [
-            (1, np.array([1, 2, 3], dtype=np.int64), 0.5, 11, 100, None),
-            (4, np.array([7, 8, 9], dtype=np.int64), 1.5, 12, 101, None),
-        ]
-        got_entries, reply = self.roundtrip("insert_batch", (entries, sink))
-        assert len(got_entries) == 2
-        for want, got in zip(entries, got_entries):
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
-            assert got[2:5] == want[2:5]
-
-    def test_bulk_insert(self):
-        rng = np.random.default_rng(0)
-        batch = RecordBatch(
-            rng.integers(0, 50, size=(32, 3)).astype(np.int64), rng.random(32)
-        )
-        sid, got_batch, token, reply = self.roundtrip(
-            "bulk_insert", (7, batch, 12345, _Sink())
-        )
-        assert (sid, token) == (7, 12345)
-        assert np.array_equal(got_batch.coords, batch.coords)
-        assert np.allclose(got_batch.measures, batch.measures)
-
-    def test_query_and_result(self):
-        box_t = ((0, 0, 0), (9, 9, 9))
-        token, sids, got_box, reply = self.roundtrip(
-            "query", (55, [1, 2, 9], box_t, _Sink())
-        )
-        assert token == 55 and list(sids) == [1, 2, 9] and got_box == box_t
-        got = self.roundtrip(
-            "query_result", (55, (10, 2.5, 0.1, 0.9), 3, 1, 0), route="server-0"
-        )
-        assert got[0] == 55 and got[1] == (10, 2.5, 0.1, 0.9)
-
-    def test_query_batch_ragged(self):
-        entries = [
-            (1, [4, 5], ((0, 0, 0), (3, 3, 3)), None),
-            (2, [], ((1, 1, 1), (2, 2, 2)), None),
-            (3, [9], ((0, 1, 2), (5, 6, 7)), None),
-        ]
-        got_entries, reply = self.roundtrip("query_batch", (entries, _Sink()))
-        assert [list(e[1]) for e in got_entries] == [[4, 5], [], [9]]
-        assert [e[2] for e in got_entries] == [e[2] for e in entries]
-
-    def test_acks(self):
-        assert self.roundtrip("insert_ack", (42, 1), route="server-0")[:2] == (42, 1)
-        assert self.roundtrip("bulk_ack", (77, 0), route="bulk-sink")[:2] == (77, 0)
-        acked, wid, nacked = self.roundtrip(
-            "insert_batch_ack", ([5, 6, 7], 2, [(8, 3)]), route="server-0"
-        )
-        assert list(acked) == [5, 6, 7] and wid == 2
-        assert [tuple(x) for x in nacked] == [(8, 3)]
+    def test_data_kinds_are_the_batch_family(self):
+        assert frames.DATA_KINDS == {
+            "insert_batch", "bulk_insert", "query_batch",
+            "insert_batch_ack", "bulk_ack", "query_result_batch",
+        }
 
     def test_non_data_kind_raises_and_trips_spy(self):
         before = frames.codec_stats()["data_pickled"]
@@ -292,7 +304,7 @@ def test_duplicate_delivery_gets_defensive_copy():
 
 def test_clone_preserves_entity_identity():
     sink = _Sink()
-    msg = Message("insert", (1, [2, 3], sink))
+    msg = Message("bulk_ack", (1, [2, 3], sink))
     copy_ = msg.clone()
     assert copy_.payload[2] is sink  # reply-to handles pass by identity
     assert copy_.payload is not msg.payload

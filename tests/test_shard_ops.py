@@ -146,10 +146,21 @@ class TestStaleRouteInsert:
         sink = Sink()
         for i in range(n):
             server.receive(
-                Message("client_insert", (100 + i, coords, 1.0, sink))
+                Message(
+                    "client_insert_batch", ([(100 + i, coords, 1.0, None)], sink)
+                )
             )
         clock.run_until(20.0)
         return sink.received
+
+    @staticmethod
+    def done_ops(received):
+        return [
+            op_id
+            for m in received
+            if m.kind == "insert_done_batch"
+            for op_id in m.payload[0]
+        ]
 
     def total(self, workers):
         return sum(w.total_items() for w in workers.values())
@@ -171,8 +182,7 @@ class TestStaleRouteInsert:
         # freeze shard 1 for migration, then insert before it completes
         workers[0].receive(Message("migrate_shard", (1, workers[1], Quiet())))
         got = self.run_inserts(clock, server, batch.coords[0], 3)
-        done = [m for m in got if m.kind == "insert_done"]
-        assert len(done) == 3
+        assert sorted(self.done_ops(got)) == [100, 101, 102]
         assert 1 in workers[1].shards and 1 not in workers[0].shards
         assert self.total(workers) == len(batch) + 3
 
@@ -197,8 +207,64 @@ class TestStaleRouteInsert:
         # poison the server's local image back to the stale owner
         server.image.update_worker(1, 0)
         got = self.run_inserts(clock, server, batch.coords[0], 2)
-        done = [m for m in got if m.kind == "insert_done"]
-        assert len(done) == 2
+        assert sorted(self.done_ops(got)) == [100, 101]
         assert server.insert_retries >= 2  # the nack path actually fired
         assert len(workers[1].shards[1]) == len(batch) + 2
         assert self.total(workers) == len(batch) + 2
+
+    def test_all_nacked_batch_refreshes_image_once(self, schema):
+        """A stale-routed 64-row batch comes back as one ack carrying 64
+        nacks: the server re-reads the system image once for that
+        message (not once per row), and every row still lands exactly
+        once after re-routing."""
+        from repro.cluster.transport import Entity, Message
+
+        batch = random_batch(schema, 300, seed=8)
+        clock, transport, zk, workers, server = self.make_rig(schema, batch)
+
+        class Quiet(Entity):
+            name = "quiet"
+
+            def receive(self, msg):
+                pass
+
+        workers[0].receive(Message("migrate_shard", (1, workers[1], Quiet())))
+        clock.run_until(5.0)
+        server.image.update_worker(1, 0)  # stale: zk names worker 1
+
+        refreshes = []
+        load_image = server.load_image
+        server.load_image = lambda: (refreshes.append(clock.now), load_image())
+        per_ack = []  # (nacks carried, image refreshes inside the handler)
+        on_ack = server._on_insert_batch_ack
+
+        def counting_ack(msg):
+            before = len(refreshes)
+            on_ack(msg)
+            per_ack.append((len(msg.payload[2]), len(refreshes) - before))
+
+        server._on_insert_batch_ack = counting_ack
+
+        class Sink(Entity):
+            name = "sink"
+
+            def __init__(self):
+                self.received = []
+
+            def receive(self, msg):
+                self.received.append(msg)
+
+        sink = Sink()
+        extra = random_batch(schema, 64, seed=9)
+        rows = [
+            (500 + i, extra.coords[i], 1.0, None) for i in range(len(extra))
+        ]
+        server.receive(Message("client_insert_batch", (rows, sink)))
+        clock.run_until(25.0)
+
+        assert per_ack[0] == (64, 1)
+        assert all(n_refresh == (1 if nacks else 0) for nacks, n_refresh in per_ack)
+        assert sorted(self.done_ops(sink.received)) == [500 + i for i in range(64)]
+        assert server.insert_failures == 0
+        assert len(workers[1].shards[1]) == len(batch) + 64
+        assert self.total(workers) == len(batch) + 64

@@ -1,22 +1,21 @@
-"""Wire-level batching: equivalence with the singleton path, and
-exactly-once delivery of batched inserts under network faults.
+"""Wire-level batching: one message family whatever ``batch_size`` is,
+and exactly-once delivery of batched inserts under network faults.
 
 Batching changes only the framing: with the same seeded workload, a
 cluster running ``batch_size > 1`` must end with aggregates
-identical to the unbatched cluster (integer-valued measures make sums
-order-proof), the same completed-op and failure counts, and fewer
-messages on the wire.  Dropping or duplicating any of the new message
-kinds must never lose or double-apply a record -- retransmits degrade
-to the singleton path and workers dedup per ``op_id``.
+identical to the ``batch_size=1`` cluster (integer-valued measures make
+sums order-proof), the same completed-op and failure counts, and fewer
+messages on the wire.  Dropping or duplicating any of the message
+kinds must never lose or double-apply a record -- a retransmit is the
+op alone in a one-row batch and workers dedup per ``op_id``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, VOLAPCluster
 from repro.cluster.faults import FaultPlan, RetryPolicy
+from repro.cluster.transport import Message
 from repro.core.aggregates import Aggregate
 from repro.core.array_store import ArrayStore
 from repro.olap.keys import Box
@@ -115,6 +114,18 @@ def run_query_cluster(schema, boot, boxes, *, batch_size, faults=None,
     return cluster, sess, recs
 
 
+SURVIVING_KINDS = {
+    "client_insert_batch", "insert_batch", "insert_batch_ack",
+    "insert_done_batch", "insert_failed",
+    "client_query_batch", "query_batch", "query_result_batch", "query_done",
+    "bulk_insert", "bulk_ack",
+}
+
+REMOVED_KINDS = {
+    "client_insert", "insert", "insert_ack", "insert_nack", "insert_done",
+    "client_query", "query", "query_result",
+}
+
 class TestWireEquivalence:
     def test_batched_equals_unbatched(self):
         schema = make_schema()
@@ -132,13 +143,49 @@ class TestWireEquivalence:
         assert sb.batches_sent > 0
         assert batched.transport.messages_sent < plain.transport.messages_sent
 
-    def test_batch_size_one_sends_no_batches(self):
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_one_message_family_whatever_the_batch_size(self, batch_size):
+        """Every data-plane message the transport carries is a
+        surviving kind, and the per-op kinds are gone for good: sending
+        one raises the entities' unknown-message ``ValueError``."""
         schema = make_schema()
         boot = int_batch(schema, 300, seed=3)
         stream = int_batch(schema, 200, seed=4)
-        cluster, sess = run_cluster(schema, boot, stream, batch_size=1)
-        assert sess.batches_sent == 0
+        cluster = VOLAPCluster(
+            schema,
+            ClusterConfig(num_workers=3, num_servers=2, seed=5,
+                          batch_size=batch_size, batch_linger=5e-4),
+        )
+        cluster.bootstrap(boot)
+        cluster.observe(spans=False, profile_trees=False)
+        sess = cluster.session(concurrency=64)
+        sess.run_stream(
+            insert_ops(stream) + query_ops(random_boxes(schema, 40, seed=5))
+        )
+        cluster.run_until_clients_done()
         assert cluster.stats.failures == 0
+        assert sess.completed == len(stream) + 40
+        if batch_size == 1:  # a single op is a batch of one
+            assert sess.batches_sent == len(stream)
+            assert sess.query_batches_sent == 40
+        else:
+            assert 0 < sess.batches_sent < len(stream)
+            assert 0 < sess.query_batches_sent < 40
+
+        series = cluster.metrics.snapshot()["counters"]["volap_messages_total"]
+        carried = {row["labels"]["kind"] for row in series["series"]}
+        assert not carried & REMOVED_KINDS
+        data_plane = {
+            k for k in carried
+            if k.startswith(("client_", "insert", "query", "bulk"))
+        }
+        assert data_plane == SURVIVING_KINDS - {"insert_failed", "bulk_insert", "bulk_ack"}
+
+        entities = (cluster.servers[0], cluster.workers[0], sess)
+        for kind in sorted(REMOVED_KINDS):
+            for entity in entities:
+                with pytest.raises(ValueError, match="unknown message"):
+                    entity.receive(Message(kind, ()))
 
 
 BATCH_KINDS = {
@@ -167,8 +214,8 @@ class TestBatchingUnderFaults:
 
         One worker, so per-worker ``op_id`` dedup is globally complete:
         with several workers a server retry can re-route an already
-        applied row to a *different* worker (stale-image residue shared
-        with the singleton path of PR 1), which is not what this test
+        applied row to a *different* worker (stale-image residue of the
+        retry protocol since PR 1), which is not what this test
         is about -- it pins the batching machinery itself.
         """
         schema = make_schema()
@@ -197,6 +244,66 @@ class TestBatchingUnderFaults:
             assert sum(w.dedup_hits for w in cluster.workers.values()) > 0
 
 
+@pytest.mark.sim_only
+def test_lone_retransmit_of_a_flushed_batch_row_applies_exactly_once():
+    """One row of an already-flushed 32-row batch loses its ack (the
+    only row routed to worker 1; that worker's ``insert_batch_ack`` is
+    dropped), times out at the client, is retransmitted alone as a
+    one-row ``client_insert_batch``, and the worker's dedup re-acks it
+    without applying it twice."""
+    schema = make_schema()
+    boot = int_batch(schema, 600, seed=6)
+    retry = RetryPolicy(
+        timeout=0.2, max_attempts=8, insert_timeout=30.0,
+        backoff_base=0.02, backoff_jitter=0.0,
+    )
+    cluster = VOLAPCluster(
+        schema,
+        ClusterConfig(num_workers=2, num_servers=1, seed=5, retry=retry,
+                      batch_size=32, batch_linger=5e-4),
+    )
+    cluster.bootstrap(boot)
+    # 31 rows the image routes to worker 0 and one it routes to worker 1
+    image = cluster.servers[0].image
+    owner = [image.route_insert(c).worker_id for c in boot.coords]
+    picks = [i for i, w in enumerate(owner) if w == 0][:31]
+    picks.append(owner.index(1))
+    ops = [
+        Operation("insert", coords=boot.coords[i], measure=7.0) for i in picks
+    ]
+    cluster.inject_faults(
+        FaultPlan().drop(
+            1.0, src="worker-1", kinds={"insert_batch_ack"}, end=0.1
+        )
+    )
+    sent_rows = []
+    send = cluster.transport.send
+
+    def recording_send(dst, msg):
+        if msg.kind == "client_insert_batch":
+            sent_rows.append(len(msg.payload[0]))
+        send(dst, msg)
+
+    cluster.transport.send = recording_send
+    recs = []
+    sess = cluster.session(concurrency=32)
+    sess.on_complete = recs.append
+    sess.run_stream(ops)
+    cluster.run_until_clients_done()
+
+    assert sent_rows == [32, 1]  # the flush, then the row alone
+    assert sess.batches_sent == 2
+    assert sess.timeouts == 1 and sess.retries == 1
+    assert sess.completed == 32 and cluster.stats.failures == 0
+    assert sorted(r.attempts for r in recs) == [1] * 31 + [2]
+    assert cluster.transport.faults.dropped == 1
+    assert cluster.workers[1].dedup_hits == 1  # re-acked, not re-applied
+    assert cluster.workers[0].dedup_hits == 0
+    agg = cluster_aggregate(cluster, schema)
+    assert agg.count == len(boot) + 32
+    assert agg.total == float(boot.measures.sum()) + 32 * 7.0
+
+
 QUERY_BATCH_KINDS = {
     "client_query_batch",
     "query_batch",
@@ -222,8 +329,8 @@ class TestQueryBatching:
         batched, sb, rb = run_query_cluster(schema, boot, boxes, batch_size=32)
         assert sp.completed == sb.completed == len(boxes)
         assert plain.stats.failures == batched.stats.failures == 0
-        assert sp.query_batches_sent == 0
-        assert sb.query_batches_sent > 0
+        assert sp.query_batches_sent == len(boxes)  # each a batch of one
+        assert 0 < sb.query_batches_sent < len(boxes)
         assert sorted(r.result_count for r in rp) == want
         assert sorted(r.result_count for r in rb) == want
         assert all(r.achieved == 1.0 for r in rb)
@@ -253,34 +360,8 @@ class TestQueryBatching:
             assert res.source == "tree"
             assert res.staleness == 0.0
 
-    def test_query_batch_shim_warns_once_and_matches_execute(self):
-        """The deprecated ``query_batch`` wrapper warns once, then
-        returns the legacy ``(agg, achieved)`` pairs for the same
-        answers ``execute`` gives."""
-        from repro.cluster import cluster as cluster_mod
-
-        schema = make_schema()
-        boot = int_batch(schema, 400, seed=4)
-        boxes = random_boxes(schema, 8, seed=21)
-        cluster = VOLAPCluster(
-            schema, ClusterConfig(num_workers=2, num_servers=1, seed=7)
-        )
-        cluster.bootstrap(boot)
-        want = cluster.execute([Query(b) for b in boxes])
-
-        cluster_mod._warned_batch_aliases.discard("query_batch")
-        with pytest.warns(DeprecationWarning, match="use VOLAPCluster.execute"):
-            legacy = cluster.query_batch([Query(b) for b in boxes])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call: no warning
-            legacy2 = cluster.query_batch([Query(b) for b in boxes])
-        for res, (agg, achieved) in zip(want, legacy):
-            assert agg.count == res.value.count
-            assert achieved == res.coverage
-        assert [a.count for a, _ in legacy] == [a.count for a, _ in legacy2]
-
     def test_ops_total_counts_logical_queries(self):
-        """Batched queries are recorded exactly like singletons: the
+        """Batched queries are recorded one per op: the
         ``volap_ops_total`` query series grows by one per *logical*
         query, not one per wire batch."""
         schema = make_schema()
@@ -307,8 +388,8 @@ class TestQueryBatchingUnderFaults:
     @pytest.mark.parametrize("action", ["drop", "duplicate"])
     def test_faulted_query_batches_stay_exact(self, action):
         """Dropping or duplicating any batched-query message kind must
-        neither lose a query (retransmits degrade to the singleton
-        path) nor skew a result (duplicate worker results are counted
+        neither lose a query (a retransmit is the query alone in a
+        one-row batch) nor skew a result (duplicate worker results are counted
         once per token)."""
         schema = make_schema()
         boot = int_batch(schema, 900, seed=6)

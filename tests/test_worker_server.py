@@ -25,6 +25,17 @@ class Sink(Entity):
         self.received.append(msg)
 
 
+def one_insert(shard_id, coords, measure, token, op_id, sink):
+    """A single insert as the wire carries it: a batch of one."""
+    return Message(
+        "insert_batch", ([(shard_id, coords, measure, token, op_id, None)], sink)
+    )
+
+
+def one_query(token, shard_ids, box, sink):
+    return Message("query_batch", ([(token, shard_ids, box.to_tuple(), None)], sink))
+
+
 @pytest.fixture
 def rig(schema):
     clock = SimClock()
@@ -58,19 +69,20 @@ class TestWorkerInsert:
         install(w, schema, batch)
         sink = Sink()
         coords = batch.coords[0]
-        w.receive(Message("insert", (1, coords, 2.0, 99, 99, sink)))
+        w.receive(one_insert(1, coords, 2.0, 99, 99, sink))
         clock.run()
         assert w.total_items() == len(batch) + 1
-        assert sink.received[0].kind == "insert_ack"
-        assert sink.received[0].payload == (99, 0)
+        assert sink.received[0].kind == "insert_batch_ack"
+        assert sink.received[0].payload == ([99], 0, [])
 
     def test_unknown_shard_nacks(self, rig, schema, batch):
         clock, transport, zk = rig
         w = make_worker(rig, schema)
         sink = Sink()
-        w.receive(Message("insert", (42, batch.coords[0], 1.0, 5, 5, sink)))
+        w.receive(one_insert(42, batch.coords[0], 1.0, 5, 5, sink))
         clock.run()
-        assert sink.received[0].kind == "insert_nack"
+        assert sink.received[0].kind == "insert_batch_ack"
+        assert sink.received[0].payload == ([], 0, [(5, 42)])
 
     def test_frozen_shard_queues(self, rig, schema, batch):
         clock, transport, zk = rig
@@ -79,7 +91,7 @@ class TestWorkerInsert:
         w.frozen.add(1)
         w.queues[1] = HilbertPDCTree(schema, w.tree_config)
         sink = Sink()
-        w.receive(Message("insert", (1, batch.coords[0], 1.0, 5, 5, sink)))
+        w.receive(one_insert(1, batch.coords[0], 1.0, 5, 5, sink))
         clock.run()
         assert len(w.queues[1]) == 1
         assert len(w.shards[1]) == len(batch)  # shard untouched
@@ -92,11 +104,11 @@ class TestWorkerQuery:
         install(w, schema, batch)
         sink = Sink()
         box = full_query(schema).box
-        w.receive(Message("query", (7, [1], box.to_tuple(), sink)))
+        w.receive(one_query(7, [1], box, sink))
         clock.run()
         msg = sink.received[0]
-        assert msg.kind == "query_result"
-        token, agg_t, searched, wid, missing = msg.payload
+        assert msg.kind == "query_result_batch"
+        [(token, agg_t, searched, missing)], wid = msg.payload
         assert token == 7
         assert agg_t[0] == len(batch)
         assert searched == 1
@@ -111,9 +123,10 @@ class TestWorkerQuery:
         w.queues[1].insert(batch.coords[0], 5.0)
         sink = Sink()
         box = full_query(schema).box
-        w.receive(Message("query", (7, [1], box.to_tuple(), sink)))
+        w.receive(one_query(7, [1], box, sink))
         clock.run()
-        assert sink.received[0].payload[1][0] == len(batch) + 1
+        [(_token, agg_t, _searched, _missing)], _wid = sink.received[0].payload
+        assert agg_t[0] == len(batch) + 1
 
     def test_query_through_mapping(self, rig, schema, batch):
         """Queries addressed to a split parent reach both children."""
@@ -128,9 +141,9 @@ class TestWorkerQuery:
         w.mapping[1] = (plane, 10, 11)
         sink = Sink()
         box = full_query(schema).box
-        w.receive(Message("query", (3, [1], box.to_tuple(), sink)))
+        w.receive(one_query(3, [1], box, sink))
         clock.run()
-        token, agg_t, searched, _, _missing = sink.received[0].payload
+        [(token, agg_t, searched, _missing)], _wid = sink.received[0].payload
         assert agg_t[0] == len(batch)
         assert searched == 2
 
@@ -171,7 +184,7 @@ class TestWorkerSplit:
         coords = batch.coords[0]
         expected = low if coords[plane.dim] <= plane.value else high
         before = len(w.shards[expected])
-        w.receive(Message("insert", (1, coords, 1.0, 5, 5, sink)))
+        w.receive(one_insert(1, coords, 1.0, 5, 5, sink))
         clock.run()
         assert len(w.shards[expected]) == before + 1
 
@@ -199,7 +212,7 @@ class TestWorkerMigration:
         sink = Sink()
         src.receive(Message("migrate_shard", (1, dst, sink)))
         # while frozen, an insert arrives at the source
-        src.receive(Message("insert", (1, batch.coords[0], 9.0, 4, 4, sink)))
+        src.receive(one_insert(1, batch.coords[0], 9.0, 4, 4, sink))
         clock.run()
         assert len(dst.shards[1]) == len(batch) + 1
 
@@ -228,10 +241,13 @@ class TestServer:
         server.load_image()
         sink = Sink()
         server.receive(
-            Message("client_insert", (1, batch.coords[0], 1.0, sink))
+            Message(
+                "client_insert_batch", ([(1, batch.coords[0], 1.0, None)], sink)
+            )
         )
         clock.run_until(1.0 - 1e-9)  # avoid periodic sync tail
-        assert sink.received[0].kind == "insert_done"
+        assert sink.received[0].kind == "insert_done_batch"
+        assert sink.received[0].payload == ([1],)
         assert w.total_items() == len(batch) + 1
 
     def test_query_roundtrip(self, rig, schema, batch):
@@ -242,7 +258,7 @@ class TestServer:
         server.load_image()
         sink = Sink()
         server.receive(
-            Message("client_query", (1, full_query(schema), sink))
+            Message("client_query_batch", ([(1, full_query(schema), None)], sink))
         )
         clock.run_until(0.9)
         msg = sink.received[0]
@@ -260,7 +276,9 @@ class TestServer:
         # force an expansion: a point outside the current shard box
         outside = schema.leaf_limits.copy()
         sink = Sink()
-        server.receive(Message("client_insert", (2, outside, 1.0, sink)))
+        server.receive(
+            Message("client_insert_batch", ([(2, outside, 1.0, None)], sink))
+        )
         clock.run_until(0.5)
         assert server.image.dirty
         clock.run_until(1.5)  # past the sync tick
@@ -307,15 +325,15 @@ class TestCostModel:
         cost = CostModel()
         small = OpStats(nodes_visited=1)
         big = OpStats(nodes_visited=100, items_scanned=1000)
-        assert cost.insert_time(big) > cost.insert_time(small)
-        assert cost.query_time(big) > cost.query_time(small)
+        assert cost.insert_batch_time(1, big) > cost.insert_batch_time(1, small)
+        assert cost.query_batch_time(1, big) > cost.query_batch_time(1, small)
 
     def test_bulk_cheaper_per_item(self):
         cost = CostModel()
         per_item_bulk = cost.bulk_time(1000) / 1000
         from repro.core.config import OpStats
 
-        per_item_point = cost.insert_time(OpStats(nodes_visited=4))
+        per_item_point = cost.insert_batch_time(1, OpStats(nodes_visited=4))
         assert per_item_bulk < per_item_point / 5
 
     def test_all_times_positive(self):
