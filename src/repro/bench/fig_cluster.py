@@ -411,13 +411,10 @@ class HeadlineResult:
     batched_insert_rate: float
     mixed_insert_rate: float
     mixed_query_rate: float
-    #: registry reads (cluster.metrics.snapshot()); with observe=True
-    #: the snapshot also carries volap_messages_total / volap_tree_*
+    #: registry reads (cluster.metrics.snapshot())
     p95_insert_latency: float = 0.0
     p95_query_latency: float = 0.0
     metrics: dict = field(default_factory=dict)
-    #: spans recorded (0 unless observe=True)
-    spans: int = 0
 
 
 def run_headline(
@@ -427,23 +424,12 @@ def run_headline(
     point_inserts: int = 1500,
     mixed_ops: int = 3000,
     seed: int = 4,
-    observe: bool = False,
-    trace_path=None,
 ) -> HeadlineResult:
-    """Bulk vs point ingestion and the mixed-stream rates at p=20.
-
-    ``observe=True`` switches on the observability subsystem for the
-    whole run (spans + message metrics + tree profiling);
-    ``trace_path`` additionally dumps the JSON-lines event trace there.
-    Virtual-time rates must not depend on either knob -- the
-    instrumentation charges no service time (asserted by
-    ``benchmarks/bench_obs_overhead.py``)."""
+    """Bulk vs point ingestion and the mixed-stream rates at p=20."""
     schema = tpcds_schema()
     gen = TPCDSGenerator(schema, seed=seed)
     batch = gen.batch(workers * items_per_worker)
     cluster = _make_cluster(schema, workers, seed=seed)
-    if observe:
-        cluster.observe()
     cluster.bootstrap(batch, shards_per_worker=3)
 
     bulk = gen.batch(bulk_items)
@@ -481,8 +467,6 @@ def run_headline(
     snap = cluster.metrics.snapshot()
     lat = snap["histograms"]["volap_op_latency_seconds"]["series"]
     p95 = {s["labels"]["kind"]: s["p95"] for s in lat}
-    if observe and trace_path is not None:
-        cluster.obs.dump_events_jsonl(trace_path)
     return HeadlineResult(
         workers=workers,
         total_items=cluster.total_items(),
@@ -494,7 +478,6 @@ def run_headline(
         p95_insert_latency=p95.get("insert", 0.0),
         p95_query_latency=p95.get("query", 0.0),
         metrics=snap,
-        spans=len(cluster.obs.tracer.spans) if cluster.obs is not None else 0,
     )
 
 

@@ -23,6 +23,10 @@ first.  ``batch_size=1`` flushes every op at once as a batch of one,
 and a retransmit is the op alone in a one-row batch.  Batching changes
 only the wire framing: every operation keeps its own ``op_id``, timer,
 and :class:`OpRecord`.
+
+:meth:`ClientSession._ship` is where insert rows become arrays (the
+``o``/``c``/``v`` columns of :class:`~repro.cluster.wire.ClientInsertBatch`);
+every later hop gathers from them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from ..workloads.streams import Operation
 from .faults import RetryPolicy
 from .stats import ClusterStats, OpRecord
 from .transport import Entity, Message, Transport
+from .wire import ClientInsertBatch, f64, i64
 
 __all__ = ["ClientSession"]
 
@@ -143,26 +148,22 @@ class ClientSession(Entity):
     def _ship(self, batch: list[_PendingOp]) -> None:
         """One ``client_insert_batch`` / ``client_query_batch`` message
         carrying ``batch`` (ops of one kind)."""
+        ctx = [p.span.ctx if p.span is not None else None for p in batch]
         if batch[0].op.is_insert:
             self.batches_sent += 1
             kind = "client_insert_batch"
-            rows = [
-                (
-                    p.op_id,
-                    p.op.coords,
-                    p.op.measure,
-                    p.span.ctx if p.span is not None else None,
-                )
-                for p in batch
-            ]
+            payload = ClientInsertBatch(
+                i64([p.op_id for p in batch]),
+                i64([p.op.coords for p in batch]),
+                f64([p.op.measure for p in batch]),
+                self,
+                ctx,
+            )
         else:
             self.query_batches_sent += 1
             kind = "client_query_batch"
-            rows = [
-                (p.op_id, p.op.query, p.span.ctx if p.span is not None else None)
-                for p in batch
-            ]
-        self.transport.send(self.server, Message(kind, (rows, self), sender=self))
+            payload = ([(p.op_id, p.op.query, c) for p, c in zip(batch, ctx)], self)
+        self.transport.send(self.server, Message(kind, payload, sender=self))
 
     def _retransmit(self, pending: _PendingOp) -> None:
         """Resend a timed-out op alone, as a batch of one."""
@@ -231,7 +232,7 @@ class ClientSession(Entity):
     def receive(self, msg: Message) -> None:
         now = self.transport.clock.now
         if msg.kind == "insert_done_batch":
-            for op_id in msg.payload[0]:
+            for op_id in msg.payload.o.tolist():
                 pending = self._pending.pop(op_id, None)
                 if pending is None:
                     continue  # duplicated or post-timeout reply

@@ -33,6 +33,7 @@ from .server import Server
 from .simclock import SimClock
 from .stats import ClusterStats, OpRecord
 from .transport import Entity, LatencyModel, Message
+from .wire import BulkInsert, i64
 from .worker import Worker
 from .zookeeper import Zookeeper
 
@@ -115,10 +116,6 @@ class ClusterConfig:
     time_scale: float = field(
         default_factory=lambda: float(os.environ.get("VOLAP_TIME_SCALE", "1.0"))
     )
-    #: backend-specific switches forwarded to ``make_runtime`` (e.g.
-    #: ``{"streams": True}`` to carry the asyncio data plane over
-    #: loopback TCP)
-    runtime_options: Optional[dict] = None
 
 
 class VOLAPCluster:
@@ -132,7 +129,6 @@ class VOLAPCluster:
             latency=self.config.latency,
             seed=self.config.seed,
             time_scale=self.config.time_scale,
-            options=self.config.runtime_options,
         )
         self.clock = self.runtime.clock
         self.transport = self.runtime.transport
@@ -508,7 +504,9 @@ class VOLAPCluster:
                     self.workers[owner[sid]],
                     Message(
                         "bulk_insert",
-                        (sid, sub.take(np.array(rows)), token, sink),
+                        BulkInsert(
+                            i64([sid, token]), sub.coords[rows], sub.measures[rows], sink
+                        ),
                     ),
                 )
         # run until every chunk is acknowledged

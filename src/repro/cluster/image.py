@@ -82,9 +82,8 @@ class ShardInfo:
 
     @staticmethod
     def from_wire(t: tuple) -> "ShardInfo":
-        # tolerate pre-residency 4-tuples (rolling upgrade / old tests)
-        residency = t[4] if len(t) > 4 else "hot"
-        return ShardInfo(t[0], key_from_wire(t[1]), t[2], t[3], residency)
+        shard_id, key, worker_id, size, residency = t
+        return ShardInfo(shard_id, key_from_wire(key), worker_id, size, residency)
 
 
 class _ImageNode:

@@ -139,9 +139,9 @@ class Manager(Entity):
             # than stats ticks); copy first -- the zk stand-in returns
             # the stored dict by reference
             beat = self.zk.get(f"/heartbeats/{wid}")
-            if isinstance(beat, tuple) and len(beat) > 1:
+            if beat is not None:
                 data = dict(data)
-                data["resident_bytes"] = beat[1]
+                data["resident_bytes"] = beat[1]  # (time, resident bytes)
             state[wid] = data
         return state
 

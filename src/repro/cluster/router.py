@@ -101,12 +101,6 @@ class RoutePlan:
     cube_served: int = 0
 
 
-def _rows_to_arrays(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.stack([r[0] for r in rows]).astype(np.int64, copy=False)
-    measures = np.asarray([r[1] for r in rows], dtype=np.float64)
-    return coords, measures
-
-
 class QueryRouter:
     """Rollup tier of one server: cube store, stream state, routing."""
 
@@ -400,7 +394,10 @@ class QueryRouter:
     # -- stream message handlers --------------------------------------------
 
     def on_replica_batch(self, msg: Message) -> None:
-        sid, epoch, seq, rows, t_created, primary = msg.payload
+        p = msg.payload
+        sid, epoch, seq = p.m.tolist()
+        t_created = float(p.g[0])
+        primary = p.primary
         st = self._streams.get(sid)
         if st is None:
             # not subscribed (anymore): stop the primary's retransmits
@@ -419,7 +416,7 @@ class QueryRouter:
                 if st.get("tail_epoch") != epoch:
                     st["tail"].clear()
                     st["tail_epoch"] = epoch
-                self._retain(st, seq, rows, t_created)
+                self._retain(st, seq, p.c, p.v, t_created)
             return
         if epoch < st["epoch"]:
             self.server.transport.send(
@@ -432,8 +429,8 @@ class QueryRouter:
         if epoch > st["epoch"]:
             self._reset_stream(sid)  # fenced: reconcile re-syncs
             return
-        self._apply_batch(sid, st, seq, rows, t_created)
-        service = self.server.cost.rollup_apply_time(len(rows))
+        self._apply_batch(sid, st, seq, p.c, p.v, t_created)
+        service = self.server.cost.rollup_apply_time(len(p.v))
 
         def ack() -> None:
             cur = self._streams.get(sid)
@@ -450,28 +447,20 @@ class QueryRouter:
 
         self.server.pool.submit(service, ack)
 
-    def _retain(self, st: dict, seq: int, rows, t_created: float) -> None:
-        if isinstance(rows, tuple):
-            coords, measures = rows
-        else:
-            coords, measures = _rows_to_arrays(rows)
+    def _retain(self, st: dict, seq: int, coords, measures, t_created: float) -> None:
         st["tail"][seq] = (coords, measures, t_created)
         if len(st["tail"]) > self.cfg.tail_limit:
             st["tail"].clear()
             st["torn"] = True
 
     def _apply_batch(
-        self, sid: int, st: dict, seq: int, rows, t_created: float
-    ) -> bool:
+        self, sid: int, st: dict, seq: int, coords, measures, t_created: float
+    ) -> None:
         """Fold one stream batch into every installed slab of the shard
         and advance the contiguous frontier/watermark (duplicates from
         retransmits are no-ops)."""
         if seq <= st["frontier"] or seq in st["applied"]:
-            return False
-        if isinstance(rows, tuple):
-            coords, measures = rows
-        else:
-            coords, measures = _rows_to_arrays(rows)
+            return
         for cube in self.store.cubes.values():
             slab = cube.slabs.get(sid)
             if slab is not None:
@@ -479,7 +468,7 @@ class QueryRouter:
                     self.server.schema, cube.key, coords, measures, into=slab
                 )
         if sid in self._pending_sync:
-            self._retain(st, seq, (coords, measures), t_created)
+            self._retain(st, seq, coords, measures, t_created)
         st["applied"].add(seq)
         st["pending_t"][seq] = t_created
         while st["frontier"] + 1 in st["applied"]:
@@ -488,7 +477,6 @@ class QueryRouter:
             st["wm_time"] = st["pending_t"].pop(st["frontier"])
         self.rows_applied += len(measures)
         self.batches_applied += 1
-        return True
 
     def on_rollup_cells(self, msg: Message) -> None:
         """A worker's sync reply: install the slabs and splice them
@@ -524,7 +512,7 @@ class QueryRouter:
                 st["tail"].clear()
             for seq in sorted(tail):
                 coords, measures, t = tail[seq]
-                self._apply_batch(sid, st, seq, (coords, measures), t)
+                self._apply_batch(sid, st, seq, coords, measures, t)
             if sid not in self._pending_sync:
                 st["tail"].clear()
                 st.pop("torn", None)

@@ -32,7 +32,15 @@ from .image import LocalImage, ShardInfo
 from .router import QueryRouter, RollupConfig
 from .simclock import SimClock
 from .transport import Entity, Message, Transport
-from .wire import key_from_wire, key_to_wire
+from .wire import (
+    InsertBatch,
+    InsertDoneBatch,
+    QueryBatch,
+    f64,
+    i64,
+    key_from_wire,
+    key_to_wire,
+)
 from .zookeeper import Zookeeper
 
 __all__ = ["Server"]
@@ -172,44 +180,46 @@ class Server(Entity):
         row that must be retried is re-routed alone as a one-entry
         ``insert_batch``, so batching never weakens the delivery
         guarantees."""
-        rows, reply_to = msg.payload
+        p = msg.payload
         now = self.clock.now
         obs = self.transport.obs
         nodes = 0
-        by_worker: dict[int, list[tuple]] = {}
-        for op_id, coords, measure, ctx in rows:
+        ctx = p.ctx if p.ctx is not None else [None] * len(p.o)
+        entries: list[tuple[int, int, int]] = []  # shard, token, op id
+        span_ctx: list = []
+        #: worker id -> indices of the rows routed to it
+        by_worker: dict[int, list[int]] = {}
+        for i, (op_id, measure) in enumerate(zip(p.o.tolist(), p.v.tolist())):
+            coords = p.c[i]
             token = self._next_token()
             span = None
             if obs is not None:
                 span = obs.start_span(
-                    "server.route_insert", self.name, parent=ctx, op_id=op_id
+                    "server.route_insert", self.name, parent=ctx[i], op_id=op_id
                 )
             self._pending_inserts[token] = _PendingInsert(
-                token, op_id, reply_to, now, coords, measure, span=span
+                token, op_id, p.reply_to, now, coords, measure, span=span
             )
             info = self.image.route_insert(coords)
             nodes += self.image.nodes_visited_last
             self.inserts_routed += 1
-            by_worker.setdefault(info.worker_id, []).append(
-                (
-                    info.shard_id,
-                    coords,
-                    measure,
-                    token,
-                    op_id,
-                    span.ctx if span is not None else None,
-                )
-            )
+            by_worker.setdefault(info.worker_id, []).append(i)
+            entries.append((info.shard_id, token, op_id))
+            span_ctx.append(span.ctx if span is not None else None)
             self._arm_insert_timer(token, self.retry.insert_timeout)
         service = self.cost.route_time(nodes)
+        x = i64(entries)
 
         def forward() -> None:
-            for worker_id, entries in by_worker.items():
+            for worker_id, idx in by_worker.items():
                 self.transport.send(
                     self.workers[worker_id],
                     Message(
                         "insert_batch",
-                        (entries, self),
+                        InsertBatch(
+                            x[idx], p.c[idx], p.v[idx], self,
+                            [span_ctx[i] for i in idx],
+                        ),
                         sender=self,
                     ),
                 )
@@ -220,9 +230,9 @@ class Server(Entity):
         """Per-op acks from a worker's apply: complete the acked tokens
         (one ``insert_done_batch`` per client), re-route the nacked
         (stale route) after one image refresh for the whole message."""
-        tokens, _worker_id, nacked = msg.payload
+        p = msg.payload
         done: dict[Entity, list[int]] = {}
-        for token in tokens:
+        for token in p.a.tolist():
             pending = self._pending_inserts.pop(token, None)
             if pending is None:
                 continue
@@ -233,13 +243,13 @@ class Server(Entity):
                 reply_to,
                 Message(
                     "insert_done_batch",
-                    (op_ids,),
+                    InsertDoneBatch(i64(op_ids)),
                     sender=self,
                 ),
             )
-        if nacked:
+        if len(p.n):
             self.load_image()
-        for token, _shard_id in nacked:
+        for token, _shard_id in p.n.tolist():
             self._retry_insert(token)
 
     def _route_insert(self, token: int) -> None:
@@ -252,18 +262,17 @@ class Server(Entity):
         self.inserts_routed += 1
         service = self.cost.route_time(self.image.nodes_visited_last)
         worker = self.workers[info.worker_id]
-        entry = (
-            info.shard_id,
-            pending.coords,
-            pending.measure,
-            token,
-            pending.op_id,
-            pending.span.ctx if pending.span is not None else None,
+        entry = InsertBatch(
+            i64([(info.shard_id, token, pending.op_id)]),
+            pending.coords[None, :],
+            f64([pending.measure]),
+            self,
+            [pending.span.ctx if pending.span is not None else None],
         )
         self.pool.submit(
             service,
             lambda: self.transport.send(
-                worker, Message("insert_batch", ([entry], self), sender=self)
+                worker, Message("insert_batch", entry, sender=self)
             ),
         )
 
@@ -413,7 +422,9 @@ class Server(Entity):
         routed_rows = 0  # rows that reached the fan-out planner
         hit_service = 0.0
         finishes: list[_PendingQuery] = []
-        by_worker: dict[int, list[tuple]] = {}
+        #: worker id -> ([token, shard count, *box lo, *box hi] per entry,
+        #: the entries' shard ids concatenated, span context per entry)
+        by_worker: dict[int, tuple[list, list, list]] = {}
         for op_id, query, ctx in rows:
             token = self._next_token()
             span = None
@@ -482,12 +493,13 @@ class Server(Entity):
                 source="hybrid" if plan is not None else "tree",
             )
             self._pending_queries[token] = pending
-            box_t = query.box.to_tuple()
+            bounds = (*query.box.lo.tolist(), *query.box.hi.tolist())
             sctx = span.ctx if span is not None else None
             for worker_id, shard_ids in grouped.items():
-                by_worker.setdefault(worker_id, []).append(
-                    (token, shard_ids, box_t, sctx)
-                )
+                x, s, ctxs = by_worker.setdefault(worker_id, ([], [], []))
+                x.append((token, len(shard_ids), *bounds))
+                s.extend(shard_ids)
+                ctxs.append(sctx)
             self.clock.after(
                 self.retry.query_deadline,
                 lambda token=token: self._query_deadline(token),
@@ -497,12 +509,12 @@ class Server(Entity):
         ) + hit_service
 
         def fan_out() -> None:
-            for worker_id, entries in by_worker.items():
+            for worker_id, (x, s, ctxs) in by_worker.items():
                 self.transport.send(
                     self.workers[worker_id],
                     Message(
                         "query_batch",
-                        (entries, self),
+                        QueryBatch(i64(x), i64(s), self, ctxs),
                         sender=self,
                     ),
                 )
@@ -514,14 +526,16 @@ class Server(Entity):
     def _on_query_result_batch(self, msg: Message) -> None:
         """Per-op partial results from one worker: merge each into its
         pending query and finish the queries whose fan-out is complete."""
-        replies, worker_id = msg.payload
-        for token, agg_t, searched, unresolved in replies:
+        p = msg.payload
+        for (token, count, searched, unresolved, worker_id), floats in zip(
+            p.x.tolist(), p.g.tolist()
+        ):
             pending = self._pending_queries.get(token)
             if pending is None:
                 continue  # finished, or deadline already returned a partial
             if pending.per_worker.pop(worker_id, None) is None:
                 continue  # duplicated result: this worker already counted
-            pending.agg.merge(Aggregate(*agg_t))
+            pending.agg.merge(Aggregate(count, *floats))
             pending.shards_searched += searched
             pending.unresolved += unresolved
             if not pending.per_worker:
@@ -589,12 +603,11 @@ class Server(Entity):
             self.router.on_replica_batch(msg)
             return
         # no tier: tell the primary to stop streaming at us
-        primary = msg.payload[5]
         self.transport.send(
-            primary,
+            msg.payload.primary,
             Message(
                 "replica_remove",
-                (msg.payload[0], -(self.server_id + 1)),
+                (int(msg.payload.m[0]), -(self.server_id + 1)),
                 sender=self,
             ),
         )

@@ -1,20 +1,29 @@
-"""Wire encoding of shard bounding keys (MBR boxes or MDS interval sets).
+"""Wire shapes of the cluster layer.
 
-The system image in Zookeeper stores, per shard, its bounding key --
-"represented by either a Minimum Bounding Rectangle (MBR, one box) or
-Minimum Describing Subset (MDS, multiple boxes)" (paper Section III-A).
-Both kinds serialise to plain tuples so they survive the Zookeeper
-stand-in and message payloads.
+Shard bounding keys -- "either a Minimum Bounding Rectangle (MBR, one
+box) or Minimum Describing Subset (MDS, multiple boxes)" (paper Section
+III-A) -- serialise to plain tuples so they survive the Zookeeper
+stand-in and message payloads.  Bulk record payloads (shard blobs,
+handed-off insertion queues) travel as columnar frames
+(:mod:`repro.olap.colframe`) through :func:`batch_to_wire` /
+:func:`batch_from_wire`, so every bulk transfer is charged its true
+bytes-on-the-wire size.
 
-Bulk record payloads (shard blobs, handed-off insertion queues) travel
-as columnar frames (:mod:`repro.olap.colframe`); :func:`batch_to_wire`
-and :func:`batch_from_wire` are the cluster layer's entry points so
-every bulk transfer is charged its true bytes-on-the-wire size.
+Every message kind that carries rows has one declaration below
+(:data:`PAYLOADS`).  Its ``np.ndarray`` fields *are* the wire columns --
+names, order, dtypes, shapes -- so :mod:`repro.runtime.frames` sizes,
+encodes and decodes a payload from its declaration alone, and rows
+become arrays once, where a batch is born.  ``reply_to`` rides the
+envelope's reply slot; ``ctx`` (one ``SpanContext`` per row, ``None``
+with tracing off) and the sender handles of the two worker-to-worker
+kinds are never encoded.  An op id of ``0`` means "none".
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import NamedTuple, Optional, Union
+
+import numpy as np
 
 from ..olap.colframe import decode_batch, encode_batch
 from ..olap.keys import Box
@@ -29,24 +38,122 @@ __all__ = [
     "shard_to_wire",
     "shard_from_wire",
     "BoundingKey",
-    "QUERY_ROW_WIRE_BYTES",
-    "REPLICA_ROW_WIRE_BYTES",
+    "i64",
+    "f64",
+    "PAYLOADS",
+    "ClientInsertBatch", "InsertBatch", "InsertBatchAck", "InsertDoneBatch",
+    "BulkInsert", "BulkAck", "QueryBatch", "QueryResultBatch",
+    "ReplicaBatch", "PrimaryHandoff",
 ]
 
 BoundingKey = Union[Box, MDS]
 
-#: estimated wire size of one batched-query row -- a (token, shard ids,
-#: box bounds) tuple on the request side, or a (token, aggregate,
-#: searched, missing) tuple on the result side.  Shared by client,
-#: server, and worker so every query-batch message charges the same
-#: per-row transfer cost.
-QUERY_ROW_WIRE_BYTES = 48
 
-#: estimated wire size of one replication-stream row -- (coords,
-#: measure, op id), the same shape as a wire-batch insert row (PR 2's
-#: format, which the replica stream reuses) plus the idempotency token
-#: the replica must retain for exactly-once promotion.
-REPLICA_ROW_WIRE_BYTES = 72
+def i64(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def f64(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
+class ClientInsertBatch(NamedTuple):
+    """client -> server: a session's buffered inserts."""
+
+    o: np.ndarray  # int64 (n,): op id
+    c: np.ndarray  # int64 (n, d): coords
+    v: np.ndarray  # float64 (n,): measure
+    reply_to: object
+    ctx: Optional[list] = None
+
+
+class InsertBatch(NamedTuple):
+    """server -> worker: the rows of client batches routed to one worker."""
+
+    x: np.ndarray  # int64 (n, 3): shard, server token, op id
+    c: np.ndarray  # int64 (n, d): coords
+    v: np.ndarray  # float64 (n,): measure
+    reply_to: object
+    ctx: Optional[list] = None
+
+
+class InsertBatchAck(NamedTuple):
+    """worker -> server: per-row outcome of one ``insert_batch``."""
+
+    a: np.ndarray  # int64 (k,): acked tokens
+    n: np.ndarray  # int64 (j, 2): nacked (stale route) token, shard
+    m: np.ndarray  # int64 (1,): worker id
+
+
+class InsertDoneBatch(NamedTuple):
+    """server -> client: completed inserts."""
+
+    o: np.ndarray  # int64 (n,): op id
+
+
+class BulkInsert(NamedTuple):
+    """facade -> worker: one shard's chunk of a bulk load."""
+
+    m: np.ndarray  # int64 (2,): shard, dedup token
+    c: np.ndarray  # int64 (n, d): coords
+    v: np.ndarray  # float64 (n,): measure
+    reply_to: object
+
+
+class BulkAck(NamedTuple):
+    m: np.ndarray  # int64 (2,): dedup token, worker id
+
+
+class QueryBatch(NamedTuple):
+    """server -> worker: one entry per (query, this worker's shards)."""
+
+    x: np.ndarray  # int64 (n, 2 + 2d): token, shard count, box lo, box hi
+    s: np.ndarray  # int64 (sum of shard counts,): the entries' shard ids
+    reply_to: object
+    ctx: Optional[list] = None
+
+
+class QueryResultBatch(NamedTuple):
+    """worker -> server: one partial aggregate per ``query_batch`` entry."""
+
+    x: np.ndarray  # int64 (n, 5): token, count, searched, missing, worker id
+    g: np.ndarray  # float64 (n, 3): total, min, max
+
+
+class ReplicaBatch(NamedTuple):
+    """primary -> stream peer: one sequence-numbered batch of applied rows."""
+
+    c: np.ndarray  # int64 (n, d): coords
+    v: np.ndarray  # float64 (n,): measure
+    o: np.ndarray  # int64 (n,): op id
+    m: np.ndarray  # int64 (3,): shard, epoch, seq
+    g: np.ndarray  # float64 (1,): creation time on the primary
+    primary: object
+
+
+class PrimaryHandoff(NamedTuple):
+    """demoted primary -> new owner: the stream suffix it never acked."""
+
+    c: np.ndarray  # int64 (n, d): coords
+    v: np.ndarray  # float64 (n,): measure
+    o: np.ndarray  # int64 (n,): op id
+    m: np.ndarray  # int64 (1,): shard
+    src: object
+
+
+#: message kind -> the declaration of its payload
+PAYLOADS: dict[str, type] = {
+    "client_insert_batch": ClientInsertBatch,
+    "insert_batch": InsertBatch,
+    "insert_batch_ack": InsertBatchAck,
+    "insert_done_batch": InsertDoneBatch,
+    "bulk_insert": BulkInsert,
+    "bulk_ack": BulkAck,
+    "query_batch": QueryBatch,
+    "query_result_batch": QueryResultBatch,
+    "replica_batch": ReplicaBatch,
+    "primary_handoff": PrimaryHandoff,
+}
 
 
 def batch_to_wire(batch: RecordBatch, *, compress: bool = True) -> bytes:

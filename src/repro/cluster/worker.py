@@ -43,8 +43,15 @@ from .lifecycle import CUTOVER, INSTALLING, TRANSFERRING
 from .simclock import SimClock
 from .storage import HOT, WARM, ShardStorage
 from .wire import (
+    BulkAck,
+    InsertBatchAck,
+    PrimaryHandoff,
+    QueryResultBatch,
+    ReplicaBatch,
     batch_from_wire,
     batch_to_wire,
+    f64,
+    i64,
     key_to_wire,
 )
 from .transport import Entity, Message, Transport
@@ -277,8 +284,9 @@ class Worker(Entity):
         #: shard id -> read-only replica store fed by the insert stream
         self.replicas: dict[int, ShardStore] = {}
         #: primary-side stream state per replicated shard:
-        #: {"epoch", "head", "log": {seq: [rows, t_created, last_sent]},
-        #:  "peers": {worker id: {"entity", "acked"}}}
+        #: {"epoch", "head", "log": {seq: [(c, v, o), t_created, last_sent]},
+        #:  "peers": {worker id: {"entity", "acked"}}} -- the log holds the
+        #: rows as the arrays ``replica_batch`` forwards
         self._repl: dict[int, dict] = {}
         #: replica-side stream state per held replica: {"epoch",
         #: "frontier", "applied": set, "pending_t": {seq: t_created},
@@ -611,21 +619,21 @@ class Worker(Entity):
         through :meth:`ShardStore.insert_batch` -- so the tree sees one
         Hilbert-sorted run sequence, not ``n`` point inserts.
         """
-        entries, reply_to = msg.payload
+        p = msg.payload
         obs = self.transport.obs
         tracing = obs is not None and obs.spans_enabled
         acked: list[int] = []
         nacked: list[tuple[int, int]] = []
-        #: resolved shard -> [(coords, measure, op_id)] and, when tracing,
-        #: the rows' worker.apply_insert spans in the same order
-        groups: dict[int, list[tuple[np.ndarray, float, object]]] = {}
+        #: resolved shard -> indices of its rows and, when tracing, the
+        #: rows' worker.apply_insert spans in the same order
+        groups: dict[int, list[int]] = {}
         row_spans: dict[int, list] = {}
-        for shard_id, coords, measure, token, op_id, ctx in entries:
+        for i, (shard_id, token, op_id) in enumerate(p.x.tolist()):
             if op_id and op_id in self._seen_ops:
                 self.dedup_hits += 1
                 acked.append(token)
                 continue
-            sid = self._resolve_insert(shard_id, coords)
+            sid = self._resolve_insert(shard_id, p.c[i]) if shard_id in self.mapping else shard_id
             if (
                 sid not in self.frozen
                 and sid not in self.shards
@@ -636,10 +644,13 @@ class Worker(Entity):
             if tracing:
                 row_spans.setdefault(sid, []).append(
                     obs.start_span(
-                        "worker.apply_insert", self.name, parent=ctx, op_id=op_id
+                        "worker.apply_insert",
+                        self.name,
+                        parent=p.ctx[i] if p.ctx is not None else None,
+                        op_id=op_id,
                     )
                 )
-            groups.setdefault(sid, []).append((coords, measure, op_id))
+            groups.setdefault(sid, []).append(i)
             if op_id:
                 self._seen_ops.add(op_id)
             acked.append(token)
@@ -648,10 +659,7 @@ class Worker(Entity):
         tree_spans: list = []
         rehydrate_cost = 0.0
         for sid, rows in groups.items():
-            batch = RecordBatch(
-                np.array([c for c, _, _ in rows], dtype=np.int64),
-                np.array([m for _, m, _ in rows], dtype=np.float64),
-            )
+            batch = RecordBatch(p.c[rows], p.v[rows])
             if sid in self.frozen:
                 target = self.queues[sid]
             else:
@@ -684,7 +692,7 @@ class Worker(Entity):
                         )
                     )
             if sid not in self.frozen:
-                self._tee(sid, rows)
+                self._tee(sid, batch.coords, batch.measures, p.x[rows, 2])
                 self._touch(sid)
                 self._enforce_budget(protect={sid})
             applied += len(rows)
@@ -701,10 +709,12 @@ class Worker(Entity):
                 for s in group:
                     obs.finish_span(s, ok=True)
             self.transport.send(
-                reply_to,
+                p.reply_to,
                 Message(
                     "insert_batch_ack",
-                    (acked, self.worker_id, nacked),
+                    InsertBatchAck(
+                        i64(acked), i64(nacked).reshape(-1, 2), i64([self.worker_id])
+                    ),
                     sender=self,
                 ),
             )
@@ -712,13 +722,13 @@ class Worker(Entity):
         self._submit(service, ack)
 
     def _on_bulk_insert(self, msg: Message) -> None:
-        shard_id, batch, token, reply_to = msg.payload
+        p = msg.payload
+        shard_id, token = p.m.tolist()
+        batch = RecordBatch(p.c, p.v)
+        ack = Message("bulk_ack", BulkAck(i64([token, self.worker_id])), sender=self)
         if token and token in self._seen_ops:
             self.dedup_hits += 1
-            self.transport.send(
-                reply_to,
-                Message("bulk_ack", (token, self.worker_id), sender=self),
-            )
+            self.transport.send(p.reply_to, ack)
             return
         if token:
             self._seen_ops.add(token)
@@ -741,23 +751,17 @@ class Worker(Entity):
             if target is None:
                 continue
             self._bulk_into(sid, target, sub, frozen=sid in self.frozen)
-            st = self._repl.get(sid)
-            if st is not None and st["peers"] and sid not in self.frozen:
+            if sid not in self.frozen:
                 # bulk rows carry no idempotency token (the batch-level
                 # token cannot dedup row-by-row on a promoted replica)
-                self._tee(sid, [(c, m, None) for c, m in sub.iter_rows()])
-            if sid not in self.frozen:
+                self._tee(
+                    sid, sub.coords, sub.measures, np.zeros(len(sub), dtype=np.int64)
+                )
                 self._touch(sid)
                 self._enforce_budget(protect={sid})
         self.inserts_done += len(batch)
         service = self.cost.bulk_time(len(batch)) + rehydrate_cost
-        self._submit(
-            service,
-            lambda: self.transport.send(
-                reply_to,
-                Message("bulk_ack", (token, self.worker_id), sender=self),
-            ),
-        )
+        self._submit(service, lambda: self.transport.send(p.reply_to, ack))
 
     def _bulk_into(
         self, sid: int, store: ShardStore, batch: RecordBatch, frozen: bool
@@ -790,10 +794,13 @@ class Worker(Entity):
         shards is preserved, so an aggregate does not depend on what
         else shared the message.
         """
-        entries, reply_to = msg.payload
+        p = msg.payload
         obs = self.transport.obs
         tracing = obs is not None and obs.spans_enabled
         shards, cold = self.shards, self.storage.cold
+        requested_ids = p.s.tolist()
+        dims = (p.x.shape[1] - 2) // 2
+        pos = 0
         #: per entry: (token, parts, searched, missing, span); ``parts``
         #: holds the entry's partial aggregates in merge order, each
         #: slot filled when its group runs
@@ -801,16 +808,21 @@ class Worker(Entity):
         #: (shard id, source) -> [(box, parts, slot, span)], source
         #: 0 = primary shard, 1 = insertion queue, 2 = replica
         groups: dict[tuple[int, int], list[tuple]] = {}
-        for token, shard_ids, box_t, ctx in entries:
+        for i, row in enumerate(p.x):
+            token, n_shards = row[:2].tolist()
             span = (
-                obs.start_span("worker.query", self.name, parent=ctx)
+                obs.start_span(
+                    "worker.query",
+                    self.name,
+                    parent=p.ctx[i] if p.ctx is not None else None,
+                )
                 if tracing
                 else None
             )
-            box = Box.from_tuple(box_t)
+            box = Box(row[2 : 2 + dims], row[2 + dims :])
             order: list[tuple[int, int]] = []
             searched = missing = 0
-            for requested in shard_ids:
+            for requested in requested_ids[pos : pos + n_shards]:
                 hit = False
                 for sid in self._resolve_query(requested):
                     if sid in shards:
@@ -844,6 +856,7 @@ class Worker(Entity):
                     # crash, restore pending): report the gap so
                     # coverage stays honest
                     missing += 1
+            pos += n_shards
             parts: list = [None] * len(order)
             for slot, gkey in enumerate(order):
                 groups.setdefault(gkey, []).append((box, parts, slot, span))
@@ -892,15 +905,17 @@ class Worker(Entity):
                 for _sub, stats in res:
                     group_stats.merge(stats)
                 obs.record_tree_op(kernel, group_stats, rows=len(members))
-        replies: list[tuple] = []
+        x: list[tuple] = []
+        g: list[tuple] = []
         for token, parts, searched, missing, _span in plans:
             agg = Aggregate.empty()
             for sub in parts:
                 agg.merge(sub)
-            replies.append((token, agg.to_tuple(), searched, missing))
-        self.queries_done += len(entries)
+            x.append((token, agg.count, searched, missing, self.worker_id))
+            g.append((agg.total, agg.vmin, agg.vmax))
+        self.queries_done += len(plans)
         service = (
-            self.cost.query_batch_time(len(entries), total_stats)
+            self.cost.query_batch_time(len(plans), total_stats)
             + rehydrate_cost
         )
 
@@ -909,10 +924,10 @@ class Worker(Entity):
                 for _token, _parts, searched, missing, span in plans:
                     obs.finish_span(span, searched=searched, missing=missing)
             self.transport.send(
-                reply_to,
+                p.reply_to,
                 Message(
                     "query_result_batch",
-                    (replies, self.worker_id),
+                    QueryResultBatch(i64(x), f64(g)),
                     sender=self,
                 ),
             )
@@ -1201,25 +1216,25 @@ class Worker(Entity):
         self._repl_timer_on = True
         self.clock.every(self.repl_retry, self._repl_tick)
 
-    def _tee(self, shard_id: int, rows: list) -> None:
+    def _tee(self, shard_id: int, c: np.ndarray, v: np.ndarray, o: np.ndarray) -> None:
         """Append applied insert rows to the shard's replication stream.
 
-        ``rows`` is ``[(coords, measure, op_id), ...]`` -- PR 2's
-        wire-batch row shape plus the idempotency token, so a promoted
-        replica can dedup client retries exactly like the primary did.
-        Each call is one sequence-numbered batch, retained in the log
-        until every peer cumulatively acknowledges it.
+        ``c``/``v``/``o`` are the rows' coords, measures and op ids (the
+        idempotency tokens, so a promoted replica can dedup client
+        retries exactly like the primary did; ``0`` for rows without
+        one).  Each call is one sequence-numbered batch; the log retains
+        the arrays until every peer cumulatively acknowledges it.
         """
         st = self._repl.get(shard_id)
         if st is None or not st["peers"]:
             return
         st["head"] += 1
         seq = st["head"]
-        st["log"][seq] = [rows, self.clock.now, self.clock.now]
+        st["log"][seq] = [(c, v, o), self.clock.now, self.clock.now]
         for peer in st["peers"].values():
             self._send_repl(shard_id, st, seq, peer["entity"])
         self.repl_batches_sent += len(st["peers"])
-        self.repl_rows_teed += len(rows)
+        self.repl_rows_teed += len(v)
 
     def _send_repl(self, shard_id: int, st: dict, seq: int, entity) -> None:
         rows, t_created, _ = st["log"][seq]
@@ -1227,7 +1242,9 @@ class Worker(Entity):
             entity,
             Message(
                 "replica_batch",
-                (shard_id, st["epoch"], seq, rows, t_created, self),
+                ReplicaBatch(
+                    *rows, i64([shard_id, st["epoch"], seq]), f64([t_created]), self
+                ),
                 sender=self,
             ),
         )
@@ -1437,7 +1454,10 @@ class Worker(Entity):
         that does not know it yet) are dropped on the floor; duplicates
         within the epoch are re-acked without applying.
         """
-        shard_id, epoch, seq, rows, t_created, primary = msg.payload
+        p = msg.payload
+        shard_id, epoch, seq = p.m.tolist()
+        t_created = float(p.g[0])
+        primary = p.primary
         if shard_id in self.shards:
             return  # we are the primary now; fencing demotes the sender
         st = self._rstate.get(shard_id)
@@ -1456,17 +1476,12 @@ class Worker(Entity):
         store = self.replicas.get(shard_id)
         if store is None:  # pragma: no cover - defensive
             return
-        batch = RecordBatch(
-            np.array([c for c, _, _ in rows], dtype=np.int64),
-            np.array([m for _, m, _ in rows], dtype=np.float64),
-        )
-        stats = store.insert_batch(batch)
-        for _, _, op_id in rows:
-            # remember the primary's idempotency tokens: a promoted
-            # replica must re-ack (not re-apply) client retries of
-            # inserts the dead primary already acknowledged
-            if op_id:
-                self._seen_ops.add(op_id)
+        rows = len(p.v)
+        stats = store.insert_batch(RecordBatch(p.c, p.v))
+        # remember the primary's idempotency tokens: a promoted replica
+        # must re-ack (not re-apply) client retries of inserts the dead
+        # primary already acknowledged
+        self._seen_ops.update(op_id for op_id in p.o.tolist() if op_id)
         st["applied"].add(seq)
         st["pending_t"][seq] = t_created
         while st["frontier"] + 1 in st["applied"]:
@@ -1474,10 +1489,10 @@ class Worker(Entity):
             st["applied"].remove(nxt)
             st["frontier"] = nxt
             st["wm_time"] = st["pending_t"].pop(nxt)
-        self.repl_rows_applied += len(rows)
+        self.repl_rows_applied += rows
         lag = self.clock.now - t_created
-        self.repl_apply_lags.extend([lag] * len(rows))
-        service = self.cost.replicate_apply_time(len(rows), stats)
+        self.repl_apply_lags.extend([lag] * rows)
+        service = self.cost.replicate_apply_time(rows, stats)
 
         def ack() -> None:
             cur = self._rstate.get(shard_id)
@@ -1612,14 +1627,13 @@ class Worker(Entity):
         if store is None:
             return
         self.demotions += 1
-        rows: list = []
+        suffix: list = []
         if st is not None:
             peer = st["peers"].get(new_owner)
             acked = peer["acked"] if peer is not None else 0
-            for seq in sorted(st["log"]):
-                if seq > acked:
-                    rows.extend(st["log"][seq][0])
-        if rows:
+            suffix = [st["log"][seq][0] for seq in sorted(st["log"]) if seq > acked]
+        if suffix:
+            rows = tuple(np.concatenate(col) for col in zip(*suffix))
             h = {"rows": rows, "dst": new_owner, "last_sent": self.clock.now}
             self._handoffs[shard_id] = h
             self._send_handoff(shard_id, h)
@@ -1633,7 +1647,7 @@ class Worker(Entity):
             entity,
             Message(
                 "primary_handoff",
-                (shard_id, h["rows"], self),
+                PrimaryHandoff(*h["rows"], i64([shard_id]), self),
                 sender=self,
             ),
         )
@@ -1641,26 +1655,27 @@ class Worker(Entity):
     def _on_primary_handoff(self, msg: Message) -> None:
         """A demoted primary forwarded the stream suffix we never saw:
         apply the rows we do not already have (by op id) and ack."""
-        shard_id, rows, src = msg.payload
+        p = msg.payload
+        shard_id = int(p.m[0])
         target = None
         if shard_id in self.frozen:
             target = self.queues.get(shard_id)
         elif shard_id in self.shards:
             target = self.shards[shard_id]
         if target is not None:
-            applied = []
-            for coords, measure, op_id in rows:
+            applied: list[int] = []
+            for i, (op_id, measure) in enumerate(zip(p.o.tolist(), p.v.tolist())):
                 if op_id and op_id in self._seen_ops:
                     self.dedup_hits += 1
                     continue
-                target.insert(coords, measure)
+                target.insert(p.c[i], measure)
                 if op_id:
                     self._seen_ops.add(op_id)
-                applied.append((coords, measure, op_id))
+                applied.append(i)
             if applied and shard_id not in self.frozen:
-                self._tee(shard_id, applied)
+                self._tee(shard_id, p.c[applied], p.v[applied], p.o[applied])
         self.transport.send(
-            src, Message("handoff_ack", (shard_id,), sender=self)
+            p.src, Message("handoff_ack", (shard_id,), sender=self)
         )
 
     def _on_handoff_ack(self, msg: Message) -> None:

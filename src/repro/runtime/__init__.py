@@ -13,12 +13,13 @@ registry and the drive loop:
 ``asyncio``
     Wall-clock execution of every entity in one process on an asyncio
     event loop; timers are real (scaled) delays, message hops are queue
-    deliveries (optionally loopback TCP streams carrying column
-    frames).
+    deliveries of the payload objects themselves.
 ``mp``
     The asyncio runtime plus one OS process per worker; the data plane
-    crosses the process boundary as colframe column buffers -- zero
-    pickling (see :mod:`repro.runtime.frames`).
+    crosses the process boundary as colframe column buffers -- the
+    array fields of the payload declarations in
+    :mod:`repro.cluster.wire`, encoded by the one generic codec in
+    :mod:`repro.runtime.frames` with zero pickling.
 
 See docs/runtime.md for the seam diagram and modeling scope.
 """

@@ -13,13 +13,9 @@ the model's.
 (heartbeats, zk sync, stats) and retry timeouts defined in model
 seconds run ``time_scale`` times compressed, which is how the chaos
 suite finishes in CI wall-clock budgets.  Latency-model delays ride
-the same scaling.
-
-With ``streams=True`` the worker data plane additionally crosses a
-real loopback TCP connection per worker (``asyncio.start_server`` /
-``open_connection``), carrying the column-frame wire format of
-:mod:`repro.runtime.frames` -- the single-process rehearsal of the mp
-backend's pipe protocol.
+the same scaling.  Nothing is encoded on this backend: payloads cross
+the dispatch queue as the objects the entities built (the column-frame
+wire format of :mod:`repro.runtime.frames` only runs on ``mp``).
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from typing import Callable, Optional
 
 from ..cluster.simclock import Timer
 from ..cluster.transport import Transport
-from . import frames
 from .base import Runtime
 
 __all__ = ["WallClock", "ImmediatePool", "AsyncioRuntime"]
@@ -210,13 +205,7 @@ class AsyncioTransport(Transport):
 class AsyncioRuntime(Runtime):
     kind = "asyncio"
 
-    def __init__(
-        self,
-        latency=None,
-        seed: int = 0,
-        time_scale: float = 1.0,
-        streams: bool = False,
-    ):
+    def __init__(self, latency=None, seed: int = 0, time_scale: float = 1.0):
         super().__init__()
         self.loop = asyncio.new_event_loop()
         self.clock = WallClock(time_scale)
@@ -225,25 +214,15 @@ class AsyncioRuntime(Runtime):
         self._queue: Optional[asyncio.Queue] = None
         self._pump_task: Optional[asyncio.Task] = None
         self._processing = 0  # messages popped but not yet handled
-        self._streams_requested = streams
-        self._stream_server = None
-        self._stream_up: dict[str, asyncio.StreamWriter] = {}
-        self._stream_down: dict[str, asyncio.StreamWriter] = {}
-        self._stream_tasks: list[asyncio.Task] = []
         self._closed = False
 
     # -- delivery ----------------------------------------------------------
 
     def deliver(self, dst, msg, delay: float) -> None:
         if delay <= 0:
-            self._dispatch(dst, msg)
+            self._inbox().put_nowait((dst, msg))
         else:
-            self.clock.after(delay, lambda: self._dispatch(dst, msg))
-
-    def _dispatch(self, dst, msg) -> None:
-        if self._stream_up and self._stream_route(dst, msg):
-            return
-        self._inbox().put_nowait((dst, msg))
+            self.clock.after(delay, lambda: self._inbox().put_nowait((dst, msg)))
 
     def _inbox(self) -> asyncio.Queue:
         if self._queue is None:
@@ -305,8 +284,6 @@ class AsyncioRuntime(Runtime):
         # across drives), so an idle runtime holds no pending task and
         # interpreter teardown stays silent even without close()
         self._pump_task = self.loop.create_task(self._pump())
-        if self._streams_requested and self._stream_server is None:
-            await self._start_streams()
         await self._start_backend_io()
         deadline_real = time.monotonic() + real_limit
         self.clock.start()
@@ -371,72 +348,6 @@ class AsyncioRuntime(Runtime):
     async def _start_backend_io(self) -> None:
         """mp overrides this to wire child pipes into the loop."""
 
-    # -- loopback TCP streams (asyncio.start_server idiom) -----------------
-
-    def _stream_route(self, dst, msg) -> bool:
-        """Ship a data-plane hop over the worker's TCP connection.
-
-        Parent->worker requests go up the worker's client-side writer;
-        worker-originated replies go down the server-side writer.  Both
-        directions carry column frames; the remote reader decodes and
-        enqueues for the named destination.  Non-codable kinds (control
-        plane, client hops) stay on the queue path.
-        """
-        if msg.kind not in frames.DATA_KINDS:
-            return False
-        dst_name = getattr(dst, "name", "")
-        sender_name = getattr(msg.sender, "name", "") if msg.sender else ""
-        if msg.kind in frames.REQUEST_KINDS and dst_name in self._stream_up:
-            writer = self._stream_up[dst_name]
-        elif msg.kind in frames.REPLY_KINDS and sender_name in self._stream_down:
-            writer = self._stream_down[sender_name]
-        else:
-            return False
-        blob = frames.encode(msg.kind, msg.payload, route=dst_name)
-        writer.write(len(blob).to_bytes(4, "little") + blob)
-        return True
-
-    async def _start_streams(self) -> None:
-        from ..cluster.worker import Worker
-
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            # hello line names the worker this connection serves
-            name = (await reader.readline()).decode("utf-8").strip()
-            self._stream_down[name] = writer
-            self._stream_tasks.append(
-                self.loop.create_task(self._stream_reader(reader, name))
-            )
-
-        self._stream_server = await asyncio.start_server(
-            handle, host="127.0.0.1", port=0
-        )
-        port = self._stream_server.sockets[0].getsockname()[1]
-        for name, entity in list(self.entities.items()):
-            if not isinstance(entity, Worker):
-                continue
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(f"{name}\n".encode("utf-8"))
-            self._stream_up[name] = writer
-            self._stream_tasks.append(
-                self.loop.create_task(self._stream_reader(reader, name))
-            )
-        # wait until every server-side handler has introduced itself
-        while len(self._stream_down) < len(self._stream_up):
-            await asyncio.sleep(0.001)
-
-    async def _stream_reader(self, reader: asyncio.StreamReader, name: str) -> None:
-        try:
-            while True:
-                head = await reader.readexactly(4)
-                blob = await reader.readexactly(int.from_bytes(head, "little"))
-                kind, payload, route = frames.decode(blob, self.lookup)
-                from ..cluster.transport import Message
-
-                dst = self.lookup(route) if route else self.lookup(name)
-                self._inbox().put_nowait((dst, Message(kind, payload, size=len(blob))))
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return  # connection closed on shutdown
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -446,12 +357,6 @@ class AsyncioRuntime(Runtime):
         try:
             if self._pump_task is not None:
                 self._pump_task.cancel()
-            for t in self._stream_tasks:
-                t.cancel()
-            for w in list(self._stream_up.values()) + list(self._stream_down.values()):
-                w.close()
-            if self._stream_server is not None:
-                self._stream_server.close()
             if not self.loop.is_closed():
                 pending = [
                     t for t in asyncio.all_tasks(self.loop) if not t.done()

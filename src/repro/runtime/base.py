@@ -88,17 +88,13 @@ def make_runtime(
     latency=None,
     seed: int = 0,
     time_scale: float = 1.0,
-    options: Optional[dict] = None,
 ) -> Runtime:
     """Build a runtime backend by name.
 
     ``time_scale`` maps model seconds to real seconds on the wall-clock
     backends (0.05 runs modeled periods 20x compressed); the sim
-    ignores it.  ``options`` holds backend-specific switches, e.g.
-    ``{"streams": True}`` to carry the asyncio data plane over loopback
-    TCP.
+    ignores it.
     """
-    options = dict(options or {})
     if kind == "sim":
         from .sim import SimRuntime
 
@@ -106,12 +102,7 @@ def make_runtime(
     if kind == "asyncio":
         from .asyncio_rt import AsyncioRuntime
 
-        return AsyncioRuntime(
-            latency=latency,
-            seed=seed,
-            time_scale=time_scale,
-            streams=bool(options.pop("streams", False)),
-        )
+        return AsyncioRuntime(latency=latency, seed=seed, time_scale=time_scale)
     if kind == "mp":
         from .mp import MPRuntime
 

@@ -148,12 +148,14 @@ class WorkerProxy:
         rows to the child, which rebuilds the store from the batch.
         Pipe FIFO ordering guarantees the child installs it before any
         later data frame touches it."""
-        from ..cluster.wire import key_to_wire
+        from ..cluster.image import ShardInfo
         from ..olap.colframe import encode_batch
 
         self._zk.set(
             f"/shards/{shard_id}",
-            (shard_id, key_to_wire(store.bounding_key()), self.worker_id, len(store)),
+            ShardInfo(
+                shard_id, store.bounding_key(), self.worker_id, len(store)
+            ).to_wire(),
         )
         self._shard_meta[shard_id] = len(store)
         self.stats["shards"][shard_id] = len(store)

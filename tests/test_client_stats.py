@@ -8,6 +8,7 @@ from repro.cluster.client import ClientSession
 from repro.cluster.simclock import SimClock
 from repro.cluster.stats import ClusterStats, OpRecord
 from repro.cluster.transport import Entity, LatencyModel, Message, Transport
+from repro.cluster.wire import InsertDoneBatch
 from repro.workloads.streams import Operation
 
 
@@ -26,10 +27,11 @@ class EchoServer(Entity):
         from repro.core.aggregates import Aggregate
 
         self.seen += 1
-        rows, client = msg.payload
         if msg.kind == "client_insert_batch":
-            replies = [Message("insert_done_batch", ([row[0] for row in rows],))]
+            client = msg.payload.reply_to
+            replies = [Message("insert_done_batch", InsertDoneBatch(msg.payload.o))]
         elif msg.kind == "client_query_batch":
+            rows, client = msg.payload
             replies = [
                 Message(
                     "query_done",

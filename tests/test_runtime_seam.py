@@ -7,6 +7,8 @@ outcome equivalence, the chaos matrix on the asyncio backend, and an
 mp smoke test asserting the zero-pickling data plane.
 """
 
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,15 @@ from repro.cluster import (
     RetryPolicy,
     VOLAPCluster,
 )
+from repro.cluster import wire
 from repro.cluster.simclock import SimClock
 from repro.cluster.transport import Entity, Message, Transport
-from repro.core import TreeConfig
+from repro.cluster.wire import f64, i64
+from repro.cluster.worker import Worker
+from repro.cluster.zookeeper import Zookeeper
+from repro.core import HilbertPDCTree, TreeConfig
+from repro.olap.colframe import decode_columns, measure_columns
 from repro.olap.query import full_query
-from repro.olap.records import RecordBatch
 from repro.runtime import frames, make_runtime
 from repro.runtime.asyncio_rt import WallClock
 from repro.workloads.streams import Operation
@@ -72,69 +78,70 @@ def small_config(runtime, **kw):
 # -------------------------------------------------------------------------
 
 
-def _data_payload(kind, n, sink):
-    """A payload of ``n`` entries for one of ``frames.DATA_KINDS``, in
-    exactly the Python shape the entities send and receive."""
+def _payload(kind, n, sink):
+    """A payload of ``n`` rows for one of the kinds declared in
+    ``wire.PAYLOADS``, built the way the entities build it."""
     rng = np.random.default_rng(n)
     coords = rng.integers(0, 1 << 20, size=(n, 3)).astype(np.int64)
     values = rng.random(n)
     token = (1 << 32) | 7  # server 1's token space: needs all 64 bits
+    # every fourth row has no op id (0), like a bulk row on the stream
+    ops = i64([((3 << 24) | i) if i % 4 else 0 for i in range(n)])
+    if kind == "client_insert_batch":
+        return wire.ClientInsertBatch(ops, coords, values, sink)
     if kind == "insert_batch":
-        return (
-            [
-                (i % 5, coords[i], float(values[i]), token + i, (3 << 24) | i, None)
-                for i in range(n)
-            ],
-            sink,
-        )
+        x = i64([(i % 5, token + i, ops[i]) for i in range(n)])
+        return wire.InsertBatch(x, coords, values, sink)
     if kind == "bulk_insert":
-        return (7, RecordBatch(coords, values), (0xBBB << 32) | n, sink)
+        return wire.BulkInsert(i64([7, (0xBBB << 32) | n]), coords, values, sink)
     if kind == "query_batch":
         # ragged shard lists, the empty one included
-        return (
-            [
-                (
-                    token + i,
-                    list(range(i % 3)),
-                    (tuple(coords[i].tolist()), tuple((coords[i] + i).tolist())),
-                    None,
-                )
-                for i in range(n)
-            ],
-            sink,
-        )
+        x = i64([(token + i, i % 3, *coords[i], *(coords[i] + i)) for i in range(n)])
+        s = i64([sid for i in range(n) for sid in range(i % 3)])
+        return wire.QueryBatch(x, s, sink)
     if kind == "insert_batch_ack":
-        return (
-            [token + i for i in range(n)],
-            2,
-            [(token + n + i, i % 5) for i in range(n // 2)],
+        return wire.InsertBatchAck(
+            i64([token + i for i in range(n)]),
+            i64([(token + n + i, i % 5) for i in range(n // 2)]).reshape(-1, 2),
+            i64([2]),
         )
+    if kind == "insert_done_batch":
+        return wire.InsertDoneBatch(ops)
     if kind == "bulk_ack":
-        return ((0xBBB << 32) | n, 1)
+        return wire.BulkAck(i64([(0xBBB << 32) | n, 1]))
     if kind == "query_result_batch":
-        return (
-            [
-                (token + i, (i, float(values[i]), -1.5, float("inf")), i % 4, i % 2)
-                for i in range(n)
-            ],
-            1,
+        return wire.QueryResultBatch(
+            i64([(token + i, i, i % 4, i % 2, 1) for i in range(n)]),
+            f64([(values[i], -1.5, float("inf")) for i in range(n)]),
         )
-    raise AssertionError(f"no sample payload for data kind {kind!r}")
+    if kind == "replica_batch":
+        return wire.ReplicaBatch(coords, values, ops, i64([7, 2, 5]), f64([1.5]), sink)
+    if kind == "primary_handoff":
+        return wire.PrimaryHandoff(coords, values, ops, i64([7]), sink)
+    raise AssertionError(f"no sample payload for kind {kind!r}")
 
 
 def _same(a, b):
-    """Structural equality that also compares arrays and batches."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, RecordBatch):
-        return _same(a.coords, b.coords) and _same(a.measures, b.measures)
-    if isinstance(a, (list, tuple)):
-        return (
-            type(a) is type(b)
-            and len(a) == len(b)
-            and all(_same(x, y) for x, y in zip(a, b))
-        )
-    return type(a) is type(b) and a == b
+    """Field-by-field payload equality (arrays by dtype, shape, value)."""
+    assert type(a) is type(b)
+    for name, x, y in zip(a._fields, a, b):
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray), name
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert np.array_equal(x, y), name
+        else:
+            assert x is y, name
+    return True
+
+
+def _array_fields(cls):
+    return [f for f, t in get_type_hints(cls).items() if t is np.ndarray]
+
+
+def _envelope_len(payload, route):
+    """u8 kind | u8 len | route | u8 len | name of the reply_to entity."""
+    reply = getattr(payload, "reply_to", None)
+    return 3 + len(route) + (len(reply.name) if reply is not None else 0)
 
 
 class TestFrames:
@@ -143,12 +150,52 @@ class TestFrames:
     def test_round_trip_is_exact_and_sized(self, kind, n):
         sink = _Sink()
         route = "worker-0" if kind in frames.REQUEST_KINDS else "server-0"
-        payload = _data_payload(kind, n, sink)
+        payload = _payload(kind, n, sink)
         blob = frames.encode(kind, payload, route=route)
         assert frames.wire_size(kind, payload, route) == len(blob)
         got_kind, got, got_route = frames.decode(blob, lambda name: sink)
         assert (got_kind, got_route) == (kind, route)
         assert _same(got, payload)
+        # every array field of the declaration is a column of the
+        # frame, in declared order, and nothing else is
+        columns = decode_columns(blob[_envelope_len(payload, route) :])
+        assert list(columns) == _array_fields(type(payload))
+
+    @pytest.mark.parametrize("kind", sorted(wire.PAYLOADS))
+    def test_declared_arrays_are_the_sized_columns(self, kind):
+        """The declaration is the schema, for the kinds that are only
+        sized too: the array fields, and only they, are arrays, and the
+        message weighs its envelope plus exactly those columns."""
+        sink = _Sink()
+        payload = _payload(kind, 5, sink)
+        cls = wire.PAYLOADS[kind]
+        assert type(payload) is cls
+        arrays = _array_fields(cls)
+        assert [
+            f for f, v in zip(cls._fields, payload) if isinstance(v, np.ndarray)
+        ] == arrays
+        assert frames.wire_size(kind, payload, "dst-0") == _envelope_len(
+            payload, "dst-0"
+        ) + measure_columns([(f, getattr(payload, f)) for f in arrays])
+
+    @pytest.mark.parametrize(
+        "kind, dst, sizes",
+        [
+            ("replica_batch", "worker-1", {1: 303, 64: 1807}),
+            ("primary_handoff", "worker-1", {1: 255, 64: 1759}),
+            ("client_insert_batch", "server-0", {1: 215, 64: 1719}),
+            ("insert_done_batch", "client-0", {1: 95, 64: 343}),
+        ],
+    )
+    def test_parent_only_kinds_keep_their_size(self, kind, dst, sizes):
+        """Sizes of the row carriers that never leave the parent, pinned
+        to what the hand-written builders measured for the same rows
+        before the declarations replaced them (the sim's bandwidth
+        delays must not move)."""
+        sink = _Sink()
+        sink.name = "worker-0"
+        for n, size in sizes.items():
+            assert frames.wire_size(kind, _payload(kind, n, sink), dst) == size
 
     def test_data_kinds_are_the_batch_family(self):
         assert frames.DATA_KINDS == {
@@ -304,10 +351,11 @@ def test_duplicate_delivery_gets_defensive_copy():
 
 def test_clone_preserves_entity_identity():
     sink = _Sink()
-    msg = Message("bulk_ack", (1, [2, 3], sink))
+    msg = Message("insert_batch", _payload("insert_batch", 3, sink))
     copy_ = msg.clone()
-    assert copy_.payload[2] is sink  # reply-to handles pass by identity
-    assert copy_.payload is not msg.payload
+    assert copy_.payload.reply_to is sink  # reply-to handles pass by identity
+    assert _same(copy_.payload, msg.payload)
+    assert copy_.payload.c is not msg.payload.c  # rows are copied
 
 
 # -------------------------------------------------------------------------
@@ -423,6 +471,42 @@ def test_mp_backend_smoke_zero_pickle_data_plane():
         assert stats["data_pickled"] == 0
     finally:
         cluster.close()
+
+
+@pytest.mark.parametrize("path", ["sim", "asyncio", "mp-codec"])
+def test_row_without_an_op_id_is_zero_everywhere(path):
+    """"No op id" has one spelling, ``0``: in process on both clocks and
+    after the mp codec has carried the row, a worker applies such a row
+    every time it arrives (nothing to dedup on), remembers no token for
+    it, and tees it to the replication stream with op id 0."""
+    schema = make_schema()
+    rt = make_runtime("sim" if path == "mp-codec" else path, time_scale=0.01)
+    try:
+        worker = Worker(0, rt.clock, rt.transport, Zookeeper(rt.clock), schema)
+        sink = _Sink()
+        for entity in (worker, sink):
+            rt.register(entity)
+        base = random_batch(schema, 50, seed=1)
+        worker.install_shard(1, HilbertPDCTree.from_batch(schema, base, worker.tree_config))
+        worker._repl_state(1, 0)["peers"][9] = {"entity": sink, "acked": 0}
+        row = wire.InsertBatch(i64([(1, 77, 0)]), base.coords[:1], f64([2.0]), sink)
+        if path == "mp-codec":
+            _kind, row, _route = frames.decode(
+                frames.encode("insert_batch", row, route=worker.name),
+                lambda name: sink,
+            )
+            assert row.x[0, 2] == 0
+        for _ in range(2):
+            rt.transport.send(worker, Message("insert_batch", row))
+        rt.drive(lambda: len(sink.got) >= 4, horizon=60.0)
+        assert len(worker.shards[1]) == len(base) + 2  # applied twice, no dedup
+        assert worker._seen_ops == set() and worker.dedup_hits == 0
+        teed = [m.payload for m in sink.got if m.kind == "replica_batch"]
+        assert [p.o.tolist() for p in teed] == [[0], [0]]
+        acks = [m.payload for m in sink.got if m.kind == "insert_batch_ack"]
+        assert [p.a.tolist() for p in acks] == [[77], [77]]
+    finally:
+        rt.close()
 
 
 def test_make_runtime_rejects_unknown_backend():

@@ -11,6 +11,7 @@ from repro.core import (
     PDCTree,
     RTree,
 )
+from repro.cluster.wire import ClientInsertBatch, f64, i64
 from repro.core.base import Hyperplane
 from repro.olap.query import full_query
 from repro.olap.records import RecordBatch
@@ -147,7 +148,8 @@ class TestStaleRouteInsert:
         for i in range(n):
             server.receive(
                 Message(
-                    "client_insert_batch", ([(100 + i, coords, 1.0, None)], sink)
+                    "client_insert_batch",
+                    ClientInsertBatch(i64([100 + i]), coords[None, :], f64([1.0]), sink),
                 )
             )
         clock.run_until(20.0)
@@ -159,7 +161,7 @@ class TestStaleRouteInsert:
             op_id
             for m in received
             if m.kind == "insert_done_batch"
-            for op_id in m.payload[0]
+            for op_id in m.payload.o.tolist()
         ]
 
     def total(self, workers):
@@ -241,7 +243,7 @@ class TestStaleRouteInsert:
         def counting_ack(msg):
             before = len(refreshes)
             on_ack(msg)
-            per_ack.append((len(msg.payload[2]), len(refreshes) - before))
+            per_ack.append((len(msg.payload.n), len(refreshes) - before))
 
         server._on_insert_batch_ack = counting_ack
 
@@ -256,10 +258,13 @@ class TestStaleRouteInsert:
 
         sink = Sink()
         extra = random_batch(schema, 64, seed=9)
-        rows = [
-            (500 + i, extra.coords[i], 1.0, None) for i in range(len(extra))
-        ]
-        server.receive(Message("client_insert_batch", (rows, sink)))
+        rows = ClientInsertBatch(
+            i64([500 + i for i in range(len(extra))]),
+            extra.coords,
+            f64([1.0] * len(extra)),
+            sink,
+        )
+        server.receive(Message("client_insert_batch", rows))
         clock.run_until(25.0)
 
         assert per_ack[0] == (64, 1)

@@ -281,7 +281,7 @@ def test_lone_retransmit_of_a_flushed_batch_row_applies_exactly_once():
 
     def recording_send(dst, msg):
         if msg.kind == "client_insert_batch":
-            sent_rows.append(len(msg.payload[0]))
+            sent_rows.append(len(msg.payload.o))
         send(dst, msg)
 
     cluster.transport.send = recording_send

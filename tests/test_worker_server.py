@@ -8,6 +8,7 @@ from repro.cluster.image import ShardInfo
 from repro.cluster.server import Server
 from repro.cluster.simclock import SimClock
 from repro.cluster.transport import Entity, LatencyModel, Message, Transport
+from repro.cluster.wire import ClientInsertBatch, InsertBatch, QueryBatch, f64, i64
 from repro.cluster.worker import Worker
 from repro.cluster.zookeeper import Zookeeper
 from repro.core import HilbertPDCTree, TreeConfig
@@ -28,12 +29,33 @@ class Sink(Entity):
 def one_insert(shard_id, coords, measure, token, op_id, sink):
     """A single insert as the wire carries it: a batch of one."""
     return Message(
-        "insert_batch", ([(shard_id, coords, measure, token, op_id, None)], sink)
+        "insert_batch",
+        InsertBatch(i64([(shard_id, token, op_id)]), coords[None, :], f64([measure]), sink),
     )
 
 
 def one_query(token, shard_ids, box, sink):
-    return Message("query_batch", ([(token, shard_ids, box.to_tuple(), None)], sink))
+    x = i64([(token, len(shard_ids), *box.lo, *box.hi)])
+    return Message("query_batch", QueryBatch(x, i64(shard_ids), sink))
+
+
+def one_client_insert(op_id, coords, measure, sink):
+    return Message(
+        "client_insert_batch",
+        ClientInsertBatch(i64([op_id]), coords[None, :], f64([measure]), sink),
+    )
+
+
+def one_result(msg):
+    """(token, count, searched, missing) of a one-entry query_result_batch."""
+    [(token, count, searched, missing, _wid)] = msg.payload.x.tolist()
+    return token, count, searched, missing
+
+
+def ack_lists(msg):
+    """An insert_batch_ack as (acked tokens, worker id, nacked pairs)."""
+    p = msg.payload
+    return p.a.tolist(), p.m.tolist(), p.n.tolist()
 
 
 @pytest.fixture
@@ -73,7 +95,7 @@ class TestWorkerInsert:
         clock.run()
         assert w.total_items() == len(batch) + 1
         assert sink.received[0].kind == "insert_batch_ack"
-        assert sink.received[0].payload == ([99], 0, [])
+        assert ack_lists(sink.received[0]) == ([99], [0], [])
 
     def test_unknown_shard_nacks(self, rig, schema, batch):
         clock, transport, zk = rig
@@ -82,7 +104,7 @@ class TestWorkerInsert:
         w.receive(one_insert(42, batch.coords[0], 1.0, 5, 5, sink))
         clock.run()
         assert sink.received[0].kind == "insert_batch_ack"
-        assert sink.received[0].payload == ([], 0, [(5, 42)])
+        assert ack_lists(sink.received[0]) == ([], [0], [[5, 42]])
 
     def test_frozen_shard_queues(self, rig, schema, batch):
         clock, transport, zk = rig
@@ -108,9 +130,9 @@ class TestWorkerQuery:
         clock.run()
         msg = sink.received[0]
         assert msg.kind == "query_result_batch"
-        [(token, agg_t, searched, missing)], wid = msg.payload
+        token, count, searched, missing = one_result(msg)
         assert token == 7
-        assert agg_t[0] == len(batch)
+        assert count == len(batch)
         assert searched == 1
         assert missing == 0
 
@@ -125,8 +147,8 @@ class TestWorkerQuery:
         box = full_query(schema).box
         w.receive(one_query(7, [1], box, sink))
         clock.run()
-        [(_token, agg_t, _searched, _missing)], _wid = sink.received[0].payload
-        assert agg_t[0] == len(batch) + 1
+        _token, count, _searched, _missing = one_result(sink.received[0])
+        assert count == len(batch) + 1
 
     def test_query_through_mapping(self, rig, schema, batch):
         """Queries addressed to a split parent reach both children."""
@@ -143,8 +165,8 @@ class TestWorkerQuery:
         box = full_query(schema).box
         w.receive(one_query(3, [1], box, sink))
         clock.run()
-        [(token, agg_t, searched, _missing)], _wid = sink.received[0].payload
-        assert agg_t[0] == len(batch)
+        _token, count, searched, _missing = one_result(sink.received[0])
+        assert count == len(batch)
         assert searched == 2
 
 
@@ -240,14 +262,10 @@ class TestServer:
         server = self.make_server(rig, schema, {0: w})
         server.load_image()
         sink = Sink()
-        server.receive(
-            Message(
-                "client_insert_batch", ([(1, batch.coords[0], 1.0, None)], sink)
-            )
-        )
+        server.receive(one_client_insert(1, batch.coords[0], 1.0, sink))
         clock.run_until(1.0 - 1e-9)  # avoid periodic sync tail
         assert sink.received[0].kind == "insert_done_batch"
-        assert sink.received[0].payload == ([1],)
+        assert sink.received[0].payload.o.tolist() == [1]
         assert w.total_items() == len(batch) + 1
 
     def test_query_roundtrip(self, rig, schema, batch):
@@ -276,9 +294,7 @@ class TestServer:
         # force an expansion: a point outside the current shard box
         outside = schema.leaf_limits.copy()
         sink = Sink()
-        server.receive(
-            Message("client_insert_batch", ([(2, outside, 1.0, None)], sink))
-        )
+        server.receive(one_client_insert(2, outside, 1.0, sink))
         clock.run_until(0.5)
         assert server.image.dirty
         clock.run_until(1.5)  # past the sync tick
