@@ -113,26 +113,25 @@ class ShardTransfer:
         w = self.w
         store = w.shards.get(shard_id)
         w.frozen.discard(shard_id)
-        if store is not None:
-            self.drain_into(shard_id, store)
-        w.queues.pop(shard_id, None)
+        queue = w.queues.pop(shard_id, None)
+        if store is not None and queue is not None:
+            self._fold(shard_id, store, queue.items())
         self.finish(shard_id)
-
-    def drain_into(self, shard_id: int, store: ShardStore) -> None:
-        """Fold ``shard_id``'s insertion queue into ``store``."""
-        queue = self.w.queues.get(shard_id)
-        if queue is None:
-            return
-        for coords, m in queue.items().iter_rows():
-            store.insert(coords, m)
 
     def absorb(self, shard_id: int, batch: RecordBatch) -> None:
         """Fold a handed-off insertion queue into an installed shard."""
         store = self.w.shards.get(shard_id)
-        if store is None:  # pragma: no cover - defensive
-            return
+        if store is not None:
+            self._fold(shard_id, store, batch)
+
+    def _fold(self, shard_id: int, store: ShardStore, batch: RecordBatch) -> None:
+        """Apply queued rows to ``store`` and tee them: they were
+        acknowledged while the shard was frozen, which kept them off the
+        replication stream, so this is where replicas learn of them."""
         for coords, m in batch.iter_rows():
             store.insert(coords, m)
+        if len(batch):
+            self.w._tee(shard_id, batch.coords, batch.measures)
 
     # -- cut-over ----------------------------------------------------------
 
@@ -754,9 +753,7 @@ class Worker(Entity):
             if sid not in self.frozen:
                 # bulk rows carry no idempotency token (the batch-level
                 # token cannot dedup row-by-row on a promoted replica)
-                self._tee(
-                    sid, sub.coords, sub.measures, np.zeros(len(sub), dtype=np.int64)
-                )
+                self._tee(sid, sub.coords, sub.measures)
                 self._touch(sid)
                 self._enforce_budget(protect={sid})
         self.inserts_done += len(batch)
@@ -1216,18 +1213,21 @@ class Worker(Entity):
         self._repl_timer_on = True
         self.clock.every(self.repl_retry, self._repl_tick)
 
-    def _tee(self, shard_id: int, c: np.ndarray, v: np.ndarray, o: np.ndarray) -> None:
+    def _tee(self, shard_id: int, c: np.ndarray, v: np.ndarray, o=None) -> None:
         """Append applied insert rows to the shard's replication stream.
 
         ``c``/``v``/``o`` are the rows' coords, measures and op ids (the
         idempotency tokens, so a promoted replica can dedup client
-        retries exactly like the primary did; ``0`` for rows without
-        one).  Each call is one sequence-numbered batch; the log retains
-        the arrays until every peer cumulatively acknowledges it.
+        retries exactly like the primary did); without ``o`` the rows
+        carry none (``0``): bulk rows and folded-in insertion queues.
+        Each call is one sequence-numbered batch; the log retains the
+        arrays until every peer cumulatively acknowledges it.
         """
         st = self._repl.get(shard_id)
         if st is None or not st["peers"]:
             return
+        if o is None:
+            o = np.zeros(len(v), dtype=np.int64)
         st["head"] += 1
         seq = st["head"]
         st["log"][seq] = [(c, v, o), self.clock.now, self.clock.now]

@@ -19,7 +19,7 @@ from repro.cluster import (
 )
 from repro.cluster.faults import FaultInjector
 from repro.cluster.simclock import SimClock
-from repro.cluster.transport import LatencyModel
+from repro.cluster.transport import LatencyModel, Message
 from repro.core import TreeConfig
 from repro.olap.query import full_query
 from repro.workloads.streams import Operation
@@ -526,6 +526,48 @@ class TestReplication:
             for sid, store in w.replicas.items():
                 owner = cluster.zk.get(f"/shards/{sid}")[2]
                 assert len(store) == len(cluster.workers[owner].shards[sid])
+
+    def test_aborted_migration_keeps_replicas_in_step(self, schema):
+        """Inserts acknowledged while a shard is frozen for migration
+        wait in its insertion queue, off the replication stream.  When
+        the migration is aborted and the queue folds back into the
+        primary, those rows must reach the replicas too: after a
+        settle every replica holds exactly its primary's rows, so a
+        bounded-staleness read never under-counts for good and a crash
+        -> promotion cannot lose an acknowledged insert."""
+        cluster, batch = chaos_cluster(
+            schema, n_items=2000, seed=3, replication_factor=1
+        )
+        cluster.run_for(2.0)  # seed replicas
+        w0 = cluster.workers[0]
+        frozen = sorted(w0.shards)
+        assert len(frozen) == 2
+        for sid in frozen:
+            assert w0.transfer.begin(sid) is not None
+        extra = random_batch(schema, 600, seed=23)
+        sess = cluster.session(0, concurrency=4)
+        sess.run_stream(insert_ops(extra))
+        cluster.run_until_clients_done(max_virtual=120.0)
+        acked = [r for r in cluster.stats.select(kind="insert") if r.ok]
+        assert len(acked) == len(extra)
+        assert sum(len(w0.queues[sid]) for sid in frozen) > 50  # acked, queued
+        for sid in frozen:
+            cluster.transport.send(w0, Message("migrate_abort", (sid,)))
+        cluster.run_for(5.0)
+        drain_replication(cluster)
+        assert not w0.frozen and not w0.queues
+        assert cluster.total_items() == len(batch) + len(extra)
+        box = full_query(schema).box
+        checked = 0
+        for sid, holders in cluster.manager.replica_sets.items():
+            owner = cluster.zk.get(f"/shards/{sid}")[2]
+            primary = cluster.workers[owner].shards[sid]
+            for holder in holders:
+                replica = cluster.workers[holder].replicas[sid]
+                assert len(replica) == len(primary), f"shard {sid} forked"
+                assert replica.query(box)[0].approx_equal(primary.query(box)[0])
+                checked += 1
+        assert checked == len(cluster.zk.ls("/shards"))
 
     def test_crash_promotes_replica_without_checkpoints(self, schema):
         """Primary death heals by promoting the freshest replica: a

@@ -238,6 +238,25 @@ class TestWorkerMigration:
         clock.run()
         assert len(dst.shards[1]) == len(batch) + 1
 
+    def test_handed_off_queue_is_teed_at_the_destination(self, rig, schema, batch):
+        """Rows absorbed from a hand-off queue were acknowledged off the
+        replication stream (the source shard was frozen): a destination
+        that already feeds stream peers tees them as one batch, op id 0."""
+        from repro.cluster.wire import batch_to_wire
+
+        clock, transport, zk = rig
+        dst = make_worker(rig, schema, wid=1)
+        install(dst, schema, batch.slice(0, 100))
+        peer = Sink()
+        dst._repl_state(1, 0)["peers"][9] = {"entity": peer, "acked": 0}
+        queue = batch.slice(100, 107)
+        dst.receive(Message("queue_transfer", (1, batch_to_wire(queue), dst)))
+        clock.run_until(0.05)
+        assert len(dst.shards[1]) == 107
+        [teed] = [m.payload for m in peer.received if m.kind == "replica_batch"]
+        assert teed.o.tolist() == [0] * 7
+        assert sorted(teed.v.tolist()) == sorted(queue.measures.tolist())
+
     def test_migrate_missing_shard_fails(self, rig, schema):
         clock, transport, zk = rig
         src = make_worker(rig, schema, wid=0)
