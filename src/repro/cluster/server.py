@@ -211,17 +211,14 @@ class Server(Entity):
         x = i64(entries)
 
         def forward() -> None:
-            for worker_id, idx in by_worker.items():
+            for worker_id, rows in by_worker.items():
+                idx = np.asarray(rows)
+                batch = InsertBatch(
+                    x[idx], p.c[idx], p.v[idx], self, [span_ctx[i] for i in rows]
+                )
                 self.transport.send(
                     self.workers[worker_id],
-                    Message(
-                        "insert_batch",
-                        InsertBatch(
-                            x[idx], p.c[idx], p.v[idx], self,
-                            [span_ctx[i] for i in idx],
-                        ),
-                        sender=self,
-                    ),
+                    Message("insert_batch", batch, sender=self),
                 )
 
         self.pool.submit(service, forward)

@@ -658,7 +658,8 @@ class Worker(Entity):
         tree_spans: list = []
         rehydrate_cost = 0.0
         for sid, rows in groups.items():
-            batch = RecordBatch(p.c[rows], p.v[rows])
+            idx = np.asarray(rows)
+            batch = RecordBatch(p.c[idx], p.v[idx])
             if sid in self.frozen:
                 target = self.queues[sid]
             else:
@@ -691,7 +692,7 @@ class Worker(Entity):
                         )
                     )
             if sid not in self.frozen:
-                self._tee(sid, batch.coords, batch.measures, p.x[rows, 2])
+                self._tee(sid, batch.coords, batch.measures, p.x[idx, 2])
                 self._touch(sid)
                 self._enforce_budget(protect={sid})
             applied += len(rows)
