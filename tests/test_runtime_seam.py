@@ -498,13 +498,24 @@ def test_row_without_an_op_id_is_zero_everywhere(path):
             assert row.x[0, 2] == 0
         for _ in range(2):
             rt.transport.send(worker, Message("insert_batch", row))
-        rt.drive(lambda: len(sink.got) >= 4, horizon=60.0)
+
+        def teed():
+            # the sink never acks the stream, so batches may be
+            # retransmitted: key them by seq
+            return {
+                int(m.payload.m[2]): m.payload.o.tolist()
+                for m in sink.got
+                if m.kind == "replica_batch"
+            }
+
+        def acks():
+            return [m.payload.a.tolist() for m in sink.got if m.kind == "insert_batch_ack"]
+
+        rt.drive(lambda: len(acks()) >= 2 and len(teed()) >= 2, horizon=60.0)
         assert len(worker.shards[1]) == len(base) + 2  # applied twice, no dedup
         assert worker._seen_ops == set() and worker.dedup_hits == 0
-        teed = [m.payload for m in sink.got if m.kind == "replica_batch"]
-        assert [p.o.tolist() for p in teed] == [[0], [0]]
-        acks = [m.payload for m in sink.got if m.kind == "insert_batch_ack"]
-        assert [p.a.tolist() for p in acks] == [[77], [77]]
+        assert teed() == {1: [0], 2: [0]}
+        assert acks() == [[77], [77]]
     finally:
         rt.close()
 
