@@ -16,6 +16,7 @@ commit, with the per-kind diff quoted in its message::
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,13 @@ import pytest
 from repro.cluster import (
     BalancerPolicy,
     ClusterConfig,
+    FaultPlan,
+    MemoryPressurePolicy,
     RetryPolicy,
     RollupConfig,
     VOLAPCluster,
 )
-from repro.cluster.transport import LatencyModel
+from repro.cluster.transport import LatencyModel, Message
 from repro.core import TreeConfig
 from repro.olap.query import Query, full_query
 from repro.workloads.streams import Operation
@@ -189,10 +192,129 @@ def hot_budget():
     return cluster
 
 
+def restore_and_abort():
+    """A crash with no replica to promote (checkpoint restores), the
+    restarted worker's rejoin, then two wedged migrations: one whose
+    ``migrate_in`` arrives after the manager gave up (the source aborted,
+    so the late destination copy is dropped), one whose ``migrate_in``
+    never arrives."""
+    schema = make_schema()
+    cluster = _cluster(
+        schema,
+        1500,
+        num_workers=3,
+        balancer=BalancerPolicy(
+            max_shard_items=100_000, imbalance_ratio=100.0, scan_period=0.1,
+            op_timeout=1.0,
+        ),
+        batch_size=8,
+    )
+    cluster.run_for(1.0)  # first checkpoints
+    sess = cluster.session(0, concurrency=8)
+    sess.run_stream(_ops(schema, 300, seed=31, query_every=20))
+    cluster.crash_worker(2)
+    cluster.run_until_clients_done(max_virtual=300.0)
+    cluster.run_for(2.0)
+    cluster.restart_worker(2)
+    cluster.run_for(1.0)
+    now = cluster.clock.now
+    cluster.inject_faults(
+        FaultPlan()
+        .delay(1.0, extra=1.5, kinds={"migrate_in"}, end=now + 0.5)
+        .drop(1.0, kinds={"migrate_in"}, start=now + 0.5, end=now + 3.0),
+        seed=5,
+    )
+    cluster.manager._start_migration(0, 1, sorted(cluster.workers[0].shards)[0])
+    cluster.run_for(1.0)
+    cluster.manager._start_migration(1, 0, sorted(cluster.workers[1].shards)[0])
+    sess.run_stream(_ops(schema, 100, seed=37, query_every=20))
+    cluster.run_until_clients_done(max_virtual=300.0)
+    cluster.run_for(4.0)
+    return cluster
+
+
+def handoff():
+    """A replicated primary cut off from Zookeeper, the manager and its
+    peers -- but not from the server -- past the heartbeat TTL: it keeps
+    applying inserts its replicas never see, is declared dead, and after
+    the heal demotes itself and hands the unacknowledged stream suffix to
+    the promoted owner (the first hand-off is dropped and retransmitted)."""
+    schema = make_schema()
+    cluster = _cluster(
+        schema,
+        1500,
+        num_workers=3,
+        balancer=BalancerPolicy(
+            max_shard_items=100_000, imbalance_ratio=100.0, scan_period=0.1,
+            op_timeout=2.0,
+        ),
+        replication_factor=1,
+        batch_size=8,
+    )
+    cluster.run_for(2.0)  # replicas seed
+    sess = cluster.session(0, concurrency=16)
+    sess.run_stream(_ops(schema, 600, seed=41, query_every=40))
+    cluster.run_for(0.05)
+    heal = cluster.clock.now + 0.8
+    cluster.inject_faults(
+        FaultPlan()
+        .partition("worker-0", "zookeeper", end=heal)
+        .partition("worker-0", "worker-*", end=heal)
+        .partition("worker-0", "manager", end=heal)
+        .drop(1.0, kinds={"primary_handoff"}, end=heal + 0.15),
+        seed=7,
+    )
+    cluster.run_until_clients_done(max_virtual=300.0)
+    cluster.run_for(5.0)
+    return cluster
+
+
+def memory_pressure():
+    """Policy-driven residency: ``MemoryPressurePolicy`` in byte mode
+    spills every worker under its budget while a session inserts and
+    queries (lazy rehydrates, re-spills), the budget is raised and the
+    policy pulls the WARM shards back, then one refusal of each kind:
+    spill/rehydrate/promote/replicate for shards the worker lacks."""
+    schema = make_schema()
+    policy = MemoryPressurePolicy(
+        max_shard_items=100_000, scan_period=0.1, op_timeout=2.0,
+        worker_budget_bytes=30_000,
+    )
+    cluster = _cluster(
+        schema,
+        1500,
+        num_workers=3,
+        balancer=policy,
+        hot_budget_bytes=1 << 30,  # never binds; makes workers report bytes
+        batch_size=4,
+    )
+    cluster.run_for(1.0)
+    sess = cluster.session(0, concurrency=8)
+    sess.run_stream(_ops(schema, 200, seed=43, query_every=25))
+    cluster.run_until_clients_done(max_virtual=300.0)
+    cluster.run_for(1.0)
+    cluster.manager.policy = replace(policy, worker_budget_bytes=200_000)
+    cluster.run_for(1.0)
+    m = cluster.manager
+    m._start_spill(1, 424242)
+    m._start_rehydrate(2, 424243)
+    w0 = cluster.workers[0]
+    cluster.transport.send(w0, Message("promote_shard", (424244, 1, m), sender=m))
+    cluster.transport.send(
+        w0,
+        Message("replicate_shard", (424245, cluster.workers[1], 1, m), sender=m),
+    )
+    cluster.run_for(1.0)
+    return cluster
+
+
 SCENARIOS = {
     "chaos": chaos,
     "migrate_while_querying": migrate_while_querying,
     "hot_budget": hot_budget,
+    "restore_and_abort": restore_and_abort,
+    "handoff": handoff,
+    "memory_pressure": memory_pressure,
 }
 
 
