@@ -125,7 +125,7 @@ def failover(factor):
         "promotions": cluster.manager.promotions_done,
         "restores": cluster.manager.restores_done,
         "checkpoint_deserializations": sum(
-            w.checkpoint_deserializations for w in cluster.workers.values()
+            w.transfer.checkpoint_deserializations for w in cluster.workers.values()
         ),
         "items_recovered": cluster.total_items() == len(batch),
     }

@@ -129,7 +129,7 @@ def main() -> None:
 
     cluster.run_for(2.0)  # heartbeat expiry + promotions
     t, wid, k = cluster.stats.failovers[0]
-    deser = sum(w.checkpoint_deserializations for w in cluster.workers.values())
+    deser = sum(w.transfer.checkpoint_deserializations for w in cluster.workers.values())
     print(
         f"  declared dead at t={t:.2f}s -> {cluster.manager.promotions_done} "
         f"replicas promoted, {deser} checkpoint blobs deserialized"

@@ -33,7 +33,8 @@ from .stats import ClusterStats, OpRecord
 from .storage import HOT, WARM, ColdEntry, ShardStorage
 from .transport import Entity, LatencyModel, Message, Transport
 from .wire import key_from_wire, key_to_wire
-from .worker import ShardTransfer, Worker
+from .transfer import ShardTransfer
+from .worker import Worker
 from .zookeeper import Zookeeper
 
 __all__ = [

@@ -32,6 +32,7 @@ from .router import QueryResult, RollupConfig
 from .server import Server
 from .simclock import SimClock
 from .stats import ClusterStats, OpRecord
+from .stream import lag
 from .transport import Entity, LatencyModel, Message
 from .wire import BulkInsert, i64
 from .worker import Worker
@@ -57,7 +58,7 @@ class ClusterConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     #: load-balancing strategy (see repro.cluster.balancer): the default
     #: ThresholdPolicy keeps the classic greedy behaviour; pass
-    #: MemoryPressurePolicy(...) or CostDrivenPolicy(...) to swap it
+    #: MemoryPressurePolicy(...) to swap it
     balancer: BalancerPolicy = field(default_factory=ThresholdPolicy)
     image_fanout: int = 8
     #: key kind of server local images and shard bounding keys in the
@@ -296,10 +297,10 @@ class VOLAPCluster:
                 r.gauge("volap_residency_resident_bytes", worker=wid).set(
                     w.resident_bytes()
                 )
-                if w.hot_budget_bytes is not None:
+                if st.hot_budget_bytes is not None:
                     r.gauge(
                         "volap_residency_hot_budget_bytes", worker=wid
-                    ).set(w.hot_budget_bytes)
+                    ).set(st.hot_budget_bytes)
         r.gauge("volap_transport_messages_sent").set(
             self.transport.messages_sent
         )
@@ -314,11 +315,13 @@ class VOLAPCluster:
                     if wm is None:
                         continue
                     r.gauge("volap_replica_lag", shard=sid, worker=wid).set(
-                        max(0.0, now - wm[2])
+                        lag(wm, None, now)
                     )
             for wid, w in self.workers.items():
+                if not hasattr(w, "replication"):
+                    continue  # mp proxy workers host no replicas
                 r.gauge("volap_worker_replicas", worker=wid).set(
-                    len(w.replicas)
+                    len(w.replication.replicas)
                 )
                 r.gauge("volap_worker_replica_queries", worker=wid).set(
                     w.replica_queries
@@ -357,7 +360,7 @@ class VOLAPCluster:
         # the shared directory lets a demoted primary address its
         # handoff to whichever worker took over (includes late joiners)
         w.peers = self.workers
-        w.hot_budget_bytes = self.config.hot_budget_bytes
+        w.storage.hot_budget_bytes = self.config.hot_budget_bytes
         w.publish_stats()
         if self.config.heartbeat_period > 0:
             w.start_heartbeat(

@@ -36,7 +36,7 @@ from ..core.keypolicy import KeyPolicy, make_policy
 from ..olap.keys import Box
 from .wire import BoundingKey, key_from_wire, key_to_wire
 
-__all__ = ["ShardInfo", "LocalImage"]
+__all__ = ["ShardInfo", "owner_of", "LocalImage"]
 
 
 @dataclass
@@ -84,6 +84,16 @@ class ShardInfo:
     def from_wire(t: tuple) -> "ShardInfo":
         shard_id, key, worker_id, size, residency = t
         return ShardInfo(shard_id, key_from_wire(key), worker_id, size, residency)
+
+
+def owner_of(zk, shard_id: int) -> Optional[int]:
+    """The worker ``/shards/<shard_id>`` names as the shard's primary
+    (``None`` when it is not published), without decoding the key."""
+    wire = zk.get(f"/shards/{shard_id}")
+    if wire is None:
+        return None
+    _shard_id, _key, worker_id, _size, _residency = wire
+    return worker_id
 
 
 class _ImageNode:

@@ -22,7 +22,7 @@ the manager.  Here it is one explicit machine:
   insertion queue absorbs new items.
 * ``INSTALLING`` / ``CUTOVER``: worker-side phases (deserialize at the
   destination; mapping-table / Zookeeper update and queue hand-off) --
-  tracked by :class:`~repro.cluster.worker.ShardTransfer` and surfaced
+  tracked by :class:`~repro.cluster.transfer.ShardTransfer` and surfaced
   here so both sides speak the same state names.
 * ``DONE`` / ``ABORTED`` / ``TIMED_OUT``: terminal.  ``ABORTED`` covers
   explicit failure acks (``split_failed`` / ``migrate_failed``);
@@ -54,6 +54,7 @@ __all__ = [
     "ABORTED",
     "TIMED_OUT",
     "TERMINAL_STATES",
+    "OP_KINDS",
     "ShardOp",
     "ShardOpMachine",
 ]
@@ -97,6 +98,10 @@ _BUDGET = {
     "spill": "residency",
     "rehydrate": "residency",
 }
+
+#: the seven shard-op kinds; each is requested by a ``<kind>_shard``
+#: message and answered by ``<kind>_done`` / ``<kind>_failed``
+OP_KINDS = tuple(_BUDGET)
 
 
 @dataclass
@@ -160,11 +165,7 @@ class ShardOpMachine:
         self._inflight = {
             "balance": 0, "restore": 0, "replica": 0, "residency": 0,
         }
-        self.started = {
-            "split": 0, "migrate": 0, "restore": 0,
-            "replicate": 0, "promote": 0,
-            "spill": 0, "rehydrate": 0,
-        }
+        self.started = dict.fromkeys(OP_KINDS, 0)
         self.timed_out = 0
         #: every op ever admitted, in admission order (terminal ops
         #: stay here for the invariant tests; the busy map does not)

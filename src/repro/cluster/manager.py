@@ -11,11 +11,19 @@ The manager itself is thin; the two interesting parts live next door:
 * **deciding** is delegated to a pluggable
   :class:`~repro.cluster.balancer.BalancerPolicy` whose pure ``plan``
   turns a :class:`~repro.cluster.balancer.WorkerView` snapshot into
-  split/migrate actions (threshold, memory-pressure, or cost-driven);
+  split/migrate/spill/rehydrate actions (threshold or memory-pressure);
 * **tracking** each started operation -- busy shards, per-kind in-flight
   budgets, give-up timers, obs spans -- is owned by the
-  :class:`~repro.cluster.lifecycle.ShardOpMachine`, so the manager only
-  speaks the wire protocol and applies the policy's decisions.
+  :class:`~repro.cluster.lifecycle.ShardOpMachine`.
+
+What is left is the wire protocol of the seven shard ops (split,
+migrate, restore, replicate, promote, spill, rehydrate), and it has one
+skeleton: :meth:`Manager._dispatch` admits an op and sends
+``<kind>_shard``; :meth:`Manager.receive` maps the ``<kind>_done`` /
+``<kind>_failed`` reply back to its op kind, completes the op, and runs
+that kind's ``_after_<kind>`` hook, which holds only the op's own side
+effect.  Failure detection (heartbeats), healing (promote or restore)
+and replica placement decide *which* ops to start.
 """
 
 from __future__ import annotations
@@ -30,13 +38,20 @@ from .balancer import (
     WorkerView,
 )
 from .faults import CheckpointStore
-from .lifecycle import ShardOp, ShardOpMachine
+from .image import owner_of
+from .lifecycle import OP_KINDS, ShardOp, ShardOpMachine
 from .simclock import SimClock
 from .stats import ClusterStats
 from .transport import Entity, Message, Transport
 from .zookeeper import Zookeeper
 
 __all__ = ["BalancerPolicy", "Manager"]
+
+#: reply kind -> (op kind it answers, whether the op succeeded); a
+#: restore has no failure reply (its target never refuses)
+_REPLIES = {f"{kind}_done": (kind, True) for kind in OP_KINDS} | {
+    f"{kind}_failed": (kind, False) for kind in OP_KINDS if kind != "restore"
+}
 
 
 class Manager(Entity):
@@ -68,7 +83,8 @@ class Manager(Entity):
         self.heartbeat_period = heartbeat_period
         self.heartbeat_miss_k = heartbeat_miss_k
         self.dead_workers: set[int] = set()
-        self._seen_beat: set[int] = set()
+        #: worker id -> incarnation carried by the last beat seen
+        self._incarnation: dict[int, int] = {}
         #: revived workers serving out their probation: worker id ->
         #: time the first post-death beat was seen.  A worker that was
         #: declared dead but heartbeats again (restart, or a partition
@@ -86,8 +102,6 @@ class Manager(Entity):
         #: replicas; the manager's source of truth for placement
         self.replica_sets: dict[int, set[int]] = {}
         self._replica_rr = 0
-        self.replications_started = 0
-        self.promotions_started = 0
         self.promotions_done = 0
         #: shards awaiting a (re-)restore after their owner died
         self._pending_restores: set[int] = set()
@@ -103,20 +117,14 @@ class Manager(Entity):
         self.lifecycle.max_inflight_restores = self.policy.max_inflight_restores
         self.lifecycle.op_timeout = self.policy.op_timeout
         self.lifecycle.on_timeout = self._on_op_timeout
-        self.splits_started = 0
-        self.migrations_started = 0
+        #: op kind -> the hook holding that op's completion side effect
+        self._after = {kind: getattr(self, f"_after_{kind}") for kind in OP_KINDS}
         self.failovers_handled = 0
         self.restores_done = 0
-        self.spills_started = 0
         self.spills_done = 0
-        self.rehydrates_started = 0
         self.rehydrates_done = 0
         self.enabled = True
         clock.every(self.policy.scan_period, self.scan)
-
-    @property
-    def ops_timed_out(self) -> int:
-        return self.lifecycle.timed_out
 
     def allocate_shard_id(self) -> int:
         self._next_shard_id += 1
@@ -141,7 +149,7 @@ class Manager(Entity):
             beat = self.zk.get(f"/heartbeats/{wid}")
             if beat is not None:
                 data = dict(data)
-                data["resident_bytes"] = beat[1]  # (time, resident bytes)
+                data["resident_bytes"] = beat.resident_bytes
             state[wid] = data
         return state
 
@@ -183,7 +191,7 @@ class Manager(Entity):
         """Fold worker-reported transfer phases (published best-effort
         under ``/lifecycle/``) into the active ops, so the machine's
         history shows the same ``INSTALLING``/``CUTOVER`` states the
-        worker-side :class:`~repro.cluster.worker.ShardTransfer` went
+        worker-side :class:`~repro.cluster.transfer.ShardTransfer` went
         through.  Purely observational: reads schedule no events."""
         for sid in list(self.lifecycle.ops):
             data = self.zk.get(f"/lifecycle/{sid}")
@@ -206,13 +214,15 @@ class Manager(Entity):
 
     def _check_failures(self) -> None:
         """Declare workers dead when their ephemeral heartbeat znode has
-        expired (K missed beats), then restore their shards."""
+        expired (K missed beats) or carries a new incarnation, then
+        re-home their shards."""
         if self.heartbeat_period is None:
             return
         for wid in list(self.workers):
             beat = self.zk.get(f"/heartbeats/{wid}")
             if beat is not None:
-                self._seen_beat.add(wid)
+                reborn = self._incarnation.get(wid, beat.incarnation) != beat.incarnation
+                self._incarnation[wid] = beat.incarnation
                 if wid in self.dead_workers:
                     # the worker is heartbeating again: either it
                     # restarted empty, or it was alive all along behind
@@ -227,10 +237,15 @@ class Manager(Entity):
                         self.dead_workers.discard(wid)
                         del self.quarantine[wid]
                         self.rejoins += 1
+                elif reborn:
+                    # a live beat from a new incarnation: the worker
+                    # crashed and restarted before its old beat expired.
+                    # The beat never lapsed, but its shards are gone
+                    self._declare_dead(wid)
                 continue
             # its beat lapsed (again): probation, if any, starts over
             self.quarantine.pop(wid, None)
-            if wid in self._seen_beat and wid not in self.dead_workers:
+            if wid in self._incarnation and wid not in self.dead_workers:
                 self._declare_dead(wid)
 
     def _declare_dead(self, wid: int) -> None:
@@ -243,8 +258,7 @@ class Manager(Entity):
             if wid not in holders:
                 continue
             holders.discard(wid)
-            data = self.zk.get(f"/shards/{sid}")
-            owner = data[2] if data is not None else None
+            owner = owner_of(self.zk, sid)
             if (
                 owner is not None
                 and owner in self.workers
@@ -254,11 +268,11 @@ class Manager(Entity):
                     self.workers[owner],
                     Message("replica_remove", (sid, wid), sender=self),
                 )
-        lost = []
-        for name in self.zk.ls("/shards"):
-            data = self.zk.get(f"/shards/{name}")
-            if data is not None and data[2] == wid:
-                lost.append(int(name))
+        lost = [
+            int(name)
+            for name in self.zk.ls("/shards")
+            if owner_of(self.zk, int(name)) == wid
+        ]
         self.stats.record_failover(self.clock.now, wid, len(lost))
         for sid in sorted(lost):
             self._pending_restores.add(sid)
@@ -272,9 +286,8 @@ class Manager(Entity):
         A no-op when the shard is busy; the periodic scan retries."""
         if self.lifecycle.busy(sid):
             return
-        data = self.zk.get(f"/shards/{sid}")
-        if data is not None:
-            owner = data[2]
+        owner = owner_of(self.zk, sid)
+        if owner is not None:
             owner_stats = self.zk.get(f"/stats/workers/{owner}")
             if (
                 owner not in self.dead_workers
@@ -309,29 +322,17 @@ class Manager(Entity):
             wm = self.zk.get(f"/replicas/{sid}/{w}")
             if wm is None:
                 return (-1, -1.0, -w)
-            return (wm[1], wm[2], -w)  # (frontier, watermark time)
+            return (wm.frontier, wm.wm_time, -w)
 
         best = max(cands, key=freshness)
-        op = self.lifecycle.admit("promote", sid, dst=best)
-        if op is None:
+        new_epoch = (self.zk.get(f"/epochs/{sid}") or 0) + 1
+        if self._dispatch("promote", sid, best, (new_epoch,), dst=best) is None:
             return
-        # bump the shard's epoch *now*: it fences the dead primary's
+        # the shard's epoch moves *now*: it fences the dead primary's
         # other replicas (and the primary itself, should the partition
         # heal) even if this promotion attempt later times out
-        new_epoch = (self.zk.get(f"/epochs/{sid}") or 0) + 1
         self.zk.set(f"/epochs/{sid}", new_epoch)
         self.replica_sets[sid].discard(best)
-        self.promotions_started += 1
-        self.transport.send(
-            self.workers[best],
-            Message(
-                "promote_shard",
-                (sid, new_epoch, self),
-                sender=self,
-                ctx=op.span.ctx if op.span is not None else None,
-            ),
-        )
-        self.lifecycle.dispatched(sid)
 
     def _try_restore(self, sid: int) -> None:
         """Send the shard's checkpoint to an alive worker.  A no-op when
@@ -357,22 +358,10 @@ class Manager(Entity):
         dst_id = targets[self._restore_rr % len(targets)]
         ck = self.checkpoints.get(sid) if self.checkpoints else None
         blob = ck[0] if ck is not None else None
-        op = self.lifecycle.admit("restore", sid, dst=dst_id)
-        if op is None:  # pragma: no cover - guarded above
-            return
-        # fence any copy from the previous ownership epoch
-        self.zk.set(f"/epochs/{sid}", (self.zk.get(f"/epochs/{sid}") or 0) + 1)
-        self.transport.send(
-            self.workers[dst_id],
-            Message(
-                "restore_shard",
-                (sid, blob, self),
-                size=len(blob) if blob is not None else None,
-                sender=self,
-                ctx=op.span.ctx if op.span is not None else None,
-            ),
-        )
-        self.lifecycle.dispatched(sid)
+        size = len(blob) if blob is not None else None
+        if self._dispatch("restore", sid, dst_id, (blob,), dst=dst_id, size=size):
+            # fence any copy from the previous ownership epoch
+            self.zk.set(f"/epochs/{sid}", (self.zk.get(f"/epochs/{sid}") or 0) + 1)
 
     # -- replication ------------------------------------------------------
 
@@ -388,12 +377,10 @@ class Manager(Entity):
             sid = int(name)
             if self.lifecycle.busy(sid):
                 continue
-            data = self.zk.get(f"/shards/{sid}")
-            if data is None:
-                continue
-            owner = data[2]
+            owner = owner_of(self.zk, sid)
             if (
-                owner in self.dead_workers
+                owner is None
+                or owner in self.dead_workers
                 or owner in self.quarantine
                 or owner not in self.workers
             ):
@@ -425,20 +412,13 @@ class Manager(Entity):
                 continue
             self._replica_rr += 1
             dst = cands[self._replica_rr % len(cands)]
-            op = self.lifecycle.admit("replicate", sid, src=owner, dst=dst)
-            if op is None:
+            if (
+                self._dispatch(
+                    "replicate", sid, owner, (self.workers[dst], dst), src=owner, dst=dst
+                )
+                is None
+            ):
                 return
-            self.replications_started += 1
-            self.transport.send(
-                self.workers[owner],
-                Message(
-                    "replicate_shard",
-                    (sid, self.workers[dst], dst, self),
-                    sender=self,
-                    ctx=op.span.ctx if op.span is not None else None,
-                ),
-            )
-            self.lifecycle.dispatched(sid)
 
     def _reset_replicas(self, sid: int, keep: Optional[int] = None) -> None:
         """Invalidate a shard's replica set (the stream epoch moved on:
@@ -451,7 +431,53 @@ class Manager(Entity):
                     Message("drop_replica", (sid,), sender=self),
                 )
 
-    # -- operations -----------------------------------------------------------
+    # -- the shard-op skeleton: dispatch, reply, completion hook -------------
+
+    def _dispatch(
+        self,
+        kind: str,
+        shard_id: int,
+        to: int,
+        args: tuple = (),
+        src: Optional[int] = None,
+        dst: Optional[int] = None,
+        size: Optional[int] = None,
+    ) -> Optional[ShardOp]:
+        """Start one shard op: admit it (busy check, budget, give-up
+        timer, span), send ``<kind>_shard`` carrying ``(shard_id, *args,
+        reply handle)`` to worker ``to`` under the op's span context,
+        and mark it dispatched.  ``None``, with nothing sent, when the
+        shard is busy or the kind's budget is spent."""
+        op = self.lifecycle.admit(kind, shard_id, src=src, dst=dst)
+        if op is None:
+            return None
+        self.transport.send(
+            self.workers[to],
+            Message(
+                f"{kind}_shard",
+                (shard_id, *args, self),
+                size=size,
+                sender=self,
+                ctx=op.span.ctx if op.span is not None else None,
+            ),
+        )
+        self.lifecycle.dispatched(shard_id)
+        return op
+
+    def receive(self, msg: Message) -> None:
+        """Every message the manager gets answers one of its ops."""
+        reply = _REPLIES.get(msg.kind)
+        if reply is None:
+            raise ValueError(f"manager: unknown message {msg.kind!r}")
+        kind, ok = reply
+        shard_id = msg.payload[0]
+        op = self.lifecycle.active(shard_id)
+        if not self.lifecycle.complete(shard_id, kind, ok=ok):
+            # stale or duplicated: its op timed out, or the shard is
+            # busy with a different kind of op -- nothing was released
+            op = None
+        self._after[kind](op, ok, msg.payload)
+
 
     def _on_op_timeout(self, op: ShardOp) -> None:
         """Protocol unwind after the machine's give-up timer fired."""
@@ -490,154 +516,88 @@ class Manager(Entity):
             self._heal_shard(op.shard_id)
 
     def _start_split(self, worker_id: int, shard_id: int) -> None:
-        op = self.lifecycle.admit("split", shard_id, src=worker_id)
-        if op is None:  # pragma: no cover - plan respects busy/budget
-            return
-        self.splits_started += 1
-        low, high = self.allocate_shard_id(), self.allocate_shard_id()
-        self.transport.send(
-            self.workers[worker_id],
-            Message(
-                "split_shard",
-                (shard_id, low, high, self),
-                sender=self,
-                ctx=op.span.ctx if op.span is not None else None,
-            ),
-        )
-        self.lifecycle.dispatched(shard_id)
+        ids = (self.allocate_shard_id(), self.allocate_shard_id())
+        self._dispatch("split", shard_id, worker_id, ids, src=worker_id)
 
     def _start_migration(self, src: int, dst: int, shard_id: int) -> None:
-        op = self.lifecycle.admit("migrate", shard_id, src=src, dst=dst)
-        if op is None:  # pragma: no cover - plan respects busy/budget
-            return
-        self.migrations_started += 1
-        self.transport.send(
-            self.workers[src],
-            Message(
-                "migrate_shard",
-                (shard_id, self.workers[dst], self),
-                sender=self,
-                ctx=op.span.ctx if op.span is not None else None,
-            ),
-        )
-        self.lifecycle.dispatched(shard_id)
+        self._dispatch("migrate", shard_id, src, (self.workers[dst],), src=src, dst=dst)
 
     def _start_spill(self, worker_id: int, shard_id: int) -> None:
         """Policy-driven spill (draws from the residency pool, so
         memory relief is never queued behind migrations)."""
-        op = self.lifecycle.admit("spill", shard_id, src=worker_id)
-        if op is None:
-            return
-        self.spills_started += 1
-        self.transport.send(
-            self.workers[worker_id],
-            Message(
-                "spill_shard",
-                (shard_id, self),
-                sender=self,
-                ctx=op.span.ctx if op.span is not None else None,
-            ),
-        )
-        self.lifecycle.dispatched(shard_id)
+        self._dispatch("spill", shard_id, worker_id, src=worker_id)
 
     def _start_rehydrate(self, worker_id: int, shard_id: int) -> None:
-        op = self.lifecycle.admit("rehydrate", shard_id, src=worker_id)
+        self._dispatch("rehydrate", shard_id, worker_id, src=worker_id)
+
+    # -- completion hooks -----------------------------------------------------
+    #
+    # ``_after_<kind>(op, ok, payload)``: ``op`` is the op the reply
+    # completed, or ``None`` when it matched no active op of this kind.
+
+    def _after_split(self, op, ok: bool, payload: tuple) -> None:
+        if op is not None and ok:
+            self.stats.record_split(self.clock.now)
+            # the children start unreplicated; the parent's replicas
+            # hold a dead id
+            self._reset_replicas(op.shard_id)
+
+    def _after_migrate(self, op, ok: bool, payload: tuple) -> None:
+        if op is not None and ok:
+            self.stats.record_migration(self.clock.now)
+            # the stream did not follow the move: re-seed
+            self._reset_replicas(op.shard_id)
+
+    def _after_replicate(self, op, ok: bool, payload: tuple) -> None:
         if op is None:
             return
-        self.rehydrates_started += 1
-        self.transport.send(
-            self.workers[worker_id],
-            Message(
-                "rehydrate_shard",
-                (shard_id, self),
-                sender=self,
-                ctx=op.span.ctx if op.span is not None else None,
-            ),
-        )
-        self.lifecycle.dispatched(shard_id)
-
-    # -- acknowledgements -----------------------------------------------------
-
-    def receive(self, msg: Message) -> None:
-        if msg.kind == "split_done":
-            shard_id, _low, _high, _wid = msg.payload
-            if self.lifecycle.complete(shard_id, "split", ok=True):
-                self.stats.record_split(self.clock.now)
-                # the children start unreplicated; the parent's replicas
-                # hold a dead id
-                self._reset_replicas(shard_id)
-        elif msg.kind == "migrate_done":
-            shard_id, _src, _dst = msg.payload
-            if self.lifecycle.complete(shard_id, "migrate", ok=True):
-                self.stats.record_migration(self.clock.now)
-                # the stream did not follow the move: re-seed
-                self._reset_replicas(shard_id)
-        elif msg.kind in ("split_failed", "migrate_failed"):
-            shard_id = msg.payload[0]
-            self.lifecycle.complete(
-                shard_id, msg.kind.split("_")[0], ok=False
-            )
-        elif msg.kind == "replicate_done":
-            shard_id, wid = msg.payload
-            if self.lifecycle.complete(shard_id, "replicate", ok=True):
-                self.replica_sets.setdefault(shard_id, set()).add(wid)
-        elif msg.kind == "replicate_failed":
-            shard_id, _wid = msg.payload
-            op = self.lifecycle.active(shard_id)
-            dst = op.dst if op is not None and op.kind == "replicate" else None
-            if self.lifecycle.complete(shard_id, "replicate", ok=False):
-                if dst is not None:
-                    self.replica_sets.get(shard_id, set()).discard(dst)
-        elif msg.kind == "promote_done":
-            shard_id, wid, _size = msg.payload
-            if self.lifecycle.complete(shard_id, "promote", ok=True):
-                self._pending_restores.discard(shard_id)
-                self.promotions_done += 1
-                self.stats.record_promotion(self.clock.now, shard_id, wid)
-                # surviving replicas carry the dead epoch: re-seed them
-                # from the new primary
-                self._reset_replicas(shard_id, keep=wid)
-        elif msg.kind == "promote_failed":
-            shard_id, _wid = msg.payload
-            if self.lifecycle.complete(shard_id, "promote", ok=False):
-                if shard_id in self._pending_restores:
-                    self._heal_shard(shard_id)
-        elif msg.kind == "spill_done":
-            shard_id, _wid = msg.payload
-            if self.lifecycle.complete(shard_id, "spill", ok=True):
-                self.spills_done += 1
-        elif msg.kind == "spill_failed":
-            shard_id, _wid = msg.payload
-            self.lifecycle.complete(shard_id, "spill", ok=False)
-        elif msg.kind == "rehydrate_done":
-            shard_id, _wid, _size = msg.payload
-            if self.lifecycle.complete(shard_id, "rehydrate", ok=True):
-                self.rehydrates_done += 1
-        elif msg.kind == "rehydrate_failed":
-            shard_id, _wid = msg.payload
-            self.lifecycle.complete(shard_id, "rehydrate", ok=False)
-        elif msg.kind == "restore_done":
-            shard_id, wid, _size = msg.payload
-            self.lifecycle.complete(shard_id, "restore", ok=True)
-            if shard_id in self._pending_restores:
-                self._pending_restores.discard(shard_id)
-                self.restores_done += 1
-            # any replica that outlived the old primary is fenced by the
-            # restore's epoch bump: drop and re-seed
-            self._reset_replicas(shard_id)
-            # a timed-out attempt may have been re-issued and both copies
-            # completed: keep the one the system image names, drop the other
-            data = self.zk.get(f"/shards/{shard_id}")
-            owner = data[2] if data is not None else wid
-            if owner != wid:
-                self._drop_copy(wid, shard_id)
-            else:
-                prev = self._restored_to.get(shard_id)
-                if prev is not None and prev != wid:
-                    self._drop_copy(prev, shard_id)
-                self._restored_to[shard_id] = wid
+        if ok:
+            self.replica_sets.setdefault(op.shard_id, set()).add(payload[1])
         else:
-            raise ValueError(f"manager: unknown message {msg.kind!r}")
+            self.replica_sets.get(op.shard_id, set()).discard(op.dst)
+
+    def _after_promote(self, op, ok: bool, payload: tuple) -> None:
+        if op is None:
+            return
+        shard_id = op.shard_id
+        if ok:
+            self._pending_restores.discard(shard_id)
+            self.promotions_done += 1
+            self.stats.record_promotion(self.clock.now, shard_id, payload[1])
+            # surviving replicas carry the dead epoch: re-seed them
+            # from the new primary
+            self._reset_replicas(shard_id, keep=payload[1])
+        elif shard_id in self._pending_restores:
+            self._heal_shard(shard_id)
+
+    def _after_spill(self, op, ok: bool, payload: tuple) -> None:
+        if op is not None and ok:
+            self.spills_done += 1
+
+    def _after_rehydrate(self, op, ok: bool, payload: tuple) -> None:
+        if op is not None and ok:
+            self.rehydrates_done += 1
+
+    def _after_restore(self, op, ok: bool, payload: tuple) -> None:
+        # honoured even when its op already timed out: the worker did
+        # install and publish the shard
+        shard_id, wid, _size = payload
+        if shard_id in self._pending_restores:
+            self._pending_restores.discard(shard_id)
+            self.restores_done += 1
+        # any replica that outlived the old primary is fenced by the
+        # restore's epoch bump: drop and re-seed
+        self._reset_replicas(shard_id)
+        # a timed-out attempt may have been re-issued and both copies
+        # completed: keep the one the system image names, drop the other
+        owner = owner_of(self.zk, shard_id)
+        if owner is not None and owner != wid:
+            self._drop_copy(wid, shard_id)
+        else:
+            prev = self._restored_to.get(shard_id)
+            if prev is not None and prev != wid:
+                self._drop_copy(prev, shard_id)
+            self._restored_to[shard_id] = wid
 
     def _drop_copy(self, wid: int, shard_id: int) -> None:
         if wid in self.workers and wid not in self.dead_workers:

@@ -8,17 +8,18 @@ answers eligible queries straight from server memory -- no worker
 fan-out at all -- falling back per *shard* to the tree when a shard's
 cube data is missing or too stale for the query's budget ("hybrid").
 
-Freshness reuses the PR 6 replication machinery wholesale.  The router
-subscribes to a shard's acknowledged insert stream by registering as a
-peer on the primary's ``_repl`` state (its subscriber id is
-``-(server_id + 1)``, a namespace real workers never use, and it writes
-no ``/replicas`` znodes, so manager pruning and replica read routing
-never see it).  The primary's existing seq-numbered ``replica_batch``
-messages, cumulative ``replica_ack`` trimming, 0.1 s retransmits, and
-``/repl/heads`` beacons all apply unchanged; per-shard staleness is
-computed exactly like a replica's (``now - wm_time``, or ``now -
-head beat`` once the frontier has caught the head), and epochs fence
-streams across promote/restore just as they fence replicas.
+Freshness reuses the replication stream wholesale
+(:mod:`repro.cluster.stream` is the protocol).  The router subscribes to
+a shard's acknowledged insert stream as one more peer of the primary's
+sender log (its subscriber id is ``-(server_id + 1)``, a namespace real
+workers never use, and it writes no ``/replicas`` znodes, so manager
+pruning and replica read routing never see it) and follows it with the
+same :class:`~repro.cluster.stream.Cursor` a replica uses.  The
+primary's seq-numbered ``replica_batch`` messages, cumulative
+``replica_ack`` trimming, 0.1 s retransmits, and ``/repl/heads`` beacons
+all apply unchanged; per-shard staleness is the one
+:func:`~repro.cluster.stream.lag`, and epochs fence streams across
+promote/restore just as they fence replicas.
 
 Seeding a cube is a ``rollup_sync`` round trip: the worker registers
 the subscriber at its current stream head, folds the shard's rows into
@@ -41,6 +42,7 @@ from ..core.aggregates import Aggregate
 from ..olap.keys import Box
 from ..olap.rollup import CubeKey, accumulate_cells, cube_candidate
 from ..olap.rollup_store import RollupStore
+from .stream import DUPLICATE, FENCED, STALE, Cursor, lag
 from .transport import Message
 
 __all__ = ["RollupConfig", "QueryResult", "RoutePlan", "QueryRouter"]
@@ -101,6 +103,32 @@ class RoutePlan:
     cube_served: int = 0
 
 
+@dataclass
+class _Stream:
+    """The router's end of one shard's stream."""
+
+    #: position in the stream; ``None`` until a sync reply seeds it
+    cursor: Optional[Cursor] = None
+    #: the worker the seed came from
+    owner: Optional[int] = None
+    #: seq -> (coords, measures, creation time), retained for replay
+    #: while a sync is in flight
+    tail: dict = field(default_factory=dict)
+    #: the epoch the pre-seed tail was retained from
+    tail_epoch: Optional[int] = None
+    #: the tail overflowed: it cannot cover a join any more
+    torn: bool = False
+
+
+@dataclass
+class _Sync:
+    """A ``rollup_sync`` in flight (its presence switches on tail
+    retention)."""
+
+    keys: set
+    sent: float
+
+
 class QueryRouter:
     """Rollup tier of one server: cube store, stream state, routing."""
 
@@ -117,13 +145,8 @@ class QueryRouter:
         #: stream-peer id on the primaries; negative so it can never
         #: collide with a real worker id
         self.sub_id = -(server.server_id + 1)
-        #: shard id -> stream state, mirroring the worker replica side:
-        #: {"epoch" (None until seeded), "frontier", "applied",
-        #:  "pending_t", "wm_time", "owner", "tail"}
-        self._streams: dict[int, dict] = {}
-        #: shard id -> {"keys": set[CubeKey], "sent": float} syncs in
-        #: flight (their presence switches on tail retention)
-        self._pending_sync: dict[int, dict] = {}
+        self._streams: dict[int, _Stream] = {}
+        self._pending_sync: dict[int, _Sync] = {}
         #: cluster metrics registry, shared in by the cluster wiring;
         #: None (standalone servers) keeps counters local-only
         self.registry = None
@@ -158,42 +181,27 @@ class QueryRouter:
         ``None`` when it cannot be cube-served at all (no slab, torn or
         unseeded stream, owner moved, epoch fenced)."""
         sid = info.shard_id
-        if sid not in cube.slabs:
-            return None
         st = self._streams.get(sid)
-        if st is None or st["epoch"] is None:
-            return None
-        if st["owner"] is not None and st["owner"] != info.worker_id:
+        if sid not in cube.slabs or st is None or st.cursor is None:
             return None
         zk = self.server.zk
-        cur_epoch = zk.get(f"/epochs/{sid}") or 0
-        if st["epoch"] != cur_epoch:
-            return None
-        head = zk.get(f"/repl/heads/{sid}")
-        if (
-            head is not None
-            and head[0] == cur_epoch
-            and st["frontier"] >= head[1]
+        if st.owner != info.worker_id or st.cursor.epoch != (
+            zk.get(f"/epochs/{sid}") or 0
         ):
-            return max(0.0, now - head[2])
-        return max(0.0, now - st["wm_time"])
+            return None
+        return lag(st.cursor, zk.get(f"/repl/heads/{sid}"), now)
 
     def max_lag(self, now: float) -> float:
         """Worst current stream lag (the staleness-lag gauge)."""
-        worst = 0.0
-        for sid, st in self._streams.items():
-            if st["epoch"] is None:
-                continue
-            head = self.server.zk.get(f"/repl/heads/{sid}")
-            if (
-                head is not None
-                and head[0] == st["epoch"]
-                and st["frontier"] >= head[1]
-            ):
-                worst = max(worst, now - head[2])
-            else:
-                worst = max(worst, now - st["wm_time"])
-        return max(0.0, worst)
+        zk = self.server.zk
+        return max(
+            (
+                lag(st.cursor, zk.get(f"/repl/heads/{sid}"), now)
+                for sid, st in self._streams.items()
+                if st.cursor is not None
+            ),
+            default=0.0,
+        )
 
     # -- routing ------------------------------------------------------------
 
@@ -280,21 +288,10 @@ class QueryRouter:
 
     # -- stream plumbing ----------------------------------------------------
 
-    def _stream_stub(self, now: float) -> dict:
-        return {
-            "epoch": None,
-            "frontier": 0,
-            "applied": set(),
-            "pending_t": {},
-            "wm_time": now,
-            "owner": None,
-            "tail": {},
-        }
-
     def _reset_stream(self, sid: int) -> None:
-        """Tear a shard's stream down to the unseeded stub and drop its
-        slabs: the next reconcile re-syncs from the current owner."""
-        self._streams[sid] = self._stream_stub(self.server.clock.now)
+        """Tear a shard's stream down to unseeded and drop its slabs:
+        the next reconcile re-syncs from the current owner."""
+        self._streams[sid] = _Stream()
         self._pending_sync.pop(sid, None)
         self.store.drop_shard(sid)
 
@@ -302,17 +299,13 @@ class QueryRouter:
         st = self._streams.pop(sid, None)
         self._pending_sync.pop(sid, None)
         self.store.drop_shard(sid)
-        if st is not None and st["owner"] is not None:
-            worker = self.server.workers.get(st["owner"])
+        if st is not None and st.owner is not None:
+            worker = self.server.workers.get(st.owner)
             if worker is not None:
-                self.server.transport.send(
-                    worker,
-                    Message(
-                        "replica_remove",
-                        (sid, self.sub_id),
-                        sender=self.server,
-                    ),
-                )
+                self._send(worker, "replica_remove", (sid, self.sub_id))
+
+    def _send(self, dst, kind: str, payload) -> None:
+        self.server.transport.send(dst, Message(kind, payload, sender=self.server))
 
     def on_shard_event(self, sid: int, info) -> None:
         """Image watch hook (called by the server's ``/shards`` watch):
@@ -323,11 +316,7 @@ class QueryRouter:
                 self._drop_shard(sid)
             return
         st = self._streams.get(sid)
-        if (
-            st is not None
-            and st["owner"] is not None
-            and st["owner"] != info.worker_id
-        ):
+        if st is not None and st.owner not in (None, info.worker_id):
             # migrated or promoted away: the old stream is dead and the
             # new owner's store may include rows it never carried
             self._reset_stream(sid)
@@ -350,15 +339,13 @@ class QueryRouter:
                 self._drop_shard(sid)
         for sid, info in infos.items():
             st = self._streams.get(sid)
-            if st is not None and st["epoch"] is not None:
-                if st["owner"] != info.worker_id:
+            if st is not None and st.cursor is not None:
+                if st.owner != info.worker_id or st.cursor.epoch != (
+                    zk.get(f"/epochs/{sid}") or 0
+                ):
                     self._reset_stream(sid)
-                    st = self._streams[sid]
-                elif st["epoch"] != (zk.get(f"/epochs/{sid}") or 0):
-                    self._reset_stream(sid)
-                    st = self._streams[sid]
             pending = self._pending_sync.get(sid)
-            if pending is not None and now - pending["sent"] < self.cfg.sync_timeout:
+            if pending is not None and now - pending.sent < self.cfg.sync_timeout:
                 continue
             needed = {
                 key
@@ -366,7 +353,7 @@ class QueryRouter:
                 if sid not in cube.slabs
             }
             if pending is not None:
-                needed |= pending["keys"]
+                needed |= pending.keys
             if not needed:
                 continue
             self._send_sync(sid, info, needed, now)
@@ -377,17 +364,16 @@ class QueryRouter:
         worker = self.server.workers.get(info.worker_id)
         if worker is None:
             return
-        if sid not in self._streams:
-            self._streams[sid] = self._stream_stub(now)
-        self._pending_sync[sid] = {"keys": set(keys), "sent": now}
-        self.server.transport.send(
+        self._streams.setdefault(sid, _Stream())
+        self._pending_sync[sid] = _Sync(set(keys), now)
+        self._send(
             worker,
-            Message(
-                "rollup_sync",
-                (sid, self.sub_id, [k.to_wire() for k in sorted(
-                    keys, key=lambda k: k.to_wire()
-                )], self.server),
-                sender=self.server,
+            "rollup_sync",
+            (
+                sid,
+                self.sub_id,
+                [k.to_wire() for k in sorted(keys, key=lambda k: k.to_wire())],
+                self.server,
             ),
         )
 
@@ -397,70 +383,51 @@ class QueryRouter:
         p = msg.payload
         sid, epoch, seq = p.m.tolist()
         t_created = float(p.g[0])
-        primary = p.primary
         st = self._streams.get(sid)
         if st is None:
             # not subscribed (anymore): stop the primary's retransmits
-            self.server.transport.send(
-                primary,
-                Message(
-                    "replica_remove", (sid, self.sub_id), sender=self.server
-                ),
-            )
+            self._send(p.primary, "replica_remove", (sid, self.sub_id))
             return
-        if st["epoch"] is None:
+        if st.cursor is None:
             # pre-seed: retain for post-install replay, ack nothing.
             # The tail is epoch-tagged so a fenced stream can never
             # replay a dead primary's lineage over a fresh slab.
             if sid in self._pending_sync:
-                if st.get("tail_epoch") != epoch:
-                    st["tail"].clear()
-                    st["tail_epoch"] = epoch
+                if st.tail_epoch != epoch:
+                    st.tail.clear()
+                    st.tail_epoch = epoch
                 self._retain(st, seq, p.c, p.v, t_created)
             return
-        if epoch < st["epoch"]:
-            self.server.transport.send(
-                primary,
-                Message(
-                    "replica_remove", (sid, self.sub_id), sender=self.server
-                ),
-            )
+        verdict = self._apply_batch(sid, st, epoch, seq, p.c, p.v, t_created)
+        if verdict == STALE:
+            self._send(p.primary, "replica_remove", (sid, self.sub_id))
             return
-        if epoch > st["epoch"]:
-            self._reset_stream(sid)  # fenced: reconcile re-syncs
+        if verdict == FENCED:
+            self._reset_stream(sid)  # reconcile re-syncs
             return
-        self._apply_batch(sid, st, seq, p.c, p.v, t_created)
-        service = self.server.cost.rollup_apply_time(len(p.v))
 
         def ack() -> None:
             cur = self._streams.get(sid)
-            if cur is None or cur["epoch"] != epoch:
-                return
-            self.server.transport.send(
-                primary,
-                Message(
-                    "replica_ack",
-                    (sid, epoch, cur["frontier"], self.sub_id),
-                    sender=self.server,
-                ),
-            )
+            if cur is not None and cur.cursor is not None and cur.cursor.epoch == epoch:
+                self._ack_frontier(sid, cur, p.primary)
 
-        self.server.pool.submit(service, ack)
+        self.server.pool.submit(self.server.cost.rollup_apply_time(len(p.v)), ack)
 
-    def _retain(self, st: dict, seq: int, coords, measures, t_created: float) -> None:
-        st["tail"][seq] = (coords, measures, t_created)
-        if len(st["tail"]) > self.cfg.tail_limit:
-            st["tail"].clear()
-            st["torn"] = True
+    def _retain(self, st: _Stream, seq: int, coords, measures, t_created: float) -> None:
+        st.tail[seq] = (coords, measures, t_created)
+        if len(st.tail) > self.cfg.tail_limit:
+            st.tail.clear()
+            st.torn = True
 
     def _apply_batch(
-        self, sid: int, st: dict, seq: int, coords, measures, t_created: float
-    ) -> None:
-        """Fold one stream batch into every installed slab of the shard
-        and advance the contiguous frontier/watermark (duplicates from
-        retransmits are no-ops)."""
-        if seq <= st["frontier"] or seq in st["applied"]:
-            return
+        self, sid: int, st: _Stream, epoch: int, seq: int, coords, measures, t_created
+    ) -> str:
+        """Offer one stream batch to the shard's cursor and, when it is
+        new, fold it into every installed slab of the shard (duplicates
+        from retransmits are no-ops).  Returns the cursor's verdict."""
+        verdict = st.cursor.offer(epoch, seq, t_created)
+        if verdict in (DUPLICATE, STALE, FENCED):
+            return verdict
         for cube in self.store.cubes.values():
             slab = cube.slabs.get(sid)
             if slab is not None:
@@ -469,14 +436,9 @@ class QueryRouter:
                 )
         if sid in self._pending_sync:
             self._retain(st, seq, coords, measures, t_created)
-        st["applied"].add(seq)
-        st["pending_t"][seq] = t_created
-        while st["frontier"] + 1 in st["applied"]:
-            st["frontier"] += 1
-            st["applied"].discard(st["frontier"])
-            st["wm_time"] = st["pending_t"].pop(st["frontier"])
         self.rows_applied += len(measures)
         self.batches_applied += 1
+        return verdict
 
     def on_rollup_cells(self, msg: Message) -> None:
         """A worker's sync reply: install the slabs and splice them
@@ -488,49 +450,45 @@ class QueryRouter:
         pending = self._pending_sync.get(sid)
         if st is None or pending is None:
             return  # shard dropped, or a duplicate of a finished sync
-        if st["epoch"] is not None and epoch < st["epoch"]:
+        if st.cursor is not None and epoch < st.cursor.epoch:
             return  # stale reply from before a fence; retry will re-ask
-        if st["epoch"] is not None and epoch > st["epoch"]:
+        if st.cursor is not None and epoch > st.cursor.epoch:
             self._reset_stream(sid)
             st = self._streams[sid]
-        now = self.server.clock.now
         keys = [CubeKey.from_wire(kw) for kw, _ in pairs]
-        if st["epoch"] is None:
-            st["epoch"] = epoch
-            st["frontier"] = head
-            st["applied"].clear()
-            st["pending_t"].clear()
-            st["wm_time"] = now
-            st["owner"] = wid
+        if st.cursor is None:
+            st.cursor = Cursor(epoch, head, self.server.clock.now)
+            st.owner = wid
             self._install(sid, pairs)
             self._finish_sync(sid, pending, keys)
             # replay everything retained past the snapshot head (only
             # if it was retained from this same epoch's stream)
-            tail = dict(st["tail"])
-            if st.pop("tail_epoch", epoch) != epoch or st.pop("torn", False):
+            tail = dict(st.tail)
+            if st.tail_epoch not in (None, epoch) or st.torn:
                 tail = {}
-                st["tail"].clear()
+                st.tail.clear()
+            st.tail_epoch = None
+            st.torn = False
             for seq in sorted(tail):
                 coords, measures, t = tail[seq]
-                self._apply_batch(sid, st, seq, coords, measures, t)
+                self._apply_batch(sid, st, epoch, seq, coords, measures, t)
             if sid not in self._pending_sync:
-                st["tail"].clear()
-                st.pop("torn", None)
-            self._ack_frontier(sid, st)
+                st.tail.clear()
+            worker = self.server.workers.get(wid)
+            if worker is not None:
+                self._ack_frontier(sid, st, worker)
             return
         # same-epoch late join: the slab snapshot covers seqs <= head;
         # everything this stream already applied past head must come
         # from the retained tail, else the join is torn
-        needed = [
-            s
-            for s in range(head + 1, st["frontier"] + 1)
-        ] + sorted(st["applied"])
-        if st.pop("torn", False) or any(s not in st["tail"] for s in needed):
-            pending["sent"] = -1e18  # force an immediate re-request
+        needed = st.cursor.applied_after(head)
+        torn, st.torn = st.torn, False
+        if torn or any(s not in st.tail for s in needed):
+            pending.sent = -1e18  # force an immediate re-request
             return
         self._install(sid, pairs)
         for s in needed:
-            coords, measures, _t = st["tail"][s]
+            coords, measures, _t = st.tail[s]
             for key in keys:
                 cube = self.store.cubes.get(key)
                 if cube is None or sid not in cube.slabs:
@@ -544,7 +502,7 @@ class QueryRouter:
                 )
         self._finish_sync(sid, pending, keys)
         if sid not in self._pending_sync:
-            st["tail"].clear()
+            st.tail.clear()
 
     def _install(self, sid: int, pairs) -> None:
         for kw, cells in pairs:
@@ -552,23 +510,16 @@ class QueryRouter:
             if cube is not None:
                 cube.slabs[sid] = cells
 
-    def _finish_sync(self, sid: int, pending: dict, keys) -> None:
-        pending["keys"] -= set(keys)
-        if not pending["keys"]:
+    def _finish_sync(self, sid: int, pending: _Sync, keys) -> None:
+        pending.keys -= set(keys)
+        if not pending.keys:
             self._pending_sync.pop(sid, None)
 
-    def _ack_frontier(self, sid: int, st: dict) -> None:
-        owner = st["owner"]
-        worker = self.server.workers.get(owner) if owner is not None else None
-        if worker is None:
-            return
-        self.server.transport.send(
-            worker,
-            Message(
-                "replica_ack",
-                (sid, st["epoch"], st["frontier"], self.sub_id),
-                sender=self.server,
-            ),
+    def _ack_frontier(self, sid: int, st: _Stream, primary) -> None:
+        self._send(
+            primary,
+            "replica_ack",
+            (sid, st.cursor.epoch, st.cursor.frontier, self.sub_id),
         )
 
     def on_rollup_sync_failed(self, msg: Message) -> None:

@@ -31,6 +31,7 @@ from .faults import RetryPolicy
 from .image import LocalImage, ShardInfo
 from .router import QueryRouter, RollupConfig
 from .simclock import SimClock
+from .stream import lag
 from .transport import Entity, Message, Transport
 from .wire import (
     InsertBatch,
@@ -332,22 +333,17 @@ class Server(Entity):
     ) -> Optional[float]:
         """Estimated staleness of worker ``wid``'s replica of ``sid``,
         or ``None`` when the copy is unusable (stale epoch, dead
-        holder, or no watermark yet).
-
-        The watermark ``(epoch, frontier, wm_time, beat_time)`` is what
-        the replica piggybacked on its last heartbeat; ``head`` is the
-        primary's ``(epoch, head_seq, beat_time)``.  A replica whose
-        frontier has caught the head is as fresh as the head beat;
-        otherwise it is as stale as its newest applied batch.
+        holder, or no watermark yet).  The
+        :class:`~repro.cluster.stream.Watermark` is what the replica
+        piggybacked on its last heartbeat; ``head`` is the primary's
+        :class:`~repro.cluster.stream.Head`.
         """
         wm = self.zk.get(f"/replicas/{sid}/{wid}")
-        if wm is None or wm[0] != cur_epoch:
+        if wm is None or wm.epoch != cur_epoch:
             return None
         if self.zk.get(f"/heartbeats/{wid}") is None:
             return None
-        if head is not None and head[0] == cur_epoch and wm[1] >= head[1]:
-            return max(0.0, now - head[2])
-        return max(0.0, now - wm[2])
+        return lag(wm, head, now)
 
     def _pick_target(
         self, info: ShardInfo, budget: float, now: float

@@ -1,12 +1,19 @@
-"""Unified shard blob storage and the HOT/WARM residency tier.
+"""Worker component: shard blob storage and the HOT/WARM residency tier.
 
 Every path that turns a shard into bytes -- periodic checkpoints,
 failover restore, migration transfer, replica seeding, and the residency
-spill added here -- goes through one :class:`ShardStorage` per worker.
+spill -- goes through one :class:`ShardStorage` per worker.
 All five speak the same colframe blob (:func:`repro.cluster.wire.shard_to_wire`),
 so a blob written by any path can be read by every other: a spill *is* a
 checkpoint write, and a failover restore of a WARM shard is just a
 decode of the blob the spill left behind.
+
+The component owns the whole residency decision: the cold index, the
+hot budget, the last-access times behind LRU victim choice, the lazy
+rehydrate an op triggers, and the ``spill_shard`` / ``rehydrate_shard``
+handlers of the manager-driven ops.  The host worker calls it through
+:meth:`~ShardStorage.touch`, :meth:`~ShardStorage.ensure_hot` and
+:meth:`~ShardStorage.enforce`, and reads :attr:`~ShardStorage.cold`.
 
 Residency state machine (one shard, one owning worker)::
 
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..olap.keys import Box
+from .transport import Message
 from .wire import BoundingKey, shard_from_wire, shard_to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,20 +91,26 @@ class ColdEntry:
 
 
 class ShardStorage:
-    """One worker's blob codec plus its cold (WARM) shard index.
+    """One worker's blob codec plus its residency tier.
 
     The codec half (:meth:`encode` / :meth:`decode`) is the single
     funnel for all shard blobs -- checkpoint, restore, migrate,
-    replica seed, spill, rehydrate.  The tier half (:meth:`spill` /
-    :meth:`rehydrate`) moves shards between ``worker.shards`` (HOT)
-    and :attr:`cold` (WARM), keeping the published system image in
-    sync so servers keep routing to spilled shards.
+    replica seed, spill, rehydrate.  The tier half moves shards between
+    ``worker.shards`` (HOT) and :attr:`cold` (WARM) -- on the manager's
+    request, lazily when an op touches a WARM shard, or on its own to
+    hold :attr:`hot_budget_bytes` -- keeping the published system image
+    in sync so servers keep routing to spilled shards.
     """
 
     def __init__(self, worker) -> None:
-        self.worker = worker
+        self.w = worker
         #: shard id -> :class:`ColdEntry` for every WARM shard
         self.cold: dict[int, ColdEntry] = {}
+        #: hot-memory budget in bytes; ``None`` disables autonomous
+        #: spilling (classic all-hot behaviour)
+        self.hot_budget_bytes: Optional[int] = None
+        #: shard id -> virtual time of last access (LRU spill order)
+        self._last_access: dict[int, float] = {}
         # residency counters (exported as volap_residency_* gauges)
         self.spills = 0
         self.rehydrates = 0
@@ -117,14 +131,14 @@ class ShardStorage:
     def decode(self, blob: bytes) -> "ShardStore":
         """Colframe blob -> live shard (restore/migrate-in/replica
         install/rehydrate)."""
-        w = self.worker
+        w = self.w
         self.blobs_decoded += 1
         return shard_from_wire(w.store_cls, w.schema, blob, w.tree_config)
 
     # -- residency tier -------------------------------------------------
 
     def residency(self, shard_id: int) -> Optional[str]:
-        if shard_id in self.worker.shards:
+        if shard_id in self.w.shards:
             return HOT
         if shard_id in self.cold:
             return WARM
@@ -142,7 +156,7 @@ class ShardStorage:
         disk *is* the checkpoint.  Frozen shards (mid-migration) never
         spill; the transfer owns them.
         """
-        w = self.worker
+        w = self.w
         store = w.shards.get(shard_id)
         if store is None:
             raise ValueError(f"shard {shard_id} is not HOT on worker {w.worker_id}")
@@ -159,11 +173,12 @@ class ShardStorage:
         )
         self.cold[shard_id] = entry
         del w.shards[shard_id]
+        self._last_access.pop(shard_id, None)
         if w.checkpoints is not None:
             w.checkpoints.put(shard_id, blob, w.worker_id, w.clock.now)
         self.spills += 1
         self.spilled_bytes += len(blob)
-        w._publish_shard(shard_id)
+        w.publish_shard(shard_id)
         return entry
 
     def rehydrate(self, shard_id: int) -> Optional["ShardStore"]:
@@ -175,7 +190,7 @@ class ShardStorage:
         count as checkpoint deserializations -- the blob never left the
         worker.
         """
-        w = self.worker
+        w = self.w
         entry = self.cold.pop(shard_id, None)
         if entry is None:
             return w.shards.get(shard_id)
@@ -183,8 +198,8 @@ class ShardStorage:
         w.shards[shard_id] = store
         self.rehydrates += 1
         self.rehydrated_bytes += entry.blob_bytes
-        w._last_access[shard_id] = w.clock.now
-        w._publish_shard(shard_id)
+        self._last_access[shard_id] = w.clock.now
+        w.publish_shard(shard_id)
         return store
 
     def drop(self, shard_id: int) -> bool:
@@ -195,3 +210,147 @@ class ShardStorage:
         """Crash: both tiers are lost (WARM blobs survive only in the
         checkpoint store, exactly like HOT shards' periodic blobs)."""
         self.cold.clear()
+        self._last_access.clear()
+
+    # -- what the host calls on its data path ---------------------------
+
+    def touch(self, shard_id: int) -> None:
+        """Record an access for LRU spill-victim ordering."""
+        if shard_id in self.w.shards:
+            self._last_access[shard_id] = self.w.clock.now
+
+    def ensure_hot(
+        self, shard_id: int, trigger: str = "query"
+    ) -> tuple[Optional["ShardStore"], float]:
+        """Lazily pull a WARM shard back HOT because an op touched it.
+
+        Returns ``(store, modeled seconds)``; the caller adds the
+        seconds to the op's service time (rehydration is synchronous --
+        the op waits for the blob decode).  Enforces the hot budget
+        afterwards, protecting the shard just rehydrated (the ±1-shard
+        hysteresis: an op never evicts its own working set mid-flight).
+        """
+        w = self.w
+        entry = self.cold.get(shard_id)
+        if entry is None:
+            return w.shards.get(shard_id), 0.0
+        obs = w.transport.obs
+        span = None
+        if obs is not None:
+            span = obs.start_span(
+                "worker.rehydrate", w.name, shard=shard_id, trigger=trigger
+            )
+        store = self.rehydrate(shard_id)
+        service = w.cost.rehydrate_time(entry.items)
+        if obs is not None:
+            obs.registry.histogram(
+                "volap_residency_rehydrate_seconds",
+                help="modeled latency of lazy shard rehydrates",
+            ).observe(service)
+            obs.finish_span(span, items=entry.items)
+        self.enforce(protect={shard_id})
+        return store, service
+
+    def enforce(self, protect: set = frozenset()) -> int:
+        """Spill least-recently-used HOT shards until resident bytes
+        fit :attr:`hot_budget_bytes`.  ``protect`` names shards the
+        current op is touching -- they stay hot even while over budget.
+        Frozen shards belong to the transfer protocol and never spill.
+        """
+        w = self.w
+        if self.hot_budget_bytes is None or w.crashed:
+            return 0
+        spilled = 0
+        while w.resident_bytes() > self.hot_budget_bytes:
+            candidates = [
+                sid
+                for sid in w.shards
+                if sid not in w.frozen and sid not in protect
+            ]
+            if not candidates:
+                break
+            self.spill(
+                min(candidates, key=lambda s: (self._last_access.get(s, -1.0), s))
+            )
+            spilled += 1
+        return spilled
+
+    def add_stats(self, stats: dict) -> None:
+        """Fold the tier's view into a ``/stats/workers`` payload."""
+        w = self.w
+        if self.cold:
+            # WARM shards stay visible in "shards" (ownership and heal
+            # checks key on it) at their spilled item counts
+            for sid, entry in self.cold.items():
+                stats["shards"][sid] = entry.items
+            stats["warm"] = {
+                sid: (e.items, e.resident_estimate) for sid, e in self.cold.items()
+            }
+        if self.hot_budget_bytes is not None or self.cold or self.spills:
+            now = w.clock.now
+            stats["resident_bytes"] = w.resident_bytes()
+            stats["shard_bytes"] = {
+                sid: s.resident_bytes() for sid, s in w.shards.items()
+            }
+            stats["idle"] = {
+                sid: now - self._last_access.get(sid, now) for sid in w.shards
+            }
+
+    # -- manager-driven spill / rehydrate --------------------------------
+
+    def _on_spill_shard(self, msg: Message) -> None:
+        """Policy-driven spill: HOT -> WARM, releasing the columns.
+
+        Idempotent: an already-WARM shard re-acks (a duplicated or
+        retransmitted request changes nothing); absent or frozen shards
+        fail so the manager retires the op and replans.
+        """
+        shard_id, reply_to = msg.payload
+        w = self.w
+        if shard_id in self.cold:
+            w.send(reply_to, "spill_done", (shard_id, w.worker_id))
+            return
+        store = w.shards.get(shard_id)
+        if store is None or shard_id in w.frozen:
+            w.send(reply_to, "spill_failed", (shard_id, w.worker_id))
+            return
+        done = w.span("worker.spill", msg, shard=shard_id)
+
+        def finish() -> None:
+            # re-check: a migration may have frozen the shard, or an op
+            # may have moved it, while the encode was in flight
+            if shard_id in w.shards and shard_id not in w.frozen:
+                self.spill(shard_id)
+            ok = shard_id in self.cold
+            done(ok=ok)
+            w.send(
+                reply_to,
+                "spill_done" if ok else "spill_failed",
+                (shard_id, w.worker_id),
+            )
+
+        w.submit(w.cost.spill_time(len(store)), finish)
+
+    def _on_rehydrate_shard(self, msg: Message) -> None:
+        """Policy-driven rehydrate: pull a WARM shard HOT ahead of
+        demand (the balancer found headroom).  Idempotent like spill."""
+        shard_id, reply_to = msg.payload
+        w = self.w
+        if shard_id in w.shards:
+            w.send(
+                reply_to,
+                "rehydrate_done",
+                (shard_id, w.worker_id, len(w.shards[shard_id])),
+            )
+            return
+        entry = self.cold.get(shard_id)
+        if entry is None:
+            w.send(reply_to, "rehydrate_failed", (shard_id, w.worker_id))
+            return
+        _store, service = self.ensure_hot(shard_id, trigger="policy")
+        w.submit(
+            service,
+            lambda: w.send(
+                reply_to, "rehydrate_done", (shard_id, w.worker_id, entry.items)
+            ),
+        )

@@ -101,8 +101,6 @@ class WorkerProxy:
         #: bounding keys of installed shards (wire form), for gauges
         self._shard_meta: dict[int, int] = {}
         self.crashed = False
-        self.replicas: dict = {}
-        self.replica_queries = 0
         self.peers = None  # assigned by the facade; unused by the proxy
 
     # -- Worker facade used by the cluster/manager wiring ------------------

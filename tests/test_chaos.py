@@ -295,7 +295,7 @@ class TestPartition:
         # partition heals: the next beat detects the lapse, reconciles
         # against the flipped znodes, and steps down everywhere
         cluster.run_for(2.0)
-        assert cluster.workers[0].demotions == len(held)
+        assert cluster.workers[0].replication.demotions == len(held)
         assert not (held & set(cluster.workers[0].shards))
         assert_single_primary(cluster)
         # quarantine probation elapsed on steady beats: full member again
@@ -331,13 +331,13 @@ class TestMigrateWhileQuerying:
         points); despite the faults, migrations complete, no
         acknowledged insert is lost or doubled, and post-chaos queries
         see the full database from exactly one primary per shard."""
-        from repro.cluster import worker as worker_mod
+        from repro.cluster import transfer as transfer_mod
         from repro.olap.colframe import is_column_frame
 
         sent_frames = []
         decoded_frames = []
-        real_to = worker_mod.batch_to_wire
-        real_from = worker_mod.batch_from_wire
+        real_to = transfer_mod.batch_to_wire
+        real_from = transfer_mod.batch_from_wire
 
         def spy_to(batch, **kw):
             blob = real_to(batch, **kw)
@@ -350,8 +350,8 @@ class TestMigrateWhileQuerying:
             decoded_frames.append(len(blob))
             return real_from(blob)
 
-        monkeypatch.setattr(worker_mod, "batch_to_wire", spy_to)
-        monkeypatch.setattr(worker_mod, "batch_from_wire", spy_from)
+        monkeypatch.setattr(transfer_mod, "batch_to_wire", spy_to)
+        monkeypatch.setattr(transfer_mod, "batch_from_wire", spy_from)
 
         cfg = ClusterConfig(
             num_workers=2,
@@ -479,12 +479,12 @@ def drain_replication(cluster, max_virtual=10.0):
     horizon = cluster.clock.now + max_virtual
     while cluster.clock.now < horizon:
         logs = [
-            st["log"]
+            log.batches
             for w in cluster.workers.values()
             if not w.crashed
-            for st in w._repl.values()
+            for log in w.replication.streams.values()
         ]
-        if logs and all(not log for log in logs):
+        if logs and all(not batches for batches in logs):
             return
         cluster.run_for(0.1)
     raise AssertionError("replication stream never drained")
@@ -511,19 +511,19 @@ class TestReplication:
         cluster.run_until_clients_done(max_virtual=120.0)
         drain_replication(cluster)
         cluster.run_for(0.3)  # one more beat publishes final watermarks
-        applied = sum(w.repl_rows_applied for w in cluster.workers.values())
+        applied = sum(w.replication.rows_applied for w in cluster.workers.values())
         assert applied == len(extra)  # streamed exactly once, no re-seeds
-        assert sum(w.repl_batches_sent for w in cluster.workers.values()) > 0
+        assert sum(w.replication.batches_sent for w in cluster.workers.values()) > 0
         for sid in cluster.manager.replica_sets:
             head = cluster.zk.get(f"/repl/heads/{sid}")
             (holder,) = cluster.manager.replica_sets[sid]
             wm = cluster.zk.get(f"/replicas/{sid}/{holder}")
             assert wm is not None and head is not None
-            assert wm[0] == head[0]  # same epoch
-            assert wm[1] >= head[1]  # frontier caught the head
+            assert wm.epoch == head.epoch
+            assert wm.frontier >= head.seq  # caught the head
         # replica copies hold exactly the primary's data
         for wid, w in cluster.workers.items():
-            for sid, store in w.replicas.items():
+            for sid, store in w.replication.replicas.items():
                 owner = cluster.zk.get(f"/shards/{sid}")[2]
                 assert len(store) == len(cluster.workers[owner].shards[sid])
 
@@ -563,7 +563,7 @@ class TestReplication:
             owner = cluster.zk.get(f"/shards/{sid}")[2]
             primary = cluster.workers[owner].shards[sid]
             for holder in holders:
-                replica = cluster.workers[holder].replicas[sid]
+                replica = cluster.workers[holder].replication.replicas[sid]
                 assert len(replica) == len(primary), f"shard {sid} forked"
                 assert replica.query(box)[0].approx_equal(primary.query(box)[0])
                 checked += 1
@@ -589,7 +589,7 @@ class TestReplication:
         assert cluster.manager.promotions_done == len(lost)
         assert len(cluster.stats.promotions) == len(lost)
         assert (
-            sum(w.checkpoint_deserializations for w in cluster.workers.values())
+            sum(w.transfer.checkpoint_deserializations for w in cluster.workers.values())
             == 0
         ), "promotion path touched a checkpoint blob"
         assert cluster.manager._pending_restores == set()
@@ -610,7 +610,7 @@ class TestReplication:
         cluster.run_for(3.0)
         assert cluster.manager.promotions_done == 0
         assert (
-            sum(w.checkpoint_deserializations for w in cluster.workers.values())
+            sum(w.transfer.checkpoint_deserializations for w in cluster.workers.values())
             > 0
         )
         assert cluster.manager._pending_restores == set()

@@ -145,8 +145,8 @@ class TestPBSAgainstMeasuredStaleness:
 
         def inflight() -> int:
             ws = cluster.workers.values()
-            return sum(w.repl_rows_teed for w in ws) - sum(
-                w.repl_rows_applied for w in ws
+            return sum(w.replication.rows_teed for w in ws) - sum(
+                w.replication.rows_applied for w in ws
             )
 
         # event-stepped time integral of the replication backlog: the
@@ -166,10 +166,10 @@ class TestPBSAgainstMeasuredStaleness:
         measured_backlog = integral / window
 
         lags = [
-            s for w in cluster.workers.values() for s in w.repl_apply_lags
+            s for w in cluster.workers.values() for s in w.replication.apply_lags
         ]
         assert len(lags) == len(extra)  # every acked row streamed once
-        rate = sum(w.repl_rows_teed for w in cluster.workers.values()) / window
+        rate = sum(w.replication.rows_teed for w in cluster.workers.values()) / window
 
         # the PBS simulator, driven by the measured staleness samples,
         # must reproduce the measured backlog (Little's law) ...

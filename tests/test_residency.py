@@ -184,7 +184,7 @@ class TestLazyRehydrate:
         assert after.coverage == 1.0
         assert w.storage.rehydrates > 0
         # the blobs never left the worker: not a checkpoint restore
-        assert w.checkpoint_deserializations == 0
+        assert w.transfer.checkpoint_deserializations == 0
 
     def test_insert_rehydrates_target_shard(self, schema):
         cluster, batch = residency_cluster(schema)
@@ -289,7 +289,7 @@ class TestCheckpointElision:
         cluster.execute(full_query(schema))
         assert w.storage.rehydrates > 0
         assert all(
-            wk.checkpoint_deserializations == 0
+            wk.transfer.checkpoint_deserializations == 0
             for wk in cluster.workers.values()
         )
 

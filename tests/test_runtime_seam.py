@@ -488,7 +488,7 @@ def test_row_without_an_op_id_is_zero_everywhere(path):
             rt.register(entity)
         base = random_batch(schema, 50, seed=1)
         worker.install_shard(1, HilbertPDCTree.from_batch(schema, base, worker.tree_config))
-        worker._repl_state(1, 0)["peers"][9] = {"entity": sink, "acked": 0}
+        worker.replication.stream(1, 0).subscribe(9, sink)
         row = wire.InsertBatch(i64([(1, 77, 0)]), base.coords[:1], f64([2.0]), sink)
         if path == "mp-codec":
             _kind, row, _route = frames.decode(
@@ -513,7 +513,7 @@ def test_row_without_an_op_id_is_zero_everywhere(path):
 
         rt.drive(lambda: len(acks()) >= 2 and len(teed()) >= 2, horizon=60.0)
         assert len(worker.shards[1]) == len(base) + 2  # applied twice, no dedup
-        assert worker._seen_ops == set() and worker.dedup_hits == 0
+        assert worker.seen_ops == set() and worker.dedup_hits == 0
         assert teed() == {1: [0], 2: [0]}
         assert acks() == [[77], [77]]
     finally:

@@ -248,7 +248,7 @@ class TestWorkerMigration:
         dst = make_worker(rig, schema, wid=1)
         install(dst, schema, batch.slice(0, 100))
         peer = Sink()
-        dst._repl_state(1, 0)["peers"][9] = {"entity": peer, "acked": 0}
+        dst.replication.stream(1, 0).subscribe(9, peer)
         queue = batch.slice(100, 107)
         dst.receive(Message("queue_transfer", (1, batch_to_wire(queue), dst)))
         clock.run_until(0.05)
