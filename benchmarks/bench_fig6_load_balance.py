@@ -5,7 +5,7 @@ band must close as the balancer migrates shards to them, with the
 cumulative migration counter stepping up at each phase.
 
 A second test replays the scale-up moment under each pluggable
-balancer policy (threshold / memory-pressure / cost-driven; see
+balancer policy (threshold / memory-pressure; see
 docs/protocols.md, "Shard lifecycle") and writes the per-policy
 worker-size gaps and maintenance-op counts to ``BENCH_balance.json``.
 ``BENCH_QUICK=1`` shrinks the comparison run for CI smoke.
@@ -101,7 +101,7 @@ def test_balancer_policy_comparison(benchmark):
     )
 
     by_name = {r.policy: r for r in rows}
-    assert set(by_name) == {"threshold", "memory_pressure", "cost_driven"}
+    assert set(by_name) == {"threshold", "memory_pressure"}
     for r in rows:
         # every policy must react to the empty joiners and close the band
         assert r.migrations > 0, f"{r.policy} never migrated"

@@ -31,7 +31,6 @@ from .core import (
 from .cluster import (
     BalancerPolicy,
     ClusterConfig,
-    CostDrivenPolicy,
     CostModel,
     LatencyModel,
     MemoryPressurePolicy,
@@ -73,7 +72,6 @@ __all__ = [
     "Box",
     "ClusterConfig",
     "CompactHilbertCurve",
-    "CostDrivenPolicy",
     "CostModel",
     "Dimension",
     "Hierarchy",

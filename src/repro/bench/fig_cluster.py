@@ -17,7 +17,6 @@ import numpy as np
 from ..cluster import (
     BalancerPolicy,
     ClusterConfig,
-    CostDrivenPolicy,
     MemoryPressurePolicy,
     ThresholdPolicy,
     VOLAPCluster,
@@ -197,7 +196,7 @@ def run_fig6_fig7(
 
 
 # ---------------------------------------------------------------------------
-# Balancer policy comparison (Fig 6 scenario, three policies)
+# Balancer policy comparison (Fig 6 scenario, both policies)
 # ---------------------------------------------------------------------------
 
 
@@ -229,13 +228,12 @@ def run_policy_comparison(
 ) -> list[PolicyComparisonRow]:
     """Run the Fig 6 elastic scale-up moment under each balancer policy.
 
-    Same scenario for all three: ``workers`` loaded workers, then
+    Same scenario for both: ``workers`` loaded workers, then
     ``new_workers`` empty ones join and the policy gets ``settle``
     virtual seconds to react.  Rows report the worker-size band (peak
     and final min/max gap) and the cumulative maintenance ops spent
     closing it -- threshold chases the tightest band, memory-pressure
-    only acts on capacity hazards, cost-driven spends a bounded budget
-    per scan."""
+    only acts on capacity hazards."""
     schema = tpcds_schema()
     shared = dict(
         max_shard_items=int(items_per_worker * 0.9),
@@ -253,7 +251,6 @@ def run_policy_comparison(
                 worker_capacity_items=items_per_worker, **shared
             ),
         ),
-        ("cost_driven", CostDrivenPolicy(**shared)),
     ]
     rows: list[PolicyComparisonRow] = []
     for name, policy in policies:

@@ -3,7 +3,6 @@
 from ..obs import MetricsRegistry, Observability
 from .balancer import (
     BalancerPolicy,
-    CostDrivenPolicy,
     MemoryPressurePolicy,
     MigrateAction,
     PlanAction,
@@ -43,7 +42,6 @@ __all__ = [
     "QueryRouter",
     "RollupConfig",
     "CheckpointStore",
-    "CostDrivenPolicy",
     "MemoryPressurePolicy",
     "MigrateAction",
     "PlanAction",

@@ -8,7 +8,7 @@ lifecycle machine.  ``plan`` is a **pure function** of the view -- no
 clock, no transport, no Zookeeper -- so every policy is unit-testable
 without instantiating the simulator.
 
-Three policies ship:
+Two policies ship:
 
 * :class:`ThresholdPolicy` (the default; ``BalancerPolicy`` itself
   keeps the same greedy behaviour for backward compatibility): split
@@ -21,21 +21,18 @@ Three policies ship:
   may identify a worker that is overloaded and about to run out of
   memory".  Workers have an item capacity; any worker above the high
   watermark sheds shards to the least-pressured worker until it
-  projects below the low watermark.
-* :class:`CostDrivenPolicy`: threshold-shaped decisions, but each scan
-  budgets the virtual seconds of off-hot-path work (serialize +
-  deserialize, :meth:`~repro.cluster.cost.CostModel.migrate_time`) that
-  migrations may consume, and picks the moves with the best
-  items-moved-per-second ratio first -- bounded maintenance work, so
-  reorganisation never starves ingestion.
+  projects below the low watermark.  Given a byte budget it plans on
+  measured resident bytes instead and spills before it migrates.
+
+Both run the same greedy migration loop (:meth:`BalancerPolicy.plan`);
+a policy only says how many items may move from the most to the least
+loaded worker (:meth:`BalancerPolicy._move_limit`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Union
-
-from .cost import CostModel
 
 __all__ = [
     "SplitAction",
@@ -47,7 +44,6 @@ __all__ = [
     "BalancerPolicy",
     "ThresholdPolicy",
     "MemoryPressurePolicy",
-    "CostDrivenPolicy",
 ]
 
 
@@ -165,10 +161,11 @@ class WorkerView:
 class BalancerPolicy:
     """Strategy interface plus the knobs every policy shares.
 
-    Subclasses override :meth:`plan`.  The base class implements the
-    classic threshold-greedy behaviour so existing code constructing
-    ``BalancerPolicy(...)`` directly keeps working bit-for-bit;
-    :class:`ThresholdPolicy` is the explicit name for that default.
+    Subclasses override :meth:`plan` or just :meth:`_move_limit`.  The
+    base class implements the classic threshold-greedy behaviour so
+    existing code constructing ``BalancerPolicy(...)`` directly keeps
+    working bit-for-bit; :class:`ThresholdPolicy` is the explicit name
+    for that default.
     """
 
     #: split any shard above this size
@@ -192,8 +189,54 @@ class BalancerPolicy:
     # -- strategy ---------------------------------------------------------
 
     def plan(self, view: WorkerView) -> list:
-        """Return the actions to start this scan (pure, in order)."""
-        return self._plan_threshold(view)
+        """Return the actions to start this scan (pure, in order):
+        oversize splits, then greedy migrations from the most to the
+        least loaded worker for as long as :meth:`_move_limit` allows,
+        planned against projected sizes so several moves per scan
+        converge instead of overshooting."""
+        actions: list = []
+        budget = view.budget
+        if budget <= 0 or not view.sizes:
+            return actions
+        busy = set(view.busy)
+        budget = self._plan_oversize_splits(view, actions, busy, budget)
+        if budget <= 0 or len(view.sizes) < 2:
+            return actions
+        sizes = dict(view.sizes)
+        shards = {wid: view.hot_shards(wid) for wid in view.shards}
+        while budget > 0:
+            src = max(sizes, key=sizes.get)
+            dst = min(sizes, key=sizes.get)
+            limit = None if src == dst else self._move_limit(sizes[src], sizes[dst])
+            if limit is None:
+                break
+            # move the largest shard within the limit
+            candidates = [
+                (size, sid)
+                for sid, size in shards[src].items()
+                if sid not in busy and self.min_migrate_items <= size <= limit
+            ]
+            if not candidates:
+                self._split_for_migration(shards[src], src, busy, actions)
+                break
+            size, sid = max(candidates)
+            actions.append(MigrateAction(src, dst, sid))
+            busy.add(sid)
+            budget -= 1
+            sizes[src] -= size
+            sizes[dst] += size
+            del shards[src][sid]
+            shards[dst][sid] = size
+        return actions
+
+    def _move_limit(self, src_size: int, dst_size: int) -> Optional[float]:
+        """How many items may move from the most loaded worker to the
+        least loaded one, or ``None`` when nothing should.  Threshold:
+        half the gap -- the move keeps ``dst`` below ``src`` -- while
+        the imbalance exceeds ``imbalance_ratio``."""
+        if src_size <= self.imbalance_ratio * max(dst_size, self.min_migrate_items):
+            return None
+        return (src_size - dst_size) / 2
 
     # -- shared building blocks -------------------------------------------
 
@@ -218,49 +261,6 @@ class BalancerPolicy:
         if splittable:
             _, sid = max(splittable)
             actions.append(SplitAction(src, sid))
-
-    def _plan_threshold(self, view: WorkerView) -> list:
-        actions: list = []
-        budget = view.budget
-        if budget <= 0 or not view.sizes:
-            return actions
-        busy = set(view.busy)
-        budget = self._plan_oversize_splits(view, actions, busy, budget)
-        if budget <= 0 or len(view.sizes) < 2:
-            return actions
-        # migrations, planned against projected sizes so several moves
-        # per scan converge instead of overshooting
-        sizes = dict(view.sizes)
-        shards = {wid: view.hot_shards(wid) for wid in view.shards}
-        while budget > 0:
-            src = max(sizes, key=sizes.get)
-            dst = min(sizes, key=sizes.get)
-            if src == dst:
-                break
-            if sizes[src] <= self.imbalance_ratio * max(
-                sizes[dst], self.min_migrate_items
-            ):
-                break
-            # move the largest shard that keeps dst below src
-            gap = (sizes[src] - sizes[dst]) / 2
-            candidates = [
-                (size, sid)
-                for sid, size in shards[src].items()
-                if sid not in busy
-                and self.min_migrate_items <= size <= gap
-            ]
-            if not candidates:
-                self._split_for_migration(shards[src], src, busy, actions)
-                break
-            size, sid = max(candidates)
-            actions.append(MigrateAction(src, dst, sid))
-            busy.add(sid)
-            budget -= 1
-            sizes[src] -= size
-            sizes[dst] += size
-            del shards[src][sid]
-            shards[dst][sid] = size
-        return actions
 
 
 @dataclass(frozen=True)
@@ -299,47 +299,18 @@ class MemoryPressurePolicy(BalancerPolicy):
     def plan(self, view: WorkerView) -> list:
         if self.worker_budget_bytes is not None and view.resident_bytes:
             return self._plan_bytes(view)
-        actions: list = []
-        budget = view.budget
-        if budget <= 0 or not view.sizes:
-            return actions
-        busy = set(view.busy)
-        budget = self._plan_oversize_splits(view, actions, busy, budget)
-        if budget <= 0 or len(view.sizes) < 2:
-            return actions
+        return super().plan(view)
+
+    def _move_limit(self, src_size: int, dst_size: int) -> Optional[float]:
+        """Only a worker above the high watermark sheds: enough to get
+        it under the low watermark, but never so much that the receiver
+        itself crosses the high one."""
         cap = self.worker_capacity_items
-        sizes = dict(view.sizes)
-        shards = {wid: view.hot_shards(wid) for wid in view.shards}
-        while budget > 0:
-            src = max(sizes, key=sizes.get)
-            if sizes[src] <= self.high_watermark * cap:
-                break  # nobody is under pressure
-            dst = min(sizes, key=sizes.get)
-            if dst == src:
-                break
-            #: move enough to get src under the low watermark, but never
-            #: push dst itself over the high watermark
-            want = sizes[src] - self.low_watermark * cap
-            headroom = self.high_watermark * cap - sizes[dst]
-            limit = min(want, headroom)
-            candidates = [
-                (size, sid)
-                for sid, size in shards[src].items()
-                if sid not in busy
-                and self.min_migrate_items <= size <= limit
-            ]
-            if not candidates:
-                self._split_for_migration(shards[src], src, busy, actions)
-                break
-            size, sid = max(candidates)
-            actions.append(MigrateAction(src, dst, sid))
-            busy.add(sid)
-            budget -= 1
-            sizes[src] -= size
-            sizes[dst] += size
-            del shards[src][sid]
-            shards[dst][sid] = size
-        return actions
+        if src_size <= self.high_watermark * cap:
+            return None  # nobody is under pressure
+        return min(
+            src_size - self.low_watermark * cap, self.high_watermark * cap - dst_size
+        )
 
     def _plan_bytes(self, view: WorkerView) -> list:
         """Byte-mode plan: measured resident bytes against the worker
@@ -413,75 +384,4 @@ class MemoryPressurePolicy(BalancerPolicy):
                     busy.add(sid)
                     u += wbytes
             used[wid] = u
-        return actions
-
-
-@dataclass(frozen=True)
-class CostDrivenPolicy(BalancerPolicy):
-    """Threshold-shaped balancing under an explicit maintenance budget.
-
-    Colmenares et al. observe that sustained high-velocity ingestion
-    depends on keeping reorganisation work off the hot path *and
-    bounded*.  This policy prices every migration with the cost model
-    (:meth:`~repro.cluster.cost.CostModel.migrate_time`: serialize at
-    the source + deserialize at the destination) and spends at most
-    ``migration_budget`` virtual seconds of that work per scan,
-    best-value moves first (items rebalanced per second of maintenance
-    work).  Imbalance beyond the budget waits for the next scan instead
-    of monopolising worker threads.
-    """
-
-    #: virtual seconds of serialize+deserialize work allowed per scan
-    migration_budget: float = 0.05
-    #: prices migrations; share the cluster's model for honest budgets
-    cost: CostModel = field(default_factory=CostModel)
-
-    def plan(self, view: WorkerView) -> list:
-        actions: list = []
-        budget = view.budget
-        if budget <= 0 or not view.sizes:
-            return actions
-        busy = set(view.busy)
-        budget = self._plan_oversize_splits(view, actions, busy, budget)
-        if budget <= 0 or len(view.sizes) < 2:
-            return actions
-        sizes = dict(view.sizes)
-        shards = {wid: view.hot_shards(wid) for wid in view.shards}
-        remaining = self.migration_budget
-        while budget > 0 and remaining > 0:
-            src = max(sizes, key=sizes.get)
-            dst = min(sizes, key=sizes.get)
-            if src == dst:
-                break
-            if sizes[src] <= self.imbalance_ratio * max(
-                sizes[dst], self.min_migrate_items
-            ):
-                break
-            gap = (sizes[src] - sizes[dst]) / 2
-            candidates = [
-                (size, sid)
-                for sid, size in shards[src].items()
-                if sid not in busy
-                and self.min_migrate_items <= size <= gap
-                and self.cost.migrate_time(size) <= remaining
-            ]
-            if not candidates:
-                # nothing affordable fits; prepare smaller pieces only
-                # if even the *cheapest* movable shard blew the budget
-                self._split_for_migration(shards[src], src, busy, actions)
-                break
-            # best value: items rebalanced per second of maintenance
-            # work (ties resolve to the larger shard, then higher id)
-            size, sid = max(
-                candidates,
-                key=lambda t: (t[0] / self.cost.migrate_time(t[0]), t),
-            )
-            actions.append(MigrateAction(src, dst, sid))
-            busy.add(sid)
-            budget -= 1
-            remaining -= self.cost.migrate_time(size)
-            sizes[src] -= size
-            sizes[dst] += size
-            del shards[src][sid]
-            shards[dst][sid] = size
         return actions

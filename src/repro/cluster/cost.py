@@ -95,13 +95,6 @@ class CostModel:
     def deserialize_time(self, items: int) -> float:
         return self.insert_base + self.deserialize_item * items
 
-    def migrate_time(self, items: int) -> float:
-        """End-to-end off-hot-path cost of relocating a shard: serialize
-        at the source plus deserialize at the destination (wire time is
-        charged separately by the transport's bandwidth model).  Used by
-        the cost-driven balancer policy to budget maintenance work."""
-        return self.serialize_time(items) + self.deserialize_time(items)
-
     def replicate_apply_time(self, items: int, stats: OpStats) -> float:
         """Applying a teed replication batch on a replica: the same
         batched-insert work as the primary paid, minus the per-row

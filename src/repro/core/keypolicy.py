@@ -17,7 +17,6 @@ from ..olap.keys import (
     PackedKeys,
     boxes_intersect_many,
     pack_boxes,
-    packed_within_many,
 )
 from ..olap.mds import MDS, mds_intersect_many, pack_mds
 
@@ -103,15 +102,6 @@ class KeyPolicy:
         ``qlo``/``qhi`` are ``(k, d)`` stacked query-box bounds.
         """
         raise NotImplementedError
-
-    def within_many(
-        self, packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
-    ) -> np.ndarray:
-        """``(k, m)`` mask equal to ``within_box(key, box)`` pairwise.
-
-        Shared across key kinds: containment only needs the MBR summary.
-        """
-        return packed_within_many(packed, qlo, qhi)
 
     def within_box_many(
         self, key: Any, qlo: np.ndarray, qhi: np.ndarray

@@ -124,10 +124,6 @@ class Observability:
         if self.profiler is not None:
             self.profiler.record(kind, stats, rows)
 
-    def profile_tree(self, tree) -> None:
-        """Attach the shared profiler to a standalone tree instance."""
-        tree.profiler = self.profiler
-
     # -- export ------------------------------------------------------------
 
     def to_prometheus(self) -> str:
@@ -136,10 +132,6 @@ class Observability:
     def dump_events_jsonl(self, path) -> int:
         """Spans plus a final metrics snapshot, one JSON object/line."""
         return write_events_jsonl(path, tracer=self.tracer, registry=self.registry)
-
-    def dump_trace_jsonl(self, path) -> int:
-        """Just the spans (no metrics snapshot event)."""
-        return self.tracer.dump_jsonl(path)
 
     # -- convenience views -------------------------------------------------
 

@@ -31,7 +31,6 @@ every **closed** child span ends at or before its parent's end.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -185,13 +184,3 @@ class TraceCollector:
         for root in sorted(self.roots(trace_id), key=lambda s: s.span_id):
             visit(root)
         return out
-
-    # -- export ------------------------------------------------------------
-
-    def dump_jsonl(self, path) -> int:
-        """Write one JSON object per span; returns the span count."""
-        with open(path, "w") as fh:
-            for s in self.spans:
-                fh.write(json.dumps(s.to_dict(), sort_keys=True))
-                fh.write("\n")
-        return len(self.spans)

@@ -150,10 +150,6 @@ class Hierarchy:
         """The ``depth``-level prefix of a leaf id."""
         return value >> self.suffix_bits(depth)
 
-    def level_bits(self) -> tuple[int, ...]:
-        """Per-level bit widths, coarsest first."""
-        return tuple(lvl.bits for lvl in self.levels)
-
     def level_names(self) -> tuple[str, ...]:
         return tuple(lvl.name for lvl in self.levels)
 

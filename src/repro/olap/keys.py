@@ -27,7 +27,6 @@ __all__ = [
     "union_all",
     "pack_boxes",
     "boxes_intersect_many",
-    "packed_within_many",
     "points_in_boxes",
 ]
 
@@ -284,10 +283,6 @@ class PackedKeys:
         self.offsets = offsets
 
     @property
-    def num_keys(self) -> int:
-        return self.lo.shape[0]
-
-    @property
     def nbytes(self) -> int:
         """Buffer bytes of the snapshot (resident-memory accounting)."""
         return sum(
@@ -333,25 +328,6 @@ def boxes_intersect_many(
     qempty = (qlo > qhi).any(axis=1)
     hit &= ~qempty[:, None]
     return hit
-
-
-def packed_within_many(
-    packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
-) -> np.ndarray:
-    """``(k, m)`` mask: key i entirely inside query box j.
-
-    Works off the MBR summary, so it is exact for both key kinds (an
-    interval union lies inside a box iff its bounding box does).  Empty
-    keys are never "within" (mirrors the scalar policies, which gate on
-    ``not key.is_empty()``); an empty query box can never contain a
-    non-empty key, so no separate query mask is needed.
-    """
-    within = (
-        (qlo[:, None, :] <= packed.lo[None, :, :])
-        & (packed.hi[None, :, :] <= qhi[:, None, :])
-    ).all(axis=2)
-    within &= ~packed.empty[None, :]
-    return within
 
 
 def points_in_boxes(

@@ -92,21 +92,6 @@ class StreamGenerator:
                 yield Operation("query", query=self.bins.sample(name, self.rng))
             emitted += 1
 
-    def insert_batches(
-        self, total: int, batch_size: int = 256
-    ) -> Iterator[RecordBatch]:
-        """Pure-insert stream as ready-made :class:`RecordBatch` chunks.
-
-        This is the shape the batched ingestion paths consume directly
-        (``ShardStore.insert_batch``, the ``client_insert_batch`` wire
-        message): ``total`` rows from the TPC-DS generator in chunks of
-        ``batch_size`` (the last chunk may be short)."""
-        done = 0
-        while done < total:
-            k = min(batch_size, total - done)
-            yield self.generator.batch(k)
-            done += k
-
     def batch_plan(self, n: int) -> tuple[int, int]:
         """Expected (inserts, queries) for a stream of length ``n``."""
         ins = round(n * self.insert_fraction)

@@ -5,18 +5,14 @@ no clock, transport, or Zookeeper -- which is the point of the strategy
 split: decisions are testable as plain functions.
 """
 
-import pytest
-
 from repro.cluster import (
     BalancerPolicy,
-    CostDrivenPolicy,
     MemoryPressurePolicy,
     MigrateAction,
     SplitAction,
     ThresholdPolicy,
     WorkerView,
 )
-from repro.cluster.cost import CostModel
 
 
 def view(sizes, shards, busy=(), budget=4):
@@ -122,7 +118,6 @@ def test_plan_is_pure_and_does_not_mutate_the_view():
     for policy in (
         ThresholdPolicy(max_shard_items=500),
         MemoryPressurePolicy(worker_capacity_items=2000),
-        CostDrivenPolicy(max_shard_items=500),
     ):
         first = policy.plan(v)
         assert v.sizes == sizes_before
@@ -189,62 +184,3 @@ def test_memory_pressure_still_splits_oversize_shards():
     )
     actions = policy.plan(balanced_view())
     assert SplitAction(0, 1) in actions and len(actions) == 4
-
-
-# -- cost-driven ------------------------------------------------------------
-
-
-def test_cost_driven_with_ample_budget_matches_threshold():
-    kw = dict(max_shard_items=8000, imbalance_ratio=1.4, min_migrate_items=200)
-    generous = CostDrivenPolicy(migration_budget=1e9, **kw)
-    assert generous.plan(skewed_view()) == ThresholdPolicy(**kw).plan(
-        skewed_view()
-    )
-
-
-def test_cost_driven_budget_limits_migrations_per_scan():
-    cost = CostModel()
-    kw = dict(max_shard_items=8000, imbalance_ratio=1.4, min_migrate_items=200)
-    one_move = CostDrivenPolicy(
-        # enough for one 1200-item migration, not two
-        migration_budget=cost.migrate_time(1200) * 1.5,
-        cost=cost,
-        **kw,
-    )
-    actions = one_move.plan(skewed_view())
-    migrations = [a for a in actions if isinstance(a, MigrateAction)]
-    assert len(migrations) == 1
-    # threshold has no such bound on the same view
-    assert len(ThresholdPolicy(**kw).plan(skewed_view())) > 1
-
-
-def test_cost_driven_zero_budget_plans_no_migrations():
-    policy = CostDrivenPolicy(
-        migration_budget=0.0, max_shard_items=8000, min_migrate_items=200
-    )
-    actions = policy.plan(skewed_view())
-    assert all(not isinstance(a, MigrateAction) for a in actions)
-
-
-def test_cost_driven_prefers_best_value_moves():
-    """Larger shards amortize the per-migration base cost, so with ties
-    on fit the policy moves the shard with the best items-per-second
-    ratio first."""
-    cost = CostModel()
-    policy = CostDrivenPolicy(
-        migration_budget=cost.migrate_time(1200) * 1.1,
-        cost=cost,
-        max_shard_items=8000,
-        imbalance_ratio=1.4,
-        min_migrate_items=200,
-    )
-    actions = policy.plan(skewed_view())
-    assert actions[0] == MigrateAction(0, 1, 1)  # 1200 items: best ratio
-
-
-def test_cost_model_migrate_time_composition():
-    cost = CostModel()
-    assert cost.migrate_time(500) == pytest.approx(
-        cost.serialize_time(500) + cost.deserialize_time(500)
-    )
-    assert cost.migrate_time(2000) > cost.migrate_time(100)

@@ -246,6 +246,40 @@ class TestCrashFailover:
         cluster.run_for(1.0)  # fresh heartbeats clear the death record
         assert 2 not in cluster.manager.dead_workers
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_restart_inside_heartbeat_ttl_heals(self, schema, k):
+        """A worker that crashes and restarts before its ephemeral beat
+        expires never lapses -- yet its shards are gone.  The beat's
+        incarnation tells the manager, which re-homes them: from
+        checkpoints with no replicas (K=0), by promotion without
+        touching a checkpoint blob with K=1."""
+        cluster, batch = chaos_cluster(
+            schema, n_items=1500, seed=3, replication_factor=k
+        )
+        cluster.run_for(2.0)  # checkpoints written, replicas seeded
+        lost = len(cluster.workers[0].shards)
+        assert lost
+        cluster.crash_worker(0)
+        cluster.run_for(0.1)  # well inside the 0.3 s ttl
+        cluster.restart_worker(0)
+        # healed before the restarted worker's probation ends (after it,
+        # the balancer starts migrating shards back onto the empty worker)
+        cluster.run_for(0.15)
+        assert cluster.total_items() == len(batch)
+        assert_single_primary(cluster)
+        m = cluster.manager
+        assert m.failovers_handled == 1 and m._pending_restores == set()
+        assert 0 in m.quarantine and m.lifecycle.quiescent()
+        deserialized = sum(
+            w.transfer.checkpoint_deserializations for w in cluster.workers.values()
+        )
+        if k:
+            assert (m.promotions_done, m.restores_done, deserialized) == (lost, 0, 0)
+        else:
+            assert (m.promotions_done, m.restores_done, deserialized) == (0, lost, lost)
+        rec = run_one_query(cluster, schema)
+        assert rec.achieved == 1.0 and rec.result_count == len(batch)
+
 
 class TestPartition:
     def test_partition_heals(self, schema):
