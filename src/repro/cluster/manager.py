@@ -359,7 +359,7 @@ class Manager(Entity):
         ck = self.checkpoints.get(sid) if self.checkpoints else None
         blob = ck[0] if ck is not None else None
         size = len(blob) if blob is not None else None
-        if self._dispatch("restore", sid, dst_id, (blob,), dst=dst_id, size=size):
+        if self._dispatch("restore", sid, dst_id, (blob,), dst=dst_id, size=size) is not None:
             # fence any copy from the previous ownership epoch
             self.zk.set(f"/epochs/{sid}", (self.zk.get(f"/epochs/{sid}") or 0) + 1)
 
@@ -412,12 +412,8 @@ class Manager(Entity):
                 continue
             self._replica_rr += 1
             dst = cands[self._replica_rr % len(cands)]
-            if (
-                self._dispatch(
-                    "replicate", sid, owner, (self.workers[dst], dst), src=owner, dst=dst
-                )
-                is None
-            ):
+            peer = (self.workers[dst], dst)
+            if self._dispatch("replicate", sid, owner, peer, src=owner, dst=dst) is None:
                 return
 
     def _reset_replicas(self, sid: int, keep: Optional[int] = None) -> None:

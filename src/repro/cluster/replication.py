@@ -254,7 +254,7 @@ class Replication:
             if w.zk_reachable():
                 self._publish_watermark(shard_id)
             w.send(reply_to, "replicate_done", (shard_id, w.worker_id))
-            w.send(primary, "replica_ack", (shard_id, epoch, head, w.worker_id))
+            self._ack(primary, shard_id, epoch, head)
 
         w.submit(w.cost.deserialize_time(len(store)), ready)
 
@@ -276,9 +276,7 @@ class Replication:
             return
         verdict = cursor.offer(epoch, seq, t_created)
         if verdict == DUPLICATE:
-            w.send(
-                p.primary, "replica_ack", (shard_id, epoch, cursor.frontier, w.worker_id)
-            )
+            self._ack(p.primary, shard_id, epoch, cursor.frontier)
         if verdict != NEW:
             return
         rows = len(p.v)
@@ -293,26 +291,31 @@ class Replication:
         def ack() -> None:
             cur = self._cursors.get(shard_id)
             if cur is not None and cur.epoch == epoch:
-                w.send(
-                    p.primary, "replica_ack", (shard_id, epoch, cur.frontier, w.worker_id)
-                )
+                self._ack(p.primary, shard_id, epoch, cur.frontier)
 
         w.submit(w.cost.replicate_apply_time(rows, stats), ack)
 
+    def _ack(self, primary, shard_id: int, epoch: int, frontier: int) -> None:
+        self.w.send(
+            primary, "replica_ack", (shard_id, epoch, frontier, self.w.worker_id)
+        )
+
+    def _watermark_path(self, shard_id: int) -> str:
+        return f"/replicas/{shard_id}/{self.w.worker_id}"
+
     def _publish_watermark(self, shard_id: int) -> None:
-        w = self.w
-        w.zk.set(
-            f"/replicas/{shard_id}/{w.worker_id}",
-            self._cursors[shard_id].watermark(w.clock.now),
+        self.w.zk.set(
+            self._watermark_path(shard_id),
+            self._cursors[shard_id].watermark(self.w.clock.now),
         )
 
     def drop_replica(self, shard_id: int) -> None:
-        """Discard this worker's copy of ``shard_id``, if it holds one."""
-        w = self.w
+        """Discard this worker's copy of ``shard_id`` and its published
+        watermark, if it holds one."""
         had = self._cursors.pop(shard_id, None)
         self.replicas.pop(shard_id, None)
-        if had is not None and w.zk_reachable():
-            w.zk.delete(f"/replicas/{shard_id}/{w.worker_id}")
+        if had is not None and self.w.zk_reachable():
+            self.w.zk.delete(self._watermark_path(shard_id))
 
     def _on_drop_replica(self, msg: Message) -> None:
         """Manager invalidated this copy (epoch moved on): discard it."""
@@ -329,8 +332,7 @@ class Replication:
         """
         shard_id, new_epoch, reply_to = msg.payload
         w = self.w
-        store = self.replicas.pop(shard_id, None)
-        self._cursors.pop(shard_id, None)
+        store = self.replicas.get(shard_id)
         if store is None:
             held = w.shards.get(shard_id)
             if held is not None:
@@ -340,10 +342,9 @@ class Replication:
                 w.send(reply_to, "promote_failed", (shard_id, w.worker_id))
             return
         done = w.span("worker.promote", msg, shard=shard_id)
-        w.shards[shard_id] = store
+        self.drop_replica(shard_id)  # the copy stops being a replica ...
+        w.shards[shard_id] = store  # ... and becomes the primary
         self.stream(shard_id, new_epoch)
-        if w.zk_reachable():
-            w.zk.delete(f"/replicas/{shard_id}/{w.worker_id}")
 
         def flip() -> None:
             if shard_id not in w.shards:
@@ -389,7 +390,7 @@ class Replication:
             # has no unacknowledged stream suffix to hand off
             if owner_of(w.zk, sid) not in (None, w.worker_id):
                 w.storage.drop(sid)
-                self.streams.pop(sid, None)
+                self.close_stream(sid)
 
     def _demote(self, shard_id: int, new_owner: int) -> None:
         """Drop primariness of the (settled) ``shard_id`` in favour of

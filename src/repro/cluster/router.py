@@ -42,7 +42,7 @@ from ..core.aggregates import Aggregate
 from ..olap.keys import Box
 from ..olap.rollup import CubeKey, accumulate_cells, cube_candidate
 from ..olap.rollup_store import RollupStore
-from .stream import DUPLICATE, FENCED, STALE, Cursor, lag
+from .stream import FENCED, NEW, STALE, Cursor, lag
 from .transport import Message
 
 __all__ = ["RollupConfig", "QueryResult", "RoutePlan", "QueryRouter"]
@@ -184,12 +184,16 @@ class QueryRouter:
         st = self._streams.get(sid)
         if sid not in cube.slabs or st is None or st.cursor is None:
             return None
-        zk = self.server.zk
-        if st.owner != info.worker_id or st.cursor.epoch != (
-            zk.get(f"/epochs/{sid}") or 0
-        ):
+        if not self._current(st, info):
             return None
-        return lag(st.cursor, zk.get(f"/repl/heads/{sid}"), now)
+        return lag(st.cursor, self.server.zk.get(f"/repl/heads/{sid}"), now)
+
+    def _current(self, st: _Stream, info) -> bool:
+        """Whether a seeded stream still follows the shard's owner and
+        ownership epoch."""
+        return st.owner == info.worker_id and st.cursor.epoch == (
+            self.server.zk.get(f"/epochs/{info.shard_id}") or 0
+        )
 
     def max_lag(self, now: float) -> float:
         """Worst current stream lag (the staleness-lag gauge)."""
@@ -236,12 +240,12 @@ class QueryRouter:
         stale_infos: list = []
         staleness = 0.0
         for info in infos:
-            lag = self.shard_lag(cube, info, now)
-            if lag is None or lag > budget:
+            shard_lag = self.shard_lag(cube, info, now)
+            if shard_lag is None or shard_lag > budget:
                 stale_infos.append(info)
             else:
                 fresh.append(info.shard_id)
-                staleness = max(staleness, lag)
+                staleness = max(staleness, shard_lag)
         if not fresh:
             self.misses["stale"] += 1
             self._count("volap_rollup_misses_total", reason="stale")
@@ -326,7 +330,6 @@ class QueryRouter:
         re-request timed-out syncs, fence moved epochs, and tear down
         streams for shards (or cubes) that no longer exist."""
         now = self.server.clock.now
-        zk = self.server.zk
         if not self.store.cubes:
             for sid in list(self._streams):
                 self._drop_shard(sid)
@@ -339,11 +342,8 @@ class QueryRouter:
                 self._drop_shard(sid)
         for sid, info in infos.items():
             st = self._streams.get(sid)
-            if st is not None and st.cursor is not None:
-                if st.owner != info.worker_id or st.cursor.epoch != (
-                    zk.get(f"/epochs/{sid}") or 0
-                ):
-                    self._reset_stream(sid)
+            if st is not None and st.cursor is not None and not self._current(st, info):
+                self._reset_stream(sid)
             pending = self._pending_sync.get(sid)
             if pending is not None and now - pending.sent < self.cfg.sync_timeout:
                 continue
@@ -426,7 +426,7 @@ class QueryRouter:
         new, fold it into every installed slab of the shard (duplicates
         from retransmits are no-ops).  Returns the cursor's verdict."""
         verdict = st.cursor.offer(epoch, seq, t_created)
-        if verdict in (DUPLICATE, STALE, FENCED):
+        if verdict != NEW:
             return verdict
         for cube in self.store.cubes.values():
             slab = cube.slabs.get(sid)
@@ -463,10 +463,9 @@ class QueryRouter:
             self._finish_sync(sid, pending, keys)
             # replay everything retained past the snapshot head (only
             # if it was retained from this same epoch's stream)
-            tail = dict(st.tail)
             if st.tail_epoch not in (None, epoch) or st.torn:
-                tail = {}
                 st.tail.clear()
+            tail = dict(st.tail)  # replaying may retain into st.tail again
             st.tail_epoch = None
             st.torn = False
             for seq in sorted(tail):
