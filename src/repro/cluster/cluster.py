@@ -17,6 +17,7 @@ import numpy as np
 
 from ..core.config import TreeConfig
 from ..core.hilbert_trees import HilbertPDCTree
+from ..hilbert.compact_hilbert import lexsort_words
 from ..hilbert.id_expansion import HilbertKeyMapper
 from ..obs import MetricsRegistry, Observability
 from ..olap.query import ROUTING_MODES, Query
@@ -395,8 +396,7 @@ class VOLAPCluster:
         worker_ids = sorted(self.workers)
         total_shards = max(1, shards_per_worker * len(worker_ids))
         if n > 0:
-            keys = self._mapper.keys(batch.coords)
-            order = np.array(sorted(range(n), key=keys.__getitem__))
+            order = lexsort_words(self._mapper.key_words(batch.coords))
             bounds = np.linspace(0, n, total_shards + 1).astype(int)
         else:
             order = np.array([], dtype=int)

@@ -53,9 +53,6 @@ class HilbertTree(InsertEngineTree):
     def _hilbert_key(self, coords: np.ndarray) -> int:
         return self.mapper.key(coords)
 
-    def _hilbert_keys(self, coords: np.ndarray) -> list[int]:
-        return self.mapper.keys(coords)
-
     def _hilbert_key_words(self, coords: np.ndarray) -> np.ndarray:
         return self.mapper.key_words(coords)
 

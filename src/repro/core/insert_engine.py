@@ -60,10 +60,6 @@ class InsertEngineTree(BaseTree):
         """Hilbert key for an item; None in geometric trees."""
         return None
 
-    def _hilbert_keys(self, coords: np.ndarray) -> list[Optional[int]]:
-        """Hilbert keys for an (n, d) array; Hilbert trees vectorize."""
-        return [self._hilbert_key(row) for row in coords]
-
     def _hilbert_key_words(self, coords: np.ndarray) -> Optional[np.ndarray]:
         """Packed ``(n, w)`` uint64 key words; None in geometric trees."""
         return None

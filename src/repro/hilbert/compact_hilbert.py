@@ -21,7 +21,8 @@ exceed 64 in OLAP schemas).
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -174,6 +175,109 @@ def _rotate_left_vec(x: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     nn = np.uint64(n)
     x = x & mask
     return ((x << k) | (x >> (nn - k))) & mask
+
+
+# -- the plane step, for whole arrays of rows ---------------------------------
+#
+# Per bit plane, everything Hamilton's algorithm does to a row depends on
+# ``rot = (d + 1) mod n`` and ``x = l ^ e`` only (``l`` the plane's bits,
+# ``e``/``d`` the entry point and direction so far).  These two functions
+# are the one vectorised definition of that step: the wide-curve path
+# applies them to the rows of a batch, :func:`_plane_tables` to every
+# ``(rot, x)`` there is.
+
+#: widest curve, in dimensions, that gets lookup tables: they hold
+#: ``n * 2**n`` states each (49 152 at 12; doubling per dimension past it)
+_TABLE_MAX_DIMS = 12
+
+#: rows per pass of the batch kernel, which bounds its ``(planes, rows,
+#: dims)`` temporary (3 MB on an 8-dim, 25-bit schema, where one pass
+#: over 50 000 rows allocates 80 MB and takes twice as long).  The table
+#: path costs the same from 256 to 4 096 rows per pass; the arithmetic
+#: path, ~60 operations per plane, wants them large.
+_CHUNK_ROWS = 2048
+
+
+def _plane_step(
+    x: np.ndarray, rot: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(w, e_delta, rot')`` of rows in state ``(rot, x)``.
+
+    ``w = gray_code_inverse(rotr(x, rot))`` is the sub-hypercube the row
+    enters, ``e ^= e_delta`` its next entry point and ``rot'`` its next
+    rotation.
+    """
+    one = np.uint64(1)
+    nn = np.uint64(n)
+    w = _rotate_right_vec(x, rot, n)
+    # inverse Gray code via doubling XOR-shifts
+    shift = 1
+    while shift < n:
+        w ^= w >> np.uint64(shift)
+        shift <<= 1
+    # entry point e(w) = gray_code(2*((w-1)//2)) = (w-1) & ~1, w > 0
+    w_safe = np.where(w == 0, one, w)
+    g = (w_safe - one) & ~one
+    entry = np.where(w == 0, np.uint64(0), g ^ (g >> one))
+    # direction d(w): trailing set bits of (w odd ? w : w - 1)
+    tz_src = np.where(w & one == one, w, w_safe - one)
+    tsb = _popcount_u64(tz_src ^ (tz_src + one)) - one
+    dirw = np.where(w == 0, np.uint64(0), tsb % nn)
+    return w, _rotate_left_vec(entry, rot, n), (rot + dirw + one) % nn
+
+
+def _plane_rank(w: np.ndarray, rot: np.ndarray, mask, n: int) -> np.ndarray:
+    """Gray code rank: the bits of ``w`` selected by ``rotr(mask, rot)``,
+    compacted high bit first.  ``mask`` (the dimensions with a free bit
+    on this plane) broadcasts against ``w``."""
+    one = np.uint64(1)
+    mu = _rotate_right_vec(np.asarray(mask, dtype=np.uint64), rot, n)
+    r = np.zeros(mu.shape, dtype=np.uint64)
+    take = np.empty_like(r)
+    for k in range(n - 1, -1, -1):
+        np.right_shift(mu, np.uint64(k), out=take)
+        take &= one
+        r <<= take  # make room where bit k is selected ...
+        r |= (w >> np.uint64(k)) & take  # ... and append w's bit k there
+    return r
+
+
+class _BatchPlan(NamedTuple):
+    """What :meth:`CompactHilbertCurve.index_batch_words` precomputes."""
+
+    limits: np.ndarray  # largest valid coordinate per dimension
+    shifts: np.ndarray  # bit position of each plane, high first
+    weights: np.ndarray  # 1 << dimension
+    masks: tuple  # per plane, the dimensions that still have a free bit
+    #: per key word: its planes ``[a, b)``, their left shifts, and the
+    #: ``(plane, right shift)`` of a digit that spills in from the next
+    words: list
+    tables: Optional[tuple]  # from ``_plane_tables``, None when too wide
+
+
+@functools.lru_cache(maxsize=8)
+def _plane_tables(
+    n: int, masks: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(succ, rank, group)``: :func:`_plane_step` over all states.
+
+    A row's state on a plane is the index ``s = (rot << n) | x``.
+    ``succ[s] = (rot' << n) | (x ^ e_delta)``, so the state on the next
+    plane is ``succ[s] ^ l ^ l'`` (``x' = l' ^ e ^ e_delta`` and
+    ``e = x ^ l``).  ``rank[g, s]`` is the rank digit under the ``g``-th
+    distinct free-dimension mask and ``group[p]`` (a column, to index
+    ``rank[group, states]``) the mask plane ``p`` uses.  ``masks``
+    determines ``widths`` and back, so every curve of one ``widths``
+    tuple in the process shares one result.
+    """
+    s = np.arange(n << n, dtype=np.uint64)
+    rot, x = s >> np.uint64(n), s & np.uint64((1 << n) - 1)
+    w, e_delta, rot_next = _plane_step(x, rot, n)
+    succ = ((rot_next << np.uint64(n)) | (x ^ e_delta)).astype(np.int64)
+    distinct = sorted(set(masks))
+    rank = _plane_rank(w, rot, np.array(distinct)[:, None], n)
+    group = np.array([distinct.index(m) for m in masks])[:, None]
+    return succ, rank, group
 
 
 # -- packed multi-word key representation -------------------------------------
@@ -413,56 +517,32 @@ class CompactHilbertCurve:
     def index_batch(self, points: np.ndarray) -> np.ndarray:
         """Compact Hilbert indices of an ``(n, d)`` coordinate array.
 
-        The per-record state of Hamilton's algorithm (entry point ``e``,
-        direction ``d``) lives in uint64 arrays; each bit plane is one
-        pass of numpy bitwise operations over all rows, so the cost is
-        ``O(max_bits * num_dims)`` vector operations instead of a Python
-        loop per record.  Because rotation preserves popcounts, the
-        number of free bits per plane is record-independent, which lets
-        the per-plane rank digits be packed into 63-bit words and folded
-        into arbitrary-precision Python ints only once per word.
-
-        Returns an object array of Python ints (total bit counts
-        routinely exceed 64).  Falls back to the scalar path when a
-        dimension is wider than 63 bits or there are more than 63
-        dimensions.
+        The rows of :meth:`index_batch_words` folded into an object
+        array of Python ints (total bit counts routinely exceed 64).
         """
-        pts = np.asarray(points)
-        if pts.ndim != 2 or pts.shape[1] != self.num_dims:
-            raise ValueError(
-                f"points must be (n, {self.num_dims}), got {pts.shape}"
-            )
-        npts = pts.shape[0]
-        if npts == 0:
-            return np.empty(0, dtype=object)
-        if self.max_bits > 63 or self.num_dims > 63:
-            return np.array([self.index(p) for p in pts], dtype=object)
-        planes = self._rank_planes(pts)
-
-        # fold per-plane rank digits into Python ints, 63 bits at a time
-        out = np.zeros(npts, dtype=object)
-        word = np.zeros(npts, dtype=np.uint64)
-        word_bits = 0
-        for free_bits, r in planes:
-            if word_bits + free_bits > 63:
-                out = out * (1 << word_bits) + word.astype(object)
-                word = np.zeros(npts, dtype=np.uint64)
-                word_bits = 0
-            word = (word << np.uint64(free_bits)) | r
-            word_bits += free_bits
-        if word_bits:
-            out = out * (1 << word_bits) + word.astype(object)
+        words = self.index_batch_words(points)
+        out = words[:, 0].astype(object)
+        for w in range(1, words.shape[1]):
+            out = out * (1 << 64) + words[:, w].astype(object)
         return out
 
     def index_batch_words(self, points: np.ndarray) -> np.ndarray:
         """Compact Hilbert indices packed as big-endian uint64 words.
 
         Returns an ``(n, words_for_bits(total_bits))`` uint64 array whose
-        rows fold (:func:`key_from_words`) to exactly the Python ints
-        :meth:`index_batch` produces; lexicographic row order equals
-        numeric index order.  The per-plane rank digits are scattered
-        straight into their word positions, so no arbitrary-precision
-        arithmetic happens at all on the vectorized path.
+        rows fold (:func:`key_from_words`) to exactly :meth:`index` of
+        each point; lexicographic row order equals numeric index order.
+
+        Rows go through the kernel ``_CHUNK_ROWS`` at a time.  All bit
+        planes of a chunk are extracted in one broadcast, the per-plane
+        rank digits come from the lookup tables of :func:`_plane_tables`
+        (up to ``_TABLE_MAX_DIMS`` dimensions: two numpy operations per
+        plane whatever the row count) or from the arithmetic
+        :func:`_plane_step` (wider curves: ~60 per plane), and the
+        digits are shifted straight into their word positions, so no
+        arbitrary-precision arithmetic happens.  Falls back to the
+        scalar path when a dimension is wider than 63 bits or there are
+        more than 63 dimensions.
         """
         pts = np.asarray(points)
         if pts.ndim != 2 or pts.shape[1] != self.num_dims:
@@ -471,75 +551,87 @@ class CompactHilbertCurve:
             )
         npts = pts.shape[0]
         width = words_for_bits(self.total_bits)
-        if npts == 0:
-            return np.empty((0, width), dtype=np.uint64)
         if self.max_bits > 63 or self.num_dims > 63:
             return pack_key_ints([self.index(p) for p in pts], width)
-        planes = self._rank_planes(pts)
-        out = np.zeros((npts, width), dtype=np.uint64)
-        bit = self.total_bits  # bit position just above the next digit
-        for free_bits, r in planes:
-            if free_bits == 0:
-                continue
-            bit -= free_bits
-            w_idx = width - 1 - (bit >> 6)
-            sh = bit & 63
-            out[:, w_idx] |= r << np.uint64(sh)
-            if sh + free_bits > 64:  # digit straddles two words
-                out[:, w_idx - 1] |= r >> np.uint64(64 - sh)
+        plan = self._plan
+        arr = pts.astype(np.int64, copy=False)
+        # a negative coordinate reads as a huge unsigned one
+        if (arr.view(np.uint64) > plan.limits).any():
+            raise ValueError("coordinate out of range for curve widths")
+        out = np.empty((npts, width), dtype=np.uint64)
+        for lo in range(0, npts, _CHUNK_ROWS):
+            ranks = self._rank_planes(arr[lo : lo + _CHUNK_ROWS], plan)
+            for w, (a, b, shifts, straddlers) in enumerate(plan.words):
+                word = np.bitwise_or.reduce(ranks[a:b] << shifts, axis=0)
+                for p, down in straddlers:
+                    word |= ranks[p] >> down
+                out[lo : lo + _CHUNK_ROWS, w] = word
         return out
 
-    def _rank_planes(self, pts: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """Per-bit-plane rank digits for every row (shared batch kernel)."""
-        npts = pts.shape[0]
-        n = self.num_dims
-        limits = np.array([(1 << w) - 1 for w in self.widths], dtype=np.int64)
-        arr = pts.astype(np.int64, copy=False)
-        if (arr < 0).any() or (arr > limits[None, :]).any():
-            raise ValueError("coordinate out of range for curve widths")
-        X = arr.astype(np.uint64)
+    @functools.cached_property
+    def _plan(self) -> "_BatchPlan":
+        """Everything the batch kernel needs that depends only on
+        ``widths``: computed once per curve, the tables once per
+        distinct ``widths`` per process."""
+        n, width = self.num_dims, words_for_bits(self.total_bits)
+        planes = range(self.max_bits - 1, -1, -1)
+        masks = tuple(
+            sum(1 << j for j in range(n) if self.widths[j] > i) for i in planes
+        )
+        # where each plane's rank digit lands: (word, shift, digit bits)
+        place = []
+        bit = self.total_bits
+        for mask in masks:
+            free_bits = bin(mask).count("1")
+            bit -= free_bits
+            place.append((width - 1 - (bit >> 6), bit & 63, free_bits))
+        words = []
+        for w in range(width):
+            own = [p for p, (pw, _, _) in enumerate(place) if pw == w]
+            words.append((
+                own[0] if own else 0,
+                own[-1] + 1 if own else 0,
+                np.array([place[p][1] for p in own], dtype=np.uint64)[:, None],
+                # a digit of the next word whose high bits spill into this one
+                [
+                    (p, np.uint64(64 - sh))
+                    for p, (pw, sh, fb) in enumerate(place)
+                    if pw == w + 1 and sh + fb > 64
+                ],
+            ))
+        return _BatchPlan(
+            limits=np.array([(1 << w) - 1 for w in self.widths], dtype=np.uint64),
+            shifts=np.array(planes, dtype=np.int64)[:, None, None],
+            weights=1 << np.arange(n, dtype=np.int64),
+            masks=masks,
+            words=words,
+            tables=_plane_tables(n, masks) if n <= _TABLE_MAX_DIMS else None,
+        )
 
-        one = np.uint64(1)
-        nn = np.uint64(n)
-        mask = np.uint64((1 << n) - 1)
-        weights = one << np.arange(n, dtype=np.uint64)
-        e = np.zeros(npts, dtype=np.uint64)
-        d = np.zeros(npts, dtype=np.uint64)
-        planes: list[tuple[int, np.ndarray]] = []
-        for i in range(self.max_bits - 1, -1, -1):
-            mu_base = 0
-            for j in range(n):
-                if self.widths[j] > i:
-                    mu_base |= 1 << j
-            free_bits = bin(mu_base).count("1")
-            rot = (d + one) % nn
-            # bit plane i of every coordinate, packed into one word per row
-            l = ((X >> np.uint64(i)) & one) @ weights
-            t = _rotate_right_vec(l ^ e, rot, n)
-            # inverse Gray code via doubling XOR-shifts
-            w = t.copy()
-            shift = 1
-            while shift < n:
-                w ^= w >> np.uint64(shift)
-                shift <<= 1
-            mu = _rotate_right_vec(np.full(npts, mu_base, dtype=np.uint64), rot, n)
-            # Gray code rank: compact the mu-selected bits of w, high first
-            r = np.zeros(npts, dtype=np.uint64)
-            for k in range(n - 1, -1, -1):
-                take = ((mu >> np.uint64(k)) & one).astype(bool)
-                r[take] = (r[take] << one) | ((w[take] >> np.uint64(k)) & one)
-            # entry point e(w) = gray_code(2*((w-1)//2)) = (w-1) & ~1, w > 0
-            w_safe = np.where(w == 0, one, w)
-            g = (w_safe - one) & ~one
-            entry = np.where(w == 0, np.uint64(0), g ^ (g >> one))
-            # direction d(w): trailing set bits of (w odd ? w : w - 1)
-            tz_src = np.where(w & one == one, w, w_safe - one)
-            tsb = _popcount_u64(tz_src ^ (tz_src + one)) - one
-            dirw = np.where(w == 0, np.uint64(0), tsb % nn)
-            e = e ^ _rotate_left_vec(entry, rot, n)
-            d = (d + dirw + one) % nn
-            planes.append((free_bits, r))
-        return planes
+    def _rank_planes(self, arr: np.ndarray, plan: "_BatchPlan") -> np.ndarray:
+        """``(max_bits, rows)`` rank digits of a chunk of checked rows."""
+        n = self.num_dims
+        # bit plane i of every coordinate, packed into one word per row
+        planes = ((arr >> plan.shifts) & 1) @ plan.weights
+        if plan.tables is not None:
+            succ, rank, group = plan.tables
+            # table index of (rot, l ^ e), plane by plane: see _plane_tables
+            state = np.empty_like(planes)
+            state[0] = planes[0] | ((1 % n) << n)
+            flips = planes[:-1] ^ planes[1:]
+            for p in range(1, len(planes)):
+                np.bitwise_xor(succ[state[p - 1]], flips[p - 1], out=state[p])
+            return rank[group, state]
+        planes = planes.view(np.uint64)
+        ranks = np.empty_like(planes)
+        e = np.zeros(arr.shape[0], dtype=np.uint64)
+        rot = np.full(arr.shape[0], 1 % n, dtype=np.uint64)
+        for p, l in enumerate(planes):
+            w, e_delta, rot_next = _plane_step(l ^ e, rot, n)
+            ranks[p] = _plane_rank(w, rot, plan.masks[p], n)
+            e ^= e_delta
+            rot = rot_next
+        return ranks
 
     # -- reference implementations for testing ---------------------------
 

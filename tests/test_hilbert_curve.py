@@ -5,14 +5,18 @@ rank of a point among all valid domain points in padded-curve order
 (Hamilton & Rau-Chaplin's order-isomorphism theorem).
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.hilbert import compact_hilbert
 from repro.hilbert.compact_hilbert import (
     CompactHilbertCurve,
     HilbertCurve,
     gray_code,
     gray_code_inverse,
+    key_from_words,
+    words_for_bits,
 )
 
 
@@ -163,3 +167,100 @@ def test_plain_curve_locality_property(n, m, data):
     h = data.draw(st.integers(min_value=0, max_value=(1 << (n * m)) - 2))
     a, b = c.point(h), c.point(h + 1)
     assert sum(abs(x - y) for x, y in zip(a, b)) == 1
+
+
+# -- the batch kernel (lookup tables up to _TABLE_MAX_DIMS dimensions, the
+# -- arithmetic plane step past it) against scalar ``index`` ----------------
+
+CAP = compact_hilbert._TABLE_MAX_DIMS
+CHUNK = compact_hilbert._CHUNK_ROWS
+
+
+def _random_points(widths, rows, seed):
+    high = np.array([1 << w for w in widths], dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, high, size=(rows, len(widths)), dtype=np.uint64)
+
+
+def _assert_batch_matches_scalar(curve, pts, check_rows):
+    words = curve.index_batch_words(pts)
+    ints = curve.index_batch(pts)
+    assert words.shape == (len(pts), words_for_bits(curve.total_bits))
+    assert words.dtype == np.uint64 and ints.shape == (len(pts),)
+    for i in check_rows:
+        want = curve.index([int(v) for v in pts[i]])
+        assert key_from_words(words[i]) == ints[i] == want
+
+
+_widths = st.one_of(
+    st.lists(st.integers(0, 63), min_size=1, max_size=CAP),
+    st.builds(lambda n, w: [w] * n, st.integers(1, CAP), st.integers(1, 63)),
+).filter(lambda ws: max(ws) > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_widths, st.integers(0, 2**32 - 1))
+@example([13] * 5, 1)  # 65 bits: the top word holds only a spilled digit
+@example([63, 63, 3], 2)  # 129 bits, three words
+@example([40, 0, 30], 3)  # 70 bits, a zero-width dimension
+@example([7], 4)  # one dimension
+@example([63] * CAP, 5)  # the widest table curve
+def test_table_kernel_matches_scalar_index(widths, seed):
+    curve = CompactHilbertCurve(widths)
+    assert curve._plan.tables is not None
+    for rows in (1, 2, 63):
+        pts = _random_points(widths, rows, seed + rows)
+        _assert_batch_matches_scalar(curve, pts, range(rows))
+    # more than one chunk: rows either side of the seam, and the ends
+    pts = _random_points(widths, CHUNK + 5, seed)
+    _assert_batch_matches_scalar(
+        curve, pts, (0, CHUNK - 1, CHUNK, CHUNK + 4)
+    )
+
+
+@pytest.mark.parametrize("dims,step_calls", [(CAP, 0), (CAP + 1, 9)])
+def test_both_kernel_paths_run_and_agree(monkeypatch, dims, step_calls):
+    """Table path at the dims cap, arithmetic path one past it: the
+    arithmetic step runs once per bit plane there and never here."""
+    widths = [9, 4, 0, 7] + [5] * (dims - 4)
+    curve = CompactHilbertCurve(widths)
+    assert (curve._plan.tables is not None) == (dims <= CAP)
+    calls = []
+    real = compact_hilbert._plane_step
+    monkeypatch.setattr(
+        compact_hilbert,
+        "_plane_step",
+        lambda *a: calls.append(1) or real(*a),
+    )
+    pts = _random_points(widths, 40, dims)
+    _assert_batch_matches_scalar(curve, pts, range(40))
+    assert len(calls) == 2 * step_calls  # index_batch_words + index_batch
+
+
+@pytest.mark.parametrize("dims", [3, CAP + 1])
+def test_batch_kernel_rejects_out_of_range(dims):
+    curve = CompactHilbertCurve([4] * dims)
+    ok = np.zeros((3, dims), dtype=np.int64)
+    curve.index_batch_words(ok)
+    for bad in (16, -1):
+        pts = ok.copy()
+        pts[1, dims - 1] = bad
+        with pytest.raises(ValueError):
+            curve.index_batch_words(pts)
+        with pytest.raises(ValueError):
+            curve.index_batch(pts)
+
+
+def test_batch_kernel_empty_batch():
+    curve = CompactHilbertCurve((40, 40, 40))
+    empty = np.empty((0, 3), dtype=np.int64)
+    words = curve.index_batch_words(empty)
+    assert words.shape == (0, 2) and words.dtype == np.uint64
+    assert curve.index_batch(empty).shape == (0,)
+
+
+def test_tables_shared_per_widths():
+    a, b = CompactHilbertCurve((5, 3, 4)), CompactHilbertCurve([5, 3, 4])
+    other = CompactHilbertCurve((5, 3, 5))
+    assert a._plan.tables is b._plan.tables
+    assert a._plan.tables is not other._plan.tables
