@@ -38,6 +38,7 @@ import numpy as np
 
 from ..workloads.streams import Operation
 from .faults import RetryPolicy
+from .simclock import Timer
 from .stats import ClusterStats, OpRecord
 from .transport import Entity, Message, Transport
 from .wire import ClientInsertBatch, f64, i64
@@ -52,6 +53,7 @@ class _PendingOp:
     submit_time: float
     attempts: int = 1
     span: object = None  # root obs span, None when tracing is off
+    timer: Optional[Timer] = None  # the one live timeout of this op
 
 
 class ClientSession(Entity):
@@ -200,7 +202,16 @@ class ClientSession(Entity):
             )
             self._arm_timer(op_id, backoff + self.retry.timeout)
 
-        self.transport.clock.after(delay, fire)
+        if pending.timer is not None:
+            pending.timer.cancel()
+        pending.timer = self.transport.clock.after(delay, fire)
+
+    def _take(self, op_id: int) -> Optional[_PendingOp]:
+        """Remove a finished op's record; its timeout dies with it."""
+        pending = self._pending.pop(op_id, None)
+        if pending is not None:
+            pending.timer.cancel()
+        return pending
 
     def _finish_span(self, pending: _PendingOp, ok: bool) -> None:
         if pending.span is not None and self.transport.obs is not None:
@@ -209,7 +220,7 @@ class ClientSession(Entity):
             )
 
     def _give_up(self, op_id: int) -> None:
-        pending = self._pending.pop(op_id, None)
+        pending = self._take(op_id)
         if pending is None:
             return
         self._finish_span(pending, ok=False)
@@ -233,7 +244,7 @@ class ClientSession(Entity):
         now = self.transport.clock.now
         if msg.kind == "insert_done_batch":
             for op_id in msg.payload.o.tolist():
-                pending = self._pending.pop(op_id, None)
+                pending = self._take(op_id)
                 if pending is None:
                     continue  # duplicated or post-timeout reply
                 self._finish_span(pending, ok=True)
@@ -248,7 +259,7 @@ class ClientSession(Entity):
             return
         if msg.kind == "insert_failed":
             op_id = msg.payload[0]
-            pending = self._pending.pop(op_id, None)
+            pending = self._take(op_id)
             if pending is None:
                 return
             self._finish_span(pending, ok=False)
@@ -265,7 +276,7 @@ class ClientSession(Entity):
                 op_id, _t, agg, searched, coverage,
                 achieved, staleness, source,
             ) = msg.payload
-            pending = self._pending.pop(op_id, None)
+            pending = self._take(op_id)
             if pending is None:
                 return
             self._finish_span(pending, ok=True)

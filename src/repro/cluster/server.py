@@ -30,7 +30,7 @@ from .cost import CostModel
 from .faults import RetryPolicy
 from .image import LocalImage, ShardInfo
 from .router import QueryRouter, RollupConfig
-from .simclock import SimClock
+from .simclock import SimClock, Timer
 from .stream import lag
 from .transport import Entity, Message, Transport
 from .wire import (
@@ -68,6 +68,7 @@ class _PendingQuery:
     staleness: float = 0.0
     #: which tier answered: "tree", "rollup", or "hybrid"
     source: str = "tree"
+    timer: Optional[Timer] = None  # the deadline, while fan-in is open
 
 
 @dataclass
@@ -80,6 +81,7 @@ class _PendingInsert:
     measure: float
     retries: int = 0
     span: object = None  # server.route_insert obs span, None when off
+    timer: Optional[Timer] = None  # the one live timeout of this insert
 
 
 class Server(Entity):
@@ -234,6 +236,7 @@ class Server(Entity):
             pending = self._pending_inserts.pop(token, None)
             if pending is None:
                 continue
+            pending.timer.cancel()
             self._finish_span(pending.span, ok=True)
             done.setdefault(pending.reply_to, []).append(pending.op_id)
         for reply_to, op_ids in done.items():
@@ -287,7 +290,9 @@ class Server(Entity):
             self.insert_timeouts += 1
             self._retry_insert(token)
 
-        self.clock.after(delay, fire)
+        if pending.timer is not None:
+            pending.timer.cancel()
+        pending.timer = self.clock.after(delay, fire)
 
     def _retry_insert(self, token: int) -> None:
         """Shared retry path for nacks (stale route) and timeouts
@@ -315,6 +320,7 @@ class Server(Entity):
         pending = self._pending_inserts.pop(token, None)
         if pending is None:
             return
+        pending.timer.cancel()
         self._finish_span(pending.span, ok=False)
         self.insert_failures += 1
         self.transport.send(
@@ -493,7 +499,7 @@ class Server(Entity):
                 x.append((token, len(shard_ids), *bounds))
                 s.extend(shard_ids)
                 ctxs.append(sctx)
-            self.clock.after(
+            pending.timer = self.clock.after(
                 self.retry.query_deadline,
                 lambda token=token: self._query_deadline(token),
             )
@@ -533,6 +539,7 @@ class Server(Entity):
             pending.unresolved += unresolved
             if not pending.per_worker:
                 del self._pending_queries[token]
+                pending.timer.cancel()
                 service = self.cost.merge_time(pending.shards_searched)
                 achieved = self._achieved(pending)
                 if achieved < 1.0:

@@ -16,7 +16,7 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-__all__ = ["Timer", "SimClock", "ServicePool"]
+__all__ = ["Timer", "TimerQueue", "SimClock", "ServicePool"]
 
 
 class Timer:
@@ -25,36 +25,56 @@ class Timer:
     Every clock implementation (sim or wall-clock, see
     :mod:`repro.runtime`) returns one of these from ``at``/``after``/
     ``every``; ``cancel()`` prevents any future firing.  Cancelled
-    entries are skipped in place, so cancellation never perturbs the
-    ordering of the remaining events.
+    entries are skipped where they sit and reclaimed in bulk
+    (:class:`TimerQueue`), so cancellation never perturbs the ordering
+    of the remaining events.
     """
 
-    __slots__ = ("when", "fn", "cancelled")
+    __slots__ = ("when", "fn", "cancelled", "_queue")
 
-    def __init__(self, when: float, fn: Callable[[], None]):
+    def __init__(
+        self,
+        when: float,
+        fn: Callable[[], None],
+        queue: Optional["TimerQueue"] = None,
+    ):
         self.when = when
         self.fn = fn
         self.cancelled = False
+        self._queue = queue  # the heap holding this entry, None once out
 
     def cancel(self) -> None:
         self.cancelled = True
         self.fn = None  # drop references early
+        queue, self._queue = self._queue, None
+        if queue is not None:  # still queued: not fired, not yet cancelled
+            queue._note_cancelled()
 
 
-class SimClock:
-    """A virtual clock with a heap of scheduled callbacks."""
+class TimerQueue:
+    """The scheduling half of a clock: push, skip cancelled, reclaim.
+
+    A heap of ``(when, seq, Timer)``; ``(when, seq)`` is a total order,
+    so neither skipping a cancelled entry nor rebuilding the heap
+    without the cancelled ones can change the order live timers fire
+    in.  Cancelled entries are dropped when they reach the head or,
+    all at once, as soon as they outnumber the live ones: the heap
+    never holds more than twice the live timers plus one.  The clocks
+    (:class:`SimClock`, :class:`~repro.runtime.asyncio_rt.WallClock`)
+    add what ``now`` means and when to fire.
+    """
+
+    now: float
 
     def __init__(self) -> None:
-        self.now: float = 0.0
         self._heap: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
+        self._dead = 0  # cancelled entries still in the heap
         self._events_processed = 0
 
     def at(self, when: float, fn: Callable[[], None]) -> Timer:
-        """Schedule ``fn`` to run at absolute virtual time ``when``."""
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past ({when} < {self.now})")
-        timer = Timer(when, fn)
+        """Schedule ``fn`` to run at absolute model time ``when``."""
+        timer = Timer(when, fn, self)
         heapq.heappush(self._heap, (when, next(self._seq), timer))
         return timer
 
@@ -91,40 +111,75 @@ class SimClock:
         self.at(max(first, self.now), tick)
         return handle
 
-    def make_pool(self, threads: int) -> "ServicePool":
-        """Build the service-station model matching this clock kind."""
-        return ServicePool(self, threads)
+    def _note_cancelled(self) -> None:
+        self._dead += 1
+        if self._dead * 2 > len(self._heap):
+            # in place: a firing callback may cancel while a loop reads us
+            self._heap[:] = [e for e in self._heap if not e[2].cancelled]
+            heapq.heapify(self._heap)
+            self._dead = 0
+
+    def next_deadline(self) -> Optional[float]:
+        """When the earliest live timer is due; None when there is none."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._dead -= 1
+        return heap[0][0] if heap else None
+
+    def _fire_next(self) -> None:
+        """Run the head, which :meth:`next_deadline` just showed live."""
+        timer = heapq.heappop(self._heap)[2]
+        timer._queue = None
+        self._events_processed += 1
+        timer.fn()
 
     @property
     def pending(self) -> int:
+        """Entries in the heap: the live timers and the cancelled ones
+        not yet reclaimed, which never outnumber them by more than one."""
         return len(self._heap)
 
     @property
     def events_processed(self) -> int:
+        """Timers fired; a cancelled timer never counts."""
         return self._events_processed
+
+
+class SimClock(TimerQueue):
+    """A virtual clock: time jumps to each scheduled callback in turn."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.now: float = 0.0
+
+    def at(self, when: float, fn: Callable[[], None]) -> Timer:
+        if when < self.now:
+            raise ValueError(f"cannot schedule in the past ({when} < {self.now})")
+        return super().at(when, fn)
+
+    def make_pool(self, threads: int) -> "ServicePool":
+        """Build the service-station model matching this clock kind."""
+        return ServicePool(self, threads)
 
     def step(self) -> bool:
         """Process one event; False when nothing is scheduled."""
-        while self._heap:
-            when, _, timer = heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue  # skipped in place: does not advance time
-            self.now = when
-            self._events_processed += 1
-            timer.fn()
-            return True
-        return False
+        when = self.next_deadline()
+        if when is None:
+            return False
+        self.now = when
+        self._fire_next()
+        return True
 
     def run_until(self, t: float, max_events: Optional[int] = None) -> None:
         """Process events up to virtual time ``t`` (inclusive)."""
         n = 0
-        while self._heap:
-            if self._heap[0][2].cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if self._heap[0][0] > t:
+        while True:
+            when = self.next_deadline()
+            if when is None or when > t:
                 break
-            self.step()
+            self.now = when
+            self._fire_next()
             n += 1
             if max_events is not None and n >= max_events:
                 raise RuntimeError(

@@ -21,12 +21,10 @@ wire format of :mod:`repro.runtime.frames` only runs on ``mp``).
 from __future__ import annotations
 
 import asyncio
-import heapq
-import itertools
 import time
 from typing import Callable, Optional
 
-from ..cluster.simclock import Timer
+from ..cluster.simclock import Timer, TimerQueue
 from ..cluster.transport import Transport
 from .base import Runtime
 
@@ -36,26 +34,25 @@ __all__ = ["WallClock", "ImmediatePool", "AsyncioRuntime"]
 DRIVE_REAL_LIMIT = 300.0
 
 
-class WallClock:
+class WallClock(TimerQueue):
     """Model time backed by the monotonic clock, paused between drives.
 
     Model ``now`` advances only while the runtime is driving (mirroring
     the sim, where time stands still between ``run_until`` calls), at
-    ``1 / time_scale`` model seconds per real second.  Timers live in a
-    local heap fired by the drive loop -- same ordering semantics
-    (earliest deadline, FIFO among equals, cancellation skipped in
-    place) as :class:`~repro.cluster.simclock.SimClock`.
+    ``1 / time_scale`` model seconds per real second.  Timers live in
+    the :class:`~repro.cluster.simclock.TimerQueue` this shares with
+    :class:`~repro.cluster.simclock.SimClock` -- earliest deadline, FIFO
+    among equals, cancelled entries skipped and reclaimed -- and the
+    drive loop fires the due ones.
     """
 
     def __init__(self, time_scale: float = 1.0):
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
+        super().__init__()
         self.time_scale = time_scale
         self._frozen = 0.0
         self._anchor: Optional[float] = None  # real time when running
-        self._heap: list[tuple[float, int, Timer]] = []
-        self._seq = itertools.count()
-        self._events_processed = 0
 
     # -- model time --------------------------------------------------------
 
@@ -80,78 +77,22 @@ class WallClock:
         # unlike the sim, "the past" can happen by a few real
         # microseconds between computing a deadline and scheduling it;
         # clamp instead of raising
-        timer = Timer(max(when, self.now), fn)
-        heapq.heappush(self._heap, (timer.when, next(self._seq), timer))
-        return timer
-
-    def after(self, delay: float, fn: Callable[[], None]) -> Timer:
-        if delay < 0:
-            raise ValueError("negative delay")
-        return self.at(self.now + delay, fn)
-
-    def every(
-        self,
-        period: float,
-        fn: Callable[[], None],
-        *,
-        start: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> Timer:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        first = start if start is not None else self.now + period
-        handle = Timer(first, None)
-
-        def tick() -> None:
-            if handle.cancelled:
-                return
-            if until is not None and self.now > until:
-                return
-            fn()
-            handle.when = self.now + period
-            self.at(handle.when, tick)
-
-        handle.fn = tick
-        self.at(max(first, self.now), tick)
-        return handle
+        return super().at(max(when, self.now), fn)
 
     def make_pool(self, threads: int) -> "ImmediatePool":
         return ImmediatePool(self, threads)
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
 
     # -- drive-loop internals ----------------------------------------------
 
     def fire_due(self) -> int:
         """Run every timer whose deadline has passed; returns the count."""
         fired = 0
-        while self._heap:
-            when, _, timer = self._heap[0]
-            if timer.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if when > self.now:
-                break
-            heapq.heappop(self._heap)
-            self._events_processed += 1
+        while True:
+            when = self.next_deadline()
+            if when is None or when > self.now:
+                return fired
+            self._fire_next()
             fired += 1
-            timer.fn()
-        return fired
-
-    def next_deadline(self) -> Optional[float]:
-        while self._heap:
-            when, _, timer = self._heap[0]
-            if timer.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return when
-        return None
 
 
 class ImmediatePool:

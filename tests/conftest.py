@@ -1,6 +1,7 @@
 """Shared fixtures: schemas, random data, and tree factories."""
 
 import os
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +33,38 @@ def _pin_sim_only_tests(request, monkeypatch):
     if request.node.get_closest_marker("sim_only") is not None:
         if os.environ.get("VOLAP_RUNTIME", "sim") != "sim":
             monkeypatch.setenv("VOLAP_RUNTIME", "sim")
+
+
+def timer_program(clock, drain, seed, reschedule):
+    """A seeded program of ``at`` / ``after`` / ``cancel`` calls on
+    ``clock``; returns ``(ids of the callbacks that fired, in order,
+    clock.pending before the drain)``.  Every firing callback cancels
+    three timers picked at random -- live, fired or already cancelled
+    -- and with ``reschedule`` adds one with ``after`` (virtual time
+    only: on a wall clock ``after`` depends on when the callback ran).
+    """
+    rng = random.Random(seed)
+    t0 = clock.now + 5.0
+    timers, fired = [], []
+
+    def callback(i):
+        def fn():
+            fired.append(i)
+            for _ in range(3):
+                rng.choice(timers).cancel()
+            if reschedule and len(timers) < 1500:
+                delay = rng.randrange(1, 30) * 0.1
+                timers.append(clock.after(delay, callback(len(timers))))
+
+        return fn
+
+    for i in range(500):
+        timers.append(clock.at(t0 + rng.randrange(30) * 0.1, callback(i)))
+        rng.choice(timers).cancel()
+        rng.choice(timers).cancel()
+    queued = clock.pending
+    drain()
+    return fired, queued
 
 
 def make_schema(spec=None) -> Schema:

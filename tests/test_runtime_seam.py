@@ -31,7 +31,7 @@ from repro.runtime import frames, make_runtime
 from repro.runtime.asyncio_rt import WallClock
 from repro.workloads.streams import Operation
 
-from .conftest import make_schema, random_batch
+from .conftest import make_schema, random_batch, timer_program
 
 INSERT_KINDS = {
     "client_insert_batch", "insert_batch", "insert_batch_ack", "insert_done_batch",
@@ -285,6 +285,42 @@ class TestTimers:
         n = len(ticks)
         drain()
         assert len(ticks) == n
+
+    def test_reclaim_never_reorders(self, impl):
+        clock, drain = self.make(impl)
+        ref, ref_drain = self.make(impl)
+        ref._note_cancelled = lambda: None  # cancelled entries stay queued
+        fired, queued = timer_program(clock, drain, 11, reschedule=False)
+        want, ref_queued = timer_program(ref, ref_drain, 11, reschedule=False)
+        assert fired == want and len(fired) > 50
+        assert queued < ref_queued == 500
+
+    def test_cancelled_timers_are_reclaimed(self, impl):
+        clock, drain = self.make(impl)
+        fired = []
+        clock.after(0.3, lambda: fired.append("live"))
+        for _ in range(10_000):
+            clock.after(60.0, lambda: fired.append("dead")).cancel()
+            assert clock.pending <= 3
+        drain()
+        assert fired == ["live"] and clock.pending == 0
+
+    def test_cancel_after_firing_and_twice(self, impl):
+        clock, drain = self.make(impl)
+        fired = []
+        done = clock.after(0.1, lambda: fired.append("done"))
+        drain()
+        for i in range(4):
+            clock.after(0.1 * (i + 2), lambda i=i: fired.append(i))
+        twice = clock.after(0.1, lambda: fired.append("twice"))
+        for _ in range(10):
+            done.cancel()  # fired: no longer queued, counts nothing
+            twice.cancel()  # counts once
+        # one cancelled entry beside four live ones: nothing to reclaim
+        # yet; a miscount would have "outnumbered" them and shown 4
+        assert clock.pending == 5
+        drain()
+        assert fired == ["done", 0, 1, 2, 3]
 
     def test_pool_seam(self, impl):
         clock, drain = self.make(impl)

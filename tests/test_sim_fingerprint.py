@@ -1,7 +1,8 @@
 """Sim fingerprints: refactors must leave the simulation bit-identical.
 
 Each scenario below is a seeded run on the discrete-event runtime whose
-observable trace -- events processed, messages and bytes sent, the
+observable trace -- events processed (live firings: a timeout cancelled
+with its op is not an event), messages and bytes sent, the
 per-kind ``(count, bytes)`` table, item and lifecycle-op counts, and the
 final virtual time -- is compared with ``golden/sim_fingerprint.json``.
 The numbers are integers plus one ``repr`` of a float, so equality is

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster.simclock import ServicePool, SimClock
 
+from .conftest import timer_program
+
 
 class TestSimClock:
     def test_events_run_in_time_order(self):
@@ -73,6 +75,35 @@ class TestSimClock:
     def test_every_rejects_bad_period(self):
         with pytest.raises(ValueError):
             SimClock().every(0, lambda: None)
+
+
+class TestReclaim:
+    """Cancelled timers are reclaimed; live ones fire as if they were not.
+    (``tests/test_runtime_seam.py::TestTimers`` runs the part that does
+    not need virtual time on the wall clock too.)"""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_order_as_a_clock_that_never_reclaims(self, seed):
+        clock, ref = SimClock(), SimClock()
+        ref._note_cancelled = lambda: None  # cancelled entries stay queued
+        fired, queued = timer_program(clock, clock.run, seed, reschedule=True)
+        want, ref_queued = timer_program(ref, ref.run, seed, reschedule=True)
+        assert fired == want and len(fired) > 100
+        assert queued < ref_queued == 500  # it did reclaim on the way
+        assert clock.now == ref.now
+        # a cancelled timer is not an event; the reference pops them too
+        assert clock.events_processed == ref.events_processed == len(fired)
+
+    def test_pending_counts_live_and_unreclaimed(self):
+        clock = SimClock()
+        timers = [clock.after(1.0 + i, lambda: None) for i in range(10)]
+        for t in timers[:5]:
+            t.cancel()
+        assert clock.pending == 10  # cancelled do not outnumber live yet
+        timers[5].cancel()
+        assert clock.pending == 4
+        clock.run()
+        assert clock.events_processed == 4 and clock.pending == 0
 
 
 class TestServicePool:

@@ -311,6 +311,26 @@ QUERY_BATCH_KINDS = {
 }
 
 
+def test_timeout_timers_die_with_their_ops():
+    """Under the default ``RetryPolicy`` (60 s client, 30 s server
+    timeouts, 30 s query deadline) every op used to leave two dead
+    timers queued long after its reply.  Once everything has completed
+    the clock holds the periodic timers (heartbeats and their TTLs,
+    sync, scan, stats, checkpoints) and little else."""
+    schema = make_schema()
+    cluster, inserts = run_cluster(
+        schema, int_batch(schema, 400, 1), int_batch(schema, 2000, 2),
+        batch_size=16,
+    )
+    queries = cluster.session(concurrency=8)
+    queries.run_stream(query_ops(random_boxes(schema, 200, seed=3)))
+    cluster.run_until_clients_done()
+    assert inserts.completed == 2000 and queries.completed == 200
+    assert cluster.stats.failures == 0
+    assert cluster.clock.pending < 200  # was 2 * 2000 + 2 * 200 + periodic
+    cluster.close()
+
+
 def oracle_counts(schema, boot, boxes):
     oracle = ArrayStore.from_batch(schema, boot, None)
     return [oracle.query(b)[0].count for b in boxes]
