@@ -31,6 +31,7 @@ every later hop gathers from them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -85,8 +86,9 @@ class ClientSession(Entity):
         self._rng = np.random.default_rng(
             client_id if seed is None else seed
         )
-        self._ops: list[Operation] = []
-        self._next = 0
+        #: ops handed over and not yet issued; an issued op lives in its
+        #: ``_PendingOp`` until it completes, then nowhere in the session
+        self._ops: deque[Operation] = deque()
         self._outstanding = 0
         self._pending: dict[int, _PendingOp] = {}
         self._op_seq = 0
@@ -105,14 +107,13 @@ class ClientSession(Entity):
 
     @property
     def done(self) -> bool:
-        return self._next >= len(self._ops) and self._outstanding == 0
+        return not self._ops and self._outstanding == 0
 
     def run_stream(self, ops: Iterable[Operation]) -> None:
         """Load a stream and start issuing operations."""
         self._ops.extend(ops)
-        while self._outstanding < self.concurrency and self._next < len(self._ops):
-            self._issue(self._ops[self._next])
-            self._next += 1
+        while self._outstanding < self.concurrency and self._ops:
+            self._issue(self._ops.popleft())
 
     # -- issuing ----------------------------------------------------------
 
@@ -302,8 +303,7 @@ class ClientSession(Entity):
             self.on_complete(rec)
         self.completed += 1
         self._outstanding -= 1
-        if self._next < len(self._ops):
-            self._issue(self._ops[self._next])
-            self._next += 1
+        if self._ops:
+            self._issue(self._ops.popleft())
         elif self._outstanding == 0 and self.on_done is not None:
             self.on_done()

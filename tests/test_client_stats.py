@@ -1,5 +1,8 @@
 """Tests for client sessions, cluster statistics, and bench tables."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,23 @@ class TestClientSession:
         clock.run()
         assert c.done and c.completed == 6
         assert c.batches_sent >= 3  # ~window-sized flushes
+
+    def test_completed_ops_are_not_retained(self):
+        """A long-lived session (closed-loop top-ups) must not keep the
+        ``Operation`` objects it has already delivered records for."""
+        clock, transport, server, stats = make_rig()
+        c = ClientSession(0, transport, server, stats, concurrency=4)
+        ops = insert_ops(30)
+        first = weakref.ref(ops[0])
+        c.run_stream(ops[:20])
+        c.run_stream(ops[20:])  # a top-up while the first stream runs
+        del ops
+        assert len(c._ops) == 30 - 4 and first() is not None
+        clock.run()
+        assert c.done and c.completed == 30
+        assert len(c._ops) == 0 and not c._pending
+        gc.collect()
+        assert first() is None
 
     def test_concurrency_bounds_outstanding(self):
         clock, transport, server, stats = make_rig()
