@@ -203,8 +203,7 @@ class ClientSession(Entity):
             )
             self._arm_timer(op_id, backoff + self.retry.timeout)
 
-        if pending.timer is not None:
-            pending.timer.cancel()
+        # a re-arm comes from the predecessor's own fire(): nothing to cancel
         pending.timer = self.transport.clock.after(delay, fire)
 
     def _take(self, op_id: int) -> Optional[_PendingOp]:

@@ -32,16 +32,12 @@ class Timer:
 
     __slots__ = ("when", "fn", "cancelled", "_queue")
 
-    def __init__(
-        self,
-        when: float,
-        fn: Callable[[], None],
-        queue: Optional["TimerQueue"] = None,
-    ):
+    def __init__(self, when: float, fn: Callable[[], None]):
         self.when = when
         self.fn = fn
         self.cancelled = False
-        self._queue = queue  # the heap holding this entry, None once out
+        #: the queue whose heap holds this timer; None before and after
+        self._queue: Optional["TimerQueue"] = None
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -74,7 +70,8 @@ class TimerQueue:
 
     def at(self, when: float, fn: Callable[[], None]) -> Timer:
         """Schedule ``fn`` to run at absolute model time ``when``."""
-        timer = Timer(when, fn, self)
+        timer = Timer(when, fn)
+        timer._queue = self
         heapq.heappush(self._heap, (when, next(self._seq), timer))
         return timer
 

@@ -249,8 +249,9 @@ class _BatchPlan(NamedTuple):
     shifts: np.ndarray  # bit position of each plane, high first
     weights: np.ndarray  # 1 << dimension
     masks: tuple  # per plane, the dimensions that still have a free bit
-    #: per key word: its planes ``[a, b)``, their left shifts, and the
-    #: ``(plane, right shift)`` of a digit that spills in from the next
+    #: per key word: the planes whose digit starts in it, their left
+    #: shifts, and the ``(plane, right shift)`` of a digit of the next
+    #: word that spills into it
     words: list
     tables: Optional[tuple]  # from ``_plane_tables``, None when too wide
 
@@ -561,8 +562,8 @@ class CompactHilbertCurve:
         out = np.empty((npts, width), dtype=np.uint64)
         for lo in range(0, npts, _CHUNK_ROWS):
             ranks = self._rank_planes(arr[lo : lo + _CHUNK_ROWS], plan)
-            for w, (a, b, shifts, straddlers) in enumerate(plan.words):
-                word = np.bitwise_or.reduce(ranks[a:b] << shifts, axis=0)
+            for w, (own, shifts, straddlers) in enumerate(plan.words):
+                word = np.bitwise_or.reduce(ranks[own] << shifts, axis=0)
                 for p, down in straddlers:
                     word |= ranks[p] >> down
                 out[lo : lo + _CHUNK_ROWS, w] = word
@@ -589,8 +590,7 @@ class CompactHilbertCurve:
         for w in range(width):
             own = [p for p, (pw, _, _) in enumerate(place) if pw == w]
             words.append((
-                own[0] if own else 0,
-                own[-1] + 1 if own else 0,
+                np.array(own, dtype=np.intp),
                 np.array([place[p][1] for p in own], dtype=np.uint64)[:, None],
                 # a digit of the next word whose high bits spill into this one
                 [
