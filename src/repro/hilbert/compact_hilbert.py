@@ -226,12 +226,12 @@ def _plane_step(
     return w, _rotate_left_vec(entry, rot, n), (rot + dirw + one) % nn
 
 
-def _plane_rank(w: np.ndarray, rot: np.ndarray, mask, n: int) -> np.ndarray:
+def _plane_rank(w: np.ndarray, rot: np.ndarray, mask: int, n: int) -> np.ndarray:
     """Gray code rank: the bits of ``w`` selected by ``rotr(mask, rot)``,
-    compacted high bit first.  ``mask`` (the dimensions with a free bit
-    on this plane) broadcasts against ``w``."""
+    compacted high bit first (``mask``: the dimensions with a free bit
+    on this plane)."""
     one = np.uint64(1)
-    mu = _rotate_right_vec(np.asarray(mask, dtype=np.uint64), rot, n)
+    mu = _rotate_right_vec(np.uint64(mask), rot, n)
     r = np.zeros(mu.shape, dtype=np.uint64)
     take = np.empty_like(r)
     for k in range(n - 1, -1, -1):
@@ -276,7 +276,7 @@ def _plane_tables(
     w, e_delta, rot_next = _plane_step(x, rot, n)
     succ = ((rot_next << np.uint64(n)) | (x ^ e_delta)).astype(np.int64)
     distinct = sorted(set(masks))
-    rank = _plane_rank(w, rot, np.array(distinct)[:, None], n)
+    rank = np.stack([_plane_rank(w, rot, m, n) for m in distinct])
     group = np.array([distinct.index(m) for m in masks])[:, None]
     return succ, rank, group
 
