@@ -53,6 +53,9 @@ class WallClock(TimerQueue):
         self.time_scale = time_scale
         self._frozen = 0.0
         self._anchor: Optional[float] = None  # real time when running
+        #: called after every ``at``: the drive loop's way to hear of a
+        #: timer armed while it sleeps (a forked child's loop needs none)
+        self.on_schedule: Optional[Callable[[], None]] = None
 
     # -- model time --------------------------------------------------------
 
@@ -77,7 +80,10 @@ class WallClock(TimerQueue):
         # unlike the sim, "the past" can happen by a few real
         # microseconds between computing a deadline and scheduling it;
         # clamp instead of raising
-        return super().at(max(when, self.now), fn)
+        timer = super().at(max(when, self.now), fn)
+        if self.on_schedule is not None:
+            self.on_schedule()
+        return timer
 
     def make_pool(self, threads: int) -> "ImmediatePool":
         return ImmediatePool(self, threads)
@@ -155,6 +161,8 @@ class AsyncioRuntime(Runtime):
         self._queue: Optional[asyncio.Queue] = None
         self._pump_task: Optional[asyncio.Task] = None
         self._processing = 0  # messages popped but not yet handled
+        self._sleeper: Optional[asyncio.Future] = None  # drive loop asleep
+        self.clock.on_schedule = self._wake
         self._closed = False
 
     # -- delivery ----------------------------------------------------------
@@ -190,6 +198,28 @@ class AsyncioRuntime(Runtime):
     def _pending_io(self) -> int:
         """Outstanding remote work (mp backend); 0 here."""
         return 0
+
+    async def _sleep(self, seconds: float) -> None:
+        """Sleep ``seconds`` or until a timer is armed, whichever is first.
+
+        The sleep is sized by the deadlines known when it starts, but
+        handlers run while it lasts (on ``mp`` every child reply is
+        handled by the pump then) and arm timers due sooner -- every
+        ``deliver`` and every pool completion is one.  Sleeping on
+        would hold each of them to the end of a sleep that never knew
+        of it: latency in steps of the 50 ms cap, not of the work."""
+        self._sleeper = self.loop.create_future()
+        handle = self.loop.call_later(seconds, self._wake)
+        try:
+            await self._sleeper
+        finally:
+            handle.cancel()
+            self._sleeper = None
+
+    def _wake(self) -> None:
+        sleeper = self._sleeper
+        if sleeper is not None and not sleeper.done():
+            sleeper.set_result(None)
 
     # -- drive -------------------------------------------------------------
 
@@ -257,14 +287,14 @@ class AsyncioRuntime(Runtime):
                 if nd is None and self._pending_io() == 0:
                     if idle_break:
                         return  # the wall-clock analog of "heap empty"
-                    await asyncio.sleep(0.001 if stop_at is None else min(
+                    await self._sleep(0.001 if stop_at is None else min(
                         0.05, max(0.0, (stop_at - now) * self.clock.time_scale)
                     ))
                     continue
                 wait_model = (nd - now) if nd is not None else 0.01
                 if stop_at is not None:
                     wait_model = min(wait_model, stop_at - now)
-                await asyncio.sleep(
+                await self._sleep(
                     min(max(wait_model, 0.0) * self.clock.time_scale, 0.05)
                 )
         finally:

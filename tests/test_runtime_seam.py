@@ -347,6 +347,33 @@ def test_wallclock_pauses_between_drives():
     assert frozen >= 0.02
 
 
+def test_timer_armed_while_the_drive_loop_sleeps_wakes_it():
+    """On ``mp`` a child's reply is handled while the drive loop sleeps
+    and arms the next hop's timer; each fires when due, not at the end
+    of a sleep sized before it existed (ten hops: 10 x 50 ms if it did)."""
+    import time as _t
+
+    rt = make_runtime("asyncio", time_scale=1.0)
+    hops = []
+
+    def reply_arrives():  # what the mp reader and the pump do
+        rt.clock.after(0.0, hop)
+
+    def hop():
+        hops.append(rt.clock.now)
+        if len(hops) < 10:
+            rt.loop.call_later(0.001, reply_arrives)
+
+    try:
+        rt.clock.after(30.0, lambda: None)  # all a sleep can know of
+        rt.loop.call_later(0.001, reply_arrives)
+        t0 = _t.monotonic()
+        rt.drive(lambda: len(hops) == 10, idle_break=False)
+        assert _t.monotonic() - t0 < 0.25
+    finally:
+        rt.close()
+
+
 # -------------------------------------------------------------------------
 # fault-path aliasing regression
 # -------------------------------------------------------------------------
