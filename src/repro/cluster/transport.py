@@ -148,8 +148,9 @@ class Transport:
         self.deliver(dst, msg, 1e-6)
 
     def deliver(self, dst: Entity, msg: Message, delay: float) -> None:
-        """Hand ``msg`` to ``dst`` after ``delay``.  The single seam a
-        runtime backend overrides: the sim schedules a clock callback;
-        wall-clock runtimes enqueue into the destination's inbox (and
-        may put the bytes on a real pipe or socket first)."""
+        """Hand ``msg`` to ``dst`` after ``delay``: a callback on the
+        clock, whichever clock that is.  No runtime overrides this; a
+        message leaves the process where its destination does, in
+        ``WorkerProxy.receive`` on ``mp``, and a frame read back from a
+        child comes in through here."""
         self.clock.after(delay, lambda: dst.receive(msg))

@@ -194,9 +194,6 @@ class BaseTree(ShardStore):
         self.num_dims = schema.num_dims
         self.root = self._new_leaf()
         self._count = 0
-        #: optional TreeProfiler (see obs/profiler.py); ``None`` keeps
-        #: insert/query byte-identical to the unprofiled tree
-        self.profiler = None
 
     # subclasses override to pick their canonical defaults
     @staticmethod
@@ -279,8 +276,6 @@ class BaseTree(ShardStore):
                 finally:
                     node.release()
                 stack.extend(reversed(children))
-        if self.profiler is not None:
-            self.profiler.record("query", stats)
         return agg, stats
 
     def query_batch(
@@ -361,7 +356,7 @@ class BaseTree(ShardStore):
                 finally:
                     node.release()
                 stack.extend(reversed(pushes))
-        results = [
+        return [
             (
                 aggs[i],
                 OpStats(
@@ -373,12 +368,6 @@ class BaseTree(ShardStore):
             )
             for i in range(k)
         ]
-        if self.profiler is not None:
-            total = OpStats()
-            for _, s in results:
-                total.merge(s)
-            self.profiler.record("query_batch", total, rows=k)
-        return results
 
     # -- enumeration -------------------------------------------------------
 

@@ -115,8 +115,6 @@ class InsertEngineTree(BaseTree):
                 anc.release()
             if tree_locked:
                 self._tree_lock.release()
-        if self.profiler is not None:
-            self.profiler.record("insert", stats)
         return stats
 
     def _propagate_splits(
@@ -175,16 +173,8 @@ class InsertEngineTree(BaseTree):
             return stats
         kwords = self._hilbert_key_words(batch.coords)
         if kwords is None:
-            # per-record fallback: suppress per-insert profiling so the
-            # batch is recorded exactly once, as one batched operation
-            prof, self.profiler = self.profiler, None
-            try:
-                for coords, measure in batch.iter_rows():
-                    stats.merge(self.insert(coords, measure))
-            finally:
-                self.profiler = prof
-            if self.profiler is not None:
-                self.profiler.record("insert_batch", stats, rows=n)
+            for coords, measure in batch.iter_rows():
+                stats.merge(self.insert(coords, measure))
             return stats
         # stable word-lexicographic sort == stable sort by Python ints
         order = lexsort_words(kwords)
@@ -193,8 +183,6 @@ class InsertEngineTree(BaseTree):
         pos = 0
         while pos < n:
             pos = self._insert_run(coords, measures, kwords, order, pos, stats)
-        if self.profiler is not None:
-            self.profiler.record("insert_batch", stats, rows=n)
         return stats
 
     def _insert_run(

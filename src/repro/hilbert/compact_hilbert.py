@@ -388,6 +388,7 @@ class HilbertCurve:
         for j, p in enumerate(point):
             if not 0 <= p < (1 << m):
                 raise ValueError(f"coordinate {p} out of range at dim {j}")
+        point = [int(p) for p in point]  # a numpy int wraps at bit 63
         h = 0
         e = 0
         d = 0
@@ -460,6 +461,7 @@ class CompactHilbertCurve:
     def index(self, point: Sequence[int]) -> int:
         """Compact Hilbert index (Hamilton & Rau-Chaplin Algorithm 2)."""
         self._check_point(point)
+        point = [int(p) for p in point]  # a numpy int wraps at bit 63
         n = self.num_dims
         h = 0
         e = 0

@@ -21,7 +21,7 @@ Three layers, one facade:
   per-entity series land in it whether or not spans are enabled;
 * **tree profiler** (:mod:`~repro.obs.profiler`): per-operation index
   work (nodes visited, aggregate-cache hits vs leaf scans, splits and
-  repacks), attachable to any tree via its ``profiler`` attribute.
+  repacks), fed the ``OpStats`` every store op returns.
 
 Disabled-mode guarantee: until :meth:`VOLAPCluster.observe` is called,
 ``transport.obs is None`` and every span/profile call site is behind a

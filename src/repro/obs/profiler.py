@@ -2,15 +2,12 @@
 
 The trees already measure their own work (``OpStats``: nodes visited,
 directory-aggregate cache hits, leaves scanned, splits, repacks, key
-expansions) -- this hook collects those counters per operation instead
-of discarding them.  Attach a profiler to any tree by setting its
-``profiler`` attribute (``tree.profiler = obs.profiler``); the insert
-engine and query path call :meth:`TreeProfiler.record` once per
-operation.  The guard is a single ``is not None`` check at the call
-site (the same zero-overhead-when-absent pattern as ``FaultPlan`` on
-the transport), so unprofiled trees pay nothing.
+expansions) and every store op returns them -- this collects those
+counters per operation instead of discarding them:
+``prof.record("insert", tree.insert(c, m))``.  The trees themselves
+carry no hook, so unprofiled trees pay nothing.
 
-Inside a cluster the workers feed the same records from the stats they
+Inside a cluster the workers feed the records from the stats they
 already hold, so ``VOLAPCluster.observe()`` profiles every shard
 without touching each tree instance.
 """

@@ -12,8 +12,8 @@ registry and the drive loop:
     times).  Bit-identical to the pre-runtime code path.
 ``asyncio``
     Wall-clock execution of every entity in one process on an asyncio
-    event loop; timers are real (scaled) delays, message hops are queue
-    deliveries of the payload objects themselves.
+    event loop; timers are real (scaled) delays and a message hop is
+    one of them, handing over the payload objects themselves.
 ``mp``
     The asyncio runtime plus one OS process per worker; the data plane
     crosses the process boundary as colframe column buffers -- the

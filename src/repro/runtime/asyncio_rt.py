@@ -1,21 +1,22 @@
 """Wall-clock runtime: every entity on one asyncio event loop.
 
 The entities are unchanged -- they still call ``clock.after`` and
-``transport.send`` -- but here the clock is real (scaled) time and a
-delivery is an enqueue onto the runtime's dispatch queue, consumed by
-a pump task while :meth:`AsyncioRuntime.drive` runs the loop.  Real
-index work happens inline in the handlers (the :class:`ImmediatePool`
-fires completions on the next tick instead of charging modeled service
-time), so throughput measured on this backend is the hardware's, not
-the model's.
+``transport.send`` -- but here the clock is real (scaled) time.  A
+delivery is what it is on the sim, a timer on the one heap
+(:meth:`Transport.deliver <repro.cluster.transport.Transport.deliver>`),
+and :meth:`AsyncioRuntime.drive` is the one loop that fires it: the
+handler runs inside ``fire_due``.  Real index work happens inline in
+the handlers (the :class:`ImmediatePool` fires completions on the next
+tick instead of charging modeled service time), so throughput measured
+on this backend is the hardware's, not the model's.
 
 ``time_scale`` maps model seconds to real seconds: periodic timers
 (heartbeats, zk sync, stats) and retry timeouts defined in model
 seconds run ``time_scale`` times compressed, which is how the chaos
 suite finishes in CI wall-clock budgets.  Latency-model delays ride
-the same scaling.  Nothing is encoded on this backend: payloads cross
-the dispatch queue as the objects the entities built (the column-frame
-wire format of :mod:`repro.runtime.frames` only runs on ``mp``).
+the same scaling.  Nothing is encoded on this backend: a handler is
+given the objects the sender built (the column-frame wire format of
+:mod:`repro.runtime.frames` only runs on ``mp``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ __all__ = ["WallClock", "ImmediatePool", "AsyncioRuntime"]
 
 #: default hard real-time cap for one drive() call, seconds
 DRIVE_REAL_LIMIT = 300.0
+#: longest real sleep of the drive loop, seconds: how often a predicate
+#: that watches wall time (the benchmark's window end and host-speed
+#: probe) is read again while no timer is due
+PRED_POLL = 0.05
 
 
 class WallClock(TimerQueue):
@@ -91,11 +96,17 @@ class WallClock(TimerQueue):
     # -- drive-loop internals ----------------------------------------------
 
     def fire_due(self) -> int:
-        """Run every timer whose deadline has passed; returns the count."""
+        """Run the timers that are due now; returns the count.
+
+        Only those due when the call began: message handlers run in
+        here, and a closed loop always has one more due by the time the
+        last returns, so a round that chased them would never get back
+        to the drive loop's predicate and limits."""
+        now = self.now
         fired = 0
         while True:
             when = self.next_deadline()
-            if when is None or when > self.now:
+            if when is None or when > now:
                 return fired
             self._fire_next()
             fired += 1
@@ -138,17 +149,6 @@ class ImmediatePool:
         return 0.0  # completions never queue behind modeled service time
 
 
-class AsyncioTransport(Transport):
-    """The shared transport with delivery routed through the runtime."""
-
-    def __init__(self, runtime: "AsyncioRuntime", latency, seed: int):
-        super().__init__(runtime.clock, latency, seed)
-        self._rt = runtime
-
-    def deliver(self, dst, msg, delay: float) -> None:
-        self._rt.deliver(dst, msg, delay)
-
-
 class AsyncioRuntime(Runtime):
     kind = "asyncio"
 
@@ -156,58 +156,19 @@ class AsyncioRuntime(Runtime):
         super().__init__()
         self.loop = asyncio.new_event_loop()
         self.clock = WallClock(time_scale)
-        self.transport = AsyncioTransport(self, latency, seed)
-        self.errors: list[BaseException] = []
-        self._queue: Optional[asyncio.Queue] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        self._processing = 0  # messages popped but not yet handled
+        self.transport = Transport(self.clock, latency, seed)
         self._sleeper: Optional[asyncio.Future] = None  # drive loop asleep
         self.clock.on_schedule = self._wake
         self._closed = False
 
-    # -- delivery ----------------------------------------------------------
-
-    def deliver(self, dst, msg, delay: float) -> None:
-        if delay <= 0:
-            self._inbox().put_nowait((dst, msg))
-        else:
-            self.clock.after(delay, lambda: self._inbox().put_nowait((dst, msg)))
-
-    def _inbox(self) -> asyncio.Queue:
-        if self._queue is None:
-            self._queue = asyncio.Queue()
-        return self._queue
-
-    async def _pump(self) -> None:
-        q = self._inbox()
-        while True:
-            dst, msg = await q.get()
-            self._processing += 1
-            try:
-                dst.receive(msg)
-            except Exception as exc:  # surface in drive(), don't hang
-                self.errors.append(exc)
-            finally:
-                self._processing -= 1
-
-    def _busy(self) -> bool:
-        """In-flight work that must block an idle break."""
-        q = self._queue
-        return (q is not None and not q.empty()) or self._processing > 0
-
-    def _pending_io(self) -> int:
-        """Outstanding remote work (mp backend); 0 here."""
-        return 0
-
     async def _sleep(self, seconds: float) -> None:
         """Sleep ``seconds`` or until a timer is armed, whichever is first.
 
-        The sleep is sized by the deadlines known when it starts, but
-        handlers run while it lasts (on ``mp`` every child reply is
-        handled by the pump then) and arm timers due sooner -- every
-        ``deliver`` and every pool completion is one.  Sleeping on
-        would hold each of them to the end of a sleep that never knew
-        of it: latency in steps of the 50 ms cap, not of the work."""
+        The sleep is sized by the deadlines known when it starts, but on
+        ``mp`` the stream readers run while it lasts and arm a timer,
+        due at once, for every reply they read.  Sleeping on would hold
+        each of them to the end of a sleep that never knew of it:
+        latency in steps of :data:`PRED_POLL`, not of the work."""
         self._sleeper = self.loop.create_future()
         handle = self.loop.call_later(seconds, self._wake)
         try:
@@ -251,26 +212,22 @@ class AsyncioRuntime(Runtime):
         stop_at: Optional[float],
         real_limit: float,
     ) -> None:
-        # the pump lives only while a drive runs (the queue persists
-        # across drives), so an idle runtime holds no pending task and
-        # interpreter teardown stays silent even without close()
-        self._pump_task = self.loop.create_task(self._pump())
         await self._start_backend_io()
+        clock = self.clock
         deadline_real = time.monotonic() + real_limit
-        self.clock.start()
+        clock.start()
         try:
             while True:
-                self.clock.fire_due()
-                if self.errors:
-                    err = self.errors[:]
-                    self.errors.clear()
+                try:
+                    fired = clock.fire_due()
+                except Exception as exc:  # the timers behind it stay queued
                     raise RuntimeError(
                         f"{desc}: entity handler failed on the "
                         f"{self.kind} runtime"
-                    ) from err[0]
+                    ) from exc
                 if pred():
                     return
-                now = self.clock.now
+                now = clock.now
                 if horizon is not None and now > horizon:
                     raise RuntimeError(f"{desc} did not finish before horizon")
                 if stop_at is not None and now >= stop_at:
@@ -280,32 +237,22 @@ class AsyncioRuntime(Runtime):
                         f"{desc}: exceeded {real_limit:.0f}s real-time limit "
                         f"on the {self.kind} runtime"
                     )
-                if self._busy():
-                    await asyncio.sleep(0)  # let the pump chew
+                pending = self._pending_io()  # mp: raises for a dead worker
+                if fired:
+                    # the mp stream readers and writers live on the loop
+                    await asyncio.sleep(0)
                     continue
-                nd = self.clock.next_deadline()
-                if nd is None and self._pending_io() == 0:
-                    if idle_break:
-                        return  # the wall-clock analog of "heap empty"
-                    await self._sleep(0.001 if stop_at is None else min(
-                        0.05, max(0.0, (stop_at - now) * self.clock.time_scale)
-                    ))
-                    continue
-                wait_model = (nd - now) if nd is not None else 0.01
+                wait = PRED_POLL
+                nd = clock.next_deadline()
+                if nd is not None:
+                    wait = min(wait, (nd - now) * clock.time_scale)
+                elif idle_break and pending == 0:
+                    return  # the wall-clock analog of "heap empty"
                 if stop_at is not None:
-                    wait_model = min(wait_model, stop_at - now)
-                await self._sleep(
-                    min(max(wait_model, 0.0) * self.clock.time_scale, 0.05)
-                )
+                    wait = min(wait, (stop_at - now) * clock.time_scale)
+                await self._sleep(max(wait, 0.0))
         finally:
-            self.clock.stop()
-            task, self._pump_task = self._pump_task, None
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+            clock.stop()
 
     def run_until(self, t: float) -> None:
         if t <= self.clock.now:
@@ -319,25 +266,15 @@ class AsyncioRuntime(Runtime):
     async def _start_backend_io(self) -> None:
         """mp overrides this to wire child pipes into the loop."""
 
+    def _pending_io(self) -> int:
+        """Requests out at worker processes, which an idle break must
+        wait for; mp overrides this.  None here."""
+        return 0
+
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._pump_task is not None:
-                self._pump_task.cancel()
-            if not self.loop.is_closed():
-                pending = [
-                    t for t in asyncio.all_tasks(self.loop) if not t.done()
-                ]
-                if pending:
-                    for t in pending:
-                        t.cancel()
-                    self.loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                self.loop.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
+        # no task outlives a drive, so the loop is all there is to release
+        if not self._closed:
+            self._closed = True
+            self.loop.close()

@@ -20,9 +20,13 @@ registry on the way up and against peer stubs on the way down.
 
 The parent side of every pipe is wrapped in asyncio streams
 (``open_connection(sock=...)``), so parent writes buffer instead of
-blocking and reads interleave with timers on the one event loop --
-while the child runs a plain blocking loop with a short poll timeout,
-firing its local wall-clock timers between frames.
+blocking and reads interleave with timers on the one drive loop: a
+frame read from a child is delivered as a message is anywhere else, by
+a timer on the parent's clock.  The child keeps a blocking socket and
+waits in ``select`` for the next frame or its own clock's next
+deadline, whichever is first.  A child whose pipe closes while the
+runtime is open is an error :meth:`MPRuntime.drive` and
+:meth:`MPRuntime.barrier` raise, not a silence.
 
 v1 scope (documented in docs/runtime.md): children run ingest and
 query serving only -- no heartbeats/failover, no replication, no
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import select
 import socket
 import struct
 import time
@@ -55,6 +60,15 @@ def _pack(blob: bytes) -> bytes:
 
 def _control_blob(kind: str, payload) -> bytes:
     return bytes([_CONTROL]) + pickle.dumps((kind, payload), protocol=4)
+
+
+def _zk_apply(zk, payload) -> None:
+    """Replay a child's forwarded zookeeper write on the parent's tree."""
+    op, path, data = payload
+    if op == "set":
+        zk.set(path, data)
+    elif op == "delete":
+        zk.delete(path)
 
 
 class _Peer:
@@ -186,6 +200,7 @@ class MPRuntime(AsyncioRuntime):
         super().__init__(latency=latency, seed=seed, time_scale=time_scale)
         self._ctx = get_context("fork")
         self._procs: dict[int, object] = {}
+        self._proxies: dict[int, WorkerProxy] = {}
         self._socks: dict[int, socket.socket] = {}
         self._writers: dict[int, object] = {}
         self._outbuf: dict[int, list[bytes]] = {}
@@ -213,7 +228,7 @@ class MPRuntime(AsyncioRuntime):
         self._procs[worker_id] = proc
         self._socks[worker_id] = parent_sock
         self._outbuf[worker_id] = []
-        proxy = WorkerProxy(self, worker_id, zk)
+        proxy = self._proxies[worker_id] = WorkerProxy(self, worker_id, zk)
         self.register(proxy)
         return proxy
 
@@ -239,13 +254,10 @@ class MPRuntime(AsyncioRuntime):
                 self.loop.create_task(self._proxy_reader(wid, reader))
             )
 
-    def _proxy(self, wid: int) -> WorkerProxy:
-        return self.entities[f"worker-{wid}"]
-
     async def _proxy_reader(self, wid: int, reader) -> None:
         from ..cluster.transport import Message
 
-        proxy = self._proxy(wid)
+        proxy = self._proxies[wid]
         try:
             while True:
                 head = await reader.readexactly(_LEN.size)
@@ -254,7 +266,8 @@ class MPRuntime(AsyncioRuntime):
                     kind, payload = pickle.loads(blob[1:])
                     frames.note_control_pickle()
                     if kind == "zk_set":
-                        self._zk_apply(payload)
+                        # every proxy shares the one parent zookeeper
+                        _zk_apply(proxy._zk, payload)
                     elif kind == "barrier_ack":
                         token, stats = payload
                         proxy.stats.update(stats)
@@ -264,58 +277,52 @@ class MPRuntime(AsyncioRuntime):
                 kind, payload, route = frames.decode(blob, self.lookup)
                 if kind in frames.REPLY_KINDS:
                     proxy.inflight -= 1
-                dst = self.lookup(route)
-                self._inbox().put_nowait(
-                    (dst, Message(kind, payload, size=len(blob)))
+                # a timer like any delivery; arming it wakes a sleeping drive
+                self.transport.deliver(
+                    self.lookup(route), Message(kind, payload, size=len(blob)), 0.0
                 )
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return  # child exited
-
-    def _zk_apply(self, payload) -> None:
-        op, path, data = payload
-        zk = self._proxy_zk
-        if op == "set":
-            zk.set(path, data)
-        elif op == "delete":
-            zk.delete(path)
-
-    @property
-    def _proxy_zk(self):
-        # every proxy shares the one parent zookeeper
-        for e in self.entities.values():
-            if isinstance(e, WorkerProxy):
-                return e._zk
-        raise RuntimeError("no worker proxies registered")
+        except (asyncio.IncompleteReadError, ConnectionError) as exc:
+            # EOF, or the reset / broken pipe of a write the child never read
+            if self._closed:
+                return  # the exit close() asked for
+            proc = self._procs[wid]
+            proc.join(timeout=1.0)  # the pipe closes just before the exit
+            raise RuntimeError(
+                f"{proxy.name} (pid {proc.pid}) exited with code "
+                f"{proc.exitcode} and {proxy.inflight} requests in flight "
+                f"on the mp runtime"
+            ) from exc
 
     # -- idle/sync ----------------------------------------------------------
 
+    def _check_workers(self) -> None:
+        """Raise what a reader raised: a reader ends only with its
+        worker's pipe, and until :meth:`close` that is a dead child."""
+        for task in self._reader_tasks:
+            if task.done():
+                task.result()
+
     def _pending_io(self) -> int:
-        return sum(
-            e.inflight
-            for e in self.entities.values()
-            if isinstance(e, WorkerProxy)
-        )
+        self._check_workers()
+        return sum(p.inflight for p in self._proxies.values())
 
     def barrier(self) -> None:
         """Flush every child: send a barrier control frame and drive the
         loop until each child has answered with its current counters."""
-        proxies = [
-            e for e in self.entities.values() if isinstance(e, WorkerProxy)
-        ]
-        if not proxies:
-            return
-        self._barrier_token += 1
-        token = self._barrier_token
-        self._run(self._barrier(proxies, token))
+        if self._proxies:
+            self._barrier_token += 1
+            self._run(self._barrier(self._barrier_token))
 
-    async def _barrier(self, proxies, token) -> None:
+    async def _barrier(self, token: int) -> None:
         await self._start_backend_io()
+        proxies = self._proxies.values()
         blob = _control_blob("barrier", token)
         frames.note_control_pickle()
         for p in proxies:
             self.proxy_write(p, _pack(blob))
         deadline = time.monotonic() + 60.0
         while any(token not in p._barrier_acked for p in proxies):
+            self._check_workers()
             if time.monotonic() > deadline:
                 raise RuntimeError("mp barrier timed out")
             await asyncio.sleep(0.001)
@@ -325,31 +332,38 @@ class MPRuntime(AsyncioRuntime):
     def close(self) -> None:
         if self._closed:
             return
+        self._closed = True  # from here a reader's EOF is no error
         try:
-            stop = _pack(_control_blob("shutdown", None))
-            for wid, sock in self._socks.items():
-                writer = self._writers.get(wid)
-                try:
-                    if writer is not None:
-                        writer.write(stop)
-                        self._run(writer.drain())
-                    else:
-                        sock.sendall(stop)
-                except Exception:
-                    pass
-            for proc in self._procs.values():
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
+            self._run(self._shutdown())
         finally:
-            for t in self._reader_tasks:
-                t.cancel()
-            super().close()
-            for sock in self._socks.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            self.loop.close()
+
+    async def _shutdown(self) -> None:
+        """Stop the children, then close what the loop opened on their
+        pipes: nothing is left for the collector to warn about."""
+        await self._start_backend_io()  # a never-driven runtime has raw sockets
+        stop = _pack(_control_blob("shutdown", None))
+        for writer in self._writers.values():
+            writer.write(stop)  # to a dead child: dropped by the transport
+        # a reader ends when its child has exited, and reads on until
+        # then: a child blocked on an unread reply never sees the frame
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*self._reader_tasks, return_exceptions=True), 5.0
+            )
+        except asyncio.TimeoutError:
+            pass  # cancelled with the wait; their children are terminated
+        for proc in self._procs.values():
+            proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        for writer in self._writers.values():
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass  # reset by a child that died with data unread
 
 
 # -------------------------------------------------------------------------
@@ -421,12 +435,7 @@ class _ForwardingZk:
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     buf = bytearray()
     while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except socket.timeout:
-            if buf:
-                continue  # mid-frame: keep reading
-            return b""  # idle poll tick
+        chunk = sock.recv(n - len(buf))
         if not chunk:
             return None  # parent hung up
         buf.extend(chunk)
@@ -443,12 +452,15 @@ def _child_main(
     store_cls,
     time_scale: float,
 ) -> None:
-    """Host one real Worker: blocking frame loop + local wall clock."""
+    """Host one real Worker: blocking frame loop + local wall clock.
+
+    The socket stays blocking, so a reply waits for the parent to read
+    for as long as that takes; only the wait for the next frame is
+    bounded, by the clock's next deadline."""
     from ..cluster.transport import Message
     from ..cluster.worker import Worker
     from ..olap.colframe import decode_batch
 
-    sock.settimeout(0.002)
     clock = WallClock(time_scale)
     clock.start()
     transport = _ChildTransport(clock, sock)
@@ -468,11 +480,13 @@ def _child_main(
 
     while True:
         clock.fire_due()
+        nd = clock.next_deadline()
+        timeout = None if nd is None else max(0.0, (nd - clock.now) * time_scale)
+        if not select.select([sock], [], [], timeout)[0]:
+            continue  # a timer came due first
         head = _recv_exact(sock, _LEN.size)
         if head is None:
             break
-        if head == b"":
-            continue
         blob = _recv_exact(sock, _LEN.unpack(head)[0])
         if blob is None:
             break

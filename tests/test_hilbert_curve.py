@@ -118,6 +118,20 @@ class TestCompactHilbertCurve:
         assert 0 <= h < 1 << 120
         assert cc.point(h) == p
 
+    @pytest.mark.parametrize("dims", [64, 70])
+    def test_numpy_rows_past_63_dimensions(self, dims):
+        """Fig. 5 sweeps to 64 dimensions, where the masks are Python
+        big ints: a numpy row must key like the same row as a list, on
+        the scalar path and through the batch kernel's fallback to it."""
+        cc = CompactHilbertCurve([1] * dims)
+        rng = np.random.default_rng(dims)
+        rows = np.vstack([np.ones(dims, dtype=np.int64), rng.integers(0, 2, (3, dims))])
+        want = [cc.index(row.tolist()) for row in rows]
+        assert want[0] == int("10" * (dims // 2), 2)  # 64: 12297829382473034410
+        assert [cc.index(row) for row in rows] == want
+        assert cc.index_batch(rows).tolist() == want
+        assert HilbertCurve(dims, 1).index(rows[0]) == want[0]
+
     def test_out_of_range_rejected(self):
         cc = CompactHilbertCurve((2, 3))
         with pytest.raises(ValueError):

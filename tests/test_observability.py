@@ -12,7 +12,7 @@ Covers the documented guarantees of docs/observability.md:
   clusters in one process report independent metrics (no module state);
 * the Prometheus text exposition against a golden file;
 * the batching knobs have one spelling (the old aliases are gone);
-* zero-overhead defaults: ``transport.obs`` / ``tree.profiler`` None.
+* zero-overhead default: ``transport.obs`` is None.
 """
 
 import warnings
@@ -385,14 +385,16 @@ class TestTreeProfiler:
     def test_standalone_tree_profiling(self, schema):
         batch = random_batch(schema, 400, seed=9)
         tree = HilbertPDCTree(schema)
-        assert tree.profiler is None  # zero-overhead default
-        tree.profiler = TreeProfiler()
+        prof = TreeProfiler()
         for i in range(200):
-            tree.insert(batch.coords[i], float(batch.measures[i]))
-        tree.insert_batch(batch.slice(200, 400))
-        tree.query(full_query(schema).box)
+            prof.record(
+                "insert", tree.insert(batch.coords[i], float(batch.measures[i]))
+            )
+        tail = batch.slice(200, 400)
+        prof.record("insert_batch", tree.insert_batch(tail), rows=len(tail))
+        prof.record("query", tree.query(full_query(schema).box)[1])
 
-        summary = tree.profiler.summary()
+        summary = prof.summary()
         assert summary["insert"]["ops"] == 200
         assert summary["insert_batch"]["rows"] == 200
         assert summary["query"]["ops"] == 1
@@ -401,10 +403,9 @@ class TestTreeProfiler:
     def test_profiler_ring_bound(self, schema):
         prof = TreeProfiler(keep=5)
         tree = HilbertPDCTree(schema)
-        tree.profiler = prof
         batch = random_batch(schema, 20, seed=2)
         for coords, m in batch.iter_rows():
-            tree.insert(coords, m)
+            prof.record("insert", tree.insert(coords, m))
         assert len(prof.records) == 5
         assert prof.dropped == 15 and prof.ops == 20
 

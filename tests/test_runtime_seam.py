@@ -4,9 +4,17 @@ Covers the PR 9 surface: the column-frame wire codec and its exact
 sizing, timer ordering/cancellation on both clock implementations, the
 defensive-copy fix for fault-duplicated deliveries, sim-vs-asyncio
 outcome equivalence, the chaos matrix on the asyncio backend, and an
-mp smoke test asserting the zero-pickling data plane.
+mp smoke test asserting the zero-pickling data plane; and the one drive
+loop of the wall-clock backends (no starvation, errors from handlers
+and timers, delivery order) with the mp process boundary (a child that
+is not read from, a child that dies).
 """
 
+import multiprocessing
+import os
+import signal
+import socket
+import time
 from typing import get_type_hints
 
 import numpy as np
@@ -14,7 +22,9 @@ import pytest
 
 from repro.cluster import (
     ClusterConfig,
+    FaultInjector,
     FaultPlan,
+    LatencyModel,
     RetryPolicy,
     VOLAPCluster,
 )
@@ -25,9 +35,10 @@ from repro.cluster.wire import f64, i64
 from repro.cluster.worker import Worker
 from repro.cluster.zookeeper import Zookeeper
 from repro.core import HilbertPDCTree, TreeConfig
-from repro.olap.colframe import decode_columns, measure_columns
+from repro.olap.colframe import decode_columns, encode_batch, measure_columns
 from repro.olap.query import full_query
 from repro.runtime import frames, make_runtime
+from repro.runtime import mp as mp_rt
 from repro.runtime.asyncio_rt import WallClock
 from repro.workloads.streams import Operation
 
@@ -63,6 +74,13 @@ class _Sink(Entity):
 
     def receive(self, msg):
         self.got.append(msg)
+
+
+def _insert_ops(batch):
+    return [
+        Operation("insert", coords=batch.coords[i], measure=float(batch.measures[i]))
+        for i in range(len(batch))
+    ]
 
 
 def small_config(runtime, **kw):
@@ -348,15 +366,16 @@ def test_wallclock_pauses_between_drives():
 
 
 def test_timer_armed_while_the_drive_loop_sleeps_wakes_it():
-    """On ``mp`` a child's reply is handled while the drive loop sleeps
-    and arms the next hop's timer; each fires when due, not at the end
-    of a sleep sized before it existed (ten hops: 10 x 50 ms if it did)."""
+    """On ``mp`` a child's reply is read while the drive loop sleeps and
+    its delivery is a timer armed then; each fires when due, not at the
+    end of a sleep sized before it existed (ten hops: 10 x 50 ms if it
+    did)."""
     import time as _t
 
     rt = make_runtime("asyncio", time_scale=1.0)
     hops = []
 
-    def reply_arrives():  # what the mp reader and the pump do
+    def reply_arrives():  # what the mp reader does with a frame it read
         rt.clock.after(0.0, hop)
 
     def hop():
@@ -372,6 +391,116 @@ def test_timer_armed_while_the_drive_loop_sleeps_wakes_it():
         assert _t.monotonic() - t0 < 0.25
     finally:
         rt.close()
+
+
+# -------------------------------------------------------------------------
+# the one drive loop: handlers run inside fire_due
+# -------------------------------------------------------------------------
+
+#: size / bandwidth is all that is left: under a nanosecond a message
+NO_LATENCY = LatencyModel(base=0.0, jitter=0.0)
+
+
+class _Echo(Entity):
+    """Answers every message with another one to itself: a closed loop
+    of one, with a delivery due whenever the drive loop looks."""
+
+    name = "echo"
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.got = 0
+        self.give_up = time.monotonic() + 10.0
+
+    def receive(self, msg):
+        # a starved drive loop never returns: fail instead of hanging
+        assert time.monotonic() < self.give_up, "the drive loop is starved"
+        self.got += 1
+        self.transport.send(self, Message("ping", None, size=1))
+
+
+@pytest.mark.parametrize("kind", ["asyncio", "mp"])
+def test_always_due_timer_does_not_starve_the_drive_loop(kind):
+    rt = make_runtime(kind, latency=NO_LATENCY, time_scale=1.0)
+    try:
+        echo = _Echo(rt.transport)
+        echo.receive(None)
+        rt.drive(lambda: echo.got >= 200, idle_break=False)
+        assert echo.got == 200  # one round, one look at the predicate
+        t = rt.clock.now + 0.05
+        t0 = time.monotonic()
+        rt.run_until(t)
+        assert t <= rt.clock.now < t + 0.5
+        assert time.monotonic() - t0 < 1.0 and echo.got > 200
+    finally:
+        rt.close()
+
+
+class _Raiser(Entity):
+    name = "raiser"
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def receive(self, msg):
+        raise self.exc
+
+
+@pytest.mark.parametrize("source", ["receive", "timer"])
+@pytest.mark.parametrize("kind", ["asyncio", "mp"])
+def test_handler_and_timer_errors_surface_once_from_drive(kind, source):
+    rt = make_runtime(kind, latency=NO_LATENCY, time_scale=1.0)
+    try:
+        boom = ValueError("boom")
+        raiser, sink, behind = _Raiser(boom), _Sink(), []
+        # the clock stands still until the drive: equal deadlines, FIFO
+        if source == "receive":
+            rt.transport.send(raiser, Message("note", None, size=0))
+        else:
+            rt.clock.after(0.0, lambda: raiser.receive(None))
+        rt.clock.after(0.0, lambda: behind.append(1))
+        with pytest.raises(RuntimeError, match="entity handler failed") as err:
+            rt.drive(lambda: False, desc="doomed")
+        assert err.value.__cause__ is boom and "doomed" in str(err.value)
+        assert behind == []  # the round ended at the failure ...
+        rt.drive(lambda: False)  # ... once: nothing is raised again
+        assert behind == [1]  # and what was due behind it was not lost
+        rt.transport.send(sink, Message("note", "after", size=1))
+        rt.drive(lambda: bool(sink.got))
+        assert [m.payload for m in sink.got] == ["after"]
+    finally:
+        rt.close()
+
+
+def _delivery_sequence(kind, plan=None):
+    """Payloads in arrival order of 40 equal-size messages sent back to
+    back while the clock stands still (so both clocks schedule the same
+    deadlines), optionally through a fault plan."""
+    rt = make_runtime(kind, latency=LatencyModel(jitter=0.0), time_scale=0.01)
+    try:
+        src, sink = _Sink(), _Sink()
+        if plan is not None:
+            rt.transport.faults = FaultInjector(plan, rt.clock, seed=7)
+        for i in range(40):
+            rt.transport.send(sink, Message("note", i, sender=src, size=100))
+        rt.drive(lambda: False, horizon=60.0)  # until nothing is scheduled
+        return [m.payload for m in sink.got]
+    finally:
+        rt.close()
+
+
+@pytest.mark.parametrize("kind", ["sim", "asyncio"])
+def test_equal_size_messages_arrive_in_send_order(kind):
+    assert _delivery_sequence(kind) == list(range(40))
+
+
+def test_fault_plan_yields_the_same_delivery_sequence_on_sim_and_asyncio():
+    def plan():
+        return FaultPlan().duplicate(0.3).delay(0.3, extra=0.5)
+
+    want = _delivery_sequence("sim", plan())
+    assert len(want) > 40 and want != sorted(want)  # duplicated, reordered
+    assert _delivery_sequence("asyncio", plan()) == want
 
 
 # -------------------------------------------------------------------------
@@ -437,14 +566,7 @@ def _workload_outcome(runtime):
     cluster.bootstrap(random_batch(schema, 1200, seed=4), shards_per_worker=2)
     extra = random_batch(schema, 150, seed=5)
     sess = cluster.session(0, concurrency=4)
-    sess.run_stream(
-        [
-            Operation(
-                "insert", coords=extra.coords[i], measure=float(extra.measures[i])
-            )
-            for i in range(len(extra))
-        ]
-    )
+    sess.run_stream(_insert_ops(extra))
     cluster.run_until_clients_done(max_virtual=600.0)
     r = cluster.execute(full_query(schema))
     out = (
@@ -490,14 +612,7 @@ def test_chaos_matrix_on_asyncio(fault):
     inj = cluster.inject_faults(plan, seed=7)
     extra = random_batch(schema, 120, seed=17)
     sess = cluster.session(0, concurrency=4)
-    sess.run_stream(
-        [
-            Operation(
-                "insert", coords=extra.coords[i], measure=float(extra.measures[i])
-            )
-            for i in range(len(extra))
-        ]
-    )
+    sess.run_stream(_insert_ops(extra))
     cluster.run_until_clients_done(max_virtual=900.0)
     acked = [r for r in cluster.stats.select(kind="insert") if r.ok]
     assert len(acked) + cluster.stats.failures == len(extra)
@@ -534,6 +649,131 @@ def test_mp_backend_smoke_zero_pickle_data_plane():
         assert stats["data_pickled"] == 0
     finally:
         cluster.close()
+
+
+def _one_query(token, box, shard, reply_to):
+    """A one-entry ``query_batch`` for ``shard``, as a server builds it."""
+    return wire.QueryBatch(
+        i64([(token, 1, *box.lo, *box.hi)]), i64([shard]), reply_to
+    )
+
+
+def _read_frame(sock):
+    body = mp_rt._recv_exact(sock, mp_rt._LEN.size)
+    return mp_rt._recv_exact(sock, mp_rt._LEN.unpack(body)[0])
+
+
+def test_mp_child_outlives_a_parent_that_does_not_read():
+    """A reply must never time out in the child: with 150 replies unread
+    (the pipe holds about 90) the child waits for the parent, alive, and
+    every reply comes back, in order."""
+    schema = make_schema()
+    cfg = small_config("mp")
+    parent_sock, child_sock = socket.socketpair()
+    proc = multiprocessing.get_context("fork").Process(
+        target=mp_rt._child_main,
+        args=(
+            child_sock, 0, schema, cfg.tree_config, cfg.worker_threads,
+            cfg.cost, cfg.store_cls, cfg.time_scale,
+        ),
+        daemon=True,
+    )
+    proc.start()
+    child_sock.close()
+    parent_sock.settimeout(10.0)  # a deadlock of the test's own is a failure
+    try:
+        rows = encode_batch(random_batch(schema, 200, seed=1), compress=False)
+        parent_sock.sendall(
+            mp_rt._pack(mp_rt._control_blob("install_shard", (1, rows)))
+        )
+        sink, box = _Sink(), full_query(schema).box
+        for token in range(150):
+            blob = frames.encode(
+                "query_batch", _one_query(token, box, 1, sink), route="worker-0"
+            )
+            parent_sock.sendall(mp_rt._pack(blob))
+        time.sleep(0.5)
+        assert proc.exitcode is None
+        tokens = []
+        while len(tokens) < 150:
+            blob = _read_frame(parent_sock)
+            if blob[0] == mp_rt._CONTROL:
+                continue  # the shard's forwarded zookeeper write
+            kind, payload, route = frames.decode(blob, lambda name: sink)
+            assert (kind, route) == ("query_result_batch", "sink")
+            assert payload.x[0, 1] == 200  # the whole shard
+            tokens.append(int(payload.x[0, 0]))
+        assert tokens == list(range(150)) and proc.exitcode is None
+        parent_sock.sendall(mp_rt._pack(mp_rt._control_blob("shutdown", None)))
+        proc.join(timeout=5.0)
+        assert proc.exitcode == 0
+        assert parent_sock.recv(1 << 16) == b""  # and not one frame more
+    finally:
+        parent_sock.close()
+        if proc.is_alive():
+            proc.terminate()
+        proc.join()
+
+
+def _mp_cluster(schema):
+    cluster = VOLAPCluster(
+        schema,
+        small_config(
+            "mp",
+            seed=1,
+            heartbeat_period=0.0,
+            checkpoint_period=0.0,
+            latency=LatencyModel(jitter=0.0),  # jitter reorders on any backend
+        ),
+    )
+    cluster.bootstrap(random_batch(schema, 1500, seed=2), shards_per_worker=2)
+    cluster.barrier()
+    return cluster
+
+
+def test_mp_replies_arrive_in_request_order_through_a_proxy():
+    schema = make_schema()
+    cluster = _mp_cluster(schema)
+    try:
+        proxy, sink = cluster.workers[0], _Sink()
+        cluster.runtime.register(sink)
+        shard, box = next(iter(proxy.shards)), full_query(schema).box
+        for token in range(40):
+            cluster.transport.send(
+                proxy, Message("query_batch", _one_query(token, box, shard, sink))
+            )
+        cluster.runtime.drive(lambda: len(sink.got) >= 40)
+        assert [int(m.payload.x[0, 0]) for m in sink.got] == list(range(40))
+        assert proxy.inflight == 0
+    finally:
+        cluster.close()
+
+
+def test_mp_killed_worker_is_an_error_not_a_silence():
+    """SIGKILL under a running closed-loop session: ``drive`` and
+    ``barrier`` raise at once and say who died; ``close`` reaps it."""
+    schema = make_schema()
+    cluster = _mp_cluster(schema)
+    try:
+        cluster.session(0, concurrency=8).run_stream(
+            _insert_ops(random_batch(schema, 4000, seed=5))
+        )
+        cluster.run_for(1.0)
+        victim = cluster.runtime._procs[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        died = r"worker-1 \(pid %d\) exited with code -9 and \d+ requests" % victim.pid
+        for blocked in (
+            lambda: cluster.run_until_clients_done(max_virtual=600.0),
+            cluster.barrier,
+        ):
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match=died):
+                blocked()
+            assert time.monotonic() - t0 < 2.0
+    finally:
+        cluster.close()
+        cluster.close()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("path", ["sim", "asyncio", "mp-codec"])
