@@ -1,7 +1,9 @@
 """Paper Figure 4: Hilbert PDC tree vs PDC tree query time by coverage.
 
 Regenerates the six series (two trees x three coverage bands) over a
-size sweep and asserts the paper's claims:
+size sweep, prints a flat ``ArrayStore`` scan of the same rows beside
+them (``flat``: reported, not asserted -- ROADMAP item 2 tracks the
+tree-vs-flat gap), and asserts the paper's claims:
 
 * the Hilbert PDC tree out-performs the PDC tree at low and medium
   coverage (Section IV-A: Hilbert ordering produces less overlap at
@@ -26,7 +28,8 @@ def test_fig4_tree_query(benchmark):
     print()
     print(
         render_series(
-            "Fig 4: query time (ms) vs tree size, Hilbert PDC vs PDC", series
+            "Fig 4: query time (ms) vs tree size, Hilbert PDC vs PDC vs flat",
+            series,
         )
     )
 

@@ -27,8 +27,12 @@ from ..obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 __all__ = ["OpRecord", "ClusterStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
+    """One completed client operation.  ``ClusterStats.ops`` keeps every
+    one for the life of the cluster, hence the slots: no per-record
+    ``__dict__``."""
+
     kind: str  # "insert" | "query"
     submit_time: float
     complete_time: float

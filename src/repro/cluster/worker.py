@@ -531,12 +531,10 @@ class Worker(Entity):
         span context, and is resolved and answered on its own
         (mapping-table resolution per shard, queue lookups, missing
         shards reported per entry) -- only the execution is grouped:
-        the boxes addressed to one shard run through
-        :meth:`ShardStore.query_batch` in a single vectorized descent,
-        a lone box through :meth:`ShardStore.query` (same answer and
-        ``OpStats``, no batch set-up).  Per-entry merge order over its
-        shards is preserved, so an aggregate does not depend on what
-        else shared the message.
+        the boxes addressed to one shard run through one
+        :meth:`ShardStore.query_batch` call.  Per-entry merge order
+        over its shards is preserved, so an aggregate does not depend
+        on what else shared the message.
         """
         p = msg.payload
         obs = self.transport.obs
@@ -626,12 +624,7 @@ class Worker(Entity):
                 store = self.queues[sid]
             else:
                 store = replicas[sid]
-            if len(members) == 1:
-                kernel = "query"
-                res = (store.query(members[0][0]),)
-            else:
-                kernel = "query_batch"
-                res = store.query_batch([m[0] for m in members])
+            res = store.query_batch([m[0] for m in members])
             for (_box, parts, slot, span), (sub, stats) in zip(members, res):
                 parts[slot] = sub
                 total_stats.merge(stats)
@@ -647,7 +640,9 @@ class Worker(Entity):
                 group_stats = OpStats()
                 for _sub, stats in res:
                     group_stats.merge(stats)
-                obs.record_tree_op(kernel, group_stats, rows=len(members))
+                obs.record_tree_op(
+                    "query_batch", group_stats, rows=len(members)
+                )
         x: list[tuple] = []
         g: list[tuple] = []
         for token, parts, searched, missing, _span in plans:

@@ -34,14 +34,18 @@ class ArrayStore(ShardStore):
         self._size = 0
 
     def _grow(self, need: int) -> None:
+        """Grow by a quarter at a time, reallocating in place.
+
+        ``ndarray.resize`` is a ``realloc``: a large store moves
+        without ever holding its old and its new buffer at once, where a
+        copy into a doubled buffer peaks at twice the rows held each
+        time it grows.  The new rows are zero-filled, i.e. touched,
+        hence the small step.
+        """
         while self._cap < need:
-            self._cap *= 2
-        coords = np.empty((self._cap, self.schema.num_dims), dtype=np.int64)
-        measures = np.empty(self._cap, dtype=np.float64)
-        coords[: self._size] = self._coords[: self._size]
-        measures[: self._size] = self._measures[: self._size]
-        self._coords = coords
-        self._measures = measures
+            self._cap += max(self._cap // 4, 1024)
+        self._coords.resize((self._cap, self.schema.num_dims))
+        self._measures.resize(self._cap)
 
     def insert(self, coords: np.ndarray, measure: float) -> OpStats:
         if self._size == self._cap:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..olap.colframe import decode_batch, encode_batch
-from ..olap.keys import Box, points_in_boxes
+from ..olap.keys import Box
 from ..olap.records import RecordBatch
 from ..olap.schema import Schema
 from .aggregates import Aggregate
@@ -91,9 +91,8 @@ class ShardStore(ABC):
     ) -> list[tuple[Aggregate, OpStats]]:
         """Answer many boxes at once; one (Aggregate, OpStats) per box.
 
-        The default is a per-box loop; stores with a vectorized
-        multi-query path (the trees' packed-key batch engine) override
-        it.  Results must be identical to the per-box loop.
+        Results must be identical to a loop of :meth:`query`, which is
+        what the default is.
         """
         return [self.query(box) for box in boxes]
 
@@ -241,133 +240,109 @@ class BaseTree(ShardStore):
     # -- query -----------------------------------------------------------
 
     def query(self, box: Box) -> tuple[Aggregate, OpStats]:
-        stats = OpStats()
-        agg = Aggregate.empty()
-        if self._count:
-            # iterative preorder descent (explicit stack): deep split
-            # chains must not hit Python's recursion limit
-            stack = [self.root]
-            while stack:
-                node = stack.pop()
-                stats.nodes_visited += 1
-                children: list[Node] = ()
-                node.acquire()
-                try:
-                    if self.config.cache_aggregates and self.policy.within_box(
-                        node.key, box
-                    ):
-                        agg.merge(node.agg)
-                        stats.agg_hits += 1
-                        continue
-                    if node.is_leaf:
-                        stats.leaves_visited += 1
-                        stats.items_scanned += node.size
-                        mask = box.contains_points(node.leaf_coords())
-                        if mask.any():
-                            agg.merge(
-                                Aggregate.of_array(node.leaf_measures()[mask])
-                            )
-                        continue
-                    children = [
-                        c
-                        for c in node.children
-                        if self.policy.intersects_box(c.key, box)
-                    ]
-                finally:
-                    node.release()
-                stack.extend(reversed(children))
-        return agg, stats
+        return self._scan(box)
 
     def query_batch(
         self, boxes: list[Box]
     ) -> list[tuple[Aggregate, OpStats]]:
-        """Vectorized multi-query descent over the packed-key cache.
+        return [self._scan(box) for box in boxes]
 
-        One iterative preorder walk carries, per node, the index array
-        of still-active query boxes.  Directory pruning evaluates all
-        (active box, child) pairs in a single broadcast against the
-        node's :meth:`~repro.core.node.Node.packed_children` snapshot,
-        and leaves test every surviving box against ``leaf_coords()``
-        in one fused comparison.  Cached-aggregate hits short-circuit
-        per box exactly like the singleton path; visit order, merge
-        order, and all work counters match :meth:`query` bit for bit
-        (differential-tested).
+    def _scan(self, box: Box) -> tuple[Aggregate, OpStats]:
+        """The read engine: decide directories as arrays, scan leaves once.
+
+        Only the root's key is tested in Python.  Below it the walk
+        visits directories only: one ``policy.classify`` over the
+        directory's :meth:`~repro.core.node.Node.packed_children`
+        snapshot decides all its children at once -- those *within* the
+        box contribute their cached aggregate, the other *hit* children
+        are queued if directories and collected if leaves -- and the
+        collected leaves are then scanned in one pass: one gather of
+        their live columns, one containment mask, one
+        ``Aggregate.of_array``.  ``OpStats`` count what a node-by-node
+        pointer walk would (``tests/conftest.py::reference_query``).
+
+        A reader holds one node lock at a time: a directory's while its
+        snapshot is read, a child's while its aggregate is read, a
+        leaf's while its size is read (rows below a published size
+        never change, so the views outlive the lock).  *Within* was
+        decided from the snapshot, so under the child's lock it stands
+        only if ``key_version`` is still the one the snapshot recorded;
+        a key that grew since is re-tested, or an insert racing the
+        query could put a row outside the box into the answer.
         """
-        boxes = list(boxes)
-        k = len(boxes)
-        if k == 0:
-            return []
-        aggs = [Aggregate.empty() for _ in range(k)]
-        nv = np.zeros(k, dtype=np.int64)
-        lv = np.zeros(k, dtype=np.int64)
-        isc = np.zeros(k, dtype=np.int64)
-        ah = np.zeros(k, dtype=np.int64)
-        if self._count:
-            qlo = np.stack([b.lo for b in boxes])
-            qhi = np.stack([b.hi for b in boxes])
-            policy = self.policy
-            cache = self.config.cache_aggregates
-            stack: list[tuple[Node, np.ndarray]] = [
-                (self.root, np.arange(k))
-            ]
-            while stack:
-                node, active = stack.pop()
-                nv[active] += 1
-                pushes: list[tuple[Node, np.ndarray]] = ()
-                node.acquire()
-                try:
-                    if cache:
-                        within = policy.within_box_many(
-                            node.key, qlo[active], qhi[active]
-                        )
-                        if within.any():
-                            hits = active[within]
-                            ah[hits] += 1
-                            node_agg = node.agg
-                            for i in hits:
-                                aggs[i].merge(node_agg)
-                            active = active[~within]
-                            if not active.size:
-                                continue
-                    if node.is_leaf:
-                        lv[active] += 1
-                        isc[active] += node.size
-                        inside = points_in_boxes(
-                            qlo[active], qhi[active], node.leaf_coords()
-                        )
-                        measures = node.leaf_measures()
-                        for j, i in enumerate(active):
-                            mask = inside[j]
-                            if mask.any():
-                                aggs[i].merge(
-                                    Aggregate.of_array(measures[mask])
-                                )
-                        continue
-                    packed = node.packed_children(policy, self.num_dims)
-                    hit = policy.intersects_many(
-                        packed, qlo[active], qhi[active]
-                    )
-                    children = node.children
-                    pushes = [
-                        (children[ci], active[hit[:, ci]])
-                        for ci in range(len(children))
-                        if hit[:, ci].any()
-                    ]
-                finally:
-                    node.release()
-                stack.extend(reversed(pushes))
-        return [
-            (
-                aggs[i],
-                OpStats(
-                    nodes_visited=int(nv[i]),
-                    leaves_visited=int(lv[i]),
-                    items_scanned=int(isc[i]),
-                    agg_hits=int(ah[i]),
-                ),
-            )
-            for i in range(k)
-        ]
+        stats = OpStats()
+        agg = Aggregate.empty()
+        if not self._count:
+            return agg, stats
+        policy = self.policy
+        cache = self.config.cache_aggregates
+        root = self.root
+        stats.nodes_visited = 1
+        root.acquire()
+        try:
+            if cache and policy.within_box(root.key, box):
+                agg.merge(root.agg)
+                stats.agg_hits = 1
+                return agg, stats
+        finally:
+            root.release()
+        # explicit stack: deep split chains must not hit the recursion limit
+        dirs: list[Node] = []
+        leaves: list[Node] = []
+        if root.is_leaf:
+            leaves.append(root)
+        elif not box.is_empty():
+            dirs.append(root)
+        qlo, qhi = box.lo, box.hi
+        while dirs:
+            node = dirs.pop()
+            node.acquire()
+            try:
+                children, versions, packed = node.packed_children(
+                    policy, self.num_dims
+                )
+            finally:
+                node.release()
+            hit, within = policy.classify(packed, qlo, qhi)
+            hits = hit.nonzero()[0].tolist()
+            stats.nodes_visited += len(hits)
+            inside = within.tolist() if cache else None
+            for i in hits:
+                child = children[i]
+                if cache and inside[i]:
+                    child.acquire()
+                    try:
+                        if child.key_version == versions[i] or (
+                            policy.within_box(child.key, box)
+                        ):
+                            agg.merge(child.agg)
+                            stats.agg_hits += 1
+                            continue
+                    finally:
+                        child.release()
+                (leaves if child.is_leaf else dirs).append(child)
+        if leaves:
+            coords_parts, measure_parts = [], []
+            rows = 0
+            for leaf in leaves:
+                cols = leaf.cols
+                leaf.acquire()
+                n = cols.size
+                leaf.release()
+                rows += n
+                coords_parts.append(cols.coords[:n])
+                measure_parts.append(cols.measures[:n])
+            stats.leaves_visited = len(leaves)
+            stats.items_scanned = rows
+            # gathered dimension-major: the mask then reduces over whole
+            # columns instead of over d-long rows
+            coords = np.empty((self.num_dims, rows), dtype=np.int64)
+            np.concatenate(coords_parts, out=coords.T)
+            mask = (
+                (qlo[:, None] <= coords) & (coords <= qhi[:, None])
+            ).all(axis=0)
+            agg.merge(Aggregate.of_array(np.concatenate(measure_parts)[mask]))
+        return agg, stats
 
     # -- enumeration -------------------------------------------------------
 
@@ -375,8 +350,9 @@ class BaseTree(ShardStore):
         coords = []
         measures = []
         for leaf in self._iter_leaves(self.root):
-            coords.append(leaf.leaf_coords().copy())
-            measures.append(leaf.leaf_measures().copy())
+            # views: ``np.concatenate`` below makes the one copy
+            coords.append(leaf.leaf_coords())
+            measures.append(leaf.leaf_measures())
         if not coords:
             return RecordBatch.empty(self.num_dims)
         return RecordBatch(
@@ -422,7 +398,8 @@ class BaseTree(ShardStore):
         return count
 
     def resident_bytes(self) -> int:
-        """Exact bytes of leaf columns plus packed-key pruning caches."""
+        """Exact buffer bytes: leaf columns plus the packed-key snapshot
+        of every directory a query has expanded (``Node.packed``)."""
         total = 0
         stack = [self.root]
         while stack:

@@ -11,11 +11,12 @@ preallocated numpy column:
 * ``agg`` -- the leaf's aggregate accumulator, recomputable from the
   live measures in one broadcast (:meth:`reaggregate`).
 
-With this layout leaf scans, ``points_in_boxes`` evaluation, aggregate
-recompute and repack-on-overflow are single vectorized operations over
-contiguous buffers -- no Python objects per record remain anywhere in a
-leaf.  Key order is preserved because the words are unsigned big-endian:
-lexicographic row order equals numeric key order, so the stable
+With this layout leaf scans (one gather over every leaf a query
+collects), aggregate recompute and repack-on-overflow are single
+vectorized operations over contiguous buffers -- no Python objects
+per record remain anywhere in a leaf.  Key order is preserved because
+the words are unsigned big-endian: lexicographic row order equals
+numeric key order, so the stable
 ``np.lexsort`` (:func:`~repro.hilbert.compact_hilbert.lexsort_words`)
 produces exactly the permutation ``sorted`` produced on Python ints.
 

@@ -88,7 +88,7 @@ class KeyPolicy:
     def copy(self, key: Any) -> Any:
         raise NotImplementedError
 
-    # -- vectorized many-query primitives (batch query engine) ----------
+    # -- packed primitives (the read engine's directory test) ------------
 
     def pack_keys(self, keys: list[Any], num_dims: int) -> PackedKeys:
         """Snapshot ``m`` keys as a :class:`PackedKeys` SoA for pruning."""
@@ -97,17 +97,27 @@ class KeyPolicy:
     def intersects_many(
         self, packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
     ) -> np.ndarray:
-        """``(k, m)`` mask equal to ``intersects_box(key, box)`` pairwise.
+        """``(m,)`` mask equal to ``intersects_box(key, box)`` per key.
 
-        ``qlo``/``qhi`` are ``(k, d)`` stacked query-box bounds.
+        ``qlo``/``qhi`` are the ``(d,)`` bounds of a non-empty box.
         """
         raise NotImplementedError
 
-    def within_box_many(
-        self, key: Any, qlo: np.ndarray, qhi: np.ndarray
-    ) -> np.ndarray:
-        """``(k,)`` mask: ``within_box(key, box_j)`` for one key, k boxes."""
-        raise NotImplementedError
+    def classify(
+        self, packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decide all ``m`` packed keys against one non-empty box.
+
+        Returns ``(hit, within)``, two ``(m,)`` masks equal per key to
+        ``intersects_box(key, box)`` and ``within_box(key, box)``.  A
+        key lies inside a box iff its MBR summary does, so the within
+        half is the same for both key kinds; ``& hit`` drops the empty
+        keys, whose inverted MBR would pass the containment test.
+        """
+        hit = self.intersects_many(packed, qlo, qhi)
+        within = ((qlo <= packed.lo) & (packed.hi <= qhi)).all(axis=1)
+        within &= hit
+        return hit, within
 
 
 class MBRPolicy(KeyPolicy):
@@ -166,15 +176,6 @@ class MBRPolicy(KeyPolicy):
         self, packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
     ) -> np.ndarray:
         return boxes_intersect_many(packed, qlo, qhi)
-
-    def within_box_many(
-        self, key: Box, qlo: np.ndarray, qhi: np.ndarray
-    ) -> np.ndarray:
-        if key.is_empty():
-            return np.zeros(qlo.shape[0], dtype=bool)
-        return (
-            (qlo <= key.lo[None, :]) & (key.hi[None, :] <= qhi)
-        ).all(axis=1)
 
 
 class MDSPolicy(KeyPolicy):
@@ -238,16 +239,6 @@ class MDSPolicy(KeyPolicy):
         self, packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
     ) -> np.ndarray:
         return mds_intersect_many(packed, qlo, qhi)
-
-    def within_box_many(
-        self, key: MDS, qlo: np.ndarray, qhi: np.ndarray
-    ) -> np.ndarray:
-        if key.is_empty():
-            return np.zeros(qlo.shape[0], dtype=bool)
-        # containment needs only the MBR summary of the interval union
-        lo = np.array([ivs[0][0] for ivs in key.intervals], dtype=np.int64)
-        hi = np.array([ivs[-1][1] for ivs in key.intervals], dtype=np.int64)
-        return ((qlo <= lo[None, :]) & (hi[None, :] <= qhi)).all(axis=1)
 
 
 def make_policy(key_kind: str, mds_max_intervals: int = 4) -> KeyPolicy:

@@ -10,8 +10,8 @@ or a *directory* holding a list of children.  Every node carries:
 * ``lhv`` -- the largest Hilbert value in the subtree (Hilbert variants
   only; ``None`` in geometric trees);
 * ``lock`` -- an RLock when the tree is configured thread-safe;
-* ``key_version`` / ``packed`` -- the packed-key pruning cache for the
-  batch query engine (see :meth:`Node.packed_children`).
+* ``key_version`` / ``packed`` -- the packed-key snapshot the read
+  engine prunes with (see :meth:`Node.packed_children`).
 
 Leaves in Hilbert trees keep per-item Hilbert keys packed as big-endian
 uint64 word rows inside the columns -- no per-record Python objects.
@@ -131,32 +131,34 @@ class Node:
             cols.append(coords, measure)
 
     def packed_children(self, policy, num_dims: int):
-        """Packed SoA snapshot of this directory's child keys, cached.
+        """``(children, key versions, PackedKeys)`` of this directory, cached.
 
-        Validity is structural, no explicit invalidation hook needed:
-        splits / repacks / bulk rebuilds always install *new* child
-        objects (checked by identity), and the only in-place child-key
-        mutations are the insert path's key expansions, which bump the
-        child's ``key_version``.  Callers must hold this node's lock so
-        the children list cannot change while the snapshot is read or
-        rebuilt.
+        The read engine decides every child of a directory from this
+        snapshot in one broadcast.  Validity is structural, no explicit
+        invalidation hook needed: splits / repacks / bulk rebuilds
+        always install *new* child objects (checked by identity), and
+        the only in-place child-key mutations are the insert path's key
+        expansions, which bump the child's ``key_version``.  Callers
+        must hold this node's lock so the children list cannot change
+        while the snapshot is read or rebuilt.  The children's own
+        locks are not taken, so the versions are read *before* the keys
+        are packed: a key that grows meanwhile leaves a snapshot whose
+        recorded version is already behind, never one that vouches for
+        a key it did not pack.
         """
         children = self.children
+        versions = [c.key_version for c in children]
         cached = self.packed
-        if cached is not None:
-            old_children, old_versions, packed = cached
-            if len(old_children) == len(children) and all(
-                c is o and c.key_version == v
-                for c, o, v in zip(children, old_children, old_versions)
-            ):
-                return packed
+        # nodes compare by identity, so both tests are one C-level pass
+        if (
+            cached is not None
+            and cached[0] == children
+            and cached[1] == versions
+        ):
+            return cached
         packed = policy.pack_keys([c.key for c in children], num_dims)
-        self.packed = (
-            tuple(children),
-            tuple(c.key_version for c in children),
-            packed,
-        )
-        return packed
+        self.packed = cached = (list(children), versions, packed)
+        return cached
 
     def acquire(self) -> None:
         if self.lock is not None:

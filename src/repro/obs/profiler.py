@@ -25,7 +25,7 @@ class TreeOpProfile:
     """Work counters of one profiled tree operation."""
 
     kind: str  # "insert" | "insert_batch" | "query" | "query_batch"
-    rows: int  # records inserted / 1 for queries
+    rows: int  # records inserted / boxes answered
     nodes_visited: int
     leaves_visited: int
     items_scanned: int

@@ -27,7 +27,6 @@ __all__ = [
     "union_all",
     "pack_boxes",
     "boxes_intersect_many",
-    "points_in_boxes",
 ]
 
 
@@ -315,32 +314,15 @@ def pack_boxes(keys: Sequence[Box], num_dims: int) -> PackedKeys:
 def boxes_intersect_many(
     packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
 ) -> np.ndarray:
-    """``(k, m)`` intersection mask of k query boxes vs m packed MBRs.
+    """``(m,)`` intersection mask of one query box vs m packed MBRs.
 
-    Matches :meth:`Box.intersects` exactly: empty keys and empty query
-    boxes intersect nothing.
+    ``qlo``/``qhi`` are the ``(d,)`` bounds of a *non-empty* box; on
+    those it matches :meth:`Box.intersects` exactly (empty keys
+    intersect nothing).
     """
-    hit = (
-        (packed.lo[None, :, :] <= qhi[:, None, :])
-        & (qlo[:, None, :] <= packed.hi[None, :, :])
-    ).all(axis=2)
-    hit &= ~packed.empty[None, :]
-    qempty = (qlo > qhi).any(axis=1)
-    hit &= ~qempty[:, None]
+    hit = ((packed.lo <= qhi) & (qlo <= packed.hi)).all(axis=1)
+    hit &= ~packed.empty
     return hit
-
-
-def points_in_boxes(
-    qlo: np.ndarray, qhi: np.ndarray, coords: np.ndarray
-) -> np.ndarray:
-    """``(k, n)`` membership of n points in k boxes, one fused broadcast.
-
-    Row j equals ``Box(qlo[j], qhi[j]).contains_points(coords)``.
-    """
-    return (
-        (qlo[:, None, :] <= coords[None, :, :])
-        & (coords[None, :, :] <= qhi[:, None, :])
-    ).all(axis=2)
 
 
 def point_box(coords: Iterable[int]) -> Box:

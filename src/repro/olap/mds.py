@@ -441,23 +441,18 @@ def pack_mds(keys: Sequence[MDS], num_dims: int) -> PackedKeys:
 def mds_intersect_many(
     packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
 ) -> np.ndarray:
-    """``(k, m)`` intersection mask of k query boxes vs m packed MDS keys.
+    """``(m,)`` intersection mask of one query box vs m packed MDS keys.
 
-    Matches :meth:`MDS.intersects_box` exactly: a key intersects a box
-    iff in *every* dimension *some* interval overlaps the box's range,
-    and empty keys / empty query boxes intersect nothing.
+    ``qlo``/``qhi`` are the ``(d,)`` bounds of a *non-empty* box; on
+    those it matches :meth:`MDS.intersects_box` exactly: a key
+    intersects the box iff in *every* dimension *some* interval
+    overlaps the box's range, and empty keys intersect nothing.
     """
-    k = qlo.shape[0]
-    m = packed.empty.shape[0]
-    num_dims = qlo.shape[1]
-    # per (query, interval) overlap, then OR within each (key, dim)
-    # segment, then AND over dimensions
-    iv_hit = (packed.ilo[None, :] <= qhi[:, packed.dim_idx]) & (
-        qlo[:, packed.dim_idx] <= packed.ihi[None, :]
-    )
-    seg_hit = np.logical_or.reduceat(iv_hit, packed.offsets[:-1], axis=1)
-    hit = seg_hit.reshape(k, m, num_dims).all(axis=2)
-    hit &= ~packed.empty[None, :]
-    qempty = (qlo > qhi).any(axis=1)
-    hit &= ~qempty[:, None]
+    dim_idx = packed.dim_idx
+    # per-interval overlap, then OR within each (key, dim) segment,
+    # then AND over dimensions
+    iv_hit = (packed.ilo <= qhi[dim_idx]) & (qlo[dim_idx] <= packed.ihi)
+    seg_hit = np.logical_or.reduceat(iv_hit, packed.offsets[:-1])
+    hit = seg_hit.reshape(-1, qlo.shape[0]).all(axis=1)
+    hit &= ~packed.empty
     return hit

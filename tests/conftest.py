@@ -117,6 +117,46 @@ def random_boxes(schema: Schema, n: int, seed: int = 1):
     return out
 
 
+def reference_query(tree, box):
+    """The pointer walk the trees' read engine replaced, kept as its oracle.
+
+    One node at a time in preorder: a scalar ``within_box`` on every
+    visited node, a scalar ``intersects_box`` on every child of an
+    expanded directory, and each leaf masked and summed on its own.
+    ``BaseTree.query`` / ``query_batch`` must return exactly these four
+    ``OpStats`` counters (the sim's virtual time is a function of them)
+    and this aggregate up to summation order.
+    """
+    from repro.core.aggregates import Aggregate
+    from repro.core.config import OpStats
+
+    stats = OpStats()
+    agg = Aggregate.empty()
+    if len(tree):
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            stats.nodes_visited += 1
+            if tree.config.cache_aggregates and tree.policy.within_box(
+                node.key, box
+            ):
+                agg.merge(node.agg)
+                stats.agg_hits += 1
+            elif node.is_leaf:
+                stats.leaves_visited += 1
+                stats.items_scanned += node.size
+                mask = box.contains_points(node.leaf_coords())
+                if mask.any():
+                    agg.merge(Aggregate.of_array(node.leaf_measures()[mask]))
+            else:
+                stack.extend(
+                    c
+                    for c in reversed(node.children)
+                    if tree.policy.intersects_box(c.key, box)
+                )
+    return agg, stats
+
+
 @pytest.fixture
 def schema():
     return make_schema()

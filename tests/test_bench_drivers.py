@@ -25,7 +25,7 @@ def test_fig4_driver_tiny():
     res = run_fig4(sizes=(1000,), queries_per_bin=2, repeats=1)
     assert set(res.series) == {
         f"{t} {b}"
-        for t in ("hilbert_pdc", "pdc")
+        for t in ("hilbert_pdc", "pdc", "flat")
         for b in ("low", "medium", "high")
     }
     for pts in res.series.values():

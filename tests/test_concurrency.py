@@ -8,11 +8,14 @@ inserters and queriers race on one tree, and afterwards all invariants
 must hold and no item may be lost.
 """
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core import HilbertPDCTree, PDCTree, TreeConfig
+from repro.olap.keys import Box
 from repro.olap.query import full_query
 
 from .conftest import make_schema, random_batch
@@ -157,6 +160,81 @@ def test_query_batch_races_inserts(cls):
     tree.validate()
     for agg, _ in tree.query_batch([box]):
         assert agg.count == 500 and agg.total == 500.0
+
+
+@pytest.mark.parametrize("entry", ["query", "query_batch"])
+@pytest.mark.parametrize("cls", THREADED)
+def test_no_out_of_box_row_under_key_growth(cls, entry):
+    """A child decided *within* from its parent's snapshot may grow out
+    of the box before its cached aggregate is read.
+
+    The box covers the lower half of dimension 0.  Rows inside it carry
+    measure 1.0 and go in first, so many nodes lie wholly within the
+    box; rows outside it carry 1000.0 and then grow those nodes' keys
+    one by one while two threads query.  An answer with ``total !=
+    count`` took a cached aggregate on the strength of a key that had
+    already moved (the read engine's ``key_version`` re-check); with one
+    inserter, the counts a querier sees never shrink.
+    """
+    schema = make_schema([[8, 8], [8, 8]])
+    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    tree = cls(schema, config)
+    half = int(schema.leaf_limits[0]) // 2
+    box = Box(np.zeros(2, dtype=np.int64), schema.leaf_limits)
+    box.hi[0] = half
+    batch = random_batch(schema, 1500, seed=97)
+    inside = batch.coords[:, 0] <= half
+    batch.measures[:] = np.where(inside, 1.0, 1000.0)
+    order = np.concatenate([np.flatnonzero(inside), np.flatnonzero(~inside)])
+    batch = batch.take(order)
+    n_inside = int(inside.sum())
+    ask = (
+        tree.query
+        if entry == "query"
+        else lambda b: tree.query_batch([b, b])[1]
+    )
+    stop = threading.Event()
+    errors = []
+    bad = []
+
+    def inserter():
+        try:
+            for coords, m in batch.iter_rows():
+                tree.insert(coords, m)
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def querier():
+        seen = 0
+        try:
+            while not stop.is_set():
+                agg, _ = ask(box)
+                if agg.total != agg.count or agg.count < seen:
+                    bad.append((seen, agg.count, agg.total))
+                seen = agg.count
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=inserter)] + [
+        threading.Thread(target=querier) for _ in range(2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert not bad
+    tree.validate()
+    agg, _ = ask(box)
+    assert agg.count == n_inside and agg.total == float(n_inside)
 
 
 @pytest.mark.parametrize("cls", THREADED)

@@ -27,7 +27,15 @@ from repro.hilbert.compact_hilbert import CompactHilbertCurve
 from repro.hilbert.id_expansion import HilbertKeyMapper
 from repro.olap.records import RecordBatch
 
-from .conftest import clustered_batch, make_schema, random_batch, random_boxes
+from repro.olap.keys import Box, point_box
+
+from .conftest import (
+    clustered_batch,
+    make_schema,
+    random_batch,
+    random_boxes,
+    reference_query,
+)
 
 ALL_TREES = [HilbertPDCTree, PDCTree, RTree, HilbertRTree]
 
@@ -47,28 +55,41 @@ def int_batch(schema, n, seed=0, clustered=False) -> RecordBatch:
     return b
 
 
-def assert_matches_oracle(store, oracle, boxes):
-    """Per-box queries AND the batched engine must both match the oracle.
+def counters(stats):
+    return (
+        stats.nodes_visited,
+        stats.leaves_visited,
+        stats.items_scanned,
+        stats.agg_hits,
+    )
 
-    ``query_batch`` is required to be *bit-identical* to the per-box
-    path: same aggregates (same merge order, so ``==`` on floats) and
-    the same ``OpStats`` (same nodes visited, same pruning decisions).
-    """
-    batched = store.query_batch(boxes)
+
+def assert_matches_walk(tree, boxes):
+    """``query`` and ``query_batch`` against the pointer-walk oracle:
+    its four ``OpStats`` counters exactly, its aggregate with ``==``
+    (integer measures), per box and in batch order."""
+    batched = tree.query_batch(boxes)
     assert len(batched) == len(boxes)
     for box, (bagg, bstats) in zip(boxes, batched):
-        got, stats = store.query(box)
+        want, wstats = reference_query(tree, box)
+        got, stats = tree.query(box)
+        assert got.to_tuple() == bagg.to_tuple() == want.to_tuple()
+        assert counters(stats) == counters(bstats) == counters(wstats)
+
+
+def assert_matches_oracle(store, oracle, boxes):
+    """Per-box queries AND ``query_batch`` must both match the flat
+    oracle's aggregate, and the pointer walk's ``OpStats``
+    (:func:`assert_matches_walk`)."""
+    assert_matches_walk(store, boxes)
+    for box in boxes:
+        got, _ = store.query(box)
         want, _ = oracle.query(box)
         assert got.count == want.count
         assert got.total == want.total
         if want.count:
             assert got.vmin == want.vmin
             assert got.vmax == want.vmax
-        assert bagg.to_tuple() == got.to_tuple()
-        assert bstats.nodes_visited == stats.nodes_visited
-        assert bstats.leaves_visited == stats.leaves_visited
-        assert bstats.items_scanned == stats.items_scanned
-        assert bstats.agg_hits == stats.agg_hits
 
 
 @pytest.mark.parametrize("cls", ALL_TREES)
@@ -137,8 +158,6 @@ def test_query_batch_matches_per_box(cls, thread_safe, chunk):
     must get right: an empty box, the full domain, and exact point
     boxes taken from inserted rows.
     """
-    from repro.olap.keys import Box, point_box
-
     schema = make_schema()
     config = TreeConfig(leaf_capacity=16, fanout=8, thread_safe=thread_safe)
     tree = cls(schema, config)
@@ -163,18 +182,78 @@ def test_query_batch_matches_per_box(cls, thread_safe, chunk):
             assert bagg.to_tuple() == sagg.to_tuple()
             assert bagg.count == oagg.count
             assert bagg.total == oagg.total
-            assert (
-                bstats.nodes_visited,
-                bstats.leaves_visited,
-                bstats.items_scanned,
-                bstats.agg_hits,
-            ) == (
-                sstats.nodes_visited,
-                sstats.leaves_visited,
-                sstats.items_scanned,
-                sstats.agg_hits,
-            )
+            assert counters(bstats) == counters(sstats)
     assert tree.query_batch([]) == []
+
+
+@pytest.mark.parametrize("cls", ALL_TREES)
+@pytest.mark.parametrize("key_kind", ["mds", "mbr"])
+@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("cache", [True, False])
+def test_read_engine_matches_pointer_walk(cls, key_kind, thread_safe, cache):
+    """The array-shaped read engine vs the node-by-node walk it
+    replaced (``reference_query``), through a tree's whole life: empty,
+    a single-leaf root, after splits, after ``insert_batch`` repacks and
+    after in-place key growth under snapshots earlier queries cached."""
+    schema = make_schema()
+    d = schema.num_dims
+    config = TreeConfig(
+        leaf_capacity=8,
+        fanout=4,
+        key_kind=key_kind,
+        thread_safe=thread_safe,
+        cache_aggregates=cache,
+    )
+    data = int_batch(schema, 500, seed=71, clustered=True)
+    # keep dimension 0's upper half free of rows: a box there is
+    # disjoint from every root key
+    data.coords[:, 0] //= 2
+    half = int(schema.leaf_limits[0]) // 2
+    full = Box(np.zeros(d, dtype=np.int64), schema.leaf_limits)
+    disjoint = full.copy()
+    disjoint.lo[0] = half + 1
+    inverted = full.copy()  # empty in one dimension only
+    inverted.lo[1], inverted.hi[1] = 3, 2
+    boxes = random_boxes(schema, 30, seed=73)
+    boxes += [full, disjoint, Box.empty(d), inverted, boxes[0], boxes[0]]
+    boxes += [point_box(data.coords[i]) for i in (0, 3, 250, 499)]
+
+    tree = cls(schema, config)
+    assert_matches_walk(tree, boxes)
+    assert counters(tree.query(full)[1]) == (0, 0, 0, 0)
+
+    tree.insert_batch(data.slice(0, 5))
+    assert tree.root.is_leaf
+    assert_matches_walk(tree, boxes)
+    assert counters(tree.query(full)[1]) == (
+        (1, 0, 0, 1) if cache else (1, 1, 5, 0)
+    )
+    # a leaf root is scanned whatever the box
+    assert counters(tree.query(disjoint)[1]) == (1, 1, 5, 0)
+    assert counters(tree.query(Box.empty(d))[1]) == (1, 1, 5, 0)
+
+    for coords, m in data.slice(5, 200).iter_rows():
+        tree.insert(coords, m)
+    assert tree.depth() >= 3
+    assert_matches_walk(tree, boxes)
+    # the root is counted even when nothing below it can match
+    for box in (disjoint, Box.empty(d), inverted):
+        agg, stats = tree.query(box)
+        assert agg.count == 0 and counters(stats) == (1, 0, 0, 0)
+    if cache:
+        assert counters(tree.query(full)[1]) == (1, 0, 0, 1)
+
+    # every directory the queries above expanded now holds a snapshot;
+    # repacks replace children, point inserts grow keys in place
+    tree.insert_batch(data.slice(200, 480))
+    assert_matches_walk(tree, boxes)
+    for coords, m in data.slice(480, 500).iter_rows():
+        tree.insert(coords, m)
+        assert_matches_walk(tree, boxes[:12])
+    tree.validate()
+    assert_matches_walk(tree, boxes)
+    oracle = ArrayStore.from_batch(schema, data)
+    assert_matches_oracle(tree, oracle, boxes)
 
 
 def test_empty_and_single_batches():

@@ -178,8 +178,9 @@ class TestSpanTrees:
     def test_profiler_reports_the_kernel_that_ran(self, schema):
         """Inserts always apply through one ``insert_batch`` tree call
         per (message, shard), so the profiler never sees a per-row
-        ``insert``; a shard queried by one box of a message runs the
-        ``query`` kernel, by several the ``query_batch`` kernel."""
+        ``insert``; likewise every shard a query message touches runs
+        one ``query_batch`` call, ``rows`` boxes wide -- one box or
+        several."""
         cluster = small_cluster(schema, batch_size=8)
         obs = cluster.observe()
         extra = random_batch(schema, 40, seed=12)
@@ -197,11 +198,13 @@ class TestSpanTrees:
         ) == len(extra)
 
         cluster.execute(Query(full_query(schema).box))
-        assert obs.profiler.select("query")
-        assert not obs.profiler.select("query_batch")
+        assert not obs.profiler.select("query")
+        lone = obs.profiler.select("query_batch")
+        assert lone and all(p.rows == 1 for p in lone)
         cluster.execute([Query(full_query(schema).box) for _ in range(4)])
-        assert obs.profiler.select("query_batch")
-        assert all(p.rows == 4 for p in obs.profiler.select("query_batch"))
+        assert not obs.profiler.select("query")
+        wide = obs.profiler.select("query_batch")[len(lone):]
+        assert wide and all(p.rows == 4 for p in wide)
 
     def test_span_durations_feed_registry(self, schema):
         cluster = small_cluster(schema)

@@ -113,6 +113,47 @@ class TestResidencyStateMachine:
         assert len(store) == items and sid not in w.storage.cold
         assert w.storage.spills == 1 and w.storage.rehydrates == 1
 
+    def test_resident_bytes_counts_query_snapshots(self, schema):
+        """Every directory a query expands keeps a packed-key snapshot;
+        ``resident_bytes()`` is leaf columns + those snapshots, and a
+        spill -> rehydrate round trip is back at the bare figure."""
+        cluster, _ = residency_cluster(schema)
+        w = cluster.workers[0]
+        sid = sorted(w.shards)[0]
+        store = w.shards[sid]
+
+        def snapshots(tree):
+            out, stack = [], [tree.root]
+            while stack:
+                node = stack.pop()
+                if not node.is_leaf:
+                    stack.extend(node.children)
+                    if node.packed is not None:
+                        out.append(node.packed[2])
+            return out
+
+        leaf_bytes = sum(
+            leaf.cols.nbytes for leaf in store._iter_leaves(store.root)
+        )
+        bare = store.resident_bytes()
+        assert bare == leaf_bytes and not snapshots(store)
+        # half of the shard's own extent: the root is hit, not within,
+        # so the scan expands directories
+        box = store.mbr()
+        box.hi[0] = (box.lo[0] + box.hi[0]) // 2
+        store.query(box)
+        held = snapshots(store)
+        assert held
+        assert store.resident_bytes() == leaf_bytes + sum(
+            p.nbytes for p in held
+        )
+        assert w.resident_bytes() >= store.resident_bytes()
+
+        w.storage.spill(sid)
+        back = w.storage.rehydrate(sid)
+        assert not snapshots(back)
+        assert back.resident_bytes() == bare
+
     def test_rehydrate_is_idempotent(self, schema):
         cluster, _ = residency_cluster(schema)
         w = cluster.workers[0]

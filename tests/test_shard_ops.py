@@ -14,7 +14,7 @@ from repro.core import (
 from repro.cluster.wire import ClientInsertBatch, f64, i64
 from repro.core.base import Hyperplane
 from repro.olap.query import full_query
-from repro.olap.records import RecordBatch
+from repro.olap.records import RecordBatch, concat_batches
 
 from .conftest import random_batch
 
@@ -92,6 +92,33 @@ def test_split_query_skewed_distribution(schema):
     plane = store.split_query()
     mask = plane.side_mask(coords)
     assert 0 < int(mask.sum()) < 200
+
+
+def test_array_store_grows_by_quarters_and_keeps_its_rows(schema):
+    """Appends grow the buffers in place, a quarter at a time: the rows
+    survive every move, and the store never allocates the doubled
+    buffer that would put ``resident_bytes()`` far above the rows held."""
+    rng = np.random.default_rng(9)
+    store = ArrayStore(schema)
+    parts = []
+    for step in range(60):
+        n = int(rng.integers(1, 900))
+        coords = rng.integers(
+            0, schema.leaf_limits + 1, size=(n, 3), dtype=np.int64
+        )
+        batch = RecordBatch(coords, rng.random(n))
+        parts.append(batch)
+        if step % 7 == 0:
+            for row, m in batch.iter_rows():
+                store.insert(row, m)
+        else:
+            store.insert_batch(batch)
+        row_bytes = 3 * 8 + 8
+        assert store.resident_bytes() <= (1.25 * len(store) + 1024) * row_bytes
+    want = concat_batches(parts, 3)
+    got = store.items()
+    assert np.array_equal(got.coords, want.coords)
+    assert np.array_equal(got.measures, want.measures)
 
 
 class TestHyperplane:

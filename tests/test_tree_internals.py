@@ -13,7 +13,7 @@ from repro.core import (
 from repro.olap.query import full_query
 from repro.olap.records import RecordBatch
 
-from .conftest import make_schema, random_batch
+from .conftest import make_schema, random_batch, reference_query
 
 
 class TestSplitMechanics:
@@ -212,3 +212,120 @@ class TestTreeIntrospection:
         hpdc = HilbertPDCTree(schema)
         assert hr.mapper.expand is False
         assert hpdc.mapper.expand is True
+
+
+class TestReadPathIsArrayShaped:
+    """The read engine's shape, counted -- not timed.
+
+    Below the root no key is tested in Python: a scan query makes one
+    ``classify`` per directory it expands and one ``Aggregate.of_array``
+    for all its leaves, and the packed snapshots it prunes with are
+    rebuilt only where an insert moved a key.  (Wall-clock is
+    ``benchmarks/e2e``'s job.)
+    """
+
+    @pytest.fixture
+    def shard(self):
+        """A bench-sized shard: 6 250 TPC-DS rows at the cluster's 64/16."""
+        from repro.workloads import TPCDSGenerator, tpcds_schema
+
+        schema = tpcds_schema()
+        batch = TPCDSGenerator(schema, seed=5).batch(6250)
+        tree = HilbertPDCTree.from_batch(
+            schema, batch, TreeConfig(leaf_capacity=64, fanout=16)
+        )
+        # the lower half of dimension 0's rows, every other dimension whole
+        box = full_query(schema).box.copy()
+        box.hi[0] = int(np.median(batch.coords[:, 0]))
+        assert box.contains_points(batch.coords).mean() >= 1 / 3
+        return tree, box
+
+    @staticmethod
+    def count_calls(monkeypatch, obj, name, static=False):
+        """Wrap ``obj.name``; returns the list its calls are logged to."""
+        calls = []
+        inner = getattr(obj, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(obj, name, staticmethod(counted) if static else counted)
+        return calls
+
+    @staticmethod
+    def directories(tree):
+        out, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                out.append(node)
+                stack.extend(node.children)
+        return out
+
+    def test_scan_query_call_shape(self, shard, monkeypatch):
+        from repro.core.aggregates import Aggregate
+
+        tree, box = shard
+        policy = tree.policy
+        # directories the pointer walk expands: visited, not within
+        expanded, stack = 0, [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf or policy.within_box(node.key, box):
+                continue
+            expanded += 1
+            stack.extend(
+                c for c in node.children if policy.intersects_box(c.key, box)
+            )
+        want, wstats = reference_query(tree, box)
+        assert expanded >= 3 and wstats.leaves_visited >= 10
+
+        scalar = self.count_calls(monkeypatch, policy, "within_box")
+        scalar += self.count_calls(monkeypatch, policy, "intersects_box")
+        classify = self.count_calls(monkeypatch, policy, "classify")
+        pack = self.count_calls(monkeypatch, policy, "pack_keys")
+        of_array = self.count_calls(
+            monkeypatch, Aggregate, "of_array", static=True
+        )
+        agg, stats = tree.query(box)
+        assert len(scalar) <= 1  # the root
+        assert len(classify) == expanded
+        assert len(of_array) == 1
+        assert len(pack) == expanded  # first query: every snapshot is new
+        assert agg.approx_equal(want)
+        assert stats.nodes_visited == wstats.nodes_visited
+        assert stats.leaves_visited == wstats.leaves_visited
+
+        # the same query again rebuilds nothing
+        del pack[:], classify[:]
+        tree.query(box)
+        assert len(pack) == 0 and len(classify) == expanded
+
+    def test_insert_restales_only_its_path(self, shard, monkeypatch):
+        tree, box = shard
+        tree.query(box)
+        before = {id(n): n.packed for n in self.directories(tree)}
+        # a corner of the box: inside it, and new to the keys on its path
+        tree.insert(box.lo.copy(), -12345.0)
+        path, node = [], tree.root
+        while not node.is_leaf:
+            path.append(node)
+            node = next(
+                c
+                for c in node.children
+                if any(
+                    -12345.0 in leaf.leaf_measures()
+                    for leaf in tree._iter_leaves(c)
+                )
+            )
+        pack = self.count_calls(monkeypatch, tree.policy, "pack_keys")
+        tree.query(box)
+        rebuilt = [
+            n
+            for n in self.directories(tree)
+            if n.packed is not None and n.packed is not before.get(id(n))
+        ]
+        assert 1 <= len(rebuilt) <= len(path)
+        assert all(any(n is p for p in path) for n in rebuilt)
+        assert len(pack) == len(rebuilt)
