@@ -23,6 +23,15 @@ key would be ambiguous under overlap) and the expansion propagates
 toward the root.  The paper notes this transiently violates the
 containment invariant without affecting correctness; the same holds
 here.
+
+Both routing operations read **directory snapshots**: the packed child
+keys (and, for inserts, the child log-volumes) of one directory, tagged
+with the image's version.  ``search`` decides a directory's children in
+one ``intersects_many``, ``route_insert`` a whole client batch in one
+``covers_points_many`` per directory.  Every change of a key or of the
+structure bumps the version, which kills every snapshot at once; the
+next visit rebuilds the directory's.  Keys grow in two places only: the
+synchronisation path above and :meth:`LocalImage._route_growing`.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ def owner_of(zk, shard_id: int) -> Optional[int]:
 
 
 class _ImageNode:
-    __slots__ = ("key", "parent", "children", "shard")
+    __slots__ = ("key", "parent", "children", "shard", "snap")
 
     def __init__(
         self,
@@ -109,6 +118,8 @@ class _ImageNode:
         self.parent = parent
         self.children: Optional[list["_ImageNode"]] = None if shard else []
         self.shard = shard
+        #: (image version, packed child keys, child log-volumes) or None
+        self.snap: Optional[tuple] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -131,6 +142,14 @@ class LocalImage:
         self.fanout = fanout
         self.policy: KeyPolicy = make_policy(key_kind, mds_max_intervals)
         self.root = _ImageNode(self.policy.empty(num_dims))
+        #: a directory above the root, so that the root's own key is
+        #: tested like every other: as its directory's (only) child
+        self._top = _ImageNode(None)
+        self._top.children = [self.root]
+        #: bumped by every key or structure change; a snapshot built
+        #: under another version is dead (changes are a few per 10 000
+        #: routed rows, so nothing finer is kept)
+        self._version = 0
         self._leaves: dict[int, _ImageNode] = {}
         #: shards whose keys grew locally since the last Zookeeper sync
         self.dirty: set[int] = set()
@@ -160,6 +179,7 @@ class LocalImage:
         # Adopt the published key into this image's native kind; the
         # leaf's key *is* the shard's key thereafter, so path expansions
         # are visible through both.
+        self._version += 1
         info.key = self.policy.adopt(info.key)
         leaf = _ImageNode(info.key, shard=info)
         self._leaves[info.shard_id] = leaf
@@ -175,6 +195,7 @@ class LocalImage:
 
     def remove_shard(self, shard_id: int) -> None:
         """Drop a shard's leaf (after a split replaced it, or migration)."""
+        self._version += 1
         leaf = self._leaves.pop(shard_id)
         parent = leaf.parent
         parent.children.remove(leaf)
@@ -200,6 +221,7 @@ class LocalImage:
         grown = self.policy.adopt(key)
         if not self.policy.expand(leaf.key, grown):
             return False
+        self._version += 1
         node = leaf.parent
         while node is not None:
             if not self.policy.expand(node.key, grown):
@@ -209,15 +231,123 @@ class LocalImage:
 
     # -- operation routing ----------------------------------------------------
 
-    def route_insert(self, coords: np.ndarray) -> ShardInfo:
-        """Choose the shard for an insertion; expand keys on the path.
+    def route_insert(self, coords: np.ndarray) -> list[ShardInfo]:
+        """Choose the shard of every row of an ``(n, d)`` batch, in row
+        order; expand keys on the paths.
 
-        Descends by least overlap.  Marks the shard dirty when its
-        bounding key grows (the server will push the new key to
-        Zookeeper at the next sync).
+        Each row descends by least overlap and its shard is marked
+        dirty when its bounding key grows (the server will push the new
+        key to Zookeeper at the next sync) -- the result, the sizes,
+        every key and ``nodes_visited_last`` (the sum over the rows) are
+        those of ``n`` one-row calls.  A row that every key on its path
+        already covers changes no key, so a stretch of them is decided
+        against the directory snapshots, one broadcast per directory
+        (:meth:`_route_covered`); the first row that is not descends
+        alone and grows its path (:meth:`_route_growing`), which kills
+        the snapshots, and the rest resume.  The window after a growing
+        row is twice the covered stretch before it, so a batch of
+        nothing but growing rows costs one one-row broadcast each.
         """
         if not self._leaves:
             raise RuntimeError("image has no shards")
+        coords = np.asarray(coords, dtype=np.int64)
+        n = len(coords)
+        out: list[ShardInfo] = []
+        visited = 0
+        look = n
+        while len(out) < n:
+            window = coords[len(out) : len(out) + look]
+            leaves, seen = self._route_covered(window)
+            visited += seen
+            for leaf in leaves:
+                leaf.shard.size += 1
+                out.append(leaf.shard)
+            if len(leaves) < len(window):
+                info, seen = self._route_growing(coords[len(out)])
+                visited += seen
+                out.append(info)
+            look = max(1, 2 * len(leaves))
+        self.nodes_visited_last = visited
+        return out
+
+    def search(self, box: Box) -> list[ShardInfo]:
+        """All shards whose bounding key intersects ``box`` (one
+        ``intersects_many`` over each directory's snapshot)."""
+        out: list[ShardInfo] = []
+        visited = 0
+        stack = [self.root]
+        live = not box.is_empty()  # an empty box meets no key
+        while stack:
+            node = stack.pop()
+            visited += 1
+            if node.is_leaf:
+                out.append(node.shard)
+            elif live:
+                hit = self.policy.intersects_many(
+                    self._snapshot(node)[1], box.lo, box.hi
+                )
+                stack.extend(
+                    node.children[i] for i in np.flatnonzero(hit).tolist()
+                )
+        self.nodes_visited_last = visited
+        return out
+
+    # -- internals ---------------------------------------------------------
+
+    def _snapshot(self, node: _ImageNode) -> tuple:
+        """``(version, packed child keys, child log-volumes)`` of a
+        directory, rebuilt when the image changed since it was taken."""
+        snap = node.snap
+        if snap is None or snap[0] != self._version:
+            keys = [c.key for c in node.children]
+            snap = node.snap = (
+                self._version,
+                self.policy.pack_keys(keys, self.num_dims),
+                np.array([self.policy.log_volume(k) for k in keys]),
+            )
+        return snap
+
+    def _route_covered(self, coords: np.ndarray) -> tuple[list[_ImageNode], int]:
+        """The leaves of the longest run of leading rows that grow no
+        key, and the nodes those rows visit.
+
+        Per directory and row the chosen child is the smallest covering
+        one (the first of equals), as in :meth:`_route_child`; a row
+        whose choice does not cover it -- no child does, or the only
+        child does not -- ends the run.  Nothing is changed here.
+        """
+        n = len(coords)
+        leaf: list = [None] * n
+        hops = [0] * n
+        stop = n  # the first row known to grow a key
+        work = [(self._top, np.arange(n), 1)]
+        while work:
+            node, rows, depth = work.pop()
+            rows = rows[rows < stop]
+            _, packed, volume = self._snapshot(node)
+            cover = self.policy.covers_points_many(packed, coords[rows])
+            pick = np.where(cover, volume, np.inf).argmin(axis=1)
+            ok = cover[np.arange(len(rows)), pick]
+            if not ok.all():
+                bad = int(ok.argmin())
+                stop = int(rows[bad])
+                rows, pick = rows[:bad], pick[:bad]
+            for i in np.unique(pick).tolist():
+                child = node.children[i]
+                sub = rows[pick == i]
+                if child.is_leaf:
+                    for r in sub.tolist():
+                        leaf[r] = child
+                        hops[r] = depth
+                else:
+                    work.append((child, sub, depth + 1))
+        return leaf[:stop], sum(hops[:stop])
+
+    def _route_growing(self, coords: np.ndarray) -> tuple[ShardInfo, int]:
+        """One row's descent, expanding every key on its path: the only
+        place routing grows keys.  Returns the shard and the nodes
+        visited."""
+        self._version += 1
         visited = 1
         node = self.root
         self.policy.expand_point(node.key, coords)
@@ -227,31 +357,11 @@ class LocalImage:
             node = node.children[idx]
             changed = self.policy.expand_point(node.key, coords)
             visited += 1
-        self.nodes_visited_last = visited
         info = node.shard  # node.key is info.key: path expansion included it
         if changed:
             self.dirty.add(info.shard_id)
         info.size += 1
-        return info
-
-    def search(self, box: Box) -> list[ShardInfo]:
-        """All shards whose bounding key intersects ``box``."""
-        out: list[ShardInfo] = []
-        visited = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            visited += 1
-            if node.is_leaf:
-                out.append(node.shard)
-                continue
-            for c in node.children:
-                if self.policy.intersects_box(c.key, box):
-                    stack.append(c)
-        self.nodes_visited_last = visited
-        return out
-
-    # -- internals ---------------------------------------------------------
+        return info, visited
 
     def _route_child(self, node: _ImageNode, coords: np.ndarray) -> int:
         children = node.children

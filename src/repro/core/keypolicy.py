@@ -103,6 +103,13 @@ class KeyPolicy:
         """
         raise NotImplementedError
 
+    def covers_points_many(
+        self, packed: PackedKeys, coords: np.ndarray
+    ) -> np.ndarray:
+        """``(n, m)`` mask equal to ``covers_point(key, row)`` for every
+        row of an ``(n, d)`` array against every packed key."""
+        raise NotImplementedError
+
     def classify(
         self, packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,6 +184,12 @@ class MBRPolicy(KeyPolicy):
     ) -> np.ndarray:
         return boxes_intersect_many(packed, qlo, qhi)
 
+    def covers_points_many(
+        self, packed: PackedKeys, coords: np.ndarray
+    ) -> np.ndarray:
+        c = coords[:, None, :]
+        return ((packed.lo <= c) & (c <= packed.hi)).all(axis=2)
+
 
 class MDSPolicy(KeyPolicy):
     """Interval-set keys (Minimum Describing Subsets)."""
@@ -217,11 +230,12 @@ class MDSPolicy(KeyPolicy):
         return a.covers(b)
 
     def adopt(self, key) -> MDS:
-        if isinstance(key, MDS):
-            out = key.copy()
-            out.max_intervals = self.max_intervals
-            return out
-        return MDS.from_box(key, self.max_intervals)
+        if not isinstance(key, MDS):
+            return MDS.from_box(key, self.max_intervals)
+        if key.max_intervals == self.max_intervals:
+            return key.copy()
+        # a key as wide as its block: the constructor coalesces to the cap
+        return MDS(key.intervals, self.max_intervals)
 
     def covers_point(self, key: MDS, coords: np.ndarray) -> bool:
         return key.covers_point(coords)
@@ -239,6 +253,12 @@ class MDSPolicy(KeyPolicy):
         self, packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
     ) -> np.ndarray:
         return mds_intersect_many(packed, qlo, qhi)
+
+    def covers_points_many(
+        self, packed: PackedKeys, coords: np.ndarray
+    ) -> np.ndarray:
+        c = coords[:, None, :, None]
+        return ((packed.ilo <= c) & (c <= packed.ihi)).any(axis=3).all(axis=2)
 
 
 def make_policy(key_kind: str, mds_max_intervals: int = 4) -> KeyPolicy:

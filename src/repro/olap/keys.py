@@ -254,14 +254,13 @@ class PackedKeys:
     ``lo``/``hi`` are the ``(m, d)`` MBR summaries of each key and
     ``empty`` flags keys with no content; these three drive the shared
     *within* test (a key lies inside a query box iff its MBR does).
-    MDS packs additionally carry the flattened per-dimension interval
-    unions: ``ilo``/``ihi`` are the ``(L,)`` interval bounds across all
-    keys and dimensions, ``dim_idx`` maps each interval to its
-    dimension, and ``offsets`` (length ``m * d + 1``) delimits the
-    ``(key, dim)`` segment boundaries for ``np.logical_or.reduceat``.
+    MDS packs additionally carry the dense interval unions: ``ilo`` /
+    ``ihi`` are the ``(m, d, cap)`` interval bounds, unused slots never
+    matching (:func:`repro.olap.mds.pack_mds`; ``lo`` is then a view of
+    ``ilo``).
     """
 
-    __slots__ = ("lo", "hi", "empty", "ilo", "ihi", "dim_idx", "offsets")
+    __slots__ = ("lo", "hi", "empty", "ilo", "ihi")
 
     def __init__(
         self,
@@ -270,33 +269,23 @@ class PackedKeys:
         empty: np.ndarray,
         ilo: np.ndarray | None = None,
         ihi: np.ndarray | None = None,
-        dim_idx: np.ndarray | None = None,
-        offsets: np.ndarray | None = None,
     ):
         self.lo = lo
         self.hi = hi
         self.empty = empty
         self.ilo = ilo
         self.ihi = ihi
-        self.dim_idx = dim_idx
-        self.offsets = offsets
 
     @property
     def nbytes(self) -> int:
-        """Buffer bytes of the snapshot (resident-memory accounting)."""
-        return sum(
-            a.nbytes
-            for a in (
-                self.lo,
-                self.hi,
-                self.empty,
-                self.ilo,
-                self.ihi,
-                self.dim_idx,
-                self.offsets,
-            )
-            if a is not None
-        )
+        """Buffer bytes of the snapshot (resident-memory accounting),
+        each owned buffer once however many of the fields view it."""
+        owned = {}
+        for a in (self.lo, self.hi, self.empty, self.ilo, self.ihi):
+            if a is not None:
+                buf = a if a.base is None else a.base
+                owned[id(buf)] = buf.nbytes
+        return sum(owned.values())
 
 
 def pack_boxes(keys: Sequence[Box], num_dims: int) -> PackedKeys:

@@ -15,6 +15,16 @@ reproduces the same behaviour on hierarchy-clustered data).
 Compared to a single-interval MBR, an MDS stays tight on data that is
 clustered in several separate hierarchy regions -- the property that
 makes PDC trees scale to many dimensions (paper Fig. 5).
+
+**Layout.**  A key is one ``(2, d, cap)`` int64 block: ``[0]`` the
+interval starts and ``[1]`` the ends of each dimension, sorted, unused
+slots holding :meth:`Box.empty`'s sentinels ``[max // 2, -1]`` (they
+match no id and sort last).  Every test is a broadcast over the block;
+growth runs the interval-list algorithms below on only the dimensions
+the covered test found wanting and commits each with **one** slice
+assignment, because readers pack child keys without the child's lock
+(:meth:`repro.core.node.Node.packed_children`): a dimension's coverage
+may grow under them but is never seen blanked.
 """
 
 from __future__ import annotations
@@ -30,53 +40,116 @@ __all__ = ["MDS", "DEFAULT_MAX_INTERVALS", "pack_mds", "mds_intersect_many"]
 
 DEFAULT_MAX_INTERVALS = 4
 
+#: an unused slot, as (start, end)
+_UNUSED = (np.iinfo(np.int64).max // 2, -1)
 
-def _coalesce_smallest_gap(ivs: list[list[int]]) -> None:
+
+def _blank(shape: tuple) -> np.ndarray:
+    """A ``(..., 2, d, cap)`` block of unused slots."""
+    block = np.empty(shape, dtype=np.int64)
+    block[..., 0, :, :] = _UNUSED[0]
+    block[..., 1, :, :] = _UNUSED[1]
+    return block
+
+
+def _coalesce_smallest_gap(starts: list[int], ends: list[int]) -> None:
     """Merge the adjacent interval pair with the smallest gap, in place."""
     best = 0
     best_gap = None
-    for i in range(len(ivs) - 1):
-        gap = ivs[i + 1][0] - ivs[i][1]
+    for i in range(len(starts) - 1):
+        gap = starts[i + 1] - ends[i]
         if best_gap is None or gap < best_gap:
             best_gap = gap
             best = i
-    ivs[best][1] = ivs[best + 1][1]
-    del ivs[best + 1]
+    ends[best] = ends[best + 1]
+    del starts[best + 1], ends[best + 1]
 
 
-def _insert_value(ivs: list[list[int]], lo: int, hi: int, cap: int) -> bool:
-    """Insert interval [lo, hi] into a sorted disjoint interval list.
+def _insert_value(
+    starts: list[int], ends: list[int], lo: int, hi: int, cap: int
+) -> bool:
+    """Insert interval [lo, hi] into the sorted disjoint intervals
+    ``[starts[i], ends[i]]`` (two parallel lists, no unused slots).
 
-    Returns True if the list changed.  Merges overlapping/adjacent
+    Returns True if the lists changed.  Merges overlapping/adjacent
     intervals and enforces the cap.
     """
-    n = len(ivs)
     # Find insertion point by lower bound.
-    idx = bisect_right(ivs, lo, key=lambda iv: iv[0])
+    idx = bisect_right(starts, lo)
     # Check the interval before: may already cover or touch [lo, hi].
-    if idx > 0 and ivs[idx - 1][1] >= lo - 1:
-        prev = ivs[idx - 1]
-        if prev[1] >= hi:
+    if idx > 0 and ends[idx - 1] >= lo - 1:
+        if ends[idx - 1] >= hi:
             return False  # already covered
-        prev[1] = hi
         idx -= 1
+        ends[idx] = hi
     else:
-        ivs.insert(idx, [lo, hi])
+        starts.insert(idx, lo)
+        ends.insert(idx, hi)
     # Absorb following intervals that now overlap/touch.
-    cur = ivs[idx]
     j = idx + 1
-    while j < len(ivs) and ivs[j][0] <= cur[1] + 1:
-        cur[1] = max(cur[1], ivs[j][1])
-        del ivs[j]
-    while len(ivs) > cap:
-        _coalesce_smallest_gap(ivs)
+    while j < len(starts) and starts[j] <= ends[idx] + 1:
+        ends[idx] = max(ends[idx], ends[j])
+        del starts[j], ends[j]
+    while len(starts) > cap:
+        _coalesce_smallest_gap(starts, ends)
     return True
+
+
+def _merge_values(
+    starts: list[int], ends: list[int], col: np.ndarray, cap: int
+) -> tuple[list[int], list[int]]:
+    """The intervals covering ``[starts[i], ends[i]]`` and every value
+    of ``col``, as two new parallel lists.
+
+    Unique values compress into runs of consecutive ids, the runs merge
+    with the existing intervals in a single sweep, and the cap is
+    enforced by keeping the ``cap - 1`` *largest* gaps as separators --
+    merging one interval pair never changes any other gap, so this is
+    the same endpoint set that repeated smallest-gap-first coalescing
+    converges to (up to tie order; any coalescing is a valid cover).
+    """
+    if len(col) > 64:
+        vals = np.unique(col)
+        brk = np.nonzero(np.diff(vals) > 1)[0]
+        s_idx = np.concatenate(([0], brk + 1))
+        e_idx = np.concatenate((brk, [len(vals) - 1]))
+        new = list(zip(vals[s_idx].tolist(), vals[e_idx].tolist()))
+    else:
+        svals = sorted(col.tolist())
+        new = []
+        lo = hi = svals[0]
+        for v in svals[1:]:
+            if v <= hi + 1:
+                hi = v if v > hi else hi
+            else:
+                new.append((lo, hi))
+                lo = hi = v
+        new.append((lo, hi))
+    pool = sorted(list(zip(starts, ends)) + new) if starts else new
+    los, his = [pool[0][0]], [pool[0][1]]
+    for lo, hi in pool[1:]:
+        if lo <= his[-1] + 1:
+            if hi > his[-1]:
+                his[-1] = hi
+        else:
+            los.append(lo)
+            his.append(hi)
+    if len(los) <= cap:
+        return los, his
+    if cap == 1:  # no separator survives ([-0:] would keep them all)
+        return los[:1], his[-1:]
+    gaps = np.array(los[1:]) - np.array(his[:-1])
+    keep = np.sort(np.argpartition(gaps, -(cap - 1))[-(cap - 1):]).tolist()
+    return (
+        los[:1] + [los[g + 1] for g in keep],
+        [his[g] for g in keep] + his[-1:],
+    )
 
 
 class MDS:
     """A per-dimension set of disjoint intervals, capped in size."""
 
-    __slots__ = ("intervals", "max_intervals")
+    __slots__ = ("_iv",)
 
     def __init__(
         self,
@@ -85,25 +158,24 @@ class MDS:
     ):
         if max_intervals < 1:
             raise ValueError("max_intervals must be >= 1")
-        self.max_intervals = max_intervals
-        self.intervals: list[list[list[int]]] = [
-            sorted([list(map(int, iv)) for iv in dim_ivs], key=lambda iv: iv[0])
-            for dim_ivs in intervals
-        ]
-        for dim_ivs in self.intervals:
-            for a, b in zip(dim_ivs, dim_ivs[1:]):
-                if a[1] >= b[0]:
-                    raise ValueError("intervals within a dimension must be disjoint")
-            while len(dim_ivs) > max_intervals:
-                _coalesce_smallest_gap(dim_ivs)
+        self._iv = _blank((2, len(intervals), max_intervals))
+        for d, dim_ivs in enumerate(intervals):
+            ivs = sorted(
+                ((int(lo), int(hi)) for lo, hi in dim_ivs), key=lambda iv: iv[0]
+            )
+            starts, ends = [iv[0] for iv in ivs], [iv[1] for iv in ivs]
+            if any(a >= b for a, b in zip(ends, starts[1:])):
+                raise ValueError("intervals within a dimension must be disjoint")
+            while len(starts) > max_intervals:
+                _coalesce_smallest_gap(starts, ends)
+            self._set(d, starts, ends)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def empty(num_dims: int, max_intervals: int = DEFAULT_MAX_INTERVALS) -> "MDS":
         m = MDS.__new__(MDS)
-        m.max_intervals = max_intervals
-        m.intervals = [[] for _ in range(num_dims)]
+        m._iv = _blank((2, num_dims, max_intervals))
         return m
 
     @staticmethod
@@ -111,58 +183,76 @@ class MDS:
         coords: np.ndarray, max_intervals: int = DEFAULT_MAX_INTERVALS
     ) -> "MDS":
         m = MDS.empty(len(coords), max_intervals)
-        m.expand_point_inplace(coords)
+        m._iv[:, :, 0] = coords
         return m
 
     @staticmethod
     def from_box(box: Box, max_intervals: int = DEFAULT_MAX_INTERVALS) -> "MDS":
         m = MDS.empty(box.num_dims, max_intervals)
         if not box.is_empty():
-            for d in range(box.num_dims):
-                m.intervals[d].append([int(box.lo[d]), int(box.hi[d])])
+            m._iv[0, :, 0] = box.lo
+            m._iv[1, :, 0] = box.hi
         return m
+
+    # -- the block ---------------------------------------------------------
+
+    @property
+    def max_intervals(self) -> int:
+        return self._iv.shape[2]
+
+    @property
+    def intervals(self) -> list[list[list[int]]]:
+        """The per-dimension ``[lo, hi]`` lists (a read-only copy)."""
+        return [[list(iv) for iv in ivs] for ivs in self.to_tuple()]
+
+    def _dim(self, d: int) -> tuple[list[int], list[int]]:
+        """Dimension ``d``'s starts and ends, unused slots dropped."""
+        starts, ends = self._iv[:, d].tolist()
+        used = len(ends) - ends.count(_UNUSED[1])
+        return starts[:used], ends[:used]
+
+    def _set(self, d: int, starts: list[int], ends: list[int]) -> None:
+        """Commit dimension ``d`` -- one assignment (module docstring)."""
+        pad = self._iv.shape[2] - len(starts)
+        self._iv[:, d, :] = (
+            starts + [_UNUSED[0]] * pad,
+            ends + [_UNUSED[1]] * pad,
+        )
+
+    def _hits(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``(..., d, cap)`` mask: the slot of dimension ``d`` that
+        holds all of ``[lo, hi]`` (both ``(..., d)``) -- at most one,
+        the intervals of a dimension being disjoint, except that every
+        slot holds an unused one, which so never asks for growth."""
+        starts, ends = self._iv
+        return (starts <= lo[..., None]) & (hi[..., None] <= ends)
 
     # -- predicates ----------------------------------------------------------
 
     @property
     def num_dims(self) -> int:
-        return len(self.intervals)
+        return self._iv.shape[1]
 
     def is_empty(self) -> bool:
-        return any(len(ivs) == 0 for ivs in self.intervals)
+        return bool((self._iv[0, :, 0] > self._iv[1, :, 0]).any())
 
     def covers_point(self, coords: Sequence[int]) -> bool:
-        for d, c in enumerate(coords):
-            c = int(c)
-            ivs = self.intervals[d]
-            idx = bisect_right(ivs, c, key=lambda iv: iv[0]) - 1
-            if idx < 0 or ivs[idx][1] < c:
-                return False
-        return True
+        c = np.asarray(coords, dtype=np.int64)
+        return np.count_nonzero(self._hits(c, c)) == c.size  # one per id
 
     def intersects_box(self, box: Box) -> bool:
         """True if the product set shares at least one point with ``box``."""
-        if self.is_empty() or box.is_empty():
+        if box.is_empty():
             return False
-        for d in range(self.num_dims):
-            qlo, qhi = int(box.lo[d]), int(box.hi[d])
-            if not any(iv[0] <= qhi and qlo <= iv[1] for iv in self.intervals[d]):
-                return False
-        return True
+        starts, ends = self._iv
+        hit = (starts <= box.hi[:, None]) & (box.lo[:, None] <= ends)
+        return bool(hit.any(axis=1).all())
 
     def covers(self, other: "MDS") -> bool:
         """True if every interval of ``other`` lies inside this MDS."""
         if other.is_empty():
             return True
-        if self.is_empty():
-            return False
-        for d in range(self.num_dims):
-            mine = self.intervals[d]
-            for iv in other.intervals[d]:
-                idx = bisect_right(mine, iv[0], key=lambda x: x[0]) - 1
-                if idx < 0 or mine[idx][1] < iv[1]:
-                    return False
-        return True
+        return bool(self._hits(other._iv[0].T, other._iv[1].T).any(axis=2).all())
 
     def within_box(self, box: Box) -> bool:
         """True if every interval in every dimension lies inside ``box``."""
@@ -170,23 +260,15 @@ class MDS:
             return True
         if box.is_empty():
             return False
-        for d in range(self.num_dims):
-            qlo, qhi = int(box.lo[d]), int(box.hi[d])
-            ivs = self.intervals[d]
-            if ivs[0][0] < qlo or ivs[-1][1] > qhi:
-                return False
-        return True
+        first, last = self._iv[0, :, 0], self._iv[1].max(axis=1)
+        return not ((first < box.lo) | (last > box.hi)).any()
 
     # -- measures --------------------------------------------------------
 
     def side_lengths(self) -> np.ndarray:
         """Per-dimension covered length (sum of interval sizes)."""
-        return np.array(
-            [
-                float(sum(iv[1] - iv[0] + 1 for iv in ivs))
-                for ivs in self.intervals
-            ]
-        )
+        starts, ends = self._iv
+        return np.maximum(ends - starts + 1, 0).sum(axis=1).astype(np.float64)
 
     def log_volume(self) -> float:
         if self.is_empty():
@@ -195,23 +277,11 @@ class MDS:
 
     def overlap_lengths(self, other: "MDS") -> np.ndarray:
         """Per-dimension length of the intersection of interval unions."""
-        out = np.zeros(self.num_dims)
-        for d in range(self.num_dims):
-            a = self.intervals[d]
-            b = other.intervals[d]
-            i = j = 0
-            total = 0
-            while i < len(a) and j < len(b):
-                lo = max(a[i][0], b[j][0])
-                hi = min(a[i][1], b[j][1])
-                if lo <= hi:
-                    total += hi - lo + 1
-                if a[i][1] < b[j][1]:
-                    i += 1
-                else:
-                    j += 1
-            out[d] = float(total)
-        return out
+        (a_lo, a_hi), (b_lo, b_hi) = self._iv, other._iv
+        # intervals of one key are disjoint, so the pairwise pieces are too
+        lo = np.maximum(a_lo[:, :, None], b_lo[:, None, :])
+        hi = np.minimum(a_hi[:, :, None], b_hi[:, None, :])
+        return np.maximum(hi - lo + 1, 0).sum(axis=(1, 2)).astype(np.float64)
 
     def log_overlap_volume(self, other: "MDS") -> float:
         """log2 of the intersection volume with ``other``; -inf if disjoint."""
@@ -222,133 +292,54 @@ class MDS:
 
     # -- combination -------------------------------------------------------
 
+    def _expand(self, lo: np.ndarray, hi: np.ndarray, held=None) -> bool:
+        """Insert the intervals ``[lo[j, d], hi[j, d]]`` that dimension
+        ``d`` does not hold, in order of ``j`` (one it holds stays held:
+        coverage only grows).  ``held`` is the ``(k, d)`` mask, when the
+        caller has it."""
+        if held is None:
+            held = self._hits(lo, hi).any(axis=2)
+        if held.all():
+            return False
+        cap = self.max_intervals
+        asked = zip(held.T.tolist(), lo.T.tolist(), hi.T.tolist())
+        for d, (has, los, his) in enumerate(asked):
+            if not all(has):
+                starts, ends = self._dim(d)
+                for done, a, b in zip(has, los, his):
+                    if not done:
+                        _insert_value(starts, ends, a, b, cap)
+                self._set(d, starts, ends)
+        return True
+
     def expand_point_inplace(self, coords: Sequence[int]) -> bool:
-        changed = False
-        for d, c in enumerate(coords):
-            c = int(c)
-            if _insert_value(self.intervals[d], c, c, self.max_intervals):
-                changed = True
-        return changed
+        return self.expand_points_inplace(np.asarray(coords)[None])
 
     def expand_points_inplace(self, coords: np.ndarray) -> bool:
-        """Grow to cover every row of an ``(n, d)`` array in one pass.
-
-        Per dimension: unique values compress into runs of consecutive
-        ids, the runs merge with the existing interval list in a single
-        sweep, and the cap is enforced by keeping the ``cap - 1``
-        *largest* gaps as separators -- merging one interval pair never
-        changes any other gap, so this is the same endpoint set that
-        repeated smallest-gap-first coalescing converges to (up to tie
-        order; any coalescing is a valid cover).
-        """
+        """Grow to cover every row of an ``(n, d)`` array in one pass:
+        nothing to do when each id has its one hit, else one row grows
+        like a point and more by :func:`_merge_values`, each in the
+        dimensions that lack an id."""
         c = np.asarray(coords, dtype=np.int64)
-        n = c.shape[0]
-        if n == 0:
+        hits = self._hits(c, c)
+        if np.count_nonzero(hits) == c.size:
             return False
-        if n == 1:
-            return self.expand_point_inplace(c[0])
-        # cheapest fast path: one existing interval per dimension covers
-        # the whole run span (true for almost every non-leaf node)
-        lo_vec = c.min(axis=0)
-        hi_vec = c.max(axis=0)
-        for d in range(self.num_dims):
-            lo = lo_vec[d]
-            hi = hi_vec[d]
-            for iv in self.intervals[d]:
-                if iv[0] <= lo and hi <= iv[1]:
-                    break
-            else:
-                break
-        else:
-            return False
-        changed = False
+        held = hits.any(axis=2)
+        if len(c) == 1:
+            return self._expand(c, c, held)
         cap = self.max_intervals
-        for d in range(self.num_dims):
-            ivs = self.intervals[d]
-            col = c[:, d]
-            if ivs:
-                # fast path: every value already covered -> no change
-                starts = np.fromiter(
-                    (iv[0] for iv in ivs), np.int64, len(ivs)
-                )
-                pos = np.searchsorted(starts, col, side="right") - 1
-                if (pos >= 0).all():
-                    ends = np.fromiter(
-                        (iv[1] for iv in ivs), np.int64, len(ivs)
-                    )
-                    if (col <= ends[pos]).all():
-                        continue
-            if n > 64:
-                vals = np.unique(col)
-                brk = np.nonzero(np.diff(vals) > 1)[0]
-                s_idx = np.concatenate(([0], brk + 1))
-                e_idx = np.concatenate((brk, [len(vals) - 1]))
-                new = [
-                    [int(vals[s]), int(vals[e])]
-                    for s, e in zip(s_idx, e_idx)
-                ]
-            else:
-                svals = sorted(int(v) for v in col)
-                new = []
-                lo = hi = svals[0]
-                for v in svals[1:]:
-                    if v <= hi + 1:
-                        hi = v if v > hi else hi
-                    else:
-                        new.append([lo, hi])
-                        lo = hi = v
-                new.append([lo, hi])
-            pool = sorted(ivs + new) if ivs else new
-            merged = [pool[0][:]]
-            for lo, hi in pool[1:]:
-                if lo <= merged[-1][1] + 1:
-                    if hi > merged[-1][1]:
-                        merged[-1][1] = hi
-                else:
-                    merged.append([lo, hi])
-            if len(merged) > cap:
-                gaps = np.array(
-                    [
-                        merged[i + 1][0] - merged[i][1]
-                        for i in range(len(merged) - 1)
-                    ]
-                )
-                keep = np.sort(np.argpartition(gaps, -(cap - 1))[-(cap - 1):])
-                out = []
-                start = merged[0][0]
-                for g in keep:
-                    out.append([start, merged[g][1]])
-                    start = merged[g + 1][0]
-                out.append([start, merged[-1][1]])
-                merged = out
-            if merged != ivs:
-                ivs[:] = merged
-                changed = True
-        return changed
+        for d, done in enumerate(held.all(axis=0).tolist()):
+            if not done:
+                self._set(d, *_merge_values(*self._dim(d), c[:, d], cap))
+        return True
 
     def expand_inplace(self, other: "MDS") -> bool:
-        changed = False
-        for d in range(self.num_dims):
-            for iv in other.intervals[d]:
-                if _insert_value(
-                    self.intervals[d], iv[0], iv[1], self.max_intervals
-                ):
-                    changed = True
-        return changed
+        return self._expand(other._iv[0].T, other._iv[1].T)
 
     def expand_box_inplace(self, box: Box) -> bool:
         if box.is_empty():
             return False
-        changed = False
-        for d in range(box.num_dims):
-            if _insert_value(
-                self.intervals[d],
-                int(box.lo[d]),
-                int(box.hi[d]),
-                self.max_intervals,
-            ):
-                changed = True
-        return changed
+        return self._expand(box.lo[None], box.hi[None])
 
     def union(self, other: "MDS") -> "MDS":
         m = self.copy()
@@ -361,19 +352,18 @@ class MDS:
         """Single-interval bounding box of the MDS."""
         if self.is_empty():
             return Box.empty(self.num_dims)
-        lo = np.array([ivs[0][0] for ivs in self.intervals], dtype=np.int64)
-        hi = np.array([ivs[-1][1] for ivs in self.intervals], dtype=np.int64)
-        return Box(lo, hi, copy=False)
+        return Box(self._iv[0, :, 0], self._iv[1].max(axis=1))
 
     def copy(self) -> "MDS":
         m = MDS.__new__(MDS)
-        m.max_intervals = self.max_intervals
-        m.intervals = [[iv.copy() for iv in ivs] for ivs in self.intervals]
+        m._iv = self._iv.copy()
         return m
 
     def to_tuple(self) -> tuple:
+        """Nested tuples of Python ints (znode values, pickles, ``==``)."""
         return tuple(
-            tuple((iv[0], iv[1]) for iv in ivs) for ivs in self.intervals
+            tuple((lo, hi) for lo, hi in zip(starts, ends) if lo <= hi)
+            for starts, ends in zip(*self._iv.tolist())
         )
 
     def __eq__(self, other: object) -> bool:
@@ -389,53 +379,20 @@ class MDS:
 
 
 def pack_mds(keys: Sequence[MDS], num_dims: int) -> PackedKeys:
-    """Pack ``m`` MDS keys into a flattened interval-union snapshot.
+    """Pack ``m`` MDS keys into one dense ``(m, 2, d, cap)`` stack.
 
-    The MBR summary (lo/hi/empty) feeds the shared within test; the
-    flattened ``ilo``/``ihi``/``dim_idx``/``offsets`` arrays drive the
-    exact per-interval intersection test.  A ``(key, dim)`` segment with
-    no intervals (only possible on empty keys) gets a dummy ``[0, -1]``
-    interval so every ``reduceat`` segment is non-empty; the dummy can
-    never match (lo > hi) and empty keys are masked out anyway.
+    ``ilo`` / ``ihi`` (``(m, d, cap)`` views of it) drive the exact
+    per-interval tests; the MBR summary feeds the shared within test,
+    ``lo`` being the first-start view of the same stack.  Slots a
+    narrower key does not have stay unused.
     """
-    m = len(keys)
-    lo = np.full((m, num_dims), np.iinfo(np.int64).max // 2, dtype=np.int64)
-    hi = np.full((m, num_dims), -1, dtype=np.int64)
-    empty = np.zeros(m, dtype=bool)
-    ilo: list[int] = []
-    ihi: list[int] = []
-    dim_idx: list[int] = []
-    offsets = np.empty(m * num_dims + 1, dtype=np.int64)
-    pos = 0
+    cap = max((k.max_intervals for k in keys), default=1)
+    block = _blank((len(keys), 2, num_dims, cap))
     for i, key in enumerate(keys):
-        if key.is_empty():
-            empty[i] = True
-        for d in range(num_dims):
-            offsets[i * num_dims + d] = pos
-            ivs = key.intervals[d]
-            if ivs:
-                lo[i, d] = ivs[0][0]
-                hi[i, d] = ivs[-1][1]
-                for iv in ivs:
-                    ilo.append(iv[0])
-                    ihi.append(iv[1])
-                    dim_idx.append(d)
-                pos += len(ivs)
-            else:
-                ilo.append(0)
-                ihi.append(-1)
-                dim_idx.append(d)
-                pos += 1
-    offsets[m * num_dims] = pos
-    return PackedKeys(
-        lo,
-        hi,
-        empty,
-        np.array(ilo, dtype=np.int64),
-        np.array(ihi, dtype=np.int64),
-        np.array(dim_idx, dtype=np.int64),
-        offsets,
-    )
+        block[i, :, :, : key.max_intervals] = key._iv
+    ilo, ihi = block[:, 0], block[:, 1]
+    lo, hi = ilo[:, :, 0], ihi.max(axis=2)
+    return PackedKeys(lo, hi, (lo > hi).any(axis=1), ilo, ihi)
 
 
 def mds_intersect_many(
@@ -446,13 +403,7 @@ def mds_intersect_many(
     ``qlo``/``qhi`` are the ``(d,)`` bounds of a *non-empty* box; on
     those it matches :meth:`MDS.intersects_box` exactly: a key
     intersects the box iff in *every* dimension *some* interval
-    overlaps the box's range, and empty keys intersect nothing.
+    overlaps the box's range (an empty key has a dimension with none).
     """
-    dim_idx = packed.dim_idx
-    # per-interval overlap, then OR within each (key, dim) segment,
-    # then AND over dimensions
-    iv_hit = (packed.ilo <= qhi[dim_idx]) & (qlo[dim_idx] <= packed.ihi)
-    seg_hit = np.logical_or.reduceat(iv_hit, packed.offsets[:-1])
-    hit = seg_hit.reshape(-1, qlo.shape[0]).all(axis=1)
-    hit &= ~packed.empty
-    return hit
+    hit = (packed.ilo <= qhi[:, None]) & (qlo[:, None] <= packed.ihi)
+    return hit.any(axis=2).all(axis=1)

@@ -157,6 +157,53 @@ def reference_query(tree, box):
     return agg, stats
 
 
+def reference_image_search(image, box):
+    """The scalar walk ``LocalImage.search`` replaced, kept as its
+    oracle: ``intersects_box`` per child, children pushed in order.
+    Returns ``(shards, nodes visited)``."""
+    out, visited, stack = [], 0, [image.root]
+    while stack:
+        node = stack.pop()
+        visited += 1
+        if node.is_leaf:
+            out.append(node.shard)
+            continue
+        for c in node.children:
+            if image.policy.intersects_box(c.key, box):
+                stack.append(c)
+    return out, visited
+
+
+def reference_image_route(image, row):
+    """One row's insert routing as the image did it before it took
+    batches, scalar policy calls only: expand every key on the path,
+    descend into the smallest covering child (the first of equals), by
+    least overlap when none covers.  Returns ``(shard, nodes visited)``
+    and leaves the image as a one-row ``route_insert`` must."""
+    policy = image.policy
+    node, visited, changed = image.root, 1, False
+    policy.expand_point(node.key, row)
+    while not node.is_leaf:
+        kids = node.children
+        covering = [
+            i for i, c in enumerate(kids) if policy.covers_point(c.key, row)
+        ]
+        if len(kids) == 1:
+            idx = 0
+        elif covering:
+            idx = min(covering, key=lambda i: policy.log_volume(kids[i].key))
+        else:
+            idx = image._least_overlap_child(node, policy.from_point(row))
+        node = kids[idx]
+        changed = policy.expand_point(node.key, row)
+        visited += 1
+    if changed:
+        image.dirty.add(node.shard.shard_id)
+    node.shard.size += 1
+    image._version += 1  # keys were grown behind the image's back
+    return node.shard, visited
+
+
 @pytest.fixture
 def schema():
     return make_schema()

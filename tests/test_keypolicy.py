@@ -119,3 +119,40 @@ class TestPolicyDifferences:
         mds.expand_point(k_mds, np.array([100]))
         assert mbr.intersects_box(k_mbr, probe)
         assert not mds.intersects_box(k_mds, probe)
+
+
+class TestAdoptAcrossCaps:
+    def test_same_cap_is_a_plain_copy(self):
+        from repro.olap.mds import MDS
+
+        key = MDS([[(0, 1), (5, 6), (9, 9)]], max_intervals=4)
+        out = MDSPolicy(4).adopt(key)
+        assert out == key and out is not key and out.max_intervals == 4
+        out.expand_point_inplace([50])
+        assert not key.covers_point([50])
+
+    def test_narrower_cap_coalesces(self):
+        from repro.olap.mds import MDS
+
+        key = MDS([[(0, 1), (5, 6), (9, 9), (100, 101)]], max_intervals=4)
+        out = MDSPolicy(2).adopt(key)
+        assert out.max_intervals == 2
+        assert out.intervals == [[[0, 9], [100, 101]]]
+        wide = MDSPolicy(6).adopt(out)
+        assert wide.max_intervals == 6 and wide == out
+
+
+def test_covers_points_many_is_covers_point(policy):
+    rng = np.random.default_rng(11)
+    keys = [policy.empty(3)]
+    for _ in range(5):
+        key = policy.empty(3)
+        policy.expand_points(key, rng.integers(0, 60, (6, 3)))
+        keys.append(key)
+    rows = rng.integers(0, 60, (200, 3))
+    got = policy.covers_points_many(policy.pack_keys(keys, 3), rows)
+    assert got.shape == (200, 6)
+    assert got.tolist() == [
+        [policy.covers_point(key, row) for key in keys] for row in rows
+    ]
+    assert policy.covers_points_many(policy.pack_keys(keys, 3), rows[:0]).shape == (0, 6)

@@ -182,3 +182,106 @@ def test_mbr_contains_mds(values):
     for v in range(61):
         if m.covers_point([v]):
             assert mbr.contains_point(np.array([v]))
+
+
+# -- the block: cap, memory, Python ints ------------------------------------
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=400), min_size=2, max_size=40),
+    st.integers(min_value=1, max_value=4),
+)
+def test_batch_growth_respects_the_cap(values, cap):
+    """Batch growth never exceeds the cap (cap 1 used to keep every
+    interval), covers every point, and is the point-by-point key
+    wherever no two gaps tie."""
+    col = np.array(values, dtype=np.int64)[:, None]
+    batch = MDS.empty(1, max_intervals=cap)
+    assert batch.expand_points_inplace(col)
+    ivs = batch.intervals[0]
+    assert 1 <= len(ivs) <= cap
+    assert all(batch.covers_point([v]) for v in values)
+    uniq = sorted(set(values))
+    gaps = [b - a for a, b in zip(uniq, uniq[1:]) if b - a > 1]
+    if len(set(gaps)) == len(gaps):
+        one_by_one = MDS.empty(1, max_intervals=cap)
+        for v in uniq:
+            one_by_one.expand_point_inplace([v])
+        assert batch == one_by_one
+
+
+def test_cap_one_batch_is_one_interval():
+    m = MDS.empty(1, 1)
+    m.expand_points_inplace(np.array([[0], [10], [20], [30]]))
+    assert m.intervals == [[[0, 30]]]
+
+
+def _leaf_keys(n, points=48, dims=8):
+    rng = np.random.default_rng(5)
+    keys = []
+    for _ in range(n):
+        key = MDS.empty(dims)
+        key.expand_points_inplace(rng.integers(0, 1000, (points, dims)))
+        keys.append(key)
+    return keys
+
+
+def test_a_key_is_one_block():
+    """1 000 leaf-sized keys cost under 1 KB each (nested interval
+    lists were about 5 KB) and own nothing but one int64 array."""
+    import tracemalloc
+
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    keys = _leaf_keys(1000)
+    per_key = (tracemalloc.get_traced_memory()[0] - before) / len(keys)
+    tracemalloc.stop()
+    assert per_key <= 1024
+    key = keys[0]
+    assert MDS.__slots__ == ("_iv",)
+    assert type(key._iv) is np.ndarray and key._iv.dtype == np.int64
+    assert key._iv.shape == (2, 8, key.max_intervals)
+    assert all(1 <= len(ivs) <= key.max_intervals for ivs in key.intervals)
+
+
+def test_growth_is_in_place():
+    """The image's ``ShardInfo.key is leaf.key`` and the trees' packed
+    snapshots both rely on a key growing inside its own block."""
+    key = MDS.from_point(np.array([5, 5]))
+    block = key._iv
+    key.expand_point_inplace([9, 1])
+    key.expand_points_inplace(np.array([[20, 20], [40, 2]]))
+    key.expand_box_inplace(box([60, 60], [70, 70]))
+    key.expand_inplace(MDS.from_point(np.array([90, 90])))
+    assert key._iv is block
+    assert key.covers_point([90, 90]) and key.covers_point([65, 61])
+
+
+def test_packed_nbytes_counts_each_buffer_once():
+    from repro.olap.mds import pack_mds
+
+    keys = _leaf_keys(16)
+    packed = pack_mds(keys, 8)
+    dense = 16 * 2 * 8 * keys[0].max_intervals * 8
+    assert packed.ilo.base is packed.ihi.base is packed.lo.base
+    assert packed.nbytes == dense + packed.hi.nbytes + packed.empty.nbytes
+    assert not hasattr(packed, "dim_idx")
+
+
+def _all_python_ints(obj):
+    if isinstance(obj, (tuple, list)):
+        return all(_all_python_ints(x) for x in obj)
+    return type(obj) in (int, str)
+
+
+def test_keys_leave_the_block_as_python_ints():
+    """An ``np.int64`` leaking out of the block would change znode
+    values and checkpoint pickles without failing an equality test."""
+    from repro.cluster.wire import key_to_wire
+
+    key = _leaf_keys(1)[0]
+    key.expand_box_inplace(box([2000] * 8, [2001] * 8))
+    assert _all_python_ints(key.to_tuple())
+    assert _all_python_ints(key.intervals)
+    assert _all_python_ints(key_to_wire(key))
+    assert _all_python_ints(key_to_wire(key.mbr()))

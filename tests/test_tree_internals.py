@@ -329,3 +329,30 @@ class TestReadPathIsArrayShaped:
         assert 1 <= len(rebuilt) <= len(path)
         assert all(any(n is p for p in path) for n in rebuilt)
         assert len(pack) == len(rebuilt)
+
+
+def test_covered_rows_grow_no_key(monkeypatch):
+    """Rows every key on their path already covers -- a run of three in
+    one leaf, then three leaves' worth of one-row runs -- are decided
+    by the block's broadcast alone: no interval-list algorithm runs."""
+    from repro.olap import mds
+
+    schema = make_schema()
+    batch = random_batch(schema, 600, seed=9)
+    tree = HilbertPDCTree.from_batch(schema, batch, TreeConfig(leaf_capacity=16))
+    leaves = list(tree._iter_leaves(tree.root))
+    one_run = leaves[0].leaf_coords()[:3].copy()
+    three_runs = np.array([leaf.leaf_coords()[0] for leaf in leaves[3:6]])
+    calls = []
+    for name in ("_insert_value", "_merge_values"):
+        monkeypatch.setattr(
+            mds,
+            name,
+            lambda *a, _name=name: calls.append(_name) or pytest.fail(_name),
+            raising=False,
+        )
+    for coords in (one_run, three_runs):
+        stats = tree.insert_batch(RecordBatch(coords, np.ones(len(coords))))
+        assert stats.key_expansions == 0
+    assert calls == [] and len(tree) == 606
+    tree.validate()
