@@ -494,7 +494,9 @@ class VOLAPCluster:
             sub = batch.slice(lo, min(lo + chunk, len(batch)))
             groups: dict[int, list[int]] = {}
             owner: dict[int, int] = {}
-            for i, info in enumerate(server.image.route_insert(sub.coords)):
+            coords = sub.coords
+            for i in range(len(sub)):
+                info = server.image.route_insert(coords, i)
                 groups.setdefault(info.shard_id, []).append(i)
                 owner[info.shard_id] = info.worker_id
             for sid, rows in groups.items():

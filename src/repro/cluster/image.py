@@ -27,11 +27,12 @@ here.
 Both routing operations read **directory snapshots**: the packed child
 keys (and, for inserts, the child log-volumes) of one directory, tagged
 with the image's version.  ``search`` decides a directory's children in
-one ``intersects_many``, ``route_insert`` a whole client batch in one
-``covers_points_many`` per directory.  Every change of a key or of the
-structure bumps the version, which kills every snapshot at once; the
-next visit rebuilds the directory's.  Keys grow in two places only: the
-synchronisation path above and :meth:`LocalImage._route_growing`.
+one ``intersects_many``; ``route_insert``, asked row by row, decides a
+stretch of a client batch ahead in one ``covers_points_many`` per
+directory.  Every change of a key or of the structure bumps the
+version, which kills every snapshot (and what was decided ahead) at
+once.  Keys grow in two places only: the synchronisation path above and
+:meth:`LocalImage._route_alone`.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ def owner_of(zk, shard_id: int) -> Optional[int]:
 
 
 class _ImageNode:
-    __slots__ = ("key", "parent", "children", "shard", "snap")
+    __slots__ = (
+        "key", "parent", "children", "shard", "version", "packed", "volumes"
+    )
 
     def __init__(
         self,
@@ -118,8 +121,10 @@ class _ImageNode:
         self.parent = parent
         self.children: Optional[list["_ImageNode"]] = None if shard else []
         self.shard = shard
-        #: (image version, packed child keys, child log-volumes) or None
-        self.snap: Optional[tuple] = None
+        #: a directory's snapshot: image version, packed keys, volumes
+        self.version = -1
+        self.packed = None
+        self.volumes: Optional[np.ndarray] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -154,6 +159,9 @@ class LocalImage:
         #: shards whose keys grew locally since the last Zookeeper sync
         self.dirty: set[int] = set()
         self.nodes_visited_last = 0
+        #: decided ahead: batch, image version, first row, leaves, hops
+        self._ahead: tuple = (None, -1, 0, [], [])
+        self._look = 0  # rows to try ahead next; 0 = descend alone
 
     # -- membership ------------------------------------------------------
 
@@ -231,44 +239,43 @@ class LocalImage:
 
     # -- operation routing ----------------------------------------------------
 
-    def route_insert(self, coords: np.ndarray) -> list[ShardInfo]:
-        """Choose the shard of every row of an ``(n, d)`` batch, in row
-        order; expand keys on the paths.
+    def route_insert(self, coords: np.ndarray, row: int = 0) -> ShardInfo:
+        """Choose the shard of ``coords[row]``, a row of an ``(n, d)``
+        batch routed in row order; expand the keys on its path and mark
+        the shard dirty when its key grew (pushed at the next sync).
 
-        Each row descends by least overlap and its shard is marked
-        dirty when its bounding key grows (the server will push the new
-        key to Zookeeper at the next sync) -- the result, the sizes,
-        every key and ``nodes_visited_last`` (the sum over the rows) are
-        those of ``n`` one-row calls.  A row that every key on its path
-        already covers changes no key, so a stretch of them is decided
-        against the directory snapshots, one broadcast per directory
-        (:meth:`_route_covered`); the first row that is not descends
-        alone and grows its path (:meth:`_route_growing`), which kills
-        the snapshots, and the rest resume.  The window after a growing
-        row is twice the covered stretch before it, so a batch of
-        nothing but growing rows costs one one-row broadcast each.
+        A row every key on its path covers changes no key, so a stretch
+        of them is decided ahead, one broadcast per directory
+        (:meth:`_route_covered`), and their calls only take the leaf.
+        The row that ends a stretch descends alone (:meth:`_route_alone`).
+        The stretch tried next is twice the covered one found last;
+        after none, rows descend alone until one grows nothing.  What
+        is decided ahead is a memo of this (unchanged) ``coords`` object
+        under this image version, so any call order routes as one-row
+        calls do.  One call per row: client batches are cut by a
+        wall-clock linger, and a traced run counts these calls.
         """
         if not self._leaves:
             raise RuntimeError("image has no shards")
-        coords = np.asarray(coords, dtype=np.int64)
-        n = len(coords)
-        out: list[ShardInfo] = []
-        visited = 0
-        look = n
-        while len(out) < n:
-            window = coords[len(out) : len(out) + look]
-            leaves, seen = self._route_covered(window)
-            visited += seen
-            for leaf in leaves:
-                leaf.shard.size += 1
-                out.append(leaf.shard)
-            if len(leaves) < len(window):
-                info, seen = self._route_growing(coords[len(out)])
-                visited += seen
-                out.append(info)
-            look = max(1, 2 * len(leaves))
-        self.nodes_visited_last = visited
-        return out
+        batch, version, start, leaves, hops = self._ahead
+        i = row - start
+        known = batch is coords and version == self._version
+        if batch is not coords:
+            self._look = len(coords) - row
+        if not (known and 0 <= i < len(leaves)):
+            if not self._look:
+                return self._route_alone(coords[row])
+            window = np.asarray(coords[row : row + self._look], dtype=np.int64)
+            leaves, hops = self._route_covered(window)
+            self._ahead = (coords, self._version, row, leaves, hops)
+            self._look = 2 * len(hops)
+            i = 0
+        leaf = leaves[i]
+        if leaf is None:  # the row that ended the stretch
+            return self._route_alone(coords[row])
+        leaf.shard.size += 1
+        self.nodes_visited_last = hops[i]
+        return leaf.shard
 
     def search(self, box: Box) -> list[ShardInfo]:
         """All shards whose bounding key intersects ``box`` (one
@@ -284,7 +291,7 @@ class LocalImage:
                 out.append(node.shard)
             elif live:
                 hit = self.policy.intersects_many(
-                    self._snapshot(node)[1], box.lo, box.hi
+                    self._packed(node), box.lo, box.hi
                 )
                 stack.extend(
                     node.children[i] for i in np.flatnonzero(hit).tolist()
@@ -294,22 +301,19 @@ class LocalImage:
 
     # -- internals ---------------------------------------------------------
 
-    def _snapshot(self, node: _ImageNode) -> tuple:
-        """``(version, packed child keys, child log-volumes)`` of a
-        directory, rebuilt when the image changed since it was taken."""
-        snap = node.snap
-        if snap is None or snap[0] != self._version:
+    def _packed(self, node: _ImageNode):
+        """A directory's packed child keys, retaken if the image changed."""
+        if node.version != self._version:
+            node.version = self._version
             keys = [c.key for c in node.children]
-            snap = node.snap = (
-                self._version,
-                self.policy.pack_keys(keys, self.num_dims),
-                np.array([self.policy.log_volume(k) for k in keys]),
-            )
-        return snap
+            node.packed = self.policy.pack_keys(keys, self.num_dims)
+            node.volumes = None
+        return node.packed
 
-    def _route_covered(self, coords: np.ndarray) -> tuple[list[_ImageNode], int]:
+    def _route_covered(self, coords: np.ndarray) -> tuple[list, list[int]]:
         """The leaves of the longest run of leading rows that grow no
-        key, and the nodes those rows visit.
+        key, then ``None`` for the row that ended it (if one did), and
+        the nodes each row of the run visits.
 
         Per directory and row the chosen child is the smallest covering
         one (the first of equals), as in :meth:`_route_child`; a row
@@ -324,9 +328,13 @@ class LocalImage:
         while work:
             node, rows, depth = work.pop()
             rows = rows[rows < stop]
-            _, packed, volume = self._snapshot(node)
+            packed = self._packed(node)
+            if node.volumes is None:  # only insert routing reads them
+                node.volumes = np.array(
+                    [self.policy.log_volume(c.key) for c in node.children]
+                )
             cover = self.policy.covers_points_many(packed, coords[rows])
-            pick = np.where(cover, volume, np.inf).argmin(axis=1)
+            pick = np.where(cover, node.volumes, np.inf).argmin(axis=1)
             ok = cover[np.arange(len(rows)), pick]
             if not ok.all():
                 bad = int(ok.argmin())
@@ -341,27 +349,29 @@ class LocalImage:
                         hops[r] = depth
                 else:
                     work.append((child, sub, depth + 1))
-        return leaf[:stop], sum(hops[:stop])
+        return leaf[: stop + 1], hops[:stop]
 
-    def _route_growing(self, coords: np.ndarray) -> tuple[ShardInfo, int]:
+    def _route_alone(self, coords: np.ndarray) -> ShardInfo:
         """One row's descent, expanding every key on its path: the only
-        place routing grows keys.  Returns the shard and the nodes
-        visited."""
-        self._version += 1
-        visited = 1
-        node = self.root
-        self.policy.expand_point(node.key, coords)
-        changed = False
+        place routing grows keys."""
+        node, visited = self.root, 1
+        grew = changed = self.policy.expand_point(node.key, coords)
         while not node.is_leaf:
             idx = self._route_child(node, coords)
             node = node.children[idx]
             changed = self.policy.expand_point(node.key, coords)
+            grew = grew or changed
             visited += 1
         info = node.shard  # node.key is info.key: path expansion included it
         if changed:
             self.dirty.add(info.shard_id)
+        if grew:
+            self._version += 1
+        elif not self._look:
+            self._look = 2  # covered: try a stretch again
         info.size += 1
-        return info, visited
+        self.nodes_visited_last = visited
+        return info
 
     def _route_child(self, node: _ImageNode, coords: np.ndarray) -> int:
         children = node.children

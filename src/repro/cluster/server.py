@@ -186,17 +186,14 @@ class Server(Entity):
         p = msg.payload
         now = self.clock.now
         obs = self.transport.obs
+        nodes = 0
         ctx = p.ctx if p.ctx is not None else [None] * len(p.o)
         entries: list[tuple[int, int, int]] = []  # shard, token, op id
         span_ctx: list = []
         #: worker id -> indices of the rows routed to it
         by_worker: dict[int, list[int]] = {}
-        infos = self.image.route_insert(p.c)
-        nodes = self.image.nodes_visited_last
-        self.inserts_routed += len(infos)
-        for i, (op_id, measure, info) in enumerate(
-            zip(p.o.tolist(), p.v.tolist(), infos)
-        ):
+        coords = p.c  # one object for the batch: the image decides ahead on it
+        for i, (op_id, measure) in enumerate(zip(p.o.tolist(), p.v.tolist())):
             token = self._next_token()
             span = None
             if obs is not None:
@@ -204,8 +201,11 @@ class Server(Entity):
                     "server.route_insert", self.name, parent=ctx[i], op_id=op_id
                 )
             self._pending_inserts[token] = _PendingInsert(
-                token, op_id, p.reply_to, now, p.c[i], measure, span=span
+                token, op_id, p.reply_to, now, coords[i], measure, span=span
             )
+            info = self.image.route_insert(coords, i)
+            nodes += self.image.nodes_visited_last
+            self.inserts_routed += 1
             by_worker.setdefault(info.worker_id, []).append(i)
             entries.append((info.shard_id, token, op_id))
             span_ctx.append(span.ctx if span is not None else None)
@@ -259,7 +259,7 @@ class Server(Entity):
         pending = self._pending_inserts.get(token)
         if pending is None:
             return
-        (info,) = self.image.route_insert(pending.coords[None, :])
+        info = self.image.route_insert(pending.coords[None, :])
         self.inserts_routed += 1
         service = self.cost.route_time(self.image.nodes_visited_last)
         worker = self.workers[info.worker_id]

@@ -60,14 +60,14 @@ class TestRouting:
         img = LocalImage(2)
         img.add_shard(info(1, [0, 0], [10, 10]))
         img.add_shard(info(2, [20, 20], [30, 30]))
-        assert img.route_insert(np.array([5, 5])[None])[0].shard_id == 1
-        assert img.route_insert(np.array([25, 25])[None])[0].shard_id == 2
+        assert img.route_insert(np.array([5, 5])[None]).shard_id == 1
+        assert img.route_insert(np.array([25, 25])[None]).shard_id == 2
 
     def test_route_insert_expands_boxes(self):
         img = LocalImage(2)
         img.add_shard(info(1, [0, 0], [10, 10]))
         img.add_shard(info(2, [100, 100], [110, 110]))
-        got = img.route_insert(np.array([12, 12])[None])[0]
+        got = img.route_insert(np.array([12, 12])[None])
         assert got.shard_id == 1  # closer: least overlap/enlargement
         assert img.get(1).box.contains_point(np.array([12, 12]))
         assert 1 in img.dirty
@@ -157,7 +157,7 @@ def test_route_insert_always_lands_in_reported_shard(corners):
     rng = np.random.default_rng(0)
     for _ in range(30):
         pt = rng.integers(0, 521, size=2)
-        chosen = img.route_insert(pt[None])[0]
+        chosen = img.route_insert(pt[None])
         assert chosen.box.contains_point(pt)
         hits = {s.shard_id for s in img.search(Box(pt, pt))}
         assert chosen.shard_id in hits
@@ -205,29 +205,21 @@ def _mixed_rows(img, rng, n, dims, shards):
 @pytest.mark.parametrize("kind", ["mbr", "mds"])
 @pytest.mark.parametrize("seed", range(12))
 def test_batch_routing_is_row_by_row_routing(kind, seed):
-    """One call for the batch == a loop of one-row calls == the scalar
-    walk (conftest): shards, sizes, dirty set, every node key and the
-    visited count, through adds, removes and sync expansions."""
+    """The rows of one batch object routed in order == a loop of
+    one-row batches == the scalar walk (conftest): shards, sizes, dirty
+    set, every node key and the visited counts, through adds, removes
+    and sync expansions."""
     from .conftest import reference_image_route, reference_image_search
 
     rng = np.random.default_rng([seed, kind == "mds"])
     (batch, loop, ref), dims, shards = _random_images(kind, rng, 3)
     for rnd, n in enumerate([100, 0, 1, 100, 7, 100]):
         rows = _mixed_rows(ref, rng, n, dims, shards)
-        got = batch.route_insert(rows)
-        one_by_one, loop_visited = [], 0
-        want, ref_visited = [], 0
-        for row in rows:
-            one_by_one += loop.route_insert(row[None])
-            loop_visited += loop.nodes_visited_last
-            info, seen = reference_image_route(ref, row)
-            want.append(info)
-            ref_visited += seen
-        ids = [i.shard_id for i in want]
-        assert [i.shard_id for i in got] == ids
-        assert [i.shard_id for i in one_by_one] == ids
-        assert batch.nodes_visited_last == ref_visited
-        assert loop_visited == ref_visited
+        for i, row in enumerate(rows):
+            want, seen = reference_image_route(ref, row)
+            assert batch.route_insert(rows, i).shard_id == want.shard_id
+            assert loop.route_insert(row[None]).shard_id == want.shard_id
+            assert batch.nodes_visited_last == loop.nodes_visited_last == seen
         for img in (batch, loop):
             assert img.dirty == ref.dirty
             assert [s.size for s in img.shards()] == [s.size for s in ref.shards()]
@@ -256,6 +248,30 @@ def test_batch_routing_is_row_by_row_routing(kind, seed):
             for img in (batch, loop, ref):
                 img.expand_shard(shards - 1, Box(lo, lo + 5))
     batch.validate()
+
+
+@pytest.mark.parametrize("kind", ["mbr", "mds"])
+def test_what_is_decided_ahead_is_only_a_memo(kind):
+    """Rows asked out of order, from two batches in turn, and across a
+    sync expansion in mid-batch still route as the scalar walk does."""
+    from .conftest import reference_image_route
+
+    rng = np.random.default_rng(5)
+    (img, ref), dims, shards = _random_images(kind, rng, 2)
+    a = _mixed_rows(ref, rng, 60, dims, shards)
+    b = _mixed_rows(ref, rng, 60, dims, shards)
+    order = [(a, i) for i in rng.permutation(60)] + [(b, i) for i in range(60)]
+    for step, j in enumerate(rng.permutation(120).tolist() + list(range(60, 120))):
+        rows, i = order[j]
+        want, seen = reference_image_route(ref, rows[i])
+        assert img.route_insert(rows, i).shard_id == want.shard_id
+        assert img.nodes_visited_last == seen
+        if step == 150:
+            lo = rng.integers(0, 900, dims)
+            for image in (img, ref):
+                image.expand_shard(0, Box(lo, lo + 5))
+    assert _node_keys(img) == _node_keys(ref) and img.dirty == ref.dirty
+    assert [s.size for s in img.shards()] == [s.size for s in ref.shards()]
 
 
 class _CountingPolicy:
@@ -295,8 +311,9 @@ _SCALAR = ("covers_point", "log_volume", "expand_point", "expand", "from_point")
 def test_covered_rows_route_by_broadcast(kind):
     """A property, not a speed: 64 rows that every key already covers
     cost one ``covers_points_many`` per directory on their paths (the
-    root's own key being the one child of a directory above it) and no
-    scalar key call; the second batch rebuilds no snapshot."""
+    root's own key being the one child of a directory above it), made
+    by the first row's call, and no scalar key call; the second batch
+    rebuilds no snapshot."""
     img = _bench_shaped_image(kind)
     rng = np.random.default_rng(3)
     rows = np.column_stack(
@@ -308,11 +325,13 @@ def test_covered_rows_route_by_broadcast(kind):
     )
     for batch_no in range(2):
         img.policy.calls.clear()
-        infos = img.route_insert(rows)
         calls = img.policy.calls
-        assert [i.shard_id for i in infos] == (rows[:, 0] // 100).tolist()
-        assert img.nodes_visited_last == 2 * 64 and img.dirty == set()
-        assert calls["covers_points_many"] <= 2
+        rows = rows.copy()  # what is decided ahead is per batch object
+        for i in range(64):
+            assert img.route_insert(rows, i).shard_id == rows[i, 0] // 100
+            assert img.nodes_visited_last == 2
+            assert calls["covers_points_many"] <= 2
+        assert img.dirty == set()
         assert not any(calls.get(name) for name in _SCALAR if name != "log_volume")
         if batch_no:  # the snapshots (keys and volumes) are reused
             assert set(calls) == {"covers_points_many"}
@@ -320,16 +339,31 @@ def test_covered_rows_route_by_broadcast(kind):
     assert [s.size for s in img.shards()] == twice.tolist()
 
 
+def test_search_builds_no_volumes():
+    """Only insert routing reads the child volumes of a snapshot."""
+    img = _bench_shaped_image("mbr")
+    assert len(img.search(box([0, 0, 0], [900, 50, 50]))) == 8
+    assert img.policy.calls == {"pack_keys": 1, "intersects_many": 1}
+
+
 @pytest.mark.parametrize("kind", ["mbr", "mds"])
 def test_growing_rows_do_not_rescan_the_batch(kind):
-    """512 rows that each grow the root: the window after a growing
-    row is twice the covered stretch before it, so the batch is tested
-    once and then a row at a time -- not 512 + 511 + ... rows."""
+    """512 rows that each grow the root: the stretch tried after a
+    growing row is twice the covered stretch before it, and after none
+    the rows descend alone, so the batch is tested once -- not 512 +
+    511 + ... rows.  The first row that grows nothing ends that."""
     img = _bench_shaped_image(kind)
     rows = np.arange(1000, 1512)[:, None] * np.array([3, 1, 2])
-    infos = img.route_insert(rows)
-    assert len(infos) == 512
-    assert img.policy.rows <= 3 * 512
+    rows = np.concatenate([rows, rows[:8]])
+    for i in range(512):
+        img.route_insert(rows, i)
+    assert img.policy.rows == 520 and img.policy.calls["covers_points_many"] == 1
+    for i in range(512, 520):
+        img.route_insert(rows, i)
+    assert img.policy.calls["expand_point"] == (512 + 1) * 2  # root, leaf
+    # stretches of 2, 4 and the last row, through two directories each
+    assert img.policy.calls["covers_points_many"] == 1 + 3 * 2
+    assert img.policy.rows == 520 + (2 + 4 + 1) * 2
     for row in rows[::37]:
         assert any(
             img.policy.inner.covers_point(s.key, row) for s in img.shards()

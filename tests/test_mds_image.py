@@ -43,8 +43,8 @@ class TestMDSImage:
         img = LocalImage(2, key_kind="mds")
         img.add_shard(ShardInfo(1, box([0, 0], [10, 10]), 0))
         img.add_shard(ShardInfo(2, box([50, 50], [60, 60]), 1))
-        assert img.route_insert(np.array([5, 5])[None])[0].shard_id == 1
-        assert img.route_insert(np.array([55, 55])[None])[0].shard_id == 2
+        assert img.route_insert(np.array([5, 5])[None]).shard_id == 1
+        assert img.route_insert(np.array([55, 55])[None]).shard_id == 2
         img.validate()
 
     def test_adopts_box_keys_as_mds(self):

@@ -237,7 +237,7 @@ class TestLazyRehydrate:
         row = next(
             i
             for i in range(len(batch))
-            if server.image.route_insert(batch.coords[i][None])[0].shard_id == sid
+            if server.image.route_insert(batch.coords[i][None]).shard_id == sid
         )
         sess = cluster.session(0, concurrency=1)
         sess.run_stream(

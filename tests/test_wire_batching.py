@@ -265,7 +265,7 @@ def test_lone_retransmit_of_a_flushed_batch_row_applies_exactly_once():
     cluster.bootstrap(boot)
     # 31 rows the image routes to worker 0 and one it routes to worker 1
     image = cluster.servers[0].image
-    owner = [image.route_insert(c[None])[0].worker_id for c in boot.coords]
+    owner = [image.route_insert(c[None]).worker_id for c in boot.coords]
     picks = [i for i, w in enumerate(owner) if w == 0][:31]
     picks.append(owner.index(1))
     ops = [
