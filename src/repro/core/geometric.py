@@ -108,11 +108,6 @@ class GeometricTree(InsertEngineTree):
 
     # -- splits -----------------------------------------------------------
 
-    def _split_node(self, node: Node) -> tuple[Node, Node]:
-        if node.is_leaf:
-            return self._split_leaf(node)
-        return self._split_dir(node)
-
     def _split_leaf(self, leaf: Node) -> tuple[Node, Node]:
         n = leaf.size
         coords = leaf.leaf_coords()
@@ -130,6 +125,8 @@ class GeometricTree(InsertEngineTree):
         cols = src.cols
         out.cols.set_rows(cols.coords[idx], cols.measures[idx])
         out.cols.reaggregate()
+        # point by point, as the inserts grew it: an MDS grown by a
+        # whole batch at once can coalesce differently
         for row in out.leaf_coords():
             self.policy.expand_point(out.key, row)
         return out
@@ -147,18 +144,6 @@ class GeometricTree(InsertEngineTree):
             self._build_dir([children[i] for i in order[:mid]]),
             self._build_dir([children[i] for i in order[mid:]]),
         )
-
-    def _build_dir(self, children: list[Node]) -> Node:
-        out = self._new_dir()
-        out.children = children
-        out.key = self.policy.union_of([c.key for c in children], self.num_dims)
-        from .aggregates import Aggregate
-
-        agg = Aggregate.empty()
-        for c in children:
-            agg.merge(c.agg)
-        out.agg = agg
-        return out
 
 
 class PDCTree(GeometricTree):
