@@ -421,20 +421,13 @@ class Replication:
         p = msg.payload
         w = self.w
         shard_id = int(p.m[0])
-        frozen = shard_id in w.frozen
-        target = w.queues.get(shard_id) if frozen else w.shards.get(shard_id)
-        if target is not None:
-            applied: list[int] = []
-            for i, (op_id, measure) in enumerate(zip(p.o.tolist(), p.v.tolist())):
-                if op_id and op_id in w.seen_ops:
-                    w.dedup_hits += 1
-                    continue
-                target.insert(p.c[i], measure)
-                if op_id:
-                    w.seen_ops.add(op_id)
-                applied.append(i)
-            if applied and not frozen:
-                self.tee(shard_id, p.c[applied], p.v[applied], p.o[applied])
+        fresh = w.unseen(p.o)
+        w.apply(
+            np.full(len(fresh), shard_id, dtype=np.int64),
+            p.c[fresh],
+            p.v[fresh],
+            p.o[fresh],
+        )
         w.send(p.src, "handoff_ack", (shard_id,))
 
     def _on_handoff_ack(self, msg: Message) -> None:

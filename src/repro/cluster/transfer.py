@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from ..core.base import Hyperplane, ShardStore
 from ..olap.keys import Box
 from ..olap.records import RecordBatch
@@ -81,21 +83,25 @@ class ShardTransfer:
         """Unwind a frozen shard: unfreeze it and fold its insertion
         queue back in (nothing was handed off, so nothing is lost)."""
         w = self.w
-        store = w.shards.get(shard_id)
         w.frozen.discard(shard_id)
         queue = w.queues.pop(shard_id, None)
-        if store is not None and queue is not None:
-            self._fold(shard_id, store, queue.items())
+        if queue is not None:
+            self._fold(shard_id, queue.items())
         self.finish(shard_id)
 
-    def _fold(self, shard_id: int, store: ShardStore, batch: RecordBatch) -> None:
-        """Apply queued rows to ``store`` and tee them: they were
-        acknowledged while the shard was frozen, which kept them off the
-        replication stream, so this is where replicas learn of them."""
-        for coords, m in batch.iter_rows():
-            store.insert(coords, m)
+    def _fold(self, shard_id: int, batch: RecordBatch) -> None:
+        """Apply queued rows of ``shard_id`` -- or, once it is split, of
+        the children the mapping table sends them to -- in one
+        :meth:`~repro.cluster.worker.Worker.apply`, which tees them: they
+        were acknowledged while the shard was frozen, which kept them
+        off the replication stream, so this is where replicas learn of
+        them."""
         if len(batch):
-            self.w.replication.tee(shard_id, batch.coords, batch.measures)
+            self.w.apply(
+                np.full(len(batch), shard_id, dtype=np.int64),
+                batch.coords,
+                batch.measures,
+            )
 
     # -- cut-over ----------------------------------------------------------
 
@@ -123,9 +129,7 @@ class ShardTransfer:
         w.replication.close_stream(shard_id)
         queue = w.queues.pop(shard_id)
         w.frozen.discard(shard_id)
-        for coords, m in queue.items().iter_rows():
-            sid = w.resolve_insert(shard_id, coords)
-            w.shards[sid].insert(coords, m)
+        self._fold(shard_id, queue.items())
         w.publish_shard(low_id)
         w.publish_shard(high_id)
         w.zk.delete(f"/shards/{shard_id}")
@@ -251,9 +255,7 @@ class ShardTransfer:
     def _on_queue_transfer(self, msg: Message) -> None:
         """Fold a handed-off insertion queue into the installed shard."""
         shard_id, blob, _ = msg.payload
-        store = self.w.shards.get(shard_id)
-        if store is not None:
-            self._fold(shard_id, store, batch_from_wire(blob))
+        self._fold(shard_id, batch_from_wire(blob))
 
     def _on_drop_shard(self, msg: Message) -> None:
         """Discard an orphan copy left by an aborted migration."""

@@ -133,3 +133,64 @@ def test_worker_resolves_deep_split_chains():
     assert len(out) == links + 1
     assert out[0] == links  # the low chain bottoms out first
     assert out[-1] == 100_000  # highs unwind back to the first split
+
+
+def scalar_walk(mapping, shard_id, coords):
+    """One row's mapping-table resolution, hop by hop (the reference)."""
+    while shard_id in mapping:
+        plane, low, high = mapping[shard_id]
+        shard_id = low if coords[plane.dim] <= plane.value else high
+    return shard_id
+
+
+def random_split_history(rng, schema, splits):
+    """A mapping table after ``splits`` random splits of three shards."""
+    mapping = {}
+    leaves = [0, 1, 2]
+    next_id = 3
+    for _ in range(splits):
+        sid = leaves.pop(int(rng.integers(len(leaves))))
+        dim = int(rng.integers(schema.num_dims))
+        value = int(rng.integers(schema.leaf_limits[dim] + 1))
+        mapping[sid] = (Hyperplane(dim, value), next_id, next_id + 1)
+        leaves += [next_id, next_id + 1]
+        next_id += 2
+    return mapping, next_id
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_worker_resolves_rows_like_the_scalar_walk(seed):
+    """Resolving a batch of rows through random split histories equals
+    walking the mapping table row by row."""
+    from repro.cluster.worker import Worker
+
+    schema = make_schema()
+    rng = np.random.default_rng(seed)
+    w = Worker.__new__(Worker)  # only .mapping is touched
+    w.mapping, ids = random_split_history(rng, schema, 60)
+    rows = random_batch(schema, 400, seed=seed)
+    shard_ids = rng.integers(0, ids, size=len(rows))
+    want = [
+        scalar_walk(w.mapping, int(sid), c) for sid, c in zip(shard_ids, rows.coords)
+    ]
+    assert w._resolve(shard_ids, rows.coords).tolist() == want
+
+
+def test_worker_resolves_rows_down_deep_split_chains():
+    """The same on a 5000-link chain, whose rows leave it at every depth."""
+    from repro.cluster.worker import Worker
+
+    w = Worker.__new__(Worker)
+    links = max(5000, sys.getrecursionlimit() * 3)
+    w.mapping = {
+        i: (Hyperplane(0, links - i), i + 1, 100_000 + i) for i in range(links)
+    }
+    rng = np.random.default_rng(0)
+    coords = np.zeros((300, 3), dtype=np.int64)
+    coords[:, 0] = rng.integers(0, links + 2, size=len(coords))
+    coords[:30, 0] = 0
+    shard_ids = rng.integers(0, links, size=len(coords))
+    want = [scalar_walk(w.mapping, int(sid), c) for sid, c in zip(shard_ids, coords)]
+    got = w._resolve(shard_ids, coords).tolist()
+    assert got == want
+    assert links in got  # some rows take the whole chain

@@ -9,6 +9,9 @@ return to zero at quiescence, every ``manager.*`` span is finished or
 reported open, and mapping-table chains stay acyclic and resolvable.
 """
 
+import collections
+import sys
+
 import pytest
 
 from repro.cluster import (
@@ -29,13 +32,19 @@ from repro.cluster.lifecycle import (
     TIMED_OUT,
     TRANSFERRING,
 )
+from repro.cluster.cost import CostModel
 from repro.cluster.simclock import SimClock
+from repro.cluster.transport import LatencyModel
+from repro.cluster.worker import Worker
 from repro.core import TreeConfig
+from repro.core.base import ShardStore
 from repro.obs import Observability
 from repro.workloads.streams import Operation
 
 from .conftest import make_schema, random_batch
 from .test_chaos import CHAOS_RETRY
+from .test_sim_fingerprint import _cluster as fingerprint_cluster
+from .test_sim_fingerprint import _ops as fingerprint_ops
 
 #: deterministic-replay and model-timer assertions; see conftest
 pytestmark = pytest.mark.sim_only
@@ -455,3 +464,77 @@ def test_lifecycle_invariants_under_chaos(seed):
     assert not any(
         s.name.startswith("manager.") for s in obs.tracer.open_spans()
     ), "a manager span leaked past quiescence"
+
+
+# -- one write path ----------------------------------------------------------
+
+
+def test_every_applied_row_goes_through_one_batched_apply(monkeypatch):
+    """One seeded run with a bulk load, splits, a migration whose queue
+    is handed off, an aborted migration and a primary hand-off: every
+    row reaches a store through ``Worker.apply`` -- called from all five
+    sites -- and no store ever sees a per-row ``insert``."""
+    inserts = []
+    stores = [ShardStore]
+    while stores:
+        cls = stores.pop()
+        stores += cls.__subclasses__()
+        if "insert" in vars(cls):
+            monkeypatch.setattr(
+                cls,
+                "insert",
+                lambda self, *a, _f=cls.insert: inserts.append(a) or _f(self, *a),
+            )
+    callers = collections.Counter()
+    apply = Worker.apply
+
+    def spy(self, shard_ids, *args):
+        if len(shard_ids):
+            site = sys._getframe(1).f_code.co_name
+            if site == "_fold":
+                site = sys._getframe(2).f_code.co_name
+            callers[site] += 1
+        return apply(self, shard_ids, *args)
+
+    monkeypatch.setattr(Worker, "apply", spy)
+    schema = make_schema()
+    cluster = fingerprint_cluster(
+        schema,
+        1500,
+        num_workers=3,
+        latency=LatencyModel(base=0.01, bandwidth=2e5, jitter=1e-3),
+        balancer=BalancerPolicy(
+            max_shard_items=400, imbalance_ratio=100.0, scan_period=0.1,
+            op_timeout=1.0,
+        ),
+        replication_factor=1,
+        batch_size=8,
+        # splits and transfers slow enough for inserts to queue behind
+        cost=CostModel(split_item=1e-3, serialize_item=1e-3),
+    )
+    cluster.run_for(2.0)  # replicas seed
+    cluster.bulk_load(random_batch(schema, 300, seed=29), chunk=64)
+    sess = cluster.session(0, concurrency=16)
+    sess.run_stream(fingerprint_ops(schema, 900, seed=19, query_every=25))
+    cluster.run_for(0.2)
+    cluster.manager._start_migration(1, 2, sorted(cluster.workers[1].shards)[0])
+    cluster.run_for(0.3)
+    now = cluster.clock.now
+    cluster.inject_faults(
+        FaultPlan()
+        .drop(1.0, kinds={"migrate_in"}, end=now + 2.0)
+        .partition("worker-0", "zookeeper", end=now + 0.8)
+        .partition("worker-0", "worker-*", end=now + 0.8)
+        .partition("worker-0", "manager", end=now + 0.8),
+        seed=7,
+    )
+    cluster.manager._start_migration(2, 1, sorted(cluster.workers[2].shards)[0])
+    cluster.run_until_clients_done(max_virtual=300.0)
+    cluster.run_for(5.0)
+    assert inserts == []
+    assert set(callers) == {
+        "_on_insert_batch", "_on_bulk_insert", "cancel",
+        "_on_queue_transfer", "split_cutover", "_on_primary_handoff",
+    }
+    assert cluster.stats.failures == 0
+    assert cluster.total_items() == 1500 + 300 + 900

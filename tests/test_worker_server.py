@@ -11,9 +11,19 @@ from repro.cluster.transport import Entity, LatencyModel, Message, Transport
 from repro.cluster.wire import ClientInsertBatch, InsertBatch, QueryBatch, f64, i64
 from repro.cluster.worker import Worker
 from repro.cluster.zookeeper import Zookeeper
-from repro.core import HilbertPDCTree, TreeConfig
+from repro.core import ArrayStore, HilbertPDCTree, TreeConfig
 from repro.olap.keys import Box
 from repro.olap.query import full_query
+from repro.olap.records import concat_batches
+
+from .conftest import random_batch, random_boxes
+
+
+def sorted_rows(batch):
+    """A record batch as a sorted list of (coords..., measure) rows."""
+    return sorted(
+        (*c, m) for c, m in zip(batch.coords.tolist(), batch.measures.tolist())
+    )
 
 
 class Sink(Entity):
@@ -209,6 +219,35 @@ class TestWorkerSplit:
         w.receive(one_insert(1, coords, 1.0, 5, 5, sink))
         clock.run()
         assert len(w.shards[expected]) == before + 1
+
+    def test_queue_drains_row_exact_into_both_children(self, rig, schema, batch):
+        """Rows queued on both sides of the plane while the split runs
+        reach exactly the child of their side."""
+        clock, transport, zk = rig
+        w = make_worker(rig, schema)
+        store = install(w, schema, batch)
+        plane = store.split_query()  # what the split will choose
+        sink = Sink()
+        w.receive(Message("split_shard", (1, 100, 101, sink)))
+        queued = random_batch(schema, 200, seed=7)
+        low_side = plane.side_mask(queued.coords)
+        assert 0 < low_side.sum() < len(queued)
+        x = i64([(1, 1000 + i, 1000 + i) for i in range(len(queued))])
+        w.receive(Message("insert_batch", InsertBatch(x, queued.coords, queued.measures, sink)))
+        assert len(w.queues[1]) == len(queued)
+        clock.run()
+        assert 1 not in w.queues
+        both = concat_batches([batch, queued], schema.num_dims)
+        mask = plane.side_mask(both.coords)
+        for child, side in ((w.shards[100], mask), (w.shards[101], ~mask)):
+            child.validate()
+            oracle = ArrayStore.from_batch(schema, both.take(np.flatnonzero(side)))
+            assert sorted_rows(child.items()) == sorted_rows(oracle.items())
+            for box in random_boxes(schema, 8, seed=3):
+                got, _ = child.query(box)
+                want, _ = oracle.query(box)
+                assert (got.count, got.vmin, got.vmax) == (want.count, want.vmin, want.vmax)
+                assert got.total == pytest.approx(want.total)
 
 
 class TestWorkerMigration:
