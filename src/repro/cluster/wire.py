@@ -101,7 +101,10 @@ class BulkInsert(NamedTuple):
 
 
 class BulkAck(NamedTuple):
+    """worker -> facade: one ``bulk_insert`` applied."""
+
     m: np.ndarray  # int64 (2,): dedup token, worker id
+    u: np.ndarray  # int64 (k,): rows of the chunk no shard here holds
 
 
 class QueryBatch(NamedTuple):

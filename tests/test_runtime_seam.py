@@ -126,7 +126,7 @@ def _payload(kind, n, sink):
     if kind == "insert_done_batch":
         return wire.InsertDoneBatch(ops)
     if kind == "bulk_ack":
-        return wire.BulkAck(i64([(0xBBB << 32) | n, 1]))
+        return wire.BulkAck(i64([(0xBBB << 32) | n, 1]), i64(range(0, n, 3)))
     if kind == "query_result_batch":
         return wire.QueryResultBatch(
             i64([(token + i, i, i % 4, i % 2, 1) for i in range(n)]),
