@@ -44,6 +44,7 @@ from ..olap.rollup import CubeKey, accumulate_cells, cube_candidate
 from ..olap.rollup_store import RollupStore
 from .stream import FENCED, NEW, STALE, Cursor, lag
 from .transport import Message
+from .wire import ReplicaAck, ReplicaRemove, RollupSync
 
 __all__ = ["RollupConfig", "QueryResult", "RoutePlan", "QueryRouter"]
 
@@ -369,7 +370,7 @@ class QueryRouter:
         self._send(
             worker,
             "rollup_sync",
-            (
+            RollupSync(
                 sid,
                 self.sub_id,
                 [k.to_wire() for k in sorted(keys, key=lambda k: k.to_wire())],
@@ -386,7 +387,7 @@ class QueryRouter:
         st = self._streams.get(sid)
         if st is None:
             # not subscribed (anymore): stop the primary's retransmits
-            self._send(p.primary, "replica_remove", (sid, self.sub_id))
+            self._send(p.primary, "replica_remove", ReplicaRemove(sid, self.sub_id))
             return
         if st.cursor is None:
             # pre-seed: retain for post-install replay, ack nothing.
@@ -400,7 +401,7 @@ class QueryRouter:
             return
         verdict = self._apply_batch(sid, st, epoch, seq, p.c, p.v, t_created)
         if verdict == STALE:
-            self._send(p.primary, "replica_remove", (sid, self.sub_id))
+            self._send(p.primary, "replica_remove", ReplicaRemove(sid, self.sub_id))
             return
         if verdict == FENCED:
             self._reset_stream(sid)  # reconcile re-syncs
@@ -445,7 +446,8 @@ class QueryRouter:
         onto the live stream (replaying retained tail batches past the
         reply's head, or tearing the join if the tail cannot cover the
         gap)."""
-        sid, epoch, head, pairs, wid = msg.payload
+        p = msg.payload
+        sid, epoch, head, pairs, wid = p.shard, p.epoch, p.head, p.pairs, p.worker
         st = self._streams.get(sid)
         pending = self._pending_sync.get(sid)
         if st is None or pending is None:
@@ -518,7 +520,7 @@ class QueryRouter:
         self._send(
             primary,
             "replica_ack",
-            (sid, st.cursor.epoch, st.cursor.frontier, self.sub_id),
+            ReplicaAck(sid, st.cursor.epoch, st.cursor.frontier, self.sub_id),
         )
 
     def on_rollup_sync_failed(self, msg: Message) -> None:

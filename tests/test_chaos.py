@@ -20,6 +20,7 @@ from repro.cluster import (
 from repro.cluster.faults import FaultInjector
 from repro.cluster.simclock import SimClock
 from repro.cluster.transport import LatencyModel, Message
+from repro.cluster.wire import ShardNotice
 from repro.core import TreeConfig
 from repro.olap.query import full_query
 from repro.workloads.streams import Operation
@@ -586,7 +587,7 @@ class TestReplication:
         assert len(acked) == len(extra)
         assert sum(len(w0.queues[sid]) for sid in frozen) > 50  # acked, queued
         for sid in frozen:
-            cluster.transport.send(w0, Message("migrate_abort", (sid,)))
+            cluster.transport.send(w0, Message("migrate_abort", ShardNotice(sid)))
         cluster.run_for(5.0)
         drain_replication(cluster)
         assert not w0.frozen and not w0.queues

@@ -11,7 +11,7 @@ from repro.core import (
     PDCTree,
     RTree,
 )
-from repro.cluster.wire import ClientInsertBatch, f64, i64
+from repro.cluster.wire import ClientInsertBatch, MigrateShard, f64, i64
 from repro.core.base import Hyperplane
 from repro.olap.query import full_query
 from repro.olap.records import RecordBatch, concat_batches
@@ -209,7 +209,7 @@ class TestStaleRouteInsert:
                 pass
 
         # freeze shard 1 for migration, then insert before it completes
-        workers[0].receive(Message("migrate_shard", (1, workers[1], Quiet())))
+        workers[0].receive(Message("migrate_shard", MigrateShard(1, workers[1], Quiet())))
         got = self.run_inserts(clock, server, batch.coords[0], 3)
         assert sorted(self.done_ops(got)) == [100, 101, 102]
         assert 1 in workers[1].shards and 1 not in workers[0].shards
@@ -230,7 +230,7 @@ class TestStaleRouteInsert:
             def receive(self, msg):
                 pass
 
-        workers[0].receive(Message("migrate_shard", (1, workers[1], Quiet())))
+        workers[0].receive(Message("migrate_shard", MigrateShard(1, workers[1], Quiet())))
         clock.run_until(5.0)
         assert zk.get("/shards/1")[2] == 1
         # poison the server's local image back to the stale owner
@@ -257,7 +257,7 @@ class TestStaleRouteInsert:
             def receive(self, msg):
                 pass
 
-        workers[0].receive(Message("migrate_shard", (1, workers[1], Quiet())))
+        workers[0].receive(Message("migrate_shard", MigrateShard(1, workers[1], Quiet())))
         clock.run_until(5.0)
         server.image.update_worker(1, 0)  # stale: zk names worker 1
 

@@ -17,6 +17,7 @@ commit, with the per-kind diff quoted in its message::
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +32,9 @@ from repro.cluster import (
     RollupConfig,
     VOLAPCluster,
 )
-from repro.cluster.transport import LatencyModel, Message
+from repro.cluster import wire
+from repro.cluster.transport import LatencyModel, Message, Transport
+from repro.cluster.wire import PromoteShard, ReplicateShard
 from repro.core import TreeConfig
 from repro.olap.query import Query, full_query
 from repro.workloads.streams import Operation
@@ -300,10 +303,16 @@ def memory_pressure():
     m._start_spill(1, 424242)
     m._start_rehydrate(2, 424243)
     w0 = cluster.workers[0]
-    cluster.transport.send(w0, Message("promote_shard", (424244, 1, m), sender=m))
+    cluster.transport.send(
+        w0, Message("promote_shard", PromoteShard(424244, 1, m), sender=m)
+    )
     cluster.transport.send(
         w0,
-        Message("replicate_shard", (424245, cluster.workers[1], 1, m), sender=m),
+        Message(
+            "replicate_shard",
+            ReplicateShard(424245, cluster.workers[1], 1, m),
+            sender=m,
+        ),
     )
     cluster.run_for(1.0)
     return cluster
@@ -324,6 +333,23 @@ def test_sim_fingerprint_matches_golden(name):
     want = json.loads(GOLDEN.read_text())[name]
     got = _fingerprint(SCENARIOS[name]())
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_payload_sent_is_declared(name, monkeypatch):
+    """Every message a scenario sends carries the ``wire.py``
+    declaration of its kind: no positional tuple is left on the wire."""
+    undeclared = Counter()
+    send = Transport.send
+
+    def spy(self, dst, msg):
+        if type(msg.payload) is not wire.MESSAGES.get(msg.kind):
+            undeclared[msg.kind, type(msg.payload).__name__] += 1
+        send(self, dst, msg)
+
+    monkeypatch.setattr(Transport, "send", spy)
+    SCENARIOS[name]()
+    assert not undeclared
 
 
 if __name__ == "__main__":
