@@ -46,10 +46,8 @@ class Message:
     kind: str
     payload: Any = None
     sender: Optional["Entity"] = None
-    #: wire size in bytes.  ``None`` (the default) means "compute the
-    #: actual serialized frame length at send time" (see
-    #: :func:`repro.runtime.frames.wire_size`); pass an explicit value
-    #: only when the payload already is wire bytes (e.g. shard blobs).
+    #: wire size in bytes, set by :meth:`Transport.send` from the
+    #: payload's declaration (:func:`repro.runtime.frames.wire_size`)
     size: Optional[int] = None
     #: optional SpanContext (see obs/spans.py) so the receiver can
     #: parent its span under the sender's; ``None`` when tracing is off

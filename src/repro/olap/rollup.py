@@ -240,6 +240,11 @@ class CubeCells:
     """
 
     __slots__ = ("num_cells", "counts", "sums", "mins", "maxs")
+    num_cells: int
+    counts: np.ndarray
+    sums: np.ndarray
+    mins: np.ndarray
+    maxs: np.ndarray
 
     def __init__(self, num_cells: int):
         self.num_cells = int(num_cells)
