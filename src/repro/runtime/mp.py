@@ -279,7 +279,7 @@ class MPRuntime(AsyncioRuntime):
                     proxy.inflight -= 1
                 # a timer like any delivery; arming it wakes a sleeping drive
                 self.transport.deliver(
-                    self.lookup(route), Message(kind, payload, size=len(blob)), 0.0
+                    self.lookup(route), Message(kind, payload), 0.0
                 )
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
             # EOF, or the reset / broken pipe of a write the child never read
@@ -517,7 +517,7 @@ def _child_main(
                 )
             continue
         kind, msg_payload, _route = frames.decode(blob, resolve)
-        worker.receive(Message(kind, msg_payload, size=len(blob)))
+        worker.receive(Message(kind, msg_payload))
         clock.fire_due()  # pool completions emit the reply frames
     try:
         sock.close()
