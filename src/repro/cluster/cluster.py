@@ -341,7 +341,6 @@ class VOLAPCluster:
                 self.config.store_cls,
             )
             self.workers[wid] = w
-            w.peers = self.workers
             w.publish_stats()
             return w
         w = Worker(

@@ -17,10 +17,12 @@ share a declaration only where the fields mean the same thing:
 :class:`ShardOpReply` answers every shard op, :class:`ShardNotice` is
 every one-shard notice.
 
-The kinds that carry rows (:data:`PAYLOADS`) are the data plane: their
-``np.ndarray`` fields *are* the wire columns -- names, order, dtypes,
-shapes -- so :mod:`repro.runtime.frames` encodes and decodes them from
-the declaration, and rows become arrays once, where a batch is born.
+The kinds that carry rows, and the three that only the ``mp`` worker
+pipe carries (``install_shard``, ``barrier``, ``barrier_ack``), are
+:data:`PAYLOADS`: their ``np.ndarray`` fields *are* the wire columns --
+names, order, dtypes, shapes -- so :mod:`repro.runtime.frames` encodes
+and decodes them from the declaration, and rows become arrays once,
+where a batch is born.
 ``reply_to`` rides the envelope's reply slot; fields annotated
 ``object`` -- ``ctx`` (one ``SpanContext`` per row, ``None`` with
 tracing off), the sender handles of the two worker-to-worker row kinds,
@@ -54,7 +56,7 @@ __all__ = [
     "PAYLOADS",
     "ClientInsertBatch", "InsertBatch", "InsertBatchAck", "InsertDoneBatch",
     "BulkInsert", "BulkAck", "QueryBatch", "QueryResultBatch",
-    "ReplicaBatch", "PrimaryHandoff",
+    "ReplicaBatch", "PrimaryHandoff", "InstallShard", "Barrier", "BarrierAck",
     "MESSAGES",
     "SHARD_OPS",
     "SplitShard", "MigrateShard", "RestoreShard", "ReplicateShard",
@@ -162,6 +164,29 @@ class PrimaryHandoff(NamedTuple):
     src: object
 
 
+class InstallShard(NamedTuple):
+    """mp facade -> worker process: one bootstrap shard's rows."""
+
+    m: np.ndarray  # int64 (1,): shard
+    c: np.ndarray  # int64 (n, d): coords
+    v: np.ndarray  # float64 (n,): measure
+
+
+class Barrier(NamedTuple):
+    """mp runtime -> worker process: report once every earlier frame is done."""
+
+    m: np.ndarray  # int64 (1,): token
+    reply_to: object
+
+
+class BarrierAck(NamedTuple):
+    """worker process -> its proxy: the counters, current to one ``barrier``."""
+
+    m: np.ndarray  # int64 (3,): token, items, dedup hits
+    s: np.ndarray  # int64 (k, 2): shard, rows
+    g: np.ndarray  # float64 (1,): CPU seconds of the process
+
+
 #: message kind -> the declaration of its payload
 PAYLOADS: dict[str, type] = {
     "client_insert_batch": ClientInsertBatch,
@@ -174,6 +199,9 @@ PAYLOADS: dict[str, type] = {
     "query_result_batch": QueryResultBatch,
     "replica_batch": ReplicaBatch,
     "primary_handoff": PrimaryHandoff,
+    "install_shard": InstallShard,
+    "barrier": Barrier,
+    "barrier_ack": BarrierAck,
 }
 
 

@@ -15,11 +15,13 @@ registry and the drive loop:
     event loop; timers are real (scaled) delays and a message hop is
     one of them, handing over the payload objects themselves.
 ``mp``
-    The asyncio runtime plus one OS process per worker; the data plane
-    crosses the process boundary as colframe column buffers -- the
-    array fields of the payload declarations in
-    :mod:`repro.cluster.wire`, encoded by the one generic codec in
-    :mod:`repro.runtime.frames` with zero pickling.
+    The asyncio runtime plus one OS process per worker.  Every frame on
+    a worker pipe -- the data plane, bootstrap shards and the barrier --
+    is a payload declaration of :mod:`repro.cluster.wire` whose array
+    fields cross as colframe column buffers, encoded and decoded by the
+    one generic codec in :mod:`repro.runtime.frames` with zero
+    pickling.  A barrier is a request and reply like any other, and a
+    child exits when its pipe reaches EOF.
 
 See docs/runtime.md for the seam diagram and modeling scope.
 """

@@ -1,4 +1,4 @@
-"""Message sizing, and the data-plane codec: zero pickling.
+"""Message sizing, and the one codec of the ``mp`` worker pipe: no pickling.
 
 :func:`wire_size` sizes every message by one rule.  Each kind is
 declared once, as a ``NamedTuple``, in :mod:`repro.cluster.wire`; a
@@ -11,8 +11,9 @@ an ``Entity`` its name; a ``list`` each item by its own type.
 ``reply_to`` rides the envelope and ``object`` fields are never encoded.
 Only :class:`~repro.cluster.transport.Transport` sets ``Message.size``.
 
-The six :data:`DATA_KINDS` also cross the worker pipe on the ``mp``
-backend, as that column frame behind that envelope::
+The nine :data:`PIPE_KINDS` are every frame the ``mp`` worker pipe
+carries -- the data plane, ``install_shard`` and the barrier -- each
+as that column frame behind that envelope::
 
     u8 kind code | u8 route len | route | u8 reply len | reply | colframe
 
@@ -20,7 +21,7 @@ backend, as that column frame behind that envelope::
 carries back to the parent; ``reply`` names the payload's ``reply_to``.
 Their declarations (:data:`repro.cluster.wire.PAYLOADS`) are the schema,
 so encoding reads the arrays the entities hold and decoding hands them
-back by name -- **no data-plane field is ever pickled**, which
+back by name -- **nothing on the pipe is ever pickled**, which
 :func:`codec_stats` asserts (``data_pickled`` stays 0) -- and such a
 message weighs exactly the bytes the mp backend puts on the pipe.
 """
@@ -38,7 +39,7 @@ from ..cluster.wire import PAYLOADS
 from ..olap.colframe import decode_columns, encode_columns, measure_columns
 
 __all__ = [
-    "DATA_KINDS",
+    "PIPE_KINDS",
     "REQUEST_KINDS",
     "REPLY_KINDS",
     "encode",
@@ -48,18 +49,21 @@ __all__ = [
     "reset_codec_stats",
 ]
 
-#: kinds that cross the worker pipe -- the mp data plane.  Every other
-#: kind is only ever sized: client<->server and worker<->worker hops,
-#: and the control plane, stay in the parent process on every backend.
-REQUEST_KINDS = frozenset({"insert_batch", "bulk_insert", "query_batch"})
-REPLY_KINDS = frozenset({"insert_batch_ack", "bulk_ack", "query_result_batch"})
-DATA_KINDS = REQUEST_KINDS | REPLY_KINDS
+#: kinds that cross the worker pipe on mp: a request is answered by
+#: exactly one reply, and ``install_shard`` by none.  Every other kind is
+#: only ever sized: client<->server and worker<->worker hops, and the
+#: control plane, stay in the parent process on every backend.
+REQUEST_KINDS = frozenset({"insert_batch", "bulk_insert", "query_batch", "barrier"})
+REPLY_KINDS = frozenset(
+    {"insert_batch_ack", "bulk_ack", "query_result_batch", "barrier_ack"}
+)
+PIPE_KINDS = REQUEST_KINDS | REPLY_KINDS | {"install_shard"}
 
 _stats = {
     "data_frames": 0,  # column frames encoded or decoded
     "data_bytes": 0,
     "data_pickled": 0,  # MUST stay 0: the zero-pickle invariant
-    "control_pickled": 0,  # control-plane frames (install/zk/barrier)
+    "control_pickled": 0,  # 0 by construction: no frame has a second format
 }
 
 
@@ -70,10 +74,6 @@ def codec_stats() -> dict:
 def reset_codec_stats() -> None:
     for k in _stats:
         _stats[k] = 0
-
-
-def note_control_pickle(nbytes: int = 0) -> None:
-    _stats["control_pickled"] += 1
 
 
 def note_data_frame(nbytes: int) -> None:
@@ -149,7 +149,7 @@ def _item_size(v) -> int:
     return _weigh(v)
 
 
-_KIND_CODES = {k: i for i, k in enumerate(sorted(DATA_KINDS))}
+_KIND_CODES = {k: i for i, k in enumerate(sorted(PIPE_KINDS))}
 _CODE_KINDS = {i: k for k, i in _KIND_CODES.items()}
 
 
@@ -184,10 +184,10 @@ def wire_size(kind: str, payload, dst_name: str = "") -> int:
 
 
 def encode(kind: str, payload, route: str = "") -> bytes:
-    """Encode a data-plane message as an envelope + column frame."""
-    if kind not in DATA_KINDS:
+    """Encode a worker-pipe message as an envelope + column frame."""
+    if kind not in PIPE_KINDS:
         _stats["data_pickled"] += 1  # the spy: this must never happen
-        raise ValueError(f"no data-plane codec for message kind {kind!r}")
+        raise ValueError(f"message kind {kind!r} does not cross the worker pipe")
     columns = [(f, getattr(payload, f)) for f in _plan(type(payload)).arrays]
     blob = _envelope(_KIND_CODES[kind], route, _reply_name(payload)) + encode_columns(
         columns, compress=False
@@ -197,7 +197,7 @@ def encode(kind: str, payload, route: str = "") -> bytes:
 
 
 def decode(blob: bytes, resolve: Callable[[str], object]) -> tuple:
-    """Decode a data-plane frame -> ``(kind, payload, route)``.
+    """Decode a worker-pipe frame -> ``(kind, payload, route)``.
 
     ``resolve(name)`` maps an entity name to a live object (the parent
     registry, or a child-side reply proxy factory); it is applied to

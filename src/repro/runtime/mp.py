@@ -1,22 +1,29 @@
-"""Multiprocess runtime: one OS process per worker, frames on the wire.
+"""Multiprocess runtime: one OS process per worker, one frame format.
 
 The parent process runs servers, clients, manager, Zookeeper and the
 asyncio loop; each worker is forked into its own process hosting the
 *real* :class:`~repro.cluster.worker.Worker` class -- the same code
 path the sim executes -- behind a :class:`WorkerProxy` entity on the
-parent side.  The data plane (``insert_batch``, ``bulk_insert``,
-``query_batch`` and their replies -- a single op is a batch of one)
-crosses the worker pipe exclusively as column frames
-(:mod:`repro.runtime.frames`): zero pickling per row, the property the
-codec spy counters assert.
+parent side.
 
-Wire protocol, both directions, over an ``AF_UNIX`` stream socketpair:
-``u32le length | body``.  A body starting with ``0xFF`` is a control
-frame -- pickled ``(kind, payload)``, used for the low-rate management
-plane (shard installation at bootstrap, forwarded Zookeeper writes,
-barrier/stats sync, shutdown).  Anything else is a column frame whose
-envelope carries the destination entity name, resolved in the parent's
-registry on the way up and against peer stubs on the way down.
+Every frame on a worker pipe, in both directions over an ``AF_UNIX``
+stream socketpair, is ``u32le length | body``, and every body is one of
+the kinds declared in :mod:`repro.cluster.wire` that
+:data:`~repro.runtime.frames.PIPE_KINDS` names, encoded by
+:func:`~repro.runtime.frames.encode` and read by
+:func:`~repro.runtime.frames.decode`: the data plane (``insert_batch``,
+``bulk_insert``, ``query_batch`` and their replies -- a single op is a
+batch of one), ``install_shard`` at bootstrap, and ``barrier`` with its
+``barrier_ack``.  Nothing on the pipe is pickled, which the codec spy
+counters assert.  A frame's envelope carries the destination entity
+name, resolved in the parent's registry on the way up and against peer
+stubs on the way down.
+
+Each request the proxy writes is answered by exactly one reply, and the
+proxies' ``inflight`` counts are what the drive loop waits for.
+:meth:`MPRuntime.barrier` is one more such request per proxy, driven
+like any other until every child has acked it.  Shutdown is EOF:
+:meth:`MPRuntime.close` half-closes each pipe and the child exits on it.
 
 The parent side of every pipe is wrapped in asyncio streams
 (``open_connection(sock=...)``), so parent writes buffer instead of
@@ -30,14 +37,15 @@ runtime is open is an error :meth:`MPRuntime.drive` and
 
 v1 scope (documented in docs/runtime.md): children run ingest and
 query serving only -- no heartbeats/failover, no replication, no
-migration or split, no rollup tier, no obs spans.  The cluster facade
-disables the manager's scan loop on this backend accordingly.
+migration or split, no rollup tier, no obs spans.  A child's Zookeeper
+is its own, read by nobody else: the parent publishes each shard when
+it installs it.  The cluster facade disables the manager's scan loop on
+this backend accordingly.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
 import select
 import socket
 import struct
@@ -45,30 +53,22 @@ import time
 from multiprocessing import get_context
 from typing import Optional
 
+from ..cluster.image import ShardInfo
+from ..cluster.transport import Message
+from ..cluster.wire import Barrier, BarrierAck, InstallShard, f64, i64
+from ..cluster.worker import Worker
+from ..cluster.zookeeper import Zookeeper
+from ..olap.records import RecordBatch
 from . import frames
 from .asyncio_rt import AsyncioRuntime, WallClock
 
 __all__ = ["MPRuntime", "WorkerProxy"]
 
 _LEN = struct.Struct("<I")
-_CONTROL = 0xFF
 
 
 def _pack(blob: bytes) -> bytes:
     return _LEN.pack(len(blob)) + blob
-
-
-def _control_blob(kind: str, payload) -> bytes:
-    return bytes([_CONTROL]) + pickle.dumps((kind, payload), protocol=4)
-
-
-def _zk_apply(zk, payload) -> None:
-    """Replay a child's forwarded zookeeper write on the parent's tree."""
-    op, path, data = payload
-    if op == "set":
-        zk.set(path, data)
-    elif op == "delete":
-        zk.delete(path)
 
 
 class _Peer:
@@ -95,7 +95,7 @@ class WorkerProxy:
     Quacks like :class:`~repro.cluster.worker.Worker` for the callers
     the parent keeps -- the server routes messages at it, the cluster
     facade reads its gauges and installs bootstrap shards -- and turns
-    every data-plane message into a column frame on the child's pipe.
+    every request into a frame on the child's pipe.
     """
 
     def __init__(self, runtime: "MPRuntime", worker_id: int, zk):
@@ -103,32 +103,28 @@ class WorkerProxy:
         self.name = f"worker-{worker_id}"
         self._rt = runtime
         self._zk = zk
-        #: data-plane requests written minus replies read back; the
-        #: runtime's idle detector sums this across proxies
+        #: requests written minus replies read back; the runtime's idle
+        #: detector sums this across proxies
         self.inflight = 0
-        #: barrier-refreshed mirror of the child's counters
-        self.stats = {
-            "items": 0, "shards": {}, "dedup_hits": 0,
-            "inserts_done": 0, "queries_done": 0, "cpu_time": 0.0,
-        }
-        self._barrier_acked: set[int] = set()
-        #: bounding keys of installed shards (wire form), for gauges
-        self._shard_meta: dict[int, int] = {}
+        #: mirror of the child's counters: ``install_shard`` adds to it,
+        #: and every ``barrier_ack`` replaces it
+        self.stats = {"items": 0, "shards": {}, "dedup_hits": 0, "cpu_time": 0.0}
+        #: the last barrier the child acked
+        self.barrier_token = 0
         self.crashed = False
-        self.peers = None  # assigned by the facade; unused by the proxy
 
     # -- Worker facade used by the cluster/manager wiring ------------------
 
     def total_items(self) -> int:
-        return int(self.stats["items"])
+        return self.stats["items"]
 
     @property
     def shards(self) -> dict:
-        return self._shard_meta
+        return self.stats["shards"]
 
     @property
     def dedup_hits(self) -> int:
-        return int(self.stats["dedup_hits"])
+        return self.stats["dedup_hits"]
 
     @property
     def pool(self):
@@ -156,38 +152,41 @@ class WorkerProxy:
 
     def install_shard(self, shard_id: int, store) -> None:
         """Bootstrap: publish the shard parent-side (so server images
-        build synchronously, as with in-process workers) and ship the
-        rows to the child, which rebuilds the store from the batch.
+        build synchronously, as with in-process workers), count its rows
+        and ship them to the child, which rebuilds the store from them.
         Pipe FIFO ordering guarantees the child installs it before any
-        later data frame touches it."""
-        from ..cluster.image import ShardInfo
-        from ..olap.colframe import encode_batch
-
+        later frame touches it."""
+        rows = len(store)
         self._zk.set(
             f"/shards/{shard_id}",
-            ShardInfo(
-                shard_id, store.bounding_key(), self.worker_id, len(store)
-            ).to_wire(),
+            ShardInfo(shard_id, store.bounding_key(), self.worker_id, rows).to_wire(),
         )
-        self._shard_meta[shard_id] = len(store)
-        self.stats["shards"][shard_id] = len(store)
-        blob = encode_batch(store.items(), compress=False)
-        frames.note_control_pickle()
-        self._rt.proxy_write(
-            self, _pack(_control_blob("install_shard", (shard_id, blob)))
-        )
+        self.stats["shards"][shard_id] = rows
+        self.stats["items"] += rows
+        batch = store.items()
+        payload = InstallShard(i64([shard_id]), batch.coords, batch.measures)
+        self._rt.proxy_write(self, frames.encode("install_shard", payload))
 
     # -- transport endpoint -------------------------------------------------
 
     def receive(self, msg) -> None:
+        if msg.kind == "barrier_ack":
+            token, items, dedup_hits = msg.payload.m.tolist()
+            self.stats.update(
+                items=items,
+                shards=dict(msg.payload.s.tolist()),
+                dedup_hits=dedup_hits,
+                cpu_time=float(msg.payload.g[0]),
+            )
+            self.barrier_token = token
+            return
         if msg.kind not in frames.REQUEST_KINDS:
             raise RuntimeError(
                 f"message kind {msg.kind!r} is not supported by the mp "
                 f"runtime data plane (worker {self.worker_id})"
             )
-        blob = frames.encode(msg.kind, msg.payload, route=self.name)
         self.inflight += 1
-        self._rt.proxy_write(self, _pack(blob))
+        self._rt.proxy_write(self, frames.encode(msg.kind, msg.payload, route=self.name))
 
     def __deepcopy__(self, memo: dict) -> "WorkerProxy":
         return self
@@ -206,7 +205,6 @@ class MPRuntime(AsyncioRuntime):
         self._outbuf: dict[int, list[bytes]] = {}
         self._reader_tasks: list = []
         self._barrier_token = 0
-        self._spawn_args: Optional[tuple] = None
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -232,15 +230,15 @@ class MPRuntime(AsyncioRuntime):
         self.register(proxy)
         return proxy
 
-    def proxy_write(self, proxy: WorkerProxy, data: bytes) -> None:
-        """Queue bytes for a child; before the loop has wrapped the
-        socket (bootstrap runs ahead of the first drive) they buffer,
-        afterwards they go straight to the stream writer."""
+    def proxy_write(self, proxy: WorkerProxy, blob: bytes) -> None:
+        """Queue a frame for a child; before the loop has wrapped the
+        socket (bootstrap runs ahead of the first drive) it buffers,
+        afterwards it goes straight to the stream writer."""
         writer = self._writers.get(proxy.worker_id)
         if writer is None:
-            self._outbuf[proxy.worker_id].append(data)
+            self._outbuf[proxy.worker_id].append(_pack(blob))
         else:
-            writer.write(data)
+            writer.write(_pack(blob))
 
     async def _start_backend_io(self) -> None:
         for wid, sock in list(self._socks.items()):
@@ -255,25 +253,11 @@ class MPRuntime(AsyncioRuntime):
             )
 
     async def _proxy_reader(self, wid: int, reader) -> None:
-        from ..cluster.transport import Message
-
         proxy = self._proxies[wid]
         try:
             while True:
                 head = await reader.readexactly(_LEN.size)
                 blob = await reader.readexactly(_LEN.unpack(head)[0])
-                if blob[:1] == bytes([_CONTROL]):
-                    kind, payload = pickle.loads(blob[1:])
-                    frames.note_control_pickle()
-                    if kind == "zk_set":
-                        # every proxy shares the one parent zookeeper
-                        _zk_apply(proxy._zk, payload)
-                    elif kind == "barrier_ack":
-                        token, stats = payload
-                        proxy.stats.update(stats)
-                        proxy._shard_meta = dict(stats.get("shards", {}))
-                        proxy._barrier_acked.add(token)
-                    continue
                 kind, payload, route = frames.decode(blob, self.lookup)
                 if kind in frames.REPLY_KINDS:
                     proxy.inflight -= 1
@@ -307,25 +291,13 @@ class MPRuntime(AsyncioRuntime):
         return sum(p.inflight for p in self._proxies.values())
 
     def barrier(self) -> None:
-        """Flush every child: send a barrier control frame and drive the
-        loop until each child has answered with its current counters."""
-        if self._proxies:
-            self._barrier_token += 1
-            self._run(self._barrier(self._barrier_token))
-
-    async def _barrier(self, token: int) -> None:
-        await self._start_backend_io()
-        proxies = self._proxies.values()
-        blob = _control_blob("barrier", token)
-        frames.note_control_pickle()
+        """Flush every child: one ``barrier`` request per proxy, then
+        drive until each child has acked it with its current counters."""
+        self._barrier_token += 1
+        token, proxies = self._barrier_token, self._proxies.values()
         for p in proxies:
-            self.proxy_write(p, _pack(blob))
-        deadline = time.monotonic() + 60.0
-        while any(token not in p._barrier_acked for p in proxies):
-            self._check_workers()
-            if time.monotonic() > deadline:
-                raise RuntimeError("mp barrier timed out")
-            await asyncio.sleep(0.001)
+            p.receive(Message("barrier", Barrier(i64([token]), p)))
+        self.drive(lambda: all(p.barrier_token == token for p in proxies), desc="barrier")
 
     # -- teardown -----------------------------------------------------------
 
@@ -339,14 +311,14 @@ class MPRuntime(AsyncioRuntime):
             self.loop.close()
 
     async def _shutdown(self) -> None:
-        """Stop the children, then close what the loop opened on their
-        pipes: nothing is left for the collector to warn about."""
+        """Half-close every pipe -- a child exits on EOF -- then close
+        what the loop opened on them: nothing is left for the collector
+        to warn about."""
         await self._start_backend_io()  # a never-driven runtime has raw sockets
-        stop = _pack(_control_blob("shutdown", None))
         for writer in self._writers.values():
-            writer.write(stop)  # to a dead child: dropped by the transport
+            writer.write_eof()  # after what is buffered; to a dead child: a no-op
         # a reader ends when its child has exited, and reads on until
-        # then: a child blocked on an unread reply never sees the frame
+        # then: a child blocked on an unread reply never sees the EOF
         try:
             await asyncio.wait_for(
                 asyncio.gather(*self._reader_tasks, return_exceptions=True), 5.0
@@ -392,46 +364,6 @@ class _ChildTransport:
     send_local = send
 
 
-class _ForwardingZk:
-    """A child-local Zookeeper whose writes are mirrored to the parent.
-
-    Reads are served locally (the child only reads back its own
-    writes); every ``set``/``delete`` also crosses the pipe as a
-    control frame so parent-side images and gauges see worker state."""
-
-    name = "zookeeper"
-
-    def __init__(self, clock, sock: socket.socket):
-        from ..cluster.zookeeper import Zookeeper
-
-        self._local = Zookeeper(clock)
-        self._sock = sock
-
-    def set(self, path: str, data) -> int:
-        ver = self._local.set(path, data)
-        self._sock.sendall(_pack(_control_blob("zk_set", ("set", path, data))))
-        return ver
-
-    def set_ephemeral(self, path: str, data, ttl: float) -> int:
-        return self.set(path, data)  # ttl semantics unused in mp v1
-
-    def get(self, path: str):
-        return self._local.get(path)
-
-    def delete(self, path: str) -> bool:
-        ok = self._local.delete(path)
-        self._sock.sendall(
-            _pack(_control_blob("zk_set", ("delete", path, None)))
-        )
-        return ok
-
-    def watch(self, prefix: str, callback) -> None:
-        self._local.watch(prefix, callback)
-
-    def __getattr__(self, item):
-        return getattr(self._local, item)
-
-
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     buf = bytearray()
     while len(buf) < n:
@@ -457,16 +389,11 @@ def _child_main(
     The socket stays blocking, so a reply waits for the parent to read
     for as long as that takes; only the wait for the next frame is
     bounded, by the clock's next deadline."""
-    from ..cluster.transport import Message
-    from ..cluster.worker import Worker
-    from ..olap.colframe import decode_batch
-
     clock = WallClock(time_scale)
     clock.start()
     transport = _ChildTransport(clock, sock)
-    zk = _ForwardingZk(clock, sock)
     worker = Worker(
-        worker_id, clock, transport, zk, schema,
+        worker_id, clock, transport, Zookeeper(clock), schema,
         tree_config=tree_config, threads=threads, cost=cost,
         store_cls=store_cls,
     )
@@ -486,39 +413,26 @@ def _child_main(
             continue  # a timer came due first
         head = _recv_exact(sock, _LEN.size)
         if head is None:
-            break
+            break  # EOF: the parent half-closed the pipe, or died
         blob = _recv_exact(sock, _LEN.unpack(head)[0])
         if blob is None:
             break
-        if blob[:1] == bytes([_CONTROL]):
-            kind, payload = pickle.loads(blob[1:])
-            if kind == "shutdown":
-                break
-            if kind == "install_shard":
-                sid, batch_blob = payload
-                store = store_cls.from_batch(
-                    schema, decode_batch(batch_blob), tree_config
-                )
-                worker.install_shard(sid, store)
-            elif kind == "barrier":
-                clock.fire_due()  # drain completions before reporting
-                stats = {
-                    "items": worker.total_items(),
-                    "shards": {
-                        sid: len(s) for sid, s in worker.shards.items()
-                    },
-                    "dedup_hits": worker.dedup_hits,
-                    "inserts_done": worker.inserts_done,
-                    "queries_done": worker.queries_done,
-                    "cpu_time": time.process_time(),
-                }
-                sock.sendall(
-                    _pack(_control_blob("barrier_ack", (payload, stats)))
-                )
-            continue
-        kind, msg_payload, _route = frames.decode(blob, resolve)
-        worker.receive(Message(kind, msg_payload))
-        clock.fire_due()  # pool completions emit the reply frames
+        kind, payload, _route = frames.decode(blob, resolve)
+        if kind == "install_shard":
+            rows = RecordBatch(payload.c, payload.v)
+            store = store_cls.from_batch(schema, rows, tree_config)
+            worker.install_shard(int(payload.m[0]), store)
+        elif kind == "barrier":
+            clock.fire_due()  # drain completions before reporting
+            ack = BarrierAck(
+                i64([payload.m[0], worker.total_items(), worker.dedup_hits]),
+                i64([(sid, len(s)) for sid, s in worker.shards.items()]).reshape(-1, 2),
+                f64([time.process_time()]),
+            )
+            transport.send(payload.reply_to, Message("barrier_ack", ack))
+        else:
+            worker.receive(Message(kind, payload))
+            clock.fire_due()  # pool completions emit the reply frames
     try:
         sock.close()
     except OSError:

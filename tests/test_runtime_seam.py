@@ -37,7 +37,7 @@ from repro.cluster.worker import WORKER_THREADS, Worker
 from repro.cluster.zookeeper import Zookeeper
 from repro.core import HilbertPDCTree, TreeConfig
 from repro.core.aggregates import Aggregate
-from repro.olap.colframe import decode_columns, encode_batch, measure_columns
+from repro.olap.colframe import decode_columns, measure_columns
 from repro.olap.query import full_query
 from repro.olap.rollup import CubeCells
 from repro.runtime import frames, make_runtime
@@ -139,6 +139,13 @@ def _payload(kind, n, sink):
         return wire.ReplicaBatch(coords, values, ops, i64([7, 2, 5]), f64([1.5]), sink)
     if kind == "primary_handoff":
         return wire.PrimaryHandoff(coords, values, ops, i64([7]), sink)
+    if kind == "install_shard":
+        return wire.InstallShard(i64([7]), coords, values)
+    if kind == "barrier":
+        return wire.Barrier(i64([token]), sink)
+    if kind == "barrier_ack":
+        sizes = i64([(sid, sid * 100) for sid in range(n // 2)]).reshape(-1, 2)
+        return wire.BarrierAck(i64([token, 3 * n, n // 4]), sizes, f64([0.25]))
     raise AssertionError(f"no sample payload for kind {kind!r}")
 
 
@@ -167,10 +174,10 @@ def _envelope_len(payload, route):
 
 class TestFrames:
     @pytest.mark.parametrize("n", [1, 64])
-    @pytest.mark.parametrize("kind", sorted(frames.DATA_KINDS))
+    @pytest.mark.parametrize("kind", sorted(frames.PIPE_KINDS))
     def test_round_trip_is_exact_and_sized(self, kind, n):
         sink = _Sink()
-        route = "worker-0" if kind in frames.REQUEST_KINDS else "server-0"
+        route = "server-0" if kind in frames.REPLY_KINDS else "worker-0"
         payload = _payload(kind, n, sink)
         blob = frames.encode(kind, payload, route=route)
         assert frames.wire_size(kind, payload, route) == len(blob)
@@ -219,9 +226,12 @@ class TestFrames:
             assert frames.wire_size(kind, _payload(kind, n, sink), dst) == size
 
     def test_data_kinds_are_the_batch_family(self):
-        assert frames.DATA_KINDS == {
+        """The worker pipe carries the batch family, bootstrap shards and
+        the barrier, and nothing else."""
+        assert frames.PIPE_KINDS == {
             "insert_batch", "bulk_insert", "query_batch",
             "insert_batch_ack", "bulk_ack", "query_result_batch",
+            "install_shard", "barrier", "barrier_ack",
         }
 
     def test_non_data_kind_raises_and_trips_spy(self):
@@ -696,7 +706,8 @@ def test_chaos_matrix_on_asyncio(fault):
 
 def test_mp_backend_smoke_zero_pickle_data_plane():
     """End to end on forked workers: bootstrap + bulk load + query,
-    with the codec spy proving no data-plane row was ever pickled."""
+    with the codec spies proving no frame on the pipe, data or
+    control, was ever pickled."""
     schema = make_schema()
     frames.reset_codec_stats()
     cluster = VOLAPCluster(
@@ -711,9 +722,32 @@ def test_mp_backend_smoke_zero_pickle_data_plane():
         assert cluster.total_items() == 2500
         r = cluster.execute(full_query(schema))
         assert r.value.count == 2500
-        stats = cluster.runtime.codec_stats()
-        assert stats["data_frames"] > 0
-        assert stats["data_pickled"] == 0
+    finally:
+        cluster.close()
+    stats = frames.codec_stats()
+    assert stats["data_frames"] > 0
+    assert stats["data_pickled"] == 0
+    assert stats["control_pickled"] == 0
+
+
+def test_mp_counts_bootstrapped_rows_before_any_barrier():
+    """The proxies count the rows they install: the cluster's item
+    count, its worker-size snapshot and ``/stats/workers`` are right
+    straight after ``bootstrap``, as on the sim."""
+    schema = make_schema()
+    cluster = VOLAPCluster(
+        schema,
+        small_config("mp", seed=1, heartbeat_period=0.0, checkpoint_period=0.0),
+    )
+    try:
+        cluster.bootstrap(random_batch(schema, 3000, seed=2), shards_per_worker=2)
+        assert cluster.total_items() == 3000
+        _t, sizes = cluster.stats.worker_sizes[-1]
+        assert sum(sizes.values()) == 3000
+        published = [cluster.zk.get(f"/stats/workers/{wid}") for wid in cluster.workers]
+        assert sum(p["items"] for p in published) == 3000
+        cluster.barrier()  # and the children agree
+        assert cluster.total_items() == 3000
     finally:
         cluster.close()
 
@@ -749,10 +783,9 @@ def test_mp_child_outlives_a_parent_that_does_not_read():
     child_sock.close()
     parent_sock.settimeout(10.0)  # a deadlock of the test's own is a failure
     try:
-        rows = encode_batch(random_batch(schema, 200, seed=1), compress=False)
-        parent_sock.sendall(
-            mp_rt._pack(mp_rt._control_blob("install_shard", (1, rows)))
-        )
+        rows = random_batch(schema, 200, seed=1)
+        install = wire.InstallShard(i64([1]), rows.coords, rows.measures)
+        parent_sock.sendall(mp_rt._pack(frames.encode("install_shard", install)))
         sink, box = _Sink(), full_query(schema).box
         for token in range(150):
             blob = frames.encode(
@@ -764,14 +797,12 @@ def test_mp_child_outlives_a_parent_that_does_not_read():
         tokens = []
         while len(tokens) < 150:
             blob = _read_frame(parent_sock)
-            if blob[0] == mp_rt._CONTROL:
-                continue  # the shard's forwarded zookeeper write
             kind, payload, route = frames.decode(blob, lambda name: sink)
             assert (kind, route) == ("query_result_batch", "sink")
             assert payload.x[0, 1] == 200  # the whole shard
             tokens.append(int(payload.x[0, 0]))
         assert tokens == list(range(150)) and proc.exitcode is None
-        parent_sock.sendall(mp_rt._pack(mp_rt._control_blob("shutdown", None)))
+        parent_sock.shutdown(socket.SHUT_WR)  # EOF is the shutdown
         proc.join(timeout=5.0)
         assert proc.exitcode == 0
         assert parent_sock.recv(1 << 16) == b""  # and not one frame more
