@@ -209,7 +209,6 @@ class VOLAPCluster:
         self,
         spans: bool = True,
         profile_trees: bool = True,
-        message_metrics: bool = True,
     ) -> Observability:
         """Switch on end-to-end instrumentation (op spans, per-kind
         message counters, tree profiling) and return the facade.
@@ -224,7 +223,6 @@ class VOLAPCluster:
                 registry=self.stats.registry,
                 spans=spans,
                 profile_trees=profile_trees,
-                message_metrics=message_metrics,
             )
         return self.transport.obs
 

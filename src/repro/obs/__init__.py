@@ -78,7 +78,6 @@ class Observability:
         registry: Optional[MetricsRegistry] = None,
         spans: bool = True,
         profile_trees: bool = True,
-        message_metrics: bool = True,
     ):
         self.clock = clock
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -87,7 +86,6 @@ class Observability:
         self.profiler = (
             TreeProfiler(registry=self.registry) if profile_trees else None
         )
-        self.message_metrics = message_metrics
 
     # -- spans -------------------------------------------------------------
 
@@ -111,11 +109,8 @@ class Observability:
     def on_message(self, msg) -> None:
         """Per-kind wire accounting; called by the transport when
         installed (one guarded call per send)."""
-        if self.message_metrics:
-            self.registry.counter("volap_messages_total", kind=msg.kind).inc()
-            self.registry.counter(
-                "volap_message_bytes_total", kind=msg.kind
-            ).inc(msg.size)
+        self.registry.counter("volap_messages_total", kind=msg.kind).inc()
+        self.registry.counter("volap_message_bytes_total", kind=msg.kind).inc(msg.size)
 
     # -- tree profiling ----------------------------------------------------
 

@@ -11,11 +11,14 @@ registry and the drive loop:
     The discrete-event simulation (virtual time, modeled service
     times).  Bit-identical to the pre-runtime code path.
 ``asyncio``
-    Wall-clock execution of every entity in one process on an asyncio
-    event loop; timers are real (scaled) delays and a message hop is
-    one of them, handing over the payload objects themselves.
+    Wall-clock execution of every entity in one process; timers are
+    real (scaled) delays and a message hop is one of them, handing over
+    the payload objects themselves.  The drive loop fires what is due
+    and sleeps until the next deadline; no asyncio event loop runs (the
+    name is the one the benchmark and CI select the backend by).
 ``mp``
-    The asyncio runtime plus one OS process per worker.  Every frame on
+    The same drive loop plus one OS process per worker, whose wait is
+    a ``select`` on the worker pipes, as each child's is.  Every frame on
     a worker pipe -- the data plane, bootstrap shards and the barrier --
     is a payload declaration of :mod:`repro.cluster.wire` whose array
     fields cross as colframe column buffers, encoded and decoded by the

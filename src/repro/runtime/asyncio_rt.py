@@ -1,11 +1,16 @@
-"""Wall-clock runtime: every entity on one asyncio event loop.
+"""Wall-clock runtime: every entity in one process, on one timer heap.
 
 The entities are unchanged -- they still call ``clock.after`` and
 ``transport.send`` -- but here the clock is real (scaled) time.  A
 delivery is what it is on the sim, a timer on the one heap
 (:meth:`Transport.deliver <repro.cluster.transport.Transport.deliver>`),
 and :meth:`AsyncioRuntime.drive` is the one loop that fires it: the
-handler runs inside ``fire_due``.  Real index work happens inline in
+handler runs inside ``fire_due``.  Between two turns the loop waits
+until the next deadline -- in ``time.sleep`` here, in a ``select`` on
+the worker pipes on ``mp`` -- so both sides of a pipe run the same
+loop model, a timer heap plus a wait.  No asyncio event loop is
+involved; the backend keeps the name ``asyncio`` because the benchmark
+and CI select it by that name.  Real index work happens inline in
 the handlers (the :class:`ImmediatePool` fires completions on the next
 tick instead of charging modeled service time), so throughput measured
 on this backend is the hardware's, not the model's.
@@ -21,7 +26,6 @@ given the objects the sender built (the column-frame wire format of
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Callable, Optional
 
@@ -58,9 +62,6 @@ class WallClock(TimerQueue):
         self.time_scale = time_scale
         self._frozen = 0.0
         self._anchor: Optional[float] = None  # real time when running
-        #: called after every ``at``: the drive loop's way to hear of a
-        #: timer armed while it sleeps (a forked child's loop needs none)
-        self.on_schedule: Optional[Callable[[], None]] = None
 
     # -- model time --------------------------------------------------------
 
@@ -85,10 +86,7 @@ class WallClock(TimerQueue):
         # unlike the sim, "the past" can happen by a few real
         # microseconds between computing a deadline and scheduling it;
         # clamp instead of raising
-        timer = super().at(max(when, self.now), fn)
-        if self.on_schedule is not None:
-            self.on_schedule()
-        return timer
+        return super().at(max(when, self.now), fn)
 
     def make_pool(self, threads: int) -> "ImmediatePool":
         return ImmediatePool(self, threads)
@@ -150,69 +148,26 @@ class ImmediatePool:
 
 
 class AsyncioRuntime(Runtime):
+    # the name the benchmark, CI and $VOLAP_RUNTIME select this backend by
     kind = "asyncio"
 
     def __init__(self, latency=None, seed: int = 0, time_scale: float = 1.0):
         super().__init__()
-        self.loop = asyncio.new_event_loop()
         self.clock = WallClock(time_scale)
         self.transport = Transport(self.clock, latency, seed)
-        self._sleeper: Optional[asyncio.Future] = None  # drive loop asleep
-        self.clock.on_schedule = self._wake
-        self._closed = False
-
-    async def _sleep(self, seconds: float) -> None:
-        """Sleep ``seconds`` or until a timer is armed, whichever is first.
-
-        The sleep is sized by the deadlines known when it starts, but on
-        ``mp`` the stream readers run while it lasts and arm a timer,
-        due at once, for every reply they read.  Sleeping on would hold
-        each of them to the end of a sleep that never knew of it:
-        latency in steps of :data:`PRED_POLL`, not of the work."""
-        self._sleeper = self.loop.create_future()
-        handle = self.loop.call_later(seconds, self._wake)
-        try:
-            await self._sleeper
-        finally:
-            handle.cancel()
-            self._sleeper = None
-
-    def _wake(self) -> None:
-        sleeper = self._sleeper
-        if sleeper is not None and not sleeper.done():
-            sleeper.set_result(None)
 
     # -- drive -------------------------------------------------------------
-
-    def _run(self, coro):
-        asyncio.set_event_loop(self.loop)
-        return self.loop.run_until_complete(coro)
 
     def drive(
         self,
         pred: Callable[[], bool],
         *,
         horizon: Optional[float] = None,
-        guard: int = 50_000_000,
         desc: str = "drive",
         idle_break: bool = True,
         stop_at: Optional[float] = None,
         real_limit: float = DRIVE_REAL_LIMIT,
     ) -> None:
-        self._run(
-            self._drive(pred, horizon, desc, idle_break, stop_at, real_limit)
-        )
-
-    async def _drive(
-        self,
-        pred: Callable[[], bool],
-        horizon: Optional[float],
-        desc: str,
-        idle_break: bool,
-        stop_at: Optional[float],
-        real_limit: float,
-    ) -> None:
-        await self._start_backend_io()
         clock = self.clock
         deadline_real = time.monotonic() + real_limit
         clock.start()
@@ -237,20 +192,18 @@ class AsyncioRuntime(Runtime):
                         f"{desc}: exceeded {real_limit:.0f}s real-time limit "
                         f"on the {self.kind} runtime"
                     )
-                pending = self._pending_io()  # mp: raises for a dead worker
                 if fired:
-                    # the mp stream readers and writers live on the loop
-                    await asyncio.sleep(0)
+                    self._wait(0.0)  # mp: read and write the pipes, then go on
                     continue
                 wait = PRED_POLL
                 nd = clock.next_deadline()
                 if nd is not None:
                     wait = min(wait, (nd - now) * clock.time_scale)
-                elif idle_break and pending == 0:
+                elif idle_break and self._inflight() == 0:
                     return  # the wall-clock analog of "heap empty"
                 if stop_at is not None:
                     wait = min(wait, (stop_at - now) * clock.time_scale)
-                await self._sleep(max(wait, 0.0))
+                self._wait(max(wait, 0.0))
         finally:
             clock.stop()
 
@@ -263,18 +216,13 @@ class AsyncioRuntime(Runtime):
 
     # -- backend hooks -----------------------------------------------------
 
-    async def _start_backend_io(self) -> None:
-        """mp overrides this to wire child pipes into the loop."""
+    def _wait(self, seconds: float) -> None:
+        """Let ``seconds`` of real time pass between two turns of the
+        drive loop; mp waits on its worker pipes instead."""
+        if seconds > 0:  # sleep(0) is a syscall and a timer-slack nap
+            time.sleep(seconds)
 
-    def _pending_io(self) -> int:
+    def _inflight(self) -> int:
         """Requests out at worker processes, which an idle break must
         wait for; mp overrides this.  None here."""
         return 0
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        # no task outlives a drive, so the loop is all there is to release
-        if not self._closed:
-            self._closed = True
-            self.loop.close()

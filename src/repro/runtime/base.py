@@ -48,14 +48,13 @@ class Runtime:
         pred: Callable[[], bool],
         *,
         horizon: Optional[float] = None,
-        guard: int = 50_000_000,
         desc: str = "drive",
     ) -> None:
         """Advance the runtime until ``pred()`` holds.
 
         Stops early when the runtime goes idle (nothing scheduled, no
         in-flight work); raises when the model-time ``horizon`` passes
-        or ``guard`` events are exceeded before ``pred`` holds.
+        before ``pred`` holds.
         """
         raise NotImplementedError
 
@@ -73,7 +72,7 @@ class Runtime:
         no-op on backends without remote workers)."""
 
     def close(self) -> None:
-        """Release backend resources (processes, sockets, loops)."""
+        """Release backend resources (processes, sockets)."""
 
     def codec_stats(self) -> dict:
         """Wire-codec counters (see :func:`repro.runtime.frames.codec_stats`)."""

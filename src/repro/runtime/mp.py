@@ -1,7 +1,7 @@
 """Multiprocess runtime: one OS process per worker, one frame format.
 
 The parent process runs servers, clients, manager, Zookeeper and the
-asyncio loop; each worker is forked into its own process hosting the
+drive loop; each worker is forked into its own process hosting the
 *real* :class:`~repro.cluster.worker.Worker` class -- the same code
 path the sim executes -- behind a :class:`WorkerProxy` entity on the
 parent side.
@@ -25,15 +25,18 @@ proxies' ``inflight`` counts are what the drive loop waits for.
 like any other until every child has acked it.  Shutdown is EOF:
 :meth:`MPRuntime.close` half-closes each pipe and the child exits on it.
 
-The parent side of every pipe is wrapped in asyncio streams
-(``open_connection(sock=...)``), so parent writes buffer instead of
-blocking and reads interleave with timers on the one drive loop: a
-frame read from a child is delivered as a message is anywhere else, by
-a timer on the parent's clock.  The child keeps a blocking socket and
-waits in ``select`` for the next frame or its own clock's next
-deadline, whichever is first.  A child whose pipe closes while the
-runtime is open is an error :meth:`MPRuntime.drive` and
-:meth:`MPRuntime.barrier` raise, not a silence.
+Both ends of a pipe run the same loop model, a timer heap plus a wait
+in ``select``.  The parent's socket is non-blocking: a frame for a
+child is queued on that pipe and sent as far as the pipe takes it, and
+the drive loop's wait (:meth:`MPRuntime._wait`) polls every pipe, sends
+the rest once there is room and reads what a child wrote.  A frame read
+from a child is delivered as a message is anywhere else, by a timer on
+the parent's clock.  The child keeps a blocking socket and waits in
+``select`` for the next frame or its own clock's next deadline,
+whichever is first; both ends cut frames with :func:`_cut_frames`.  A
+child whose pipe closes while the runtime is open is an error
+:meth:`MPRuntime.drive` and :meth:`MPRuntime.barrier` raise, not a
+silence.
 
 v1 scope (documented in docs/runtime.md): children run ingest and
 query serving only -- no heartbeats/failover, no replication, no
@@ -45,13 +48,12 @@ this backend accordingly.
 
 from __future__ import annotations
 
-import asyncio
 import select
+import selectors
 import socket
 import struct
 import time
 from multiprocessing import get_context
-from typing import Optional
 
 from ..cluster.image import ShardInfo
 from ..cluster.transport import Message
@@ -65,10 +67,26 @@ from .asyncio_rt import AsyncioRuntime, WallClock
 __all__ = ["MPRuntime", "WorkerProxy"]
 
 _LEN = struct.Struct("<I")
+#: most bytes one ``recv`` takes off a pipe
+_CHUNK = 1 << 16
 
 
 def _pack(blob: bytes) -> bytes:
     return _LEN.pack(len(blob)) + blob
+
+
+def _cut_frames(buf: bytearray) -> list[bytes]:
+    """Remove the whole frames at the head of ``buf`` and return their
+    bodies; a frame not yet read in full stays behind."""
+    bodies, at = [], 0
+    while len(buf) - at >= _LEN.size:
+        end = at + _LEN.size + _LEN.unpack_from(buf, at)[0]
+        if end > len(buf):
+            break
+        bodies.append(bytes(buf[at + _LEN.size : end]))
+        at = end
+    del buf[:at]
+    return bodies
 
 
 class _Peer:
@@ -98,11 +116,18 @@ class WorkerProxy:
     every request into a frame on the child's pipe.
     """
 
-    def __init__(self, runtime: "MPRuntime", worker_id: int, zk):
+    def __init__(self, runtime: "MPRuntime", worker_id: int, zk, sock: socket.socket):
         self.worker_id = worker_id
         self.name = f"worker-{worker_id}"
         self._rt = runtime
         self._zk = zk
+        #: the parent's end of the child's pipe (non-blocking), the bytes
+        #: queued for the child, the part of a frame read from it so far,
+        #: and what the runtime's selector watches the socket for
+        self.sock = sock
+        self.out = bytearray()
+        self.inp = bytearray()
+        self.events = selectors.EVENT_READ
         #: requests written minus replies read back; the runtime's idle
         #: detector sums this across proxies
         self.inflight = 0
@@ -111,7 +136,6 @@ class WorkerProxy:
         self.stats = {"items": 0, "shards": {}, "dedup_hits": 0, "cpu_time": 0.0}
         #: the last barrier the child acked
         self.barrier_token = 0
-        self.crashed = False
 
     # -- Worker facade used by the cluster/manager wiring ------------------
 
@@ -143,12 +167,6 @@ class WorkerProxy:
                 "backlog": 0.0,
             },
         )
-
-    def start_heartbeat(self, period, ttl=None) -> None:
-        pass  # liveness/failover out of mp v1 scope
-
-    def start_checkpoints(self, period, store) -> None:
-        pass
 
     def install_shard(self, shard_id: int, store) -> None:
         """Bootstrap: publish the shard parent-side (so server images
@@ -198,13 +216,11 @@ class MPRuntime(AsyncioRuntime):
     def __init__(self, latency=None, seed: int = 0, time_scale: float = 1.0):
         super().__init__(latency=latency, seed=seed, time_scale=time_scale)
         self._ctx = get_context("fork")
+        self._sel = selectors.DefaultSelector()
         self._procs: dict[int, object] = {}
         self._proxies: dict[int, WorkerProxy] = {}
-        self._socks: dict[int, socket.socket] = {}
-        self._writers: dict[int, object] = {}
-        self._outbuf: dict[int, list[bytes]] = {}
-        self._reader_tasks: list = []
         self._barrier_token = 0
+        self._closed = False
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -223,71 +239,76 @@ class MPRuntime(AsyncioRuntime):
         )
         proc.start()
         child_sock.close()
+        parent_sock.setblocking(False)
         self._procs[worker_id] = proc
-        self._socks[worker_id] = parent_sock
-        self._outbuf[worker_id] = []
-        proxy = self._proxies[worker_id] = WorkerProxy(self, worker_id, zk)
+        proxy = self._proxies[worker_id] = WorkerProxy(self, worker_id, zk, parent_sock)
+        self._sel.register(parent_sock, proxy.events, proxy)
         self.register(proxy)
         return proxy
 
+    # -- the pipes ----------------------------------------------------------
+
     def proxy_write(self, proxy: WorkerProxy, blob: bytes) -> None:
-        """Queue a frame for a child; before the loop has wrapped the
-        socket (bootstrap runs ahead of the first drive) it buffers,
-        afterwards it goes straight to the stream writer."""
-        writer = self._writers.get(proxy.worker_id)
-        if writer is None:
-            self._outbuf[proxy.worker_id].append(_pack(blob))
-        else:
-            writer.write(_pack(blob))
+        """Queue a frame for a child and send what its pipe takes now;
+        the drive loop's wait sends the rest as the child reads."""
+        proxy.out += _pack(blob)
+        self._flush(proxy)
 
-    async def _start_backend_io(self) -> None:
-        for wid, sock in list(self._socks.items()):
-            if wid in self._writers:
-                continue
-            reader, writer = await asyncio.open_connection(sock=sock)
-            self._writers[wid] = writer
-            for chunk in self._outbuf.pop(wid, []):
-                writer.write(chunk)
-            self._reader_tasks.append(
-                self.loop.create_task(self._proxy_reader(wid, reader))
-            )
-
-    async def _proxy_reader(self, wid: int, reader) -> None:
-        proxy = self._proxies[wid]
+    def _flush(self, proxy: WorkerProxy) -> None:
+        """Send what the pipe takes now, half-close it once empty after
+        :meth:`close`, and watch it for room only while bytes remain."""
         try:
-            while True:
-                head = await reader.readexactly(_LEN.size)
-                blob = await reader.readexactly(_LEN.unpack(head)[0])
-                kind, payload, route = frames.decode(blob, self.lookup)
-                if kind in frames.REPLY_KINDS:
-                    proxy.inflight -= 1
-                # a timer like any delivery; arming it wakes a sleeping drive
-                self.transport.deliver(
-                    self.lookup(route), Message(kind, payload), 0.0
-                )
-        except (asyncio.IncompleteReadError, ConnectionError) as exc:
-            # EOF, or the reset / broken pipe of a write the child never read
-            if self._closed:
-                return  # the exit close() asked for
-            proc = self._procs[wid]
+            del proxy.out[: proxy.sock.send(proxy.out)]
+        except BlockingIOError:
+            pass  # the pipe is full: the child has not read yet
+        except ConnectionError:
+            proxy.out.clear()  # a dead child; the EOF on its read side says so
+        if self._closed and not proxy.out:
+            proxy.sock.shutdown(socket.SHUT_WR)  # the child exits on EOF
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if proxy.out else 0)
+        if events != proxy.events:
+            proxy.events = events
+            self._sel.modify(proxy.sock, events, proxy)
+
+    def _wait(self, seconds: float) -> None:
+        """Wait up to ``seconds`` for a worker pipe to be readable, or
+        writable while frames are queued for it, and serve what is."""
+        for key, events in self._sel.select(seconds):
+            if events & selectors.EVENT_WRITE:
+                self._flush(key.data)
+            if events & selectors.EVENT_READ:
+                self._read(key.data)
+
+    def _read(self, proxy: WorkerProxy) -> None:
+        """Deliver every whole frame the child has sent, as a message is
+        delivered anywhere else: by a timer on the parent's clock."""
+        try:
+            chunk = proxy.sock.recv(_CHUNK)
+        except BlockingIOError:
+            return
+        except ConnectionError:
+            chunk = b""  # reset by a child that died with bytes unread
+        if not chunk:
+            if self._closed:  # the exit close() asked for
+                self._sel.unregister(proxy.sock)
+                return
+            proc = self._procs[proxy.worker_id]
             proc.join(timeout=1.0)  # the pipe closes just before the exit
             raise RuntimeError(
                 f"{proxy.name} (pid {proc.pid}) exited with code "
                 f"{proc.exitcode} and {proxy.inflight} requests in flight "
                 f"on the mp runtime"
-            ) from exc
+            )
+        proxy.inp += chunk
+        for blob in _cut_frames(proxy.inp):
+            kind, payload, route = frames.decode(blob, self.lookup)
+            if kind in frames.REPLY_KINDS:
+                proxy.inflight -= 1
+            self.transport.deliver(self.lookup(route), Message(kind, payload), 0.0)
 
     # -- idle/sync ----------------------------------------------------------
 
-    def _check_workers(self) -> None:
-        """Raise what a reader raised: a reader ends only with its
-        worker's pipe, and until :meth:`close` that is a dead child."""
-        for task in self._reader_tasks:
-            if task.done():
-                task.result()
-
-    def _pending_io(self) -> int:
-        self._check_workers()
+    def _inflight(self) -> int:
         return sum(p.inflight for p in self._proxies.values())
 
     def barrier(self) -> None:
@@ -302,40 +323,26 @@ class MPRuntime(AsyncioRuntime):
     # -- teardown -----------------------------------------------------------
 
     def close(self) -> None:
+        """Write out what is queued and half-close each pipe once its
+        buffer is empty -- a child exits on EOF -- reading on until
+        every child has hung up (a child blocked on an unread reply
+        never sees the EOF), then reap the children."""
         if self._closed:
             return
-        self._closed = True  # from here a reader's EOF is no error
-        try:
-            self._run(self._shutdown())
-        finally:
-            self.loop.close()
-
-    async def _shutdown(self) -> None:
-        """Half-close every pipe -- a child exits on EOF -- then close
-        what the loop opened on them: nothing is left for the collector
-        to warn about."""
-        await self._start_backend_io()  # a never-driven runtime has raw sockets
-        for writer in self._writers.values():
-            writer.write_eof()  # after what is buffered; to a dead child: a no-op
-        # a reader ends when its child has exited, and reads on until
-        # then: a child blocked on an unread reply never sees the EOF
-        try:
-            await asyncio.wait_for(
-                asyncio.gather(*self._reader_tasks, return_exceptions=True), 5.0
-            )
-        except asyncio.TimeoutError:
-            pass  # cancelled with the wait; their children are terminated
+        self._closed = True  # from here a child's EOF is no error
+        for proxy in self._proxies.values():
+            self._flush(proxy)
+        give_up = time.monotonic() + 5.0
+        while self._sel.get_map() and time.monotonic() < give_up:
+            self._wait(max(give_up - time.monotonic(), 0.0))
         for proc in self._procs.values():
             proc.join(timeout=1.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
-        for writer in self._writers.values():
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass  # reset by a child that died with data unread
+        for proxy in self._proxies.values():
+            proxy.sock.close()
+        self._sel.close()
 
 
 # -------------------------------------------------------------------------
@@ -364,16 +371,6 @@ class _ChildTransport:
     send_local = send
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None  # parent hung up
-        buf.extend(chunk)
-    return bytes(buf)
-
-
 def _child_main(
     sock: socket.socket,
     worker_id: int,
@@ -384,11 +381,13 @@ def _child_main(
     store_cls,
     time_scale: float,
 ) -> None:
-    """Host one real Worker: blocking frame loop + local wall clock.
+    """Host one real Worker: a local wall clock and a ``select`` loop.
 
-    The socket stays blocking, so a reply waits for the parent to read
-    for as long as that takes; only the wait for the next frame is
-    bounded, by the clock's next deadline."""
+    The loop is the parent's in small: fire what is due, then wait in
+    ``select`` for the pipe or the clock's next deadline, whichever is
+    first, and cut the frames read with the parent's helper.  The
+    socket stays blocking, so a reply waits in ``sendall`` for the
+    parent to read for as long as that takes."""
     clock = WallClock(time_scale)
     clock.start()
     transport = _ChildTransport(clock, sock)
@@ -405,34 +404,34 @@ def _child_main(
             peer = peers[name] = _Peer(name)
         return peer
 
+    buf = bytearray()
     while True:
         clock.fire_due()
         nd = clock.next_deadline()
         timeout = None if nd is None else max(0.0, (nd - clock.now) * time_scale)
         if not select.select([sock], [], [], timeout)[0]:
             continue  # a timer came due first
-        head = _recv_exact(sock, _LEN.size)
-        if head is None:
+        chunk = sock.recv(_CHUNK)
+        if not chunk:
             break  # EOF: the parent half-closed the pipe, or died
-        blob = _recv_exact(sock, _LEN.unpack(head)[0])
-        if blob is None:
-            break
-        kind, payload, _route = frames.decode(blob, resolve)
-        if kind == "install_shard":
-            rows = RecordBatch(payload.c, payload.v)
-            store = store_cls.from_batch(schema, rows, tree_config)
-            worker.install_shard(int(payload.m[0]), store)
-        elif kind == "barrier":
-            clock.fire_due()  # drain completions before reporting
-            ack = BarrierAck(
-                i64([payload.m[0], worker.total_items(), worker.dedup_hits]),
-                i64([(sid, len(s)) for sid, s in worker.shards.items()]).reshape(-1, 2),
-                f64([time.process_time()]),
-            )
-            transport.send(payload.reply_to, Message("barrier_ack", ack))
-        else:
-            worker.receive(Message(kind, payload))
-            clock.fire_due()  # pool completions emit the reply frames
+        buf += chunk
+        for blob in _cut_frames(buf):
+            kind, payload, _route = frames.decode(blob, resolve)
+            if kind == "install_shard":
+                rows = RecordBatch(payload.c, payload.v)
+                store = store_cls.from_batch(schema, rows, tree_config)
+                worker.install_shard(int(payload.m[0]), store)
+            elif kind == "barrier":
+                clock.fire_due()  # drain completions before reporting
+                ack = BarrierAck(
+                    i64([payload.m[0], worker.total_items(), worker.dedup_hits]),
+                    i64([(sid, len(s)) for sid, s in worker.shards.items()]).reshape(-1, 2),
+                    f64([time.process_time()]),
+                )
+                transport.send(payload.reply_to, Message("barrier_ack", ack))
+            else:
+                worker.receive(Message(kind, payload))
+                clock.fire_due()  # pool completions emit the reply frames
     try:
         sock.close()
     except OSError:

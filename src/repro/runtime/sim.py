@@ -15,6 +15,9 @@ from .base import Runtime
 
 __all__ = ["SimRuntime"]
 
+#: events one drive may fire before it is taken for a runaway
+DRIVE_GUARD = 50_000_000
+
 
 class SimRuntime(Runtime):
     kind = "sim"
@@ -29,7 +32,6 @@ class SimRuntime(Runtime):
         pred: Callable[[], bool],
         *,
         horizon: Optional[float] = None,
-        guard: int = 50_000_000,
         desc: str = "drive",
     ) -> None:
         n = 0
@@ -39,7 +41,7 @@ class SimRuntime(Runtime):
             if horizon is not None and self.clock.now > horizon:
                 raise RuntimeError(f"{desc} did not finish before horizon")
             n += 1
-            if n > guard:  # pragma: no cover - runaway guard
+            if n > DRIVE_GUARD:  # pragma: no cover - runaway guard
                 raise RuntimeError(f"{desc} did not converge")
 
     def run_until(self, t: float) -> None:

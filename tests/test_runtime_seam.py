@@ -7,7 +7,8 @@ outcome equivalence, the chaos matrix on the asyncio backend, and an
 mp smoke test asserting the zero-pickling data plane; and the one drive
 loop of the wall-clock backends (no starvation, errors from handlers
 and timers, delivery order) with the mp process boundary (a child that
-is not read from, a child that dies).
+is not read from, a reply that ends the loop's wait, a close before any
+drive, a child that dies).
 """
 
 import multiprocessing
@@ -442,34 +443,6 @@ def test_wallclock_pauses_between_drives():
     assert frozen >= 0.02
 
 
-def test_timer_armed_while_the_drive_loop_sleeps_wakes_it():
-    """On ``mp`` a child's reply is read while the drive loop sleeps and
-    its delivery is a timer armed then; each fires when due, not at the
-    end of a sleep sized before it existed (ten hops: 10 x 50 ms if it
-    did)."""
-    import time as _t
-
-    rt = make_runtime("asyncio", time_scale=1.0)
-    hops = []
-
-    def reply_arrives():  # what the mp reader does with a frame it read
-        rt.clock.after(0.0, hop)
-
-    def hop():
-        hops.append(rt.clock.now)
-        if len(hops) < 10:
-            rt.loop.call_later(0.001, reply_arrives)
-
-    try:
-        rt.clock.after(30.0, lambda: None)  # all a sleep can know of
-        rt.loop.call_later(0.001, reply_arrives)
-        t0 = _t.monotonic()
-        rt.drive(lambda: len(hops) == 10, idle_break=False)
-        assert _t.monotonic() - t0 < 0.25
-    finally:
-        rt.close()
-
-
 # -------------------------------------------------------------------------
 # the one drive loop: handlers run inside fire_due
 # -------------------------------------------------------------------------
@@ -759,9 +732,18 @@ def _one_query(token, box, shard, reply_to):
     )
 
 
+def _recv_exact(sock, n):
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        assert chunk, "the child hung up mid-frame"
+        buf += chunk
+    return bytes(buf)
+
+
 def _read_frame(sock):
-    body = mp_rt._recv_exact(sock, mp_rt._LEN.size)
-    return mp_rt._recv_exact(sock, mp_rt._LEN.unpack(body)[0])
+    head = _recv_exact(sock, mp_rt._LEN.size)
+    return _recv_exact(sock, mp_rt._LEN.unpack(head)[0])
 
 
 def test_mp_child_outlives_a_parent_that_does_not_read():
@@ -845,6 +827,76 @@ def test_mp_replies_arrive_in_request_order_through_a_proxy():
         assert proxy.inflight == 0
     finally:
         cluster.close()
+
+
+class _Hopper(Entity):
+    """Sends the next one-entry ``query_batch`` from the handler of the
+    previous reply: one request at the child at a time."""
+
+    name = "hopper"
+
+    def __init__(self, rt, proxy, shard, box, hops):
+        self.rt, self.proxy, self.shard, self.box = rt, proxy, shard, box
+        self.hops, self.done = hops, []
+
+    def receive(self, msg):
+        if msg is not None:
+            self.done.append(time.monotonic())
+        if len(self.done) < self.hops:
+            query = _one_query(len(self.done), self.box, self.shard, self)
+            self.rt.transport.send(self.proxy, Message("query_batch", query))
+
+
+def test_mp_reply_read_while_the_drive_loop_waits_wakes_it():
+    """The drive loop's wait is a ``select`` on the worker pipes: a
+    reply ends it when it arrives, not at the end of a wait sized by
+    the heap's deadlines (ten hops: 10 x PRED_POLL = 0.5 s if it did)."""
+    schema = make_schema()
+    cfg = small_config("mp")
+    rt = make_runtime("mp", latency=NO_LATENCY, time_scale=1.0)
+    try:
+        proxy = rt.spawn_worker(
+            0, Zookeeper(rt.clock), schema, cfg.tree_config, WORKER_THREADS,
+            cfg.cost, cfg.store_cls,
+        )
+        rows = random_batch(schema, 200, seed=1)
+        proxy.install_shard(1, cfg.store_cls.from_batch(schema, rows, cfg.tree_config))
+        rt.barrier()  # the child is up and holds the shard
+        hopper = _Hopper(rt, proxy, 1, full_query(schema).box, hops=10)
+        rt.register(hopper)
+        rt.clock.after(30.0, lambda: None)  # all a wait sized by the heap knows of
+        t0 = time.monotonic()
+        hopper.receive(None)
+        rt.drive(lambda: len(hopper.done) == 10, idle_break=False)
+        assert time.monotonic() - t0 < 0.25
+        assert proxy.inflight == 0
+    finally:
+        rt.close()
+
+
+@pytest.mark.filterwarnings("error")
+def test_mp_close_before_any_drive_exits_every_child_cleanly():
+    """Bootstrap queues more install frames than a pipe holds (the
+    children are stopped, so none is read); ``close`` without a drive in
+    between still gets every child to EOF: each exits with code 0, and
+    nothing is left open to warn about."""
+    schema = make_schema()
+    cluster = VOLAPCluster(
+        schema,
+        small_config("mp", seed=1, heartbeat_period=0.0, checkpoint_period=0.0),
+    )
+    pids = [p.pid for p in cluster.runtime._procs.values()]
+    try:
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        cluster.bootstrap(random_batch(schema, 60000, seed=2), shards_per_worker=2)
+        assert all(proxy.out for proxy in cluster.workers.values())  # still queued
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)
+        cluster.close()
+    assert [p.exitcode for p in cluster.runtime._procs.values()] == [0, 0]
+    assert multiprocessing.active_children() == []
 
 
 def test_mp_killed_worker_is_an_error_not_a_silence():
