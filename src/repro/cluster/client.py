@@ -40,7 +40,7 @@ import numpy as np
 from ..workloads.streams import Operation
 from .faults import RetryPolicy
 from .simclock import Timer
-from .stats import ClusterStats, OpRecord
+from .stats import ClusterStats, InsertRecord, OpRecord
 from .transport import Entity, Message, Transport
 from .wire import ClientInsertBatch, ClientQueryBatch, QueryDone, f64, i64
 
@@ -277,12 +277,7 @@ class ClientSession(Entity):
                     continue  # duplicated or post-timeout reply
                 self._finish_span(pending, ok=True)
                 self._complete(
-                    OpRecord(
-                        "insert",
-                        pending.submit_time,
-                        now,
-                        attempts=pending.attempts,
-                    )
+                    InsertRecord(pending.submit_time, now, pending.attempts)
                 )
             return
         if msg.kind == "insert_failed":

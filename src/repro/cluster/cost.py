@@ -32,8 +32,8 @@ class CostModel:
     # point insertion (the paper's 400k/s vs 50k/s gap)
     bulk_item: float = 15e-6
     #: per item in an *online* insert message: pricier than offline bulk
-    #: packing (the tree still does ordered-run descents and locked
-    #: splices) but far below a full per-message dispatch
+    #: packing (the tree still descends and locks the nodes the batch
+    #: touches) but far below a full per-message dispatch
     batch_item: float = 30e-6
     #: per query in a query message: the shared vectorized descent
     #: amortizes dispatch and pruning, so each extra query costs well

@@ -89,6 +89,30 @@ def _no_span(**tags) -> None:
     """What :meth:`Worker.span` returns with observability off."""
 
 
+class OpIds:
+    """The op ids a worker has applied, a bit each.  Ids come in dense
+    runs -- a client's ``(client_id << 24) | seq``, the bulk loader's
+    token counter -- so 64-bit words of them take a few bytes an id,
+    where a ``set`` of ints spent some 100."""
+
+    def __init__(self) -> None:
+        self._words: dict[int, int] = {}
+
+    def __contains__(self, op_id: int) -> bool:
+        return self._words.get(op_id >> 6, 0) >> (op_id & 63) & 1 == 1
+
+    def update(self, op_ids) -> None:
+        words = self._words
+        for op_id in op_ids:
+            words[op_id >> 6] = words.get(op_id >> 6, 0) | 1 << (op_id & 63)
+
+    def clear(self) -> None:
+        self._words.clear()
+
+    def __bool__(self) -> bool:
+        return bool(self._words)
+
+
 class Worker(Entity):
     """One worker node of the VOLAP cluster."""
 
@@ -128,7 +152,7 @@ class Worker(Entity):
         #: from an older one are discarded (a dead process sends no acks)
         self._epoch = 0
         #: idempotency tokens of inserts already applied (dedup)
-        self.seen_ops: set = set()
+        self.seen_ops = OpIds()
         self.dedup_hits = 0
         self.checkpoints: Optional[CheckpointStore] = None
         self.heartbeat_period: Optional[float] = None
@@ -406,7 +430,9 @@ class Worker(Entity):
         (an earlier group's budget enforcement may have spilled its
         shard): the insertion queue if the shard is frozen, else the
         shard, else its WARM copy rehydrated (the spilled blob would go
-        stale otherwise).  Each group is one ``insert_batch``.  A group
+        stale otherwise).  Each group is one ``insert_batch``, handed its
+        slice of the key words the first target computes for every row
+        (:meth:`~repro.core.base.ShardStore.key_words`).  A group
         that reached the shard itself is also one ``replication.tee``
         (carrying ``op_ids`` when given; a queue's rows are teed when it
         is folded or drained) and one residency touch and budget
@@ -418,6 +444,7 @@ class Worker(Entity):
         rehydrate_cost = 0.0
         groups: list[tuple[int, np.ndarray, OpStats]] = []
         unplaced: list[int] = []
+        words = None
         for sid in dict.fromkeys(sids.tolist()):
             rows = np.flatnonzero(sids == sid)
             frozen = sid in self.frozen
@@ -429,7 +456,10 @@ class Worker(Entity):
                 unplaced.extend(rows.tolist())
                 continue
             c, v = coords[rows], measures[rows]
-            groups.append((sid, rows, target.insert_batch(RecordBatch(c, v))))
+            if words is None:
+                words = target.key_words(coords)
+            w = None if words is None else words[rows]
+            groups.append((sid, rows, target.insert_batch(RecordBatch(c, v), w)))
             ops = None
             if op_ids is not None:
                 ops = op_ids[rows]
@@ -524,7 +554,7 @@ class Worker(Entity):
             self.dedup_hits += 1
             return
         if token:
-            self.seen_ops.add(token)
+            self.seen_ops.update((token,))
         n = len(p.v)
         # bulk rows carry no idempotency token (the batch-level token
         # cannot dedup row-by-row on a promoted replica)

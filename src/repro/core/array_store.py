@@ -64,7 +64,7 @@ class ArrayStore(ShardStore):
         self._measures[self._size : self._size + n] = batch.measures
         self._size += n
 
-    def insert_batch(self, batch: RecordBatch) -> OpStats:
+    def insert_batch(self, batch: RecordBatch, words=None) -> OpStats:
         self.extend(batch)
         return OpStats(nodes_visited=1)
 

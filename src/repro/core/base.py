@@ -71,11 +71,19 @@ class ShardStore(ABC):
     def insert(self, coords: np.ndarray, measure: float) -> OpStats:
         """Insert one item; returns the work counters for the operation."""
 
-    def insert_batch(self, batch: RecordBatch) -> OpStats:
+    def key_words(self, coords: np.ndarray) -> Optional[np.ndarray]:
+        """The rows' packed Hilbert key words :meth:`insert_batch` takes
+        (None: this store keeps no Hilbert keys)."""
+        return None
+
+    def insert_batch(
+        self, batch: RecordBatch, words: Optional[np.ndarray] = None
+    ) -> OpStats:
         """Insert a whole batch; returns the merged work counters.
 
-        The default is a per-record loop; stores with a cheaper bulk
-        path (ordered-run tree inserts, array appends) override it.
+        ``words`` are the rows' :meth:`key_words` when the caller has
+        them.  The default is a per-record loop; stores with a cheaper
+        bulk path (one-descent tree inserts, array appends) override it.
         """
         stats = OpStats()
         for coords, measure in batch.iter_rows():
@@ -207,9 +215,9 @@ class BaseTree(ShardStore):
         """uint64 words per packed leaf Hilbert key (0: no Hilbert keys)."""
         return 0
 
-    def _new_leaf(self) -> Node:
+    def _new_leaf(self, key=None) -> Node:
         return Node(
-            self.policy.empty(self.num_dims),
+            self.policy.empty(self.num_dims) if key is None else key,
             leaf=True,
             capacity=self.config.leaf_capacity + 1,
             num_dims=self.num_dims,

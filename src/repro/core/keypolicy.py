@@ -40,14 +40,15 @@ class KeyPolicy:
 
     def expand_points(self, key: Any, coords: np.ndarray) -> bool:
         """Grow ``key`` to cover every row of an ``(n, d)`` array."""
-        changed = False
-        for row in coords:
-            if self.expand_point(key, row):
-                changed = True
-        return changed
+        raise NotImplementedError
 
     def expand(self, key: Any, other: Any) -> bool:
         """Grow ``key`` to cover another key; return True if it changed."""
+        raise NotImplementedError
+
+    def segment_keys(self, coords: np.ndarray, starts: np.ndarray) -> list:
+        """In one pass, the key an empty key grows to from each segment
+        (rows ``starts[i]`` up to the next start) of an ``(n, d)`` array."""
         raise NotImplementedError
 
     def intersects_box(self, key: Any, box: Box) -> bool:
@@ -147,6 +148,11 @@ class MBRPolicy(KeyPolicy):
     def expand(self, key: Box, other: Box) -> bool:
         return key.expand_inplace(other)
 
+    def segment_keys(self, coords: np.ndarray, starts: np.ndarray) -> list[Box]:
+        lo = np.minimum.reduceat(coords, starts)
+        hi = np.maximum.reduceat(coords, starts)
+        return [Box(a, b) for a, b in zip(lo, hi)]
+
     def intersects_box(self, key: Box, box: Box) -> bool:
         return key.intersects(box)
 
@@ -213,6 +219,9 @@ class MDSPolicy(KeyPolicy):
 
     def expand(self, key: MDS, other: MDS) -> bool:
         return key.expand_inplace(other)
+
+    def segment_keys(self, coords: np.ndarray, starts: np.ndarray) -> list[MDS]:
+        return MDS.of_segments(coords, starts, self.max_intervals)
 
     def intersects_box(self, key: MDS, box: Box) -> bool:
         return key.intersects_box(box)

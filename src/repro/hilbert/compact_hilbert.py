@@ -37,7 +37,6 @@ __all__ = [
     "key_from_words",
     "lexsort_words",
     "argmax_words",
-    "words_gt",
 ]
 
 
@@ -340,14 +339,6 @@ def lexsort_words(words: np.ndarray) -> np.ndarray:
     # np.lexsort treats its *last* key as primary: feed least
     # significant word first so word 0 dominates.
     return np.lexsort(tuple(words[:, w] for w in range(width - 1, -1, -1)))
-
-
-def words_gt(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when word row ``a`` folds to a larger key than row ``b``."""
-    for x, y in zip(a.tolist(), b.tolist()):
-        if x != y:
-            return x > y
-    return False
 
 
 def argmax_words(words: np.ndarray) -> int:

@@ -53,12 +53,14 @@ def _blank(shape: tuple) -> np.ndarray:
 
 
 def _coalesce_smallest_gap(starts: list[int], ends: list[int]) -> None:
-    """Merge the adjacent interval pair with the smallest gap, in place."""
+    """Merge the adjacent interval pair with the smallest gap, in place:
+    the rightmost of equal gaps, so that the leftmost stay (the tie
+    rule of :func:`_merge_values` and :meth:`MDS.of_segments`)."""
     best = 0
     best_gap = None
     for i in range(len(starts) - 1):
         gap = starts[i + 1] - ends[i]
-        if best_gap is None or gap < best_gap:
+        if best_gap is None or gap <= best_gap:
             best_gap = gap
             best = i
     ends[best] = ends[best + 1]
@@ -106,7 +108,8 @@ def _merge_values(
     enforced by keeping the ``cap - 1`` *largest* gaps as separators --
     merging one interval pair never changes any other gap, so this is
     the same endpoint set that repeated smallest-gap-first coalescing
-    converges to (up to tie order; any coalescing is a valid cover).
+    converges to.  Of equal gaps the leftmost are kept, the rule
+    :meth:`MDS.of_segments` follows too.
     """
     if len(col) > 64:
         vals = np.unique(col)
@@ -139,7 +142,7 @@ def _merge_values(
     if cap == 1:  # no separator survives ([-0:] would keep them all)
         return los[:1], his[-1:]
     gaps = np.array(los[1:]) - np.array(his[:-1])
-    keep = np.sort(np.argpartition(gaps, -(cap - 1))[-(cap - 1):]).tolist()
+    keep = np.sort(np.argsort(-gaps, kind="stable")[: cap - 1]).tolist()
     return (
         los[:1] + [los[g + 1] for g in keep],
         [his[g] for g in keep] + his[-1:],
@@ -193,6 +196,43 @@ class MDS:
             m._iv[0, :, 0] = box.lo
             m._iv[1, :, 0] = box.hi
         return m
+
+    @staticmethod
+    def of_segments(
+        coords: np.ndarray, starts: np.ndarray, max_intervals: int
+    ) -> list["MDS"]:
+        """What ``MDS.empty(d, cap).expand_points_inplace`` grows from
+        each segment of an ``(n, d)`` array (rows ``starts[i]`` up to the
+        next start), in one pass: per segment and dimension the sorted
+        ids break into runs where not consecutive, joined across all but
+        the ``cap - 1`` largest gaps (the leftmost of equal gaps kept)."""
+        n, d = coords.shape
+        k, cap = len(starts), max_intervals
+        lens = np.diff(starts, append=n)
+        width = int(lens.max())
+        # every segment padded to ``width`` rows with its last row (an id
+        # repeated changes no key), then one sorted row of ids per group
+        pad = starts[:, None] + np.minimum(np.arange(width), lens[:, None] - 1)
+        v = np.sort(coords[pad].transpose(0, 2, 1), axis=2).reshape(k * d, width)
+        gap = np.diff(v, axis=1)
+        brk = gap > 1
+        # a group of more than ``cap`` runs keeps its cap - 1 widest breaks
+        heavy = np.flatnonzero(brk.sum(axis=1) >= cap)
+        gaps = np.where(brk[heavy], gap[heavy], 0)
+        top = np.argsort(-gaps, axis=1, kind="stable")[:, : cap - 1]
+        brk[heavy] = False
+        brk[heavy[:, None], top] = True
+        edge = np.ones((k * d, 1), dtype=bool)
+        opens, closes = np.hstack([edge, brk]), np.hstack([brk, edge])
+        slot = np.cumsum(opens, axis=1) - 1
+        blocks = _blank((k, 2, d, cap))
+        for side, mask in enumerate((opens, closes)):
+            g, j = np.nonzero(mask)
+            blocks[g // d, side, g % d, slot[g, j]] = v[g, j]
+        keys = [MDS.__new__(MDS) for _ in range(k)]
+        for key, block in zip(keys, blocks):
+            key._iv = block.copy()
+        return keys
 
     # -- the block ---------------------------------------------------------
 

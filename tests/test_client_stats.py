@@ -9,7 +9,7 @@ import pytest
 from repro.bench.tables import render_series, render_table
 from repro.cluster.client import ClientSession
 from repro.cluster.simclock import SimClock
-from repro.cluster.stats import ClusterStats, OpRecord
+from repro.cluster.stats import ClusterStats, InsertRecord, OpRecord
 from repro.cluster.transport import Entity, LatencyModel, Message, Transport
 from repro.cluster.wire import InsertDoneBatch, QueryDone
 from repro.workloads.streams import Operation
@@ -91,6 +91,33 @@ class TestClientSession:
         assert all(r.ok for r in stats.ops)
         assert c.batches_sent > 0
         assert server.seen < 40  # coalescing actually happened
+
+    def test_acked_insert_record_is_small_and_reads_like_an_op_record(self):
+        """Every acked row keeps its record for the life of the cluster:
+        an acked insert's is an ``InsertRecord`` of its times and
+        attempts, and every ``OpRecord`` field reads as on an
+        ``OpRecord`` built from the same three values."""
+        import math
+        import sys
+
+        clock, transport, server, stats = make_rig()
+        c = ClientSession(0, transport, server, stats, concurrency=4, batch_size=4)
+        c.run_stream(insert_ops(8))
+        clock.run()
+        assert c.completed == 8
+        for rec in stats.ops:
+            assert isinstance(rec, InsertRecord)
+            assert sys.getsizeof(rec) < sys.getsizeof(
+                OpRecord("insert", 0.0, 0.0)
+            ) // 2
+            want = OpRecord("insert", rec.submit_time, rec.complete_time,
+                            attempts=rec.attempts)
+            for field in OpRecord.__slots__:
+                a, b = getattr(rec, field), getattr(want, field)
+                assert a == b or (math.isnan(a) and math.isnan(b)), field
+            assert rec.latency == want.latency > 0
+        out = stats.latency_stats(stats.select(kind="insert"))
+        assert out["mean"] == pytest.approx(np.mean([r.latency for r in stats.ops]))
 
     def test_linger_flushes_short_batches(self):
         """A window smaller than the batch never fills it; the linger

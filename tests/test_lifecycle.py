@@ -12,6 +12,7 @@ reported open, and mapping-table chains stay acyclic and resolvable.
 import collections
 import sys
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -39,6 +40,7 @@ from repro.cluster.wire import ShardOpReply
 from repro.cluster.worker import Worker
 from repro.core import TreeConfig
 from repro.core.base import ShardStore
+from repro.hilbert.id_expansion import HilbertKeyMapper
 from repro.obs import Observability
 from repro.workloads.streams import Operation
 
@@ -536,3 +538,68 @@ def test_every_applied_row_goes_through_one_batched_apply(monkeypatch):
     }
     assert cluster.stats.failures == 0
     assert cluster.total_items() == 1500 + 300 + 900
+
+
+def test_every_apply_computes_its_keys_once(monkeypatch):
+    """One Hilbert key kernel call per ``Worker.apply`` that places rows
+    -- online inserts, queue folds and split drains alike -- and the key
+    words the leaves keep are the kernel's words for their rows."""
+    kernel = HilbertKeyMapper.key_words
+    inside: list[int] = []  # kernel calls of each apply in progress
+
+    def counted(self, coords):
+        if inside:
+            inside[-1] += 1
+        return kernel(self, coords)
+
+    monkeypatch.setattr(HilbertKeyMapper, "key_words", counted)
+    per_apply = collections.defaultdict(list)
+    apply = Worker.apply
+
+    def spy(self, shard_ids, *args):
+        site = sys._getframe(1).f_code.co_name
+        if site == "_fold":
+            site = sys._getframe(2).f_code.co_name
+        inside.append(0)
+        try:
+            done = apply(self, shard_ids, *args)
+        finally:
+            calls = inside.pop()
+        if len(shard_ids) > len(done.unplaced):
+            per_apply[site].append(calls)
+        return done
+
+    monkeypatch.setattr(Worker, "apply", spy)
+    schema = make_schema()
+    cluster = fingerprint_cluster(
+        schema,
+        1500,
+        num_workers=3,
+        latency=LatencyModel(base=0.01, bandwidth=2e5, jitter=1e-3),
+        balancer=BalancerPolicy(
+            max_shard_items=400, imbalance_ratio=100.0, scan_period=0.1,
+            op_timeout=1.0,
+        ),
+        batch_size=8,
+        # splits and transfers slow enough for inserts to queue behind
+        cost=CostModel(split_item=1e-3, serialize_item=1e-3),
+    )
+    sess = cluster.session(0, concurrency=16)
+    sess.run_stream(fingerprint_ops(schema, 900, seed=19, query_every=25))
+    cluster.run_for(0.2)
+    now = cluster.clock.now
+    cluster.inject_faults(
+        FaultPlan().drop(1.0, kinds={"migrate_in"}, end=now + 2.0), seed=7
+    )
+    cluster.manager._start_migration(2, 1, sorted(cluster.workers[2].shards)[0])
+    cluster.run_until_clients_done(max_virtual=300.0)
+    cluster.run_for(5.0)
+    assert {"_on_insert_batch", "cancel", "split_cutover"} <= set(per_apply)
+    assert {n for calls in per_apply.values() for n in calls} == {1}
+    for w in cluster.workers.values():
+        for tree in w.shards.values():
+            for leaf in tree._iter_leaves(tree.root):
+                assert np.array_equal(
+                    leaf.cols.live_hwords(),
+                    kernel(tree.mapper, leaf.leaf_coords()),
+                )

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core.keypolicy import MBRPolicy, MDSPolicy
 from repro.olap.keys import Box
 from repro.olap.mds import MDS
 
@@ -193,27 +194,83 @@ def test_mbr_contains_mds(values):
 )
 def test_batch_growth_respects_the_cap(values, cap):
     """Batch growth never exceeds the cap (cap 1 used to keep every
-    interval), covers every point, and is the point-by-point key
-    wherever no two gaps tie."""
+    interval), covers every point, and is the point-by-point key of
+    the sorted values, equal gaps included: both keep the leftmost."""
     col = np.array(values, dtype=np.int64)[:, None]
     batch = MDS.empty(1, max_intervals=cap)
     assert batch.expand_points_inplace(col)
     ivs = batch.intervals[0]
     assert 1 <= len(ivs) <= cap
     assert all(batch.covers_point([v]) for v in values)
-    uniq = sorted(set(values))
-    gaps = [b - a for a, b in zip(uniq, uniq[1:]) if b - a > 1]
-    if len(set(gaps)) == len(gaps):
-        one_by_one = MDS.empty(1, max_intervals=cap)
-        for v in uniq:
-            one_by_one.expand_point_inplace([v])
-        assert batch == one_by_one
+    one_by_one = MDS.empty(1, max_intervals=cap)
+    for v in sorted(set(values)):
+        one_by_one.expand_point_inplace([v])
+    assert batch == one_by_one
 
 
 def test_cap_one_batch_is_one_interval():
     m = MDS.empty(1, 1)
     m.expand_points_inplace(np.array([[0], [10], [20], [30]]))
     assert m.intervals == [[[0, 30]]]
+
+
+def test_equal_gaps_keep_the_leftmost():
+    """Four equal gaps, two kept: the leftmost two, whether the key
+    grows by a batch, is built for a segment or grows point by point."""
+    col = np.array([[0], [10], [20], [30], [40]])
+    grown = MDS.empty(1, 3)
+    grown.expand_points_inplace(col)
+    assert grown.intervals == [[[0, 0], [10, 10], [20, 40]]]
+    assert MDS.of_segments(col, np.array([0]), 3) == [grown]
+    one_by_one = MDS.empty(1, 3)
+    for v in col.ravel():
+        one_by_one.expand_point_inplace([v])
+    assert one_by_one == grown
+
+
+# -- the leaf-key builder: every segment's key in one pass -------------------
+
+
+@st.composite
+def _segments(draw):
+    """Rows cut into segments of one fill with a short last one; ids
+    from a small range on a coarse grid, so duplicate ids and equal
+    gaps are common."""
+    d = draw(st.integers(1, 4))
+    fill = draw(st.integers(2, 64))
+    n = draw(st.integers(1, 3 * fill))
+    step = draw(st.sampled_from([1, 2, 5]))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n * d, max_size=n * d))
+    coords = np.array(ids, dtype=np.int64).reshape(n, d) * step
+    return coords, np.arange(0, n, fill)
+
+
+def _bounds(coords, starts):
+    ends = starts.tolist()[1:] + [len(coords)]
+    return list(zip(starts.tolist(), ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segments(), st.integers(1, 6))
+def test_segment_keys_are_the_grown_keys(segments, cap):
+    """Block for block what ``expand_points_inplace`` grows from empty."""
+    coords, starts = segments
+    keys = MDSPolicy(cap).segment_keys(coords, starts)
+    assert len(keys) == len(starts)
+    for key, (s, e) in zip(keys, _bounds(coords, starts)):
+        grown = MDS.empty(coords.shape[1], cap)
+        grown.expand_points_inplace(coords[s:e])
+        assert np.array_equal(key._iv, grown._iv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_segments())
+def test_mbr_segment_keys_are_min_max(segments):
+    coords, starts = segments
+    keys = MBRPolicy().segment_keys(coords, starts)
+    for key, (s, e) in zip(keys, _bounds(coords, starts)):
+        assert np.array_equal(key.lo, coords[s:e].min(axis=0))
+        assert np.array_equal(key.hi, coords[s:e].max(axis=0))
 
 
 def _leaf_keys(n, points=48, dims=8):

@@ -966,7 +966,7 @@ def test_row_without_an_op_id_is_zero_everywhere(path):
 
         rt.drive(lambda: len(acks()) >= 2 and len(teed()) >= 2, horizon=60.0)
         assert len(worker.shards[1]) == len(base) + 2  # applied twice, no dedup
-        assert worker.seen_ops == set() and worker.dedup_hits == 0
+        assert not worker.seen_ops and worker.dedup_hits == 0
         assert teed() == {1: [0], 2: [0]}
         assert acks() == [[77], [77]]
     finally:

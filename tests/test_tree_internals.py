@@ -13,7 +13,7 @@ from repro.core import (
 from repro.olap.query import full_query
 from repro.olap.records import RecordBatch
 
-from .conftest import make_schema, random_batch, reference_query
+from .conftest import make_schema, random_batch, random_boxes, reference_query
 
 
 class TestSplitMechanics:
@@ -332,9 +332,10 @@ class TestReadPathIsArrayShaped:
 
 
 def test_covered_rows_grow_no_key(monkeypatch):
-    """Rows every key on their path already covers -- a run of three in
-    one leaf, then three leaves' worth of one-row runs -- are decided
-    by the block's broadcast alone: no interval-list algorithm runs."""
+    """Rows every key on their path already covers -- three rows for
+    one leaf, then one row for each of three leaves -- are decided by
+    the block's broadcast alone: the descent grows no key on any node
+    it touches, and no interval-list algorithm runs."""
     from repro.olap import mds
 
     schema = make_schema()
@@ -356,3 +357,85 @@ def test_covered_rows_grow_no_key(monkeypatch):
         assert stats.key_expansions == 0
     assert calls == [] and len(tree) == 606
     tree.validate()
+
+
+
+def test_one_descent_under_stress(monkeypatch):
+    """Tiny nodes, so that one ``insert_batch`` overflows several leaves,
+    overflows one directory with two or more repacked children and
+    grows the root, while a reader thread queries.  After every batch
+    the tree validates, answers like the ``ArrayStore`` oracle, and its
+    ``nodes_visited`` is the number of distinct nodes the descent
+    locked: each touched node once."""
+    import threading
+
+    from repro.core import ArrayStore
+    from repro.core.node import Node
+
+    schema = make_schema([[8, 8], [8, 8]])
+    tree = HilbertPDCTree(
+        schema, TreeConfig(leaf_capacity=4, fanout=3, thread_safe=True)
+    )
+    oracle = ArrayStore(schema)
+    data = random_batch(schema, 1200, seed=41)
+    data.measures[:] = np.round(data.measures * 100)  # exact sums
+    boxes = random_boxes(schema, 8, seed=43)
+
+    inserter = threading.get_ident()
+    touched: set[int] = set()
+    acquire = Node.acquire
+
+    def spy(node):
+        if threading.get_ident() == inserter:
+            touched.add(id(node))
+        acquire(node)
+
+    monkeypatch.setattr(Node, "acquire", spy)
+    # per node the descent enters: did each child call come back repacked?
+    repacked: list[list[bool]] = [[]]
+    twice = []  # directories that took two repacks and overflowed
+    descend = tree._descend
+
+    def watched(node, *args):
+        repacked.append([])
+        try:
+            out = descend(node, *args)
+        finally:
+            below = repacked.pop()
+        if below.count(True) >= 2 and len(out) > 1:
+            twice.append(node)
+        repacked[-1].append(len(out) > 1)
+        return out
+
+    monkeypatch.setattr(tree, "_descend", watched)
+    stop = threading.Event()
+    errors = []
+
+    def reader():
+        try:
+            while not stop.is_set():
+                tree.query_batch(boxes)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    grew = 0
+    try:
+        for lo in range(0, len(data), 60):
+            sub = data.slice(lo, lo + 60)
+            depth = tree.depth()
+            touched.clear()
+            stats = tree.insert_batch(sub)
+            assert stats.nodes_visited == len(touched)
+            assert stats.repacks >= 2 or lo == 0  # the root leaf, once
+            oracle.insert_batch(sub)
+            grew += tree.depth() > depth
+            tree.validate()
+            for box in boxes:
+                assert tree.query(box)[0] == oracle.query(box)[0]
+    finally:
+        stop.set()
+        thread.join()
+    assert not errors
+    assert grew >= 2 and twice

@@ -19,7 +19,7 @@ from repro.cluster.wire import (
     f64,
     i64,
 )
-from repro.cluster.worker import Worker
+from repro.cluster.worker import OpIds, Worker
 from repro.cluster.zookeeper import Zookeeper
 from repro.core import ArrayStore, HilbertPDCTree, TreeConfig
 from repro.olap.keys import Box
@@ -426,3 +426,33 @@ class TestCostModel:
         assert cost.deserialize_time(100) > 0
         assert cost.route_time(10) > 0
         assert cost.merge_time(0) > 0
+
+
+def test_seen_op_ids_are_a_set_at_a_bit_each():
+    """``Worker.seen_ops`` answers ``in`` like a set of the ids it was
+    given -- client op ids, bulk tokens, sparse ids -- and holds a
+    client's dense run of ids in a few bytes apiece."""
+    import sys
+
+    rng = np.random.default_rng(3)
+    given = (
+        [(5 << 24) | s for s in range(1, 2000)]
+        + [(0xBBB << 32) | t for t in range(1, 50)]
+        + rng.integers(1, 2**62, 200).tolist()
+    )
+    seen, want = OpIds(), set()
+    assert not seen
+    for chunk in np.array_split(np.array(given), 7):
+        seen.update(chunk.tolist())
+        want.update(chunk.tolist())
+    probes = given + rng.integers(1, 2**62, 2000).tolist()
+    probes += [(5 << 24) | s for s in range(1990, 2100)] + [0]
+    assert [p in seen for p in probes] == [p in want for p in probes]
+    dense = OpIds()
+    dense.update((9 << 24) | s for s in range(100_000))
+    held = sys.getsizeof(dense._words) + sum(
+        sys.getsizeof(k) + sys.getsizeof(v) for k, v in dense._words.items()
+    )
+    assert held < 4 * 100_000  # a set of these ints holds ~100 B each
+    seen.clear()
+    assert not seen and given[0] not in seen
