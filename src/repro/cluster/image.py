@@ -4,10 +4,9 @@ Paper Section III-C.  Each server's *local image* finds the shards
 relevant to an insertion or query.  It is a PDC-tree-like structure
 whose **leaves are fixed**: exactly one leaf per shard.  Insertions
 never split leaves -- reaching a leaf expands its bounding key and
-returns that shard.  The child chosen during descent is the one whose
-expansion "results in the least overlap, since the high global cost of
-overlap dominates the cost of performing overlap calculations in the
-index".
+returns that shard.  Descent and directory splits follow the PDC
+tree's placement rules in :mod:`repro.core.keypolicy`: the smallest
+covering child, else the least-overlap one, and median splits.
 
 Shard bounding keys are "either a Minimum Bounding Rectangle (MBR, one
 box) or Minimum Describing Subset (MDS, multiple boxes)" (Section
@@ -139,13 +138,12 @@ class LocalImage:
         num_dims: int,
         fanout: int = 8,
         key_kind: str = "mbr",
-        mds_max_intervals: int = 4,
     ):
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
         self.num_dims = num_dims
         self.fanout = fanout
-        self.policy: KeyPolicy = make_policy(key_kind, mds_max_intervals)
+        self.policy: KeyPolicy = make_policy(key_kind)
         self.root = _ImageNode(self.policy.empty(num_dims))
         #: a directory above the root, so that the root's own key is
         #: tested like every other: as its directory's (only) child
@@ -196,7 +194,7 @@ class LocalImage:
             self.policy.expand(node.key, info.key)
             if not node.children or node.children[0].is_leaf:
                 break
-            node = node.children[self._least_overlap_child(node, info.key)]
+            node = node.children[self._least_overlap(node, info.key)]
         leaf.parent = node
         node.children.append(leaf)
         self._split_up(node)
@@ -374,66 +372,31 @@ class LocalImage:
         return info
 
     def _route_child(self, node: _ImageNode, coords: np.ndarray) -> int:
-        children = node.children
-        if len(children) == 1:
+        if len(node.children) == 1:
             return 0
-        covering = [
-            i
-            for i, c in enumerate(children)
-            if self.policy.covers_point(c.key, coords)
-        ]
-        if covering:
-            return min(
-                covering, key=lambda i: self.policy.log_volume(children[i].key)
-            )
-        return self._least_overlap_child(node, self.policy.from_point(coords))
+        keys = [c.key for c in node.children]
+        covering = self.policy.smallest_covering(keys, coords)
+        if covering is not None:
+            return covering
+        return self._least_overlap(node, self.policy.from_point(coords))
 
-    def _least_overlap_child(self, node: _ImageNode, key: BoundingKey) -> int:
-        """Least overlap of the expanded child with its siblings' union."""
-        children = node.children
-        n = len(children)
-        if n == 1:
-            return 0
-        prefix = [self.policy.empty(self.num_dims)]
-        for c in children:
-            acc = self.policy.copy(prefix[-1])
-            self.policy.expand(acc, c.key)
-            prefix.append(acc)
-        suffix = [self.policy.empty(self.num_dims)]
-        for c in reversed(children):
-            acc = self.policy.copy(suffix[-1])
-            self.policy.expand(acc, c.key)
-            suffix.append(acc)
-        suffix.reverse()
-        best, best_key = 0, (float("inf"), float("inf"))
-        for i, c in enumerate(children):
-            expanded = self.policy.copy(c.key)
-            self.policy.expand(expanded, key)
-            others = self.policy.copy(prefix[i])
-            self.policy.expand(others, suffix[i + 1])
-            ov = self.policy.log_overlap(expanded, others)
-            tie = self.policy.log_volume(expanded) - self.policy.log_volume(
-                c.key
-            )
-            if (ov, tie) < best_key:
-                best_key = (ov, tie)
-                best = i
-        return best
+    def _least_overlap(self, node: _ImageNode, key: BoundingKey) -> int:
+        """The child of ``node`` least overlap places ``key`` in."""
+        keys = [c.key for c in node.children]
+        grown = [self.policy.copy(k) for k in keys]
+        for g in grown:
+            self.policy.expand(g, key)
+        return self.policy.least_overlap(keys, grown, self.num_dims)
 
     def _split_up(self, node: _ImageNode) -> None:
         """Split directory nodes upward while over fanout."""
         while node is not None and len(node.children) > self.fanout:
-            centers = np.array(
-                [self.policy.mbr(c.key).center() for c in node.children]
-            )
-            spans = centers.max(axis=0) - centers.min(axis=0)
-            dim = int(np.argmax(spans))
-            order = np.argsort(centers[:, dim], kind="stable")
-            mid = len(order) // 2
-            groups = (
-                [node.children[i] for i in order[:mid]],
-                [node.children[i] for i in order[mid:]],
-            )
+            groups = [
+                [node.children[i] for i in half]
+                for half in self.policy.halves(
+                    [self.policy.mbr(c.key).center() for c in node.children]
+                )
+            ]
             if node.parent is None:
                 # root split: root becomes a directory of two new nodes
                 new_kids = []

@@ -24,7 +24,8 @@ class TreeConfig:
     insert_policy:
         For geometric trees: ``"least_overlap"`` (VOLAP's choice; the
         child whose expansion creates the least overlap with siblings)
-        or ``"least_enlargement"`` (Guttman's classic R-tree rule).
+        or ``"least_enlargement"`` (the R-tree's: the child whose grown
+        key has the least volume -- not Guttman's least volume added).
     split_policy:
         For Hilbert trees: ``"least_overlap"`` (scan all split positions,
         pick the one minimising child overlap -- the Hilbert PDC rule) or

@@ -10,10 +10,9 @@ computations at all*, which is why ingestion is much faster than in the
 PDC tree and nearly flat in the number of dimensions (paper Fig. 5a).
 
 Splits cannot use R-tree split heuristics because child order is fixed
-by the curve.  The Hilbert PDC tree instead evaluates every split
-position in linear time (via running prefix/suffix key unions) and
-splits where the resulting children overlap least; the plain Hilbert
-R-tree splits at the middle.
+by the curve.  The Hilbert PDC tree instead cuts where the two sides
+overlap least (:meth:`~repro.core.keypolicy.KeyPolicy.least_overlap_split`,
+one linear scan); the plain Hilbert R-tree splits at the middle.
 
 Key order also makes batches cheap: ``insert_batch`` sorts a batch
 by key once and inserts it in one descent, each directory dealing its
@@ -74,14 +73,13 @@ class HilbertTree(InsertEngineTree):
                 return i
         return len(children) - 1
 
-    # -- splits: linear least-overlap scan over split positions ------------
+    # -- splits: at the least-overlap cut, or the middle --------------------
 
     def _split_leaf(self, leaf: Node) -> tuple[Node, Node]:
-        n = leaf.size
         cols = leaf.cols
         order = lexsort_words(cols.live_hwords())
-        split_at = self._choose_split_index(
-            [cols.coords[i] for i in order], n, from_points=True
+        split_at = self._split_at(
+            [cols.coords[i] for i in order], self.policy.expand_point
         )
         left, right = self._leaves(
             cols.coords[order], cols.measures[order], cols.hwords[order],
@@ -91,62 +89,18 @@ class HilbertTree(InsertEngineTree):
 
     def _split_dir(self, node: Node) -> tuple[Node, Node]:
         children = node.children  # already in LHV order
-        split_at = self._choose_split_index(
-            [c.key for c in children], len(children), from_points=False
-        )
+        split_at = self._split_at([c.key for c in children], self.policy.expand)
         return (
             self._build_dir(children[:split_at]),
             self._build_dir(children[split_at:]),
         )
 
-    def _choose_split_index(
-        self, entries: list, n: int, *, from_points: bool
-    ) -> int:
-        """Split position minimising overlap between the two halves.
-
-        ``entries`` are item coordinates (leaves) or child keys
-        (directories), already in Hilbert order.  Computed with running
-        prefix/suffix unions, so the scan is linear (paper Section
-        III-D).  With ``split_policy="middle"`` this degenerates to an
-        even split (the Hilbert R-tree rule).
-        """
-        min_fill = max(1, n // 4)
+    def _split_at(self, entries: list, grow) -> int:
+        """Where to split ``entries`` (rows or child keys, in Hilbert
+        order, each grown into a side's key by ``grow``)."""
         if self.config.split_policy == "middle":
-            return n // 2
-
-        def expand_entry(key, e):
-            if from_points:
-                self.policy.expand_point(key, e)
-            else:
-                self.policy.expand(key, e)
-
-        # prefix[i] = key of entries[:i]; suffix[i] = key of entries[i:]
-        prefix = [None] * (n + 1)
-        prefix[0] = self.policy.empty(self.num_dims)
-        for i in range(n):
-            acc = self.policy.copy(prefix[i])
-            expand_entry(acc, entries[i])
-            prefix[i + 1] = acc
-        suffix = [None] * (n + 1)
-        suffix[n] = self.policy.empty(self.num_dims)
-        for i in range(n - 1, -1, -1):
-            acc = self.policy.copy(suffix[i + 1])
-            expand_entry(acc, entries[i])
-            suffix[i] = acc
-        # Minimise overlap; break ties (frequent with sequential data,
-        # where many split positions give zero overlap) toward the most
-        # balanced split -- otherwise runs of increasing Hilbert keys
-        # would repeatedly carve off minimum-fill leaves and degenerate
-        # the tree into a chain.
-        best = n // 2
-        best_key = (float("inf"), 0)
-        for i in range(min_fill, n - min_fill + 1):
-            ov = self.policy.log_overlap(prefix[i], suffix[i])
-            key = (ov, abs(i - n // 2))
-            if key < best_key:
-                best_key = key
-                best = i
-        return best
+            return len(entries) // 2
+        return self.policy.least_overlap_split(entries, grow, self.num_dims)
 
     # -- batched insert: one descent per batch --------------------------------
 

@@ -4,11 +4,19 @@ The tree code is written once against this small strategy interface;
 selecting ``key_kind`` in :class:`~repro.core.config.TreeConfig` decides
 whether nodes carry single-interval boxes or interval-set MDS keys
 (paper Section III-D: each tree variant exists in both flavours).
+
+The placement rules are written here once, for the trees and the
+server image alike: the smallest covering child
+(:meth:`KeyPolicy.smallest_covering`), the least-overlap child
+(:meth:`KeyPolicy.least_overlap`, paper Section III-C), the Hilbert PDC
+split position (:meth:`KeyPolicy.least_overlap_split`, Section III-D)
+and the median split of the geometric trees and the image
+(:meth:`KeyPolicy.halves`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -88,6 +96,91 @@ class KeyPolicy:
 
     def copy(self, key: Any) -> Any:
         raise NotImplementedError
+
+    # -- placement rules ---------------------------------------------------
+
+    def smallest_covering(self, keys: list[Any], coords: np.ndarray) -> Optional[int]:
+        """Index of the key of least volume that covers the point (the
+        first of equals), or None when no key covers it.  A covering
+        child grows no key, so it wins any overlap rule."""
+        covering = [i for i, k in enumerate(keys) if self.covers_point(k, coords)]
+        if not covering:
+            return None
+        return min(covering, key=lambda i: self.log_volume(keys[i]))
+
+    def running_unions(
+        self, entries: list, grow: Callable[[Any, Any], bool], num_dims: int
+    ) -> tuple[list, list]:
+        """``(prefix, suffix)``: ``prefix[i]`` the union of
+        ``entries[:i]`` and ``suffix[i]`` that of ``entries[i:]``, each
+        grown from an empty key by ``grow`` (:meth:`expand` for keys,
+        :meth:`expand_point` for rows) -- the linear scan behind both
+        overlap rules."""
+        prefix = [self.empty(num_dims)]
+        for e in entries:
+            acc = self.copy(prefix[-1])
+            grow(acc, e)
+            prefix.append(acc)
+        suffix = [self.empty(num_dims)]
+        for e in reversed(entries):
+            acc = self.copy(suffix[-1])
+            grow(acc, e)
+            suffix.append(acc)
+        suffix.reverse()
+        return prefix, suffix
+
+    def least_overlap(self, keys: list[Any], grown: list[Any], num_dims: int) -> int:
+        """Index of the child whose grown key (``grown[i]`` is ``keys[i]``
+        grown by the new entry) overlaps the union of its siblings'
+        keys least, ties broken by relative growth (log-volume ratio),
+        so a child that barely grows beats one that stretches across
+        space; the first of equals wins.  VOLAP's insertion rule (paper
+        Section III-C: "the high global cost of overlap dominates")."""
+        prefix, suffix = self.running_unions(keys, self.expand, num_dims)
+        best, best_key = 0, (float("inf"), float("inf"))
+        for i, (key, g) in enumerate(zip(keys, grown)):
+            others = self.copy(prefix[i])
+            self.expand(others, suffix[i + 1])
+            rank = (
+                self.log_overlap(g, others),
+                self.log_volume(g) - self.log_volume(key),
+            )
+            if rank < best_key:
+                best, best_key = i, rank
+        return best
+
+    def least_overlap_split(
+        self, entries: list, grow: Callable[[Any, Any], bool], num_dims: int
+    ) -> int:
+        """Where to cut ``entries`` (rows or keys, in curve order) so that
+        the unions of the two sides overlap least: the Hilbert PDC split
+        (paper Section III-D), linear in ``len(entries)``.  Each side
+        keeps at least a quarter.  Ties -- frequent with sequential
+        data, where many cuts overlap nothing -- go to the cut nearest
+        the middle; otherwise runs of increasing Hilbert keys would
+        carve off minimum-fill nodes and degenerate the tree into a
+        chain."""
+        n = len(entries)
+        min_fill = max(1, n // 4)
+        prefix, suffix = self.running_unions(entries, grow, num_dims)
+        best, best_key = n // 2, (float("inf"), 0)
+        for i in range(min_fill, n - min_fill + 1):
+            rank = (self.log_overlap(prefix[i], suffix[i]), abs(i - n // 2))
+            if rank < best_key:
+                best, best_key = i, rank
+        return best
+
+    @staticmethod
+    def halves(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of an ``(n, d)`` array's rows split at the median
+        (``n // 2``) of a stable sort along the dimension of widest
+        spread: the geometric trees' and the image's node split, fed
+        item rows or key centres."""
+        points = np.asarray(points)
+        spans = points.max(axis=0) - points.min(axis=0)
+        order = np.argsort(points[:, int(np.argmax(spans))], kind="stable")
+        mid = len(order) // 2
+        return order[:mid], order[mid:]
 
     # -- packed primitives (the read engine's directory test) ------------
 

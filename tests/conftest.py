@@ -174,6 +174,38 @@ def reference_image_search(image, box):
     return out, visited
 
 
+def reference_least_overlap(policy, keys, grown, num_dims):
+    """The scalar loop ``KeyPolicy.least_overlap`` replaced (the trees
+    and the image each had a copy), kept as its oracle: the siblings'
+    union of child ``i`` from prefix/suffix unions, then the least
+    ``(log overlap of grown[i] with it, log-volume growth)`` under a
+    strict ``<``, so the first of equals wins."""
+    n = len(keys)
+    prefix = [None] * (n + 1)
+    prefix[0] = policy.empty(num_dims)
+    for i in range(n):
+        acc = policy.copy(prefix[i])
+        policy.expand(acc, keys[i])
+        prefix[i + 1] = acc
+    suffix = [None] * (n + 1)
+    suffix[n] = policy.empty(num_dims)
+    for i in range(n - 1, -1, -1):
+        acc = policy.copy(suffix[i + 1])
+        policy.expand(acc, keys[i])
+        suffix[i] = acc
+    best = 0
+    best_key = (float("inf"), float("inf"))
+    for i in range(n):
+        others = policy.copy(prefix[i])
+        policy.expand(others, suffix[i + 1])
+        ov = policy.log_overlap(grown[i], others)
+        tie = policy.log_volume(grown[i]) - policy.log_volume(keys[i])
+        if (ov, tie) < best_key:
+            best_key = (ov, tie)
+            best = i
+    return best
+
+
 def reference_image_route(image, row):
     """One row's insert routing as the image did it before it took
     batches, scalar policy calls only: expand every key on the path,
@@ -193,7 +225,11 @@ def reference_image_route(image, row):
         elif covering:
             idx = min(covering, key=lambda i: policy.log_volume(kids[i].key))
         else:
-            idx = image._least_overlap_child(node, policy.from_point(row))
+            keys = [c.key for c in kids]
+            grown = [policy.copy(k) for k in keys]
+            for g in grown:
+                policy.expand(g, policy.from_point(row))
+            idx = reference_least_overlap(policy, keys, grown, image.num_dims)
         node = kids[idx]
         changed = policy.expand_point(node.key, row)
         visited += 1

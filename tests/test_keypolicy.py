@@ -156,3 +156,121 @@ def test_covers_points_many_is_covers_point(policy):
         [policy.covers_point(key, row) for key in keys] for row in rows
     ]
     assert policy.covers_points_many(policy.pack_keys(keys, 3), rows[:0]).shape == (0, 6)
+
+
+# -- placement rules --------------------------------------------------------
+
+
+def _key(policy, lo, hi=None):
+    """The solid box ``lo..hi`` (a point without ``hi``) as a key."""
+    hi = lo if hi is None else hi
+    return policy.adopt(Box(np.array(lo), np.array(hi)))
+
+
+def _grown(policy, keys, row):
+    grown = [policy.copy(k) for k in keys]
+    for g in grown:
+        policy.expand_point(g, np.array(row))
+    return grown
+
+
+class TestPlacementRules:
+    def test_smallest_covering_first_of_equal_volumes(self, policy):
+        keys = [
+            _key(policy, [0, 0], [9, 9]),
+            _key(policy, [2, 2], [4, 4]),
+            _key(policy, [3, 3], [5, 5]),  # same volume, later
+            _key(policy, [40, 40]),
+        ]
+        assert policy.smallest_covering(keys, np.array([3, 3])) == 1
+        assert policy.smallest_covering(keys, np.array([5, 5])) == 2
+        assert policy.smallest_covering(keys, np.array([8, 8])) == 0
+
+    def test_smallest_covering_none_when_nothing_covers(self, policy):
+        keys = [_key(policy, [0, 0], [9, 9]), policy.empty(2)]
+        assert policy.smallest_covering(keys, np.array([20, 3])) is None
+        assert policy.smallest_covering([], np.array([0, 0])) is None
+
+    def test_least_overlap_is_the_scalar_loop(self, policy):
+        from .conftest import reference_least_overlap
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            keys = []
+            for _ in range(int(rng.integers(1, 7))):
+                key = policy.empty(2)
+                policy.expand_points(key, rng.integers(0, 50, (int(rng.integers(1, 4)), 2)))
+                keys.append(key)
+            row = rng.integers(0, 60, 2)
+            grown = _grown(policy, keys, row)
+            assert policy.least_overlap(keys, grown, 2) == reference_least_overlap(
+                policy, keys, grown, 2
+            )
+
+    def test_disjoint_siblings_go_by_relative_growth(self, policy):
+        """Every grown key misses its siblings (overlap -inf), so the
+        least relative growth decides -- not the least absolute one."""
+        from .conftest import reference_least_overlap
+
+        keys = [
+            _key(policy, [0, 0]),  # 1 cell more: twice the volume
+            _key(policy, [3, 0], [102, 1]),  # 4 cells more: 2 % growth
+        ]
+        grown = _grown(policy, keys, [1, 0])
+        assert policy.log_overlap(grown[0], keys[1]) == float("-inf")
+        assert policy.log_overlap(grown[1], keys[0]) == float("-inf")
+        assert policy.least_overlap(keys, grown, 2) == 1
+        assert reference_least_overlap(policy, keys, grown, 2) == 1
+
+    def test_exact_ties_go_to_the_first(self, policy):
+        a, b = _key(policy, [0], [1]), _key(policy, [5], [6])
+        # row 3 grows either key by the same factor, overlapping nothing
+        assert policy.least_overlap([a, b], _grown(policy, [a, b], [3]), 1) == 0
+        assert policy.least_overlap([b, a], _grown(policy, [b, a], [3]), 1) == 0
+        same = [_key(policy, [0, 0], [4, 4]) for _ in range(3)]
+        assert policy.least_overlap(same, _grown(policy, same, [7, 7]), 2) == 0
+
+    def test_least_overlap_split_keeps_min_fill(self, policy):
+        # the only disjoint cut (1) leaves one entry: below a quarter
+        rows = [np.array([100])] + [np.array([0])] * 7
+        assert policy.least_overlap_split(rows, policy.expand_point, 1) == 4
+        # a disjoint cut inside the fill bounds wins over the middle
+        rows = [np.array([0])] * 3 + [np.array([10])] * 5
+        assert policy.least_overlap_split(rows, policy.expand_point, 1) == 3
+
+    def test_least_overlap_split_ties_go_to_the_middle(self, policy):
+        for n in (2, 7, 8, 9):
+            sequential = [np.array([i]) for i in range(n)]  # every cut disjoint
+            assert policy.least_overlap_split(sequential, policy.expand_point, 1) == n // 2
+            same = [np.array([3, 3])] * n  # every cut overlaps alike
+            assert policy.least_overlap_split(same, policy.expand_point, 2) == n // 2
+            keys = [policy.from_point(r) for r in sequential]
+            assert policy.least_overlap_split(keys, policy.expand, 1) == n // 2
+
+    def test_least_overlap_split_is_the_best_cut(self, policy):
+        """Against every cut's two sides built on their own (the suffix
+        from the end, as the scan grows it)."""
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = int(rng.integers(2, 14))
+            rows = list(rng.integers(0, 30, (n, 2)))
+            lo = max(1, n // 4)
+            ranks = []
+            for i in range(lo, n - lo + 1):
+                left, right = policy.empty(2), policy.empty(2)
+                for r in rows[:i]:
+                    policy.expand_point(left, r)
+                for r in reversed(rows[i:]):
+                    policy.expand_point(right, r)
+                ranks.append((policy.log_overlap(left, right), abs(i - n // 2), i))
+            want = min(ranks)[2]
+            assert policy.least_overlap_split(rows, policy.expand_point, 2) == want
+
+    def test_halves_stable_median_of_widest_dimension(self, policy):
+        # dim 1 spreads widest; 0 before 3 and 1 before 2 among equals
+        points = np.array([[2, 0], [0, 5], [2, 5], [0, 0], [1, 3]])
+        left, right = policy.halves(points)
+        assert left.tolist() == [0, 3]
+        assert right.tolist() == [4, 1, 2]
+        left, right = policy.halves([[7.5, 1.0]] * 4)
+        assert left.tolist() == [0, 1] and right.tolist() == [2, 3]
