@@ -48,10 +48,10 @@ class GeometricTree(InsertEngineTree):
             return policy.least_overlap(keys, grown, self.num_dims)
         # least enlargement: least grown volume (log space, so overflow-safe
         # in many dims), then least volume before; the first of equals
-        return min(
-            range(len(keys)),
-            key=lambda i: (policy.log_volume(grown[i]), policy.log_volume(keys[i])),
-        )
+        ranks = [
+            (policy.log_volume(g), policy.log_volume(k)) for g, k in zip(grown, keys)
+        ]
+        return ranks.index(min(ranks))
 
     # -- splits -----------------------------------------------------------
 
