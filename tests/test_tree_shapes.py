@@ -54,9 +54,10 @@ def tree_shape(name: str, kind: str) -> dict:
     config = replace(
         cls._default_config(), leaf_capacity=6, fanout=4, key_kind=kind, **overrides
     )
-    tree = cls(make_schema(), config)
+    schema = make_schema()
+    tree = cls(schema, config)
     total = OpStats()
-    for coords, m in random_batch(make_schema(), 600, seed=11).iter_rows():
+    for coords, m in random_batch(schema, 600, seed=11).iter_rows():
         total.merge(tree.insert(coords, m))
     tree.validate()
     nodes, stack = [], [tree.root]
