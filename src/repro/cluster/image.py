@@ -191,7 +191,7 @@ class LocalImage:
         self._leaves[info.shard_id] = leaf
         node = self.root
         while True:
-            self.policy.expand(node.key, info.key)
+            node.key.expand_inplace(info.key)
             if not node.children or node.children[0].is_leaf:
                 break
             node = node.children[self._least_overlap(node, info.key)]
@@ -225,12 +225,12 @@ class LocalImage:
         """Bottom-up expansion from the leaf pointer table (sync path)."""
         leaf = self._leaves[shard_id]
         grown = self.policy.adopt(key)
-        if not self.policy.expand(leaf.key, grown):
+        if not leaf.key.expand_inplace(grown):
             return False
         self._version += 1
         node = leaf.parent
         while node is not None:
-            if not self.policy.expand(node.key, grown):
+            if not node.key.expand_inplace(grown):
                 break
             node = node.parent
         return True
@@ -329,7 +329,7 @@ class LocalImage:
             packed = self._packed(node)
             if node.volumes is None:  # only insert routing reads them
                 node.volumes = np.array(
-                    [self.policy.log_volume(c.key) for c in node.children]
+                    [c.key.log_volume() for c in node.children]
                 )
             cover = self.policy.covers_points_many(packed, coords[rows])
             pick = np.where(cover, node.volumes, np.inf).argmin(axis=1)
@@ -353,11 +353,11 @@ class LocalImage:
         """One row's descent, expanding every key on its path: the only
         place routing grows keys."""
         node, visited = self.root, 1
-        grew = changed = self.policy.expand_point(node.key, coords)
+        grew = changed = node.key.expand_point_inplace(coords)
         while not node.is_leaf:
             idx = self._route_child(node, coords)
             node = node.children[idx]
-            changed = self.policy.expand_point(node.key, coords)
+            changed = node.key.expand_point_inplace(coords)
             grew = grew or changed
             visited += 1
         info = node.shard  # node.key is info.key: path expansion included it
@@ -383,9 +383,9 @@ class LocalImage:
     def _least_overlap(self, node: _ImageNode, key: BoundingKey) -> int:
         """The child of ``node`` least overlap places ``key`` in."""
         keys = [c.key for c in node.children]
-        grown = [self.policy.copy(k) for k in keys]
+        grown = [k.copy() for k in keys]
         for g in grown:
-            self.policy.expand(g, key)
+            g.expand_inplace(key)
         return self.policy.least_overlap(keys, grown, self.num_dims)
 
     def _split_up(self, node: _ImageNode) -> None:
@@ -394,7 +394,7 @@ class LocalImage:
             groups = [
                 [node.children[i] for i in half]
                 for half in self.policy.halves(
-                    [self.policy.mbr(c.key).center() for c in node.children]
+                    [c.key.mbr().center() for c in node.children]
                 )
             ]
             if node.parent is None:
@@ -405,7 +405,7 @@ class LocalImage:
                     sub.children = grp
                     for g in grp:
                         g.parent = sub
-                        self.policy.expand(sub.key, g.key)
+                        sub.key.expand_inplace(g.key)
                     new_kids.append(sub)
                 node.children = new_kids
                 return
@@ -415,12 +415,12 @@ class LocalImage:
             sibling.children = groups[1]
             for g in groups[1]:
                 g.parent = sibling
-                self.policy.expand(sibling.key, g.key)
+                sibling.key.expand_inplace(g.key)
             node.children = groups[0]
             node.key = self.policy.empty(self.num_dims)
             for g in groups[0]:
                 g.parent = node
-                self.policy.expand(node.key, g.key)
+                node.key.expand_inplace(g.key)
             node.parent.children.append(sibling)
             node = node.parent
 

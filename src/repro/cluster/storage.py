@@ -87,7 +87,7 @@ class ColdEntry:
         """Directory pruning for WARM shards: does ``box`` touch this
         shard's data at all?  A miss means the shard contributes the
         empty aggregate and the blob is never read."""
-        return self.box.intersects(box)
+        return self.box.intersects_box(box)
 
 
 class ShardStorage:

@@ -197,7 +197,7 @@ class BaseTree(ShardStore):
     def __init__(self, schema: Schema, config: Optional[TreeConfig] = None):
         self.schema = schema
         self.config = config if config is not None else self._default_config()
-        self.policy = make_policy(self.config.key_kind, self.config.mds_max_intervals)
+        self.policy = make_policy(self.config.key_kind)
         self.num_dims = schema.num_dims
         self.root = self._new_leaf()
         self._count = 0
@@ -238,12 +238,12 @@ class BaseTree(ShardStore):
     def mbr(self) -> Box:
         if self._count == 0:
             return Box.empty(self.num_dims)
-        return self.policy.mbr(self.root.key)
+        return self.root.key.mbr()
 
     def bounding_key(self):
         if self._count == 0:
             return self.policy.empty(self.num_dims)
-        return self.policy.copy(self.root.key)
+        return self.root.key.copy()
 
     # -- query -----------------------------------------------------------
 
@@ -288,7 +288,7 @@ class BaseTree(ShardStore):
         stats.nodes_visited = 1
         root.acquire()
         try:
-            if cache and policy.within_box(root.key, box):
+            if cache and root.key.within_box(box):
                 agg.merge(root.agg)
                 stats.agg_hits = 1
                 return agg, stats
@@ -321,7 +321,7 @@ class BaseTree(ShardStore):
                     child.acquire()
                     try:
                         if child.key_version == versions[i] or (
-                            policy.within_box(child.key, box)
+                            child.key.within_box(box)
                         ):
                             agg.merge(child.agg)
                             stats.agg_hits += 1
@@ -461,7 +461,7 @@ class BaseTree(ShardStore):
             agg = Aggregate.of_array(node.leaf_measures())
             assert node.agg.approx_equal(agg), "leaf aggregate mismatch"
             for row in node.leaf_coords():
-                assert self.policy.covers_point(node.key, row), (
+                assert node.key.covers_point(row), (
                     "leaf key does not cover item"
                 )
             if node.cols.hwords is not None and node.size:
@@ -479,13 +479,13 @@ class BaseTree(ShardStore):
             coords_parts.extend(parts)
             agg.merge(child.agg)
             if self.policy.kind == "mbr":
-                assert self.policy.covers(node.key, child.key), (
+                assert node.key.covers(child.key), (
                     "parent MBR does not cover child MBR"
                 )
         assert node.agg.approx_equal(agg), "directory aggregate mismatch"
         for part in coords_parts:
             for row in part:
-                assert self.policy.covers_point(node.key, row), (
+                assert node.key.covers_point(row), (
                     "node key does not cover subtree item"
                 )
         if node.children and node.children[0].lhv is not None:

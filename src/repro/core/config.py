@@ -30,8 +30,6 @@ class TreeConfig:
         For Hilbert trees: ``"least_overlap"`` (scan all split positions,
         pick the one minimising child overlap -- the Hilbert PDC rule) or
         ``"middle"`` (even halves, the plain Hilbert R-tree rule).
-    mds_max_intervals:
-        Interval cap per dimension for MDS keys.
     cache_aggregates:
         Keep per-node cached aggregates (disable only for ablation).
     thread_safe:
@@ -46,7 +44,6 @@ class TreeConfig:
     key_kind: str = "mds"
     insert_policy: str = "least_overlap"
     split_policy: str = "least_overlap"
-    mds_max_intervals: int = 4
     cache_aggregates: bool = True
     thread_safe: bool = False
     #: Apply the Fig. 3 hierarchical-ID expansion before Hilbert mapping.
@@ -65,8 +62,6 @@ class TreeConfig:
             raise ValueError(f"unknown insert_policy {self.insert_policy!r}")
         if self.split_policy not in ("least_overlap", "middle"):
             raise ValueError(f"unknown split_policy {self.split_policy!r}")
-        if self.mds_max_intervals < 1:
-            raise ValueError("mds_max_intervals must be >= 1")
 
 
 @dataclass

@@ -9,7 +9,9 @@ median along the widest dimension, which keeps splits cheap for both
 key kinds while preserving the structural contrast the paper measures
 (MBR keys overlap increasingly with dimensionality; MDS keys stay
 tight).  The rules themselves live in :mod:`repro.core.keypolicy`,
-shared with the server image.
+shared with the server image; they and this module ask the keys
+themselves (``covers_point``, ``log_volume``, ``expand_point_inplace``,
+``mbr``), whatever their kind.
 """
 
 from __future__ import annotations
@@ -41,16 +43,14 @@ class GeometricTree(InsertEngineTree):
         covering = policy.smallest_covering(keys, coords)
         if covering is not None:
             return covering
-        grown = [policy.copy(k) for k in keys]
+        grown = [k.copy() for k in keys]
         for g in grown:
-            policy.expand_point(g, coords)
+            g.expand_point_inplace(coords)
         if self.config.insert_policy == "least_overlap":
             return policy.least_overlap(keys, grown, self.num_dims)
         # least enlargement: least grown volume (log space, so overflow-safe
         # in many dims), then least volume before; the first of equals
-        ranks = [
-            (policy.log_volume(g), policy.log_volume(k)) for g, k in zip(grown, keys)
-        ]
+        ranks = [(g.log_volume(), k.log_volume()) for g, k in zip(grown, keys)]
         return ranks.index(min(ranks))
 
     # -- splits -----------------------------------------------------------
@@ -67,14 +67,12 @@ class GeometricTree(InsertEngineTree):
         # point by point, as the inserts grew it: an MDS grown by a
         # whole batch at once can coalesce differently
         for row in out.leaf_coords():
-            self.policy.expand_point(out.key, row)
+            out.key.expand_point_inplace(row)
         return out
 
     def _split_dir(self, node: Node) -> tuple[Node, Node]:
         children = node.children
-        left, right = self.policy.halves(
-            [self.policy.mbr(c.key).center() for c in children]
-        )
+        left, right = self.policy.halves([c.key.mbr().center() for c in children])
         return (
             self._build_dir([children[i] for i in left]),
             self._build_dir([children[i] for i in right]),

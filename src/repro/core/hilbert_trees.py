@@ -79,7 +79,7 @@ class HilbertTree(InsertEngineTree):
         cols = leaf.cols
         order = lexsort_words(cols.live_hwords())
         split_at = self._split_at(
-            [cols.coords[i] for i in order], self.policy.expand_point
+            [cols.coords[i] for i in order], type(leaf.key).expand_point_inplace
         )
         left, right = self._leaves(
             cols.coords[order], cols.measures[order], cols.hwords[order],
@@ -89,7 +89,9 @@ class HilbertTree(InsertEngineTree):
 
     def _split_dir(self, node: Node) -> tuple[Node, Node]:
         children = node.children  # already in LHV order
-        split_at = self._split_at([c.key for c in children], self.policy.expand)
+        split_at = self._split_at(
+            [c.key for c in children], type(node.key).expand_inplace
+        )
         return (
             self._build_dir(children[:split_at]),
             self._build_dir(children[split_at:]),
@@ -168,7 +170,7 @@ class HilbertTree(InsertEngineTree):
             return nodes
         if node.is_leaf:
             node.cols.extend(coords[lo:hi], measures[lo:hi], words[lo:hi])
-        if self.policy.expand_points(node.key, coords[lo:hi]):
+        if node.key.expand_points_inplace(coords[lo:hi]):
             node.key_version += 1
             stats.key_expansions += 1
         m = mlist[lo:hi]

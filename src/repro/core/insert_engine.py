@@ -87,7 +87,7 @@ class InsertEngineTree(BaseTree):
                         self._tree_lock.release()
                         tree_locked = False
                 # Expand this node's key and aggregate for the new item.
-                if self.policy.expand_point(node.key, coords):
+                if node.key.expand_point_inplace(coords):
                     node.key_version += 1
                     stats.key_expansions += 1
                 node.agg.add_value(measure)

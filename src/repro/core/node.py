@@ -4,7 +4,8 @@ A node is either a *leaf* holding columnar item storage (a
 :class:`~repro.core.columns.LeafColumns` of preallocated numpy buffers)
 or a *directory* holding a list of children.  Every node carries:
 
-* ``key`` -- its bounding key (Box or MDS, per the tree's key policy);
+* ``key`` -- its bounding key, a Box or an MDS (the tree's key kind),
+  which answers the key operations itself;
 * ``agg`` -- the cached aggregate of the whole subtree (for leaves this
   is the accumulator living inside the columns);
 * ``lhv`` -- the largest Hilbert value in the subtree (Hilbert variants

@@ -6,6 +6,12 @@ contiguous ranges (see :mod:`repro.olap.hierarchy`), a box can represent
 any "rectangular" hierarchical region, and Minimum Bounding Rectangles of
 hierarchical data are exact in this space.
 
+A box and an MDS key (:mod:`repro.olap.mds`) answer one key interface
+-- ``covers_point``, ``covers``, ``intersects_box``, ``within_box``,
+``log_volume``, ``log_overlap_volume``, the ``expand_*_inplace``
+growths, ``mbr`` and ``copy`` -- which the trees and the server image
+call on the key itself, whatever its kind.
+
 All operations are numpy-vectorised over dimensions.  Volumes are
 computed in float64: dimension ranges can reach 2**62, so products are
 large but comfortably within float64 range for realistic dimension
@@ -34,7 +40,8 @@ class Box:
     """A closed axis-aligned box over int64 coordinates.
 
     An *empty* box is represented by ``lo > hi`` in every dimension and is
-    the identity for :meth:`expanded`.
+    the identity for :meth:`expand_inplace`; every empty box of ``d``
+    dimensions equals every other.
     """
 
     __slots__ = ("lo", "hi")
@@ -77,7 +84,7 @@ class Box:
     def is_empty(self) -> bool:
         return bool((self.lo > self.hi).any())
 
-    def contains_point(self, coords: np.ndarray) -> bool:
+    def covers_point(self, coords: np.ndarray) -> bool:
         c = np.asarray(coords)
         return bool(((self.lo <= c) & (c <= self.hi)).all())
 
@@ -86,19 +93,25 @@ class Box:
         c = np.asarray(coords)
         return ((self.lo[None, :] <= c) & (c <= self.hi[None, :])).all(axis=1)
 
-    def contains_box(self, other: "Box") -> bool:
+    def covers(self, other: "Box") -> bool:
+        """True if ``other`` lies inside this box (an empty one does)."""
         if other.is_empty():
             return True
         return bool(
             ((self.lo <= other.lo) & (other.hi <= self.hi)).all()
         )
 
-    def intersects(self, other: "Box") -> bool:
+    def intersects_box(self, other: "Box") -> bool:
         if self.is_empty() or other.is_empty():
             return False
         return bool(
             ((self.lo <= other.hi) & (other.lo <= self.hi)).all()
         )
+
+    def within_box(self, box: "Box") -> bool:
+        """True if non-empty and inside ``box``: an empty key is within
+        no box."""
+        return not self.is_empty() and box.covers(self)
 
     # -- measures --------------------------------------------------------
 
@@ -108,34 +121,11 @@ class Box:
             self.hi.astype(np.float64) - self.lo.astype(np.float64) + 1.0, 0.0
         )
 
-    def volume(self) -> float:
-        """Number of lattice points covered (float64; 0 for empty)."""
-        if self.is_empty():
-            return 0.0
-        return float(np.prod(self.side_lengths()))
-
     def log_volume(self) -> float:
         """log2 of the volume; ``-inf`` for empty boxes.  Overflow-safe."""
         if self.is_empty():
             return float("-inf")
         return float(np.sum(np.log2(self.side_lengths())))
-
-    def margin(self) -> float:
-        """Sum of side lengths (the R*-tree 'margin' metric)."""
-        if self.is_empty():
-            return 0.0
-        return float(np.sum(self.side_lengths()))
-
-    def overlap_volume(self, other: "Box") -> float:
-        """Volume of the intersection with ``other`` (0 if disjoint)."""
-        if self.is_empty() or other.is_empty():
-            return 0.0
-        lo = np.maximum(self.lo, other.lo).astype(np.float64)
-        hi = np.minimum(self.hi, other.hi).astype(np.float64)
-        side = hi - lo + 1.0
-        if (side <= 0).any():
-            return 0.0
-        return float(np.prod(side))
 
     def log_overlap_volume(self, other: "Box") -> float:
         """log2 of intersection volume; ``-inf`` if disjoint."""
@@ -149,26 +139,6 @@ class Box:
         return float(np.sum(np.log2(side)))
 
     # -- combination ------------------------------------------------------
-
-    def intersection(self, other: "Box") -> "Box":
-        if not self.intersects(other):
-            return Box.empty(self.num_dims)
-        return Box(
-            np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi), copy=False
-        )
-
-    def union(self, other: "Box") -> "Box":
-        if self.is_empty():
-            return other.copy()
-        if other.is_empty():
-            return self.copy()
-        return Box(
-            np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi), copy=False
-        )
-
-    def expanded(self, other: "Box") -> "Box":
-        """Alias of :meth:`union` (R-tree terminology)."""
-        return self.union(other)
 
     def expand_inplace(self, other: "Box") -> bool:
         """Grow to cover ``other``; return True if anything changed."""
@@ -210,10 +180,6 @@ class Box:
         np.maximum(self.hi, hi, out=self.hi)
         return changed
 
-    def enlargement(self, other: "Box") -> float:
-        """Volume increase needed to cover ``other`` (R-tree metric)."""
-        return self.union(other).volume() - self.volume()
-
     def center(self) -> np.ndarray:
         return (self.lo.astype(np.float64) + self.hi.astype(np.float64)) / 2.0
 
@@ -222,6 +188,10 @@ class Box:
     def copy(self) -> "Box":
         return Box(self.lo, self.hi, copy=True)
 
+    def mbr(self) -> "Box":
+        """The single-interval bounding box: a copy (as for MDS)."""
+        return self.copy()
+
     def to_tuple(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(int(x) for x in self.lo), tuple(int(x) for x in self.hi)
 
@@ -229,17 +199,18 @@ class Box:
     def from_tuple(t: tuple[Sequence[int], Sequence[int]]) -> "Box":
         return Box(t[0], t[1])
 
+    def _identity(self):
+        """What ``==`` and ``hash`` compare: an empty box is its
+        dimension count, whatever its bounds."""
+        return self.num_dims if self.is_empty() else self.to_tuple()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Box):
             return NotImplemented
-        if self.is_empty() and other.is_empty():
-            return True
-        return bool(
-            np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
-        )
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self.to_tuple())
+        return hash(self._identity())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_empty():
@@ -306,7 +277,7 @@ def boxes_intersect_many(
     """``(m,)`` intersection mask of one query box vs m packed MBRs.
 
     ``qlo``/``qhi`` are the ``(d,)`` bounds of a *non-empty* box; on
-    those it matches :meth:`Box.intersects` exactly (empty keys
+    those it matches :meth:`Box.intersects_box` exactly (empty keys
     intersect nothing).
     """
     hit = ((packed.lo <= qhi) & (qlo <= packed.hi)).all(axis=1)

@@ -199,7 +199,9 @@ class MDS:
 
     @staticmethod
     def of_segments(
-        coords: np.ndarray, starts: np.ndarray, max_intervals: int
+        coords: np.ndarray,
+        starts: np.ndarray,
+        max_intervals: int = DEFAULT_MAX_INTERVALS,
     ) -> list["MDS"]:
         """What ``MDS.empty(d, cap).expand_points_inplace`` grows from
         each segment of an ``(n, d)`` array (rows ``starts[i]`` up to the
@@ -295,10 +297,9 @@ class MDS:
         return bool(self._hits(other._iv[0].T, other._iv[1].T).any(axis=2).all())
 
     def within_box(self, box: Box) -> bool:
-        """True if every interval in every dimension lies inside ``box``."""
-        if self.is_empty():
-            return True
-        if box.is_empty():
+        """True if every interval in every dimension lies inside ``box``;
+        an empty key is within no box."""
+        if self.is_empty() or box.is_empty():
             return False
         first, last = self._iv[0, :, 0], self._iv[1].max(axis=1)
         return not ((first < box.lo) | (last > box.hi)).any()
@@ -375,16 +376,6 @@ class MDS:
 
     def expand_inplace(self, other: "MDS") -> bool:
         return self._expand(other._iv[0].T, other._iv[1].T)
-
-    def expand_box_inplace(self, box: Box) -> bool:
-        if box.is_empty():
-            return False
-        return self._expand(box.lo[None], box.hi[None])
-
-    def union(self, other: "MDS") -> "MDS":
-        m = self.copy()
-        m.expand_inplace(other)
-        return m
 
     # -- conversions ---------------------------------------------------------
 

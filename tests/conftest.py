@@ -137,9 +137,7 @@ def reference_query(tree, box):
         while stack:
             node = stack.pop()
             stats.nodes_visited += 1
-            if tree.config.cache_aggregates and tree.policy.within_box(
-                node.key, box
-            ):
+            if tree.config.cache_aggregates and node.key.within_box(box):
                 agg.merge(node.agg)
                 stats.agg_hits += 1
             elif node.is_leaf:
@@ -152,7 +150,7 @@ def reference_query(tree, box):
                 stack.extend(
                     c
                     for c in reversed(node.children)
-                    if tree.policy.intersects_box(c.key, box)
+                    if c.key.intersects_box(box)
                 )
     return agg, stats
 
@@ -169,7 +167,7 @@ def reference_image_search(image, box):
             out.append(node.shard)
             continue
         for c in node.children:
-            if image.policy.intersects_box(c.key, box):
+            if c.key.intersects_box(box):
                 stack.append(c)
     return out, visited
 
@@ -184,22 +182,22 @@ def reference_least_overlap(policy, keys, grown, num_dims):
     prefix = [None] * (n + 1)
     prefix[0] = policy.empty(num_dims)
     for i in range(n):
-        acc = policy.copy(prefix[i])
-        policy.expand(acc, keys[i])
+        acc = prefix[i].copy()
+        acc.expand_inplace(keys[i])
         prefix[i + 1] = acc
     suffix = [None] * (n + 1)
     suffix[n] = policy.empty(num_dims)
     for i in range(n - 1, -1, -1):
-        acc = policy.copy(suffix[i + 1])
-        policy.expand(acc, keys[i])
+        acc = suffix[i + 1].copy()
+        acc.expand_inplace(keys[i])
         suffix[i] = acc
     best = 0
     best_key = (float("inf"), float("inf"))
     for i in range(n):
-        others = policy.copy(prefix[i])
-        policy.expand(others, suffix[i + 1])
-        ov = policy.log_overlap(grown[i], others)
-        tie = policy.log_volume(grown[i]) - policy.log_volume(keys[i])
+        others = prefix[i].copy()
+        others.expand_inplace(suffix[i + 1])
+        ov = grown[i].log_overlap_volume(others)
+        tie = grown[i].log_volume() - keys[i].log_volume()
         if (ov, tie) < best_key:
             best_key = (ov, tie)
             best = i
@@ -208,30 +206,30 @@ def reference_least_overlap(policy, keys, grown, num_dims):
 
 def reference_image_route(image, row):
     """One row's insert routing as the image did it before it took
-    batches, scalar policy calls only: expand every key on the path,
+    batches, scalar key calls only: expand every key on the path,
     descend into the smallest covering child (the first of equals), by
     least overlap when none covers.  Returns ``(shard, nodes visited)``
     and leaves the image as a one-row ``route_insert`` must."""
     policy = image.policy
     node, visited, changed = image.root, 1, False
-    policy.expand_point(node.key, row)
+    node.key.expand_point_inplace(row)
     while not node.is_leaf:
         kids = node.children
         covering = [
-            i for i, c in enumerate(kids) if policy.covers_point(c.key, row)
+            i for i, c in enumerate(kids) if c.key.covers_point(row)
         ]
         if len(kids) == 1:
             idx = 0
         elif covering:
-            idx = min(covering, key=lambda i: policy.log_volume(kids[i].key))
+            idx = min(covering, key=lambda i: kids[i].key.log_volume())
         else:
             keys = [c.key for c in kids]
-            grown = [policy.copy(k) for k in keys]
+            grown = [k.copy() for k in keys]
             for g in grown:
-                policy.expand(g, policy.from_point(row))
+                g.expand_inplace(policy.from_point(row))
             idx = reference_least_overlap(policy, keys, grown, image.num_dims)
         node = kids[idx]
-        changed = policy.expand_point(node.key, row)
+        changed = node.key.expand_point_inplace(row)
         visited += 1
     if changed:
         image.dirty.add(node.shard.shard_id)

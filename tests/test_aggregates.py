@@ -127,7 +127,6 @@ class TestTreeConfig:
             {"key_kind": "weird"},
             {"insert_policy": "nope"},
             {"split_policy": "nope"},
-            {"mds_max_intervals": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -59,7 +59,7 @@ def make_chain_tree(cls, schema, depth):
     for _ in range(depth):
         parent = tree._new_dir()
         parent.children = [node]
-        parent.key = tree.policy.copy(node.key)
+        parent.key = node.key.copy()
         parent.agg = Aggregate(*node.agg.to_tuple())
         parent.lhv = node.lhv
         parent.size = node.size

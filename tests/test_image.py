@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.image import LocalImage, ShardInfo
 from repro.olap.keys import Box
+from repro.olap.mds import MDS
 
 
 def box(lo, hi):
@@ -69,7 +70,7 @@ class TestRouting:
         img.add_shard(info(2, [100, 100], [110, 110]))
         got = img.route_insert(np.array([12, 12])[None])
         assert got.shard_id == 1  # closer: least overlap/enlargement
-        assert img.get(1).box.contains_point(np.array([12, 12]))
+        assert img.get(1).box.covers_point(np.array([12, 12]))
         assert 1 in img.dirty
 
     def test_route_insert_no_dirty_when_covered(self):
@@ -158,7 +159,7 @@ def test_route_insert_always_lands_in_reported_shard(corners):
     for _ in range(30):
         pt = rng.integers(0, 521, size=2)
         chosen = img.route_insert(pt[None])
-        assert chosen.box.contains_point(pt)
+        assert chosen.box.covers_point(pt)
         hits = {s.shard_id for s in img.search(Box(pt, pt))}
         assert chosen.shard_id in hits
     img.validate()
@@ -275,17 +276,19 @@ def test_what_is_decided_ahead_is_only_a_memo(kind):
 
 
 class _CountingPolicy:
-    """Delegates to a key policy, counting the calls by name and the
-    rows handed to ``covers_points_many``."""
+    """Delegates to a key policy, counting the calls by name -- its own
+    and the scalar key calls of both key classes -- and the rows
+    handed to ``covers_points_many``."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, monkeypatch):
         self.inner = inner
         self.calls = {}
         self.rows = 0
+        for cls in (Box, MDS):
+            for name in _SCALAR_KEY:
+                monkeypatch.setattr(cls, name, self._counted(name, getattr(cls, name)))
 
-    def __getattr__(self, name):
-        fn = getattr(self.inner, name)
-
+    def _counted(self, name, fn):
         def counted(*args):
             self.calls[name] = self.calls.get(name, 0) + 1
             if name == "covers_points_many":
@@ -294,27 +297,31 @@ class _CountingPolicy:
 
         return counted
 
+    def __getattr__(self, name):
+        return self._counted(name, getattr(self.inner, name))
 
-def _bench_shaped_image(kind):
+
+def _bench_shaped_image(kind, monkeypatch):
     """8 shards under one root directory, as the e2e bench boots."""
     img = LocalImage(3, fanout=8, key_kind=kind)
     for sid in range(8):
         img.add_shard(info(sid, [sid * 100, 0, 0], [sid * 100 + 60, 50, 50]))
-    img.policy = _CountingPolicy(img.policy)
+    img.policy = _CountingPolicy(img.policy, monkeypatch)
     return img
 
 
-_SCALAR = ("covers_point", "log_volume", "expand_point", "expand", "from_point")
+_SCALAR_KEY = ("covers_point", "log_volume", "expand_point_inplace", "expand_inplace")
+_SCALAR = _SCALAR_KEY + ("from_point",)
 
 
 @pytest.mark.parametrize("kind", ["mbr", "mds"])
-def test_covered_rows_route_by_broadcast(kind):
+def test_covered_rows_route_by_broadcast(kind, monkeypatch):
     """A property, not a speed: 64 rows that every key already covers
     cost one ``covers_points_many`` per directory on their paths (the
     root's own key being the one child of a directory above it), made
     by the first row's call, and no scalar key call; the second batch
     rebuilds no snapshot."""
-    img = _bench_shaped_image(kind)
+    img = _bench_shaped_image(kind, monkeypatch)
     rng = np.random.default_rng(3)
     rows = np.column_stack(
         [
@@ -339,20 +346,20 @@ def test_covered_rows_route_by_broadcast(kind):
     assert [s.size for s in img.shards()] == twice.tolist()
 
 
-def test_search_builds_no_volumes():
+def test_search_builds_no_volumes(monkeypatch):
     """Only insert routing reads the child volumes of a snapshot."""
-    img = _bench_shaped_image("mbr")
+    img = _bench_shaped_image("mbr", monkeypatch)
     assert len(img.search(box([0, 0, 0], [900, 50, 50]))) == 8
     assert img.policy.calls == {"pack_keys": 1, "intersects_many": 1}
 
 
 @pytest.mark.parametrize("kind", ["mbr", "mds"])
-def test_growing_rows_do_not_rescan_the_batch(kind):
+def test_growing_rows_do_not_rescan_the_batch(kind, monkeypatch):
     """512 rows that each grow the root: the stretch tried after a
     growing row is twice the covered stretch before it, and after none
     the rows descend alone, so the batch is tested once -- not 512 +
     511 + ... rows.  The first row that grows nothing ends that."""
-    img = _bench_shaped_image(kind)
+    img = _bench_shaped_image(kind, monkeypatch)
     rows = np.arange(1000, 1512)[:, None] * np.array([3, 1, 2])
     rows = np.concatenate([rows, rows[:8]])
     for i in range(512):
@@ -360,11 +367,11 @@ def test_growing_rows_do_not_rescan_the_batch(kind):
     assert img.policy.rows == 520 and img.policy.calls["covers_points_many"] == 1
     for i in range(512, 520):
         img.route_insert(rows, i)
-    assert img.policy.calls["expand_point"] == (512 + 1) * 2  # root, leaf
+    assert img.policy.calls["expand_point_inplace"] == (512 + 1) * 2  # root, leaf
     # stretches of 2, 4 and the last row, through two directories each
     assert img.policy.calls["covers_points_many"] == 1 + 3 * 2
     assert img.policy.rows == 520 + (2 + 4 + 1) * 2
     for row in rows[::37]:
         assert any(
-            img.policy.inner.covers_point(s.key, row) for s in img.shards()
+            s.key.covers_point(row) for s in img.shards()
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.keypolicy import MBRPolicy, MDSPolicy
+from repro.core.keypolicy import MBRPolicy
 from repro.olap.keys import Box
 from repro.olap.mds import MDS
 
@@ -78,9 +78,9 @@ class TestExpansion:
 
     def test_expand_box(self):
         m = MDS.empty(2)
-        assert m.expand_box_inplace(box([1, 1], [2, 2]))
+        assert m.expand_inplace(MDS.from_box(box([1, 1], [2, 2])))
         assert m.covers_point([2, 1])
-        assert not m.expand_box_inplace(box([1, 1], [2, 2]))
+        assert not m.expand_inplace(MDS.from_box(box([1, 1], [2, 2])))
 
 
 class TestPredicates:
@@ -97,7 +97,7 @@ class TestPredicates:
     def test_empty_behaviour(self):
         m = MDS.empty(2)
         assert not m.intersects_box(box([0, 0], [9, 9]))
-        assert m.within_box(box([0, 0], [9, 9]))
+        assert not m.within_box(box([0, 0], [9, 9]))  # within no box
 
 
 class TestMeasures:
@@ -168,7 +168,8 @@ def test_union_covers_both(xs, ys):
         a.expand_point_inplace([x])
     for y in ys:
         b.expand_point_inplace([y])
-    u = a.union(b)
+    u = a.copy()
+    u.expand_inplace(b)
     for v in xs + ys:
         assert u.covers_point([v])
 
@@ -182,7 +183,7 @@ def test_mbr_contains_mds(values):
     mbr = m.mbr()
     for v in range(61):
         if m.covers_point([v]):
-            assert mbr.contains_point(np.array([v]))
+            assert mbr.covers_point(np.array([v]))
 
 
 # -- the block: cap, memory, Python ints ------------------------------------
@@ -255,7 +256,7 @@ def _bounds(coords, starts):
 def test_segment_keys_are_the_grown_keys(segments, cap):
     """Block for block what ``expand_points_inplace`` grows from empty."""
     coords, starts = segments
-    keys = MDSPolicy(cap).segment_keys(coords, starts)
+    keys = MDS.of_segments(coords, starts, cap)
     assert len(keys) == len(starts)
     for key, (s, e) in zip(keys, _bounds(coords, starts)):
         grown = MDS.empty(coords.shape[1], cap)
@@ -308,7 +309,7 @@ def test_growth_is_in_place():
     block = key._iv
     key.expand_point_inplace([9, 1])
     key.expand_points_inplace(np.array([[20, 20], [40, 2]]))
-    key.expand_box_inplace(box([60, 60], [70, 70]))
+    key.expand_inplace(MDS.from_box(box([60, 60], [70, 70])))
     key.expand_inplace(MDS.from_point(np.array([90, 90])))
     assert key._iv is block
     assert key.covers_point([90, 90]) and key.covers_point([65, 61])
@@ -337,7 +338,7 @@ def test_keys_leave_the_block_as_python_ints():
     from repro.cluster.wire import key_to_wire
 
     key = _leaf_keys(1)[0]
-    key.expand_box_inplace(box([2000] * 8, [2001] * 8))
+    key.expand_inplace(MDS.from_box(box([2000] * 8, [2001] * 8)))
     assert _all_python_ints(key.to_tuple())
     assert _all_python_ints(key.intervals)
     assert _all_python_ints(key_to_wire(key))

@@ -97,8 +97,8 @@ class TestQuery:
     def test_query_from_levels_deep(self):
         s = small_schema()
         q = query_from_levels(s, {"date": (2, (3, 7)), "store": (2, (1, 5))})
-        assert q.box.contains_point(s.encode_point([(3, 7, 15), (1, 5)]))
-        assert not q.box.contains_point(s.encode_point([(3, 8, 0), (1, 5)]))
+        assert q.box.covers_point(s.encode_point([(3, 7, 15), (1, 5)]))
+        assert not q.box.covers_point(s.encode_point([(3, 8, 0), (1, 5)]))
 
     def test_bad_depth_rejected(self):
         s = small_schema()

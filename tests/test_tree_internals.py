@@ -62,7 +62,7 @@ class TestSplitMechanics:
             tree.insert(p.astype(np.int64), 1.0)
         tree.validate()
         # the root children's MBRs should separate the two clusters
-        boxes = [tree.policy.mbr(c.key) for c in tree.root.children]
+        boxes = [c.key.mbr() for c in tree.root.children]
         spans = [b.hi[0] - b.lo[0] for b in boxes]
         assert min(spans) < 63, "clusters were not separated at all"
 
@@ -272,17 +272,18 @@ class TestReadPathIsArrayShaped:
         expanded, stack = 0, [tree.root]
         while stack:
             node = stack.pop()
-            if node.is_leaf or policy.within_box(node.key, box):
+            if node.is_leaf or node.key.within_box(box):
                 continue
             expanded += 1
             stack.extend(
-                c for c in node.children if policy.intersects_box(c.key, box)
+                c for c in node.children if c.key.intersects_box(box)
             )
         want, wstats = reference_query(tree, box)
         assert expanded >= 3 and wstats.leaves_visited >= 10
 
-        scalar = self.count_calls(monkeypatch, policy, "within_box")
-        scalar += self.count_calls(monkeypatch, policy, "intersects_box")
+        key_cls = type(tree.root.key)
+        scalar = self.count_calls(monkeypatch, key_cls, "within_box")
+        scalar += self.count_calls(monkeypatch, key_cls, "intersects_box")
         classify = self.count_calls(monkeypatch, policy, "classify")
         pack = self.count_calls(monkeypatch, policy, "pack_keys")
         of_array = self.count_calls(

@@ -384,7 +384,7 @@ class TestServer:
         zk.set("/boxes/1", key_to_wire(big))
         clock.run_until(0.5)
         info = clock2_servers_share.image.get(1)
-        assert info.box.contains_point(schema.leaf_limits)
+        assert info.box.covers_point(schema.leaf_limits)
 
     def test_shard_event_adds_and_removes(self, rig, schema):
         clock, transport, zk = rig
