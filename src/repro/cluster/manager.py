@@ -48,6 +48,9 @@ from .zookeeper import Zookeeper
 
 __all__ = ["BalancerPolicy", "Manager"]
 
+#: shard ids the manager mints start above this one
+FIRST_SHARD_ID = 1_000
+
 #: reply kind -> (op kind it answers, whether the op succeeded); a
 #: restore has no failure reply (its target never refuses)
 _REPLIES = {f"{kind}_done": (kind, True) for kind in OP_KINDS} | {
@@ -66,7 +69,6 @@ class Manager(Entity):
         workers: dict[int, Entity],
         policy: Optional[BalancerPolicy] = None,
         stats: Optional[ClusterStats] = None,
-        first_shard_id: int = 1_000,
         checkpoints: Optional[CheckpointStore] = None,
         heartbeat_period: Optional[float] = None,
         heartbeat_miss_k: int = 4,
@@ -109,7 +111,7 @@ class Manager(Entity):
         #: shard id -> worker that holds the accepted restored copy
         self._restored_to: dict[int, int] = {}
         self._restore_rr = 0
-        self._next_shard_id = first_shard_id
+        self._next_shard_id = FIRST_SHARD_ID
         #: every in-flight op (busy tracking, budgets, timers, spans)
         self.lifecycle = ShardOpMachine(
             clock, transport, registry=self.stats.registry, entity_name=self.name

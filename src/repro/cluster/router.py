@@ -48,6 +48,14 @@ from .wire import ReplicaAck, ReplicaRemove, RollupSync
 
 __all__ = ["RollupConfig", "QueryResult", "RoutePlan", "QueryRouter"]
 
+#: re-request a rollup_sync that got no reply after this long
+SYNC_TIMEOUT = 0.5
+#: period of the reconcile tick (sync scheduling, stream teardown)
+RECONCILE_PERIOD = 0.25
+#: max stream batches retained for replay while a sync is in flight;
+#: overflow tears the join and the sync is re-requested
+TAIL_LIMIT = 512
+
 
 @dataclass(frozen=True)
 class RollupConfig:
@@ -60,17 +68,6 @@ class RollupConfig:
     max_cells: int = 1 << 16
     #: decayed misses for one candidate key before it is materialized
     admit_after: int = 2
-    #: materialize cubes on demand; off = only explicit materialize()
-    auto_admit: bool = True
-    #: demand/hit decay rate (per virtual second, halving exponent)
-    decay: float = 0.1
-    #: re-request a rollup_sync that got no reply after this long
-    sync_timeout: float = 0.5
-    #: period of the reconcile tick (sync scheduling, stream teardown)
-    reconcile_period: float = 0.25
-    #: max stream batches retained for replay while a sync is in
-    #: flight; overflow tears the join and the sync is re-requested
-    tail_limit: int = 512
 
 
 @dataclass
@@ -141,7 +138,6 @@ class QueryRouter:
             budget_bytes=config.budget_bytes,
             max_cells=config.max_cells,
             admit_after=config.admit_after,
-            decay=config.decay,
         )
         #: stream-peer id on the primaries; negative so it can never
         #: collide with a real worker id
@@ -159,7 +155,7 @@ class QueryRouter:
         self._evictions_seen = 0
         lo = np.zeros(server.schema.num_dims, dtype=np.int64)
         self._full_box = Box(lo, server.schema.leaf_limits.copy(), copy=False)
-        server.clock.every(config.reconcile_period, self.reconcile)
+        server.clock.every(RECONCILE_PERIOD, self.reconcile)
 
     # -- metrics ------------------------------------------------------------
 
@@ -233,8 +229,7 @@ class QueryRouter:
         if m is None:
             self.misses["no_cube"] += 1
             self._count("volap_rollup_misses_total", reason="no_cube")
-            if self.cfg.auto_admit:
-                self._note_demand(query.box, now, len(infos))
+            self._note_demand(query.box, now, len(infos))
             return None
         cube, ranges = m
         fresh: list[int] = []
@@ -346,7 +341,7 @@ class QueryRouter:
             if st is not None and st.cursor is not None and not self._current(st, info):
                 self._reset_stream(sid)
             pending = self._pending_sync.get(sid)
-            if pending is not None and now - pending.sent < self.cfg.sync_timeout:
+            if pending is not None and now - pending.sent < SYNC_TIMEOUT:
                 continue
             needed = {
                 key
@@ -416,7 +411,7 @@ class QueryRouter:
 
     def _retain(self, st: _Stream, seq: int, coords, measures, t_created: float) -> None:
         st.tail[seq] = (coords, measures, t_created)
-        if len(st.tail) > self.cfg.tail_limit:
+        if len(st.tail) > TAIL_LIMIT:
             st.tail.clear()
             st.torn = True
 

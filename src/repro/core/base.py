@@ -4,11 +4,13 @@ Defines the :class:`ShardStore` interface every shard implementation
 satisfies (insert, query, and the load-balancing operations of paper
 Section III-E: ``SplitQuery``, ``Split``, ``SerializeShard``), plus
 :class:`BaseTree`, the common query/validation/serialisation code for
-the four tree variants.
+the four tree variants, with the tree lock and the directory builder
+their inserts share.
 """
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import Iterator, Optional
 
@@ -201,6 +203,10 @@ class BaseTree(ShardStore):
         self.num_dims = schema.num_dims
         self.root = self._new_leaf()
         self._count = 0
+        # guards the root pointer for the writers that replace it
+        self._tree_lock: Optional[threading.RLock] = (
+            threading.RLock() if self.config.thread_safe else None
+        )
 
     # subclasses override to pick their canonical defaults
     @staticmethod
@@ -231,6 +237,20 @@ class BaseTree(ShardStore):
             leaf=False,
             thread_safe=self.config.thread_safe,
         )
+
+    def _build_dir(self, children: list[Node]) -> Node:
+        """A directory over ``children``: their key union, merged
+        aggregate, and -- when the children carry one -- largest LHV."""
+        out = self._new_dir()
+        out.children = children
+        out.key = self.policy.union_of([c.key for c in children], self.num_dims)
+        agg = Aggregate.empty()
+        for c in children:
+            agg.merge(c.agg)
+        out.agg = agg
+        if children[0].lhv is not None:
+            out.lhv = max(c.lhv for c in children)
+        return out
 
     def __len__(self) -> int:
         return self._count

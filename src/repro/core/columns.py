@@ -20,6 +20,9 @@ numeric key order, so the stable
 ``np.lexsort`` (:func:`~repro.hilbert.compact_hilbert.lexsort_words`)
 produces exactly the permutation ``sorted`` produced on Python ints.
 
+Geometric leaves take rows one at a time (:meth:`LeafColumns.append`);
+Hilbert leaves take key-sorted blocks with their key words, per row
+and per batch alike (:meth:`LeafColumns.extend`, :meth:`LeafColumns.set_rows`).
 Writers append rows *before* publishing the new ``size`` (a single
 int assignment), so a racing reader that slices ``coords[:size]`` under
 the node lock can never observe an out-of-bounds or torn view.
@@ -31,11 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..hilbert.compact_hilbert import (
-    argmax_words,
-    key_from_words,
-    pack_key,
-)
+from ..hilbert.compact_hilbert import argmax_words, key_from_words
 from .aggregates import Aggregate
 
 __all__ = ["LeafColumns"]
@@ -76,15 +75,12 @@ class LeafColumns:
 
     # -- mutation ----------------------------------------------------------
 
-    def append(
-        self, coords: np.ndarray, measure: float, hkey: Optional[int] = None
-    ) -> None:
-        """Append one row (caller checks capacity and holds the lock)."""
+    def append(self, coords: np.ndarray, measure: float) -> None:
+        """Append one row of a leaf without Hilbert keys (caller checks
+        capacity and holds the lock)."""
         i = self.size
         self.coords[i] = coords
         self.measures[i] = measure
-        if self.hwords is not None:
-            self.hwords[i] = pack_key(hkey, self.hwords.shape[1])
         self.size = i + 1
 
     def extend(

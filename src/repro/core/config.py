@@ -27,13 +27,17 @@ class TreeConfig:
         or ``"least_enlargement"`` (the R-tree's: the child whose grown
         key has the least volume -- not Guttman's least volume added).
     split_policy:
-        For Hilbert trees: ``"least_overlap"`` (scan all split positions,
-        pick the one minimising child overlap -- the Hilbert PDC rule) or
-        ``"middle"`` (even halves, the plain Hilbert R-tree rule).
+        For Hilbert trees' per-row ``insert``: ``"least_overlap"`` (scan
+        all split positions, pick the one minimising child overlap -- the
+        Hilbert PDC rule) or ``"middle"`` (even halves, the plain Hilbert
+        R-tree rule).  ``insert_batch`` does not cut: it repacks an
+        overfull node at 3/4 fill, whatever this says.
     cache_aggregates:
         Keep per-node cached aggregates (disable only for ablation).
     thread_safe:
-        Create per-node locks and use hand-over-hand locking.  Off by
+        Create the tree lock and per-node locks (hand-over-hand coupling
+        in the geometric trees, the tree lock plus each touched node
+        once in the Hilbert trees).  Off by
         default: the GIL makes it pure overhead in single-threaded
         benchmarks, but the protocol itself is exercised by the
         concurrency tests.
@@ -78,8 +82,8 @@ class OpStats:
     items_scanned: int = 0
     agg_hits: int = 0
     splits: int = 0
-    #: batched-run overflows resolved by repacking leaves/directories
-    #: (Hilbert trees only; point inserts always split instead)
+    #: overfull leaves a Hilbert ``insert_batch`` repacked (per-row
+    #: inserts cut them in two instead, counted in ``splits`` only)
     repacks: int = 0
     key_expansions: int = 0
 

@@ -12,29 +12,118 @@ tight).  The rules themselves live in :mod:`repro.core.keypolicy`,
 shared with the server image; they and this module ask the keys
 themselves (``covers_point``, ``log_volume``, ``expand_point_inplace``,
 ``mbr``), whatever their kind.
+
+An insert descends from the root choosing one child per level,
+expanding keys and aggregates along the path, appends to a leaf, and
+splits bottom-up on overflow.  Concurrency follows the PDC-tree
+protocol (paper Section III-C/D): pessimistic hand-over-hand lock
+coupling.  A node's lock is released as soon as a descendant proves
+*safe* (cannot split), so in the common case only one or two locks are
+held at a time, and splits always own every node they touch.  With
+``thread_safe=False`` all lock calls are no-ops.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .config import TreeConfig
-from .insert_engine import InsertEngineTree
+from .base import BaseTree
+from .config import OpStats, TreeConfig
 from .node import Node
 
 __all__ = ["GeometricTree", "PDCTree", "RTree"]
 
 
-class GeometricTree(InsertEngineTree):
+class GeometricTree(BaseTree):
     """Shared implementation of the geometric tree family."""
+
+    # -- insert: lock-coupled descent, bottom-up splits ----------------------
+
+    def _node_safe(self, node: Node) -> bool:
+        if node.is_leaf:
+            return node.size < self.config.leaf_capacity
+        return len(node.children) < self.config.fanout
+
+    def insert(self, coords: np.ndarray, measure: float) -> OpStats:
+        coords = np.asarray(coords, dtype=np.int64)
+        stats = OpStats()
+        if self._tree_lock is not None:
+            self._tree_lock.acquire()
+        tree_locked = self.config.thread_safe
+        held: list[tuple[Node, int]] = []  # (locked ancestor, child index)
+        node = self.root
+        node.acquire()
+        try:
+            while True:
+                stats.nodes_visited += 1
+                if self._node_safe(node):
+                    for anc, _ in held:
+                        anc.release()
+                    held.clear()
+                    if tree_locked:
+                        self._tree_lock.release()
+                        tree_locked = False
+                # Expand this node's key and aggregate for the new item.
+                if node.key.expand_point_inplace(coords):
+                    node.key_version += 1
+                    stats.key_expansions += 1
+                node.agg.add_value(measure)
+                if node.is_leaf:
+                    break
+                idx = self._choose_child(node, coords)
+                child = node.children[idx]
+                child.acquire()
+                held.append((node, idx))
+                node = child
+
+            node.cols.append(coords, measure)
+            self._count += 1
+            self._propagate_splits(node, held, stats)
+        finally:
+            for anc, _ in held:
+                anc.release()
+            if tree_locked:
+                self._tree_lock.release()
+        return stats
+
+    def _propagate_splits(
+        self, node: Node, held: list[tuple[Node, int]], stats: OpStats
+    ) -> None:
+        """Bottom-up split propagation through the held (locked) suffix.
+
+        Releases ``node`` and every ancestor it pops off ``held``; the
+        caller still owns (and must release) whatever remains in
+        ``held``.
+        """
+        current = node
+        while (
+            current.size > self.config.leaf_capacity
+            if current.is_leaf
+            else len(current.children) > self.config.fanout
+        ):
+            left, right = (
+                self._split_leaf(current)
+                if current.is_leaf
+                else self._split_dir(current)
+            )
+            stats.splits += 1
+            if held:
+                parent, idx = held.pop()
+                parent.children[idx] = left
+                parent.children.insert(idx + 1, right)
+                current.release()
+                current = parent
+            else:
+                # The root itself split: grow the tree by one level.
+                new_root = self._build_dir([left, right])
+                current.release()
+                self.root = new_root
+                return
+        current.release()
 
     # -- child choice -------------------------------------------------------
 
-    def _choose_child(
-        self, node: Node, coords: np.ndarray, hkey: Optional[int]
-    ) -> int:
+    def _choose_child(self, node: Node, coords: np.ndarray) -> int:
         children = node.children
         if len(children) == 1:
             return 0
@@ -77,6 +166,15 @@ class GeometricTree(InsertEngineTree):
             self._build_dir([children[i] for i in left]),
             self._build_dir([children[i] for i in right]),
         )
+
+    # -- bulk load ---------------------------------------------------------
+
+    @classmethod
+    def from_batch(cls, schema, batch, config=None):
+        """Bulk load through :meth:`insert_batch`, one row at a time."""
+        tree = cls(schema, config)
+        tree.insert_batch(batch)
+        return tree
 
 
 class PDCTree(GeometricTree):

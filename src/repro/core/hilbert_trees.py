@@ -9,40 +9,44 @@ the first child whose LHV is >= the item's key -- with *no geometric
 computations at all*, which is why ingestion is much faster than in the
 PDC tree and nearly flat in the number of dimensions (paper Fig. 5a).
 
-Splits cannot use R-tree split heuristics because child order is fixed
-by the curve.  The Hilbert PDC tree instead cuts where the two sides
-overlap least (:meth:`~repro.core.keypolicy.KeyPolicy.least_overlap_split`,
-one linear scan); the plain Hilbert R-tree splits at the middle.
-
-Key order also makes batches cheap: ``insert_batch`` sorts a batch
-by key once and inserts it in one descent, each directory dealing its
-slice of the sorted keys out among its children by LHV, so a touched
-node is locked and updated once per batch.  A leaf the batch overflows
-is repacked by the same packer a bulk load uses -- rows in key order
-into 3/4-full leaves, nodes into 3/4-full directories -- and one leaf
-builder makes every new leaf, computing all their keys in one
-vectorized pass (:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`).
+``insert_batch`` sorts a batch by key once and inserts it in one
+descent, each directory dealing its slice of the sorted keys out among
+its children by LHV, so a touched node is locked (parent before child,
+under the tree lock) and updated once per batch.  ``insert`` is the
+same descent for a batch of one row.  Only the entry point decides
+what becomes of a node it overfills: a batch repacks it the way a bulk
+load packs -- rows in key order into 3/4-full leaves, nodes into
+3/4-full directories -- while a row cuts it in two.  Child order is
+fixed by the curve, so R-tree split heuristics cannot apply: the
+Hilbert PDC tree cuts where the two sides overlap least
+(:meth:`~repro.core.keypolicy.KeyPolicy.least_overlap_split`, one
+linear scan), the plain Hilbert R-tree at the middle.  One leaf builder
+makes every new leaf, computing all their keys in one vectorized pass
+(:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
-from ..hilbert.compact_hilbert import key_from_words, lexsort_words
+from ..hilbert.compact_hilbert import key_from_words, lexsort_words, pack_key
 from ..hilbert.id_expansion import HilbertKeyMapper
 from ..olap.records import RecordBatch
 from .aggregates import Aggregate
+from .base import BaseTree
 from .config import OpStats, TreeConfig
-from .insert_engine import InsertEngineTree
 from .node import Node
 
 __all__ = ["HilbertTree", "HilbertPDCTree", "HilbertRTree"]
 
+_LHV = attrgetter("lhv")
 
-class HilbertTree(InsertEngineTree):
+
+class HilbertTree(BaseTree):
     """Shared implementation of the Hilbert tree family."""
 
     def __init__(self, schema, config=None):
@@ -59,55 +63,20 @@ class HilbertTree(InsertEngineTree):
     def _leaf_key_words(self) -> int:
         return self.mapper.word_count
 
-    def _hilbert_key(self, coords: np.ndarray) -> int:
-        return self.mapper.key(coords)
-
-    # -- child choice: purely by Hilbert order -----------------------------
-
-    def _choose_child(
-        self, node: Node, coords: np.ndarray, hkey: Optional[int]
-    ) -> int:
-        children = node.children
-        for i, c in enumerate(children):
-            if c.lhv is not None and c.lhv >= hkey:
-                return i
-        return len(children) - 1
-
-    # -- splits: at the least-overlap cut, or the middle --------------------
-
-    def _split_leaf(self, leaf: Node) -> tuple[Node, Node]:
-        cols = leaf.cols
-        order = lexsort_words(cols.live_hwords())
-        split_at = self._split_at(
-            [cols.coords[i] for i in order], type(leaf.key).expand_point_inplace
-        )
-        left, right = self._leaves(
-            cols.coords[order], cols.measures[order], cols.hwords[order],
-            np.array([0, split_at]),
-        )
-        return left, right
-
-    def _split_dir(self, node: Node) -> tuple[Node, Node]:
-        children = node.children  # already in LHV order
-        split_at = self._split_at(
-            [c.key for c in children], type(node.key).expand_inplace
-        )
-        return (
-            self._build_dir(children[:split_at]),
-            self._build_dir(children[split_at:]),
-        )
-
-    def _split_at(self, entries: list, grow) -> int:
-        """Where to split ``entries`` (rows or child keys, in Hilbert
-        order, each grown into a side's key by ``grow``)."""
-        if self.config.split_policy == "middle":
-            return len(entries) // 2
-        return self.policy.least_overlap_split(entries, grow, self.num_dims)
-
-    # -- batched insert: one descent per batch --------------------------------
-
     def key_words(self, coords: np.ndarray) -> np.ndarray:
         return self.mapper.key_words(coords)
+
+    # -- the two entry points: a row, or a batch, into one descent ---------
+
+    def insert(self, coords: np.ndarray, measure: float) -> OpStats:
+        """Insert one row: the descent of a one-row batch, keyed by the
+        scalar kernel, cutting each node it overfills in two
+        (:meth:`_split_at`)."""
+        coords = np.asarray(coords, dtype=np.int64)
+        key = self.mapper.key(coords)
+        words = pack_key(key, self.mapper.word_count)[None]
+        mlist = [float(measure)]
+        return self._insert_sorted((coords[None], mlist, words, mlist), [key], True)
 
     def insert_batch(
         self, batch: RecordBatch, words: Optional[np.ndarray] = None
@@ -115,10 +84,10 @@ class HilbertTree(InsertEngineTree):
         """Insert a whole batch in one descent (:meth:`_descend`) over the
         rows sorted by key -- ``words``, the :meth:`key_words` of the
         rows when the caller has them -- so that every node the batch
-        touches is visited, locked and updated once."""
-        stats = OpStats()
+        touches is visited, locked and updated once; a node the batch
+        overfills is repacked."""
         if not len(batch):
-            return stats
+            return OpStats()
         if words is None:
             words = self.mapper.key_words(batch.coords)
         order = lexsort_words(words)
@@ -127,13 +96,22 @@ class HilbertTree(InsertEngineTree):
         keys = words[:, 0].tolist()  # the sorted keys as ints, for bisect
         for col in words.T[1:]:
             keys = [(k << 64) | w for k, w in zip(keys, col.tolist())]
+        return self._insert_sorted(rows, keys, False)
+
+    def _insert_sorted(self, rows: tuple, keys: list[int], cut: bool) -> OpStats:
+        """Run :meth:`_descend` from the root, under the tree lock, over
+        ``rows`` -- coords, measures, key words and the measures as a
+        list (a lone row's one-item list serves as both) -- sorted by
+        ``keys``, and stack directories over whatever replaces the
+        root."""
+        stats = OpStats()
         if self._tree_lock is not None:
             self._tree_lock.acquire()
         root = self.root
         root.acquire()
         try:
-            nodes = self._descend(root, rows, keys, 0, len(keys), stats)
-            if nodes != [root]:
+            nodes = self._descend(root, rows, keys, 0, len(keys), cut, stats)
+            if nodes[0] is not root:
                 self.root = self._pack_root(nodes)
             self._count += len(keys)
         finally:
@@ -143,64 +121,83 @@ class HilbertTree(InsertEngineTree):
         return stats
 
     def _descend(
-        self, node: Node, rows: tuple, keys: list[int], lo: int, hi: int, stats: OpStats
+        self, node: Node, rows: tuple, keys: list[int], lo: int, hi: int, cut: bool,
+        stats: OpStats,
     ) -> list[Node]:
         """Insert sorted rows ``lo:hi`` below ``node``, which the caller
         holds locked; returns the nodes that take its place.
 
         A leaf the rows fit in grows by them; one they overflow is
-        repacked with them (:meth:`_pack_leaves`).  A directory grows
+        rebuilt with them (:meth:`_pack_leaves`).  A directory grows
         its key, aggregate and LHV by the whole slice, hands child ``i``
         the keys up to its LHV (the last child the rest: a B+-tree
-        descent), locking each child under its own lock, and repacks
+        descent), locking each child under its own lock, and is rebuilt
         (:meth:`_pack_dirs`) once, after all of them, if their
-        replacements overfill it.  Queries lock one node at a time, so
-        they see each node before or after the batch, never half of it.
+        replacements overfill it.  ``cut`` rebuilds an overfull node as
+        two at the split rule's cut, else it is repacked at 3/4 fill.
+        Queries lock one node at a time, so they see each node before
+        or after the insert, never half of it.
         """
         stats.nodes_visited += 1
         coords, measures, words, mlist = rows
-        if node.is_leaf and node.size + hi - lo > self.config.leaf_capacity:
-            stats.repacks += 1
+        part = coords[lo:hi]
+        cols = node.cols  # None in a directory
+        leaf = cols is not None
+        if leaf and cols.size + hi - lo > self.config.leaf_capacity:
+            stats.repacks += not cut
             nodes = self._pack_leaves(
-                np.concatenate([node.leaf_coords(), coords[lo:hi]]),
+                np.concatenate([node.leaf_coords(), part]),
                 np.concatenate([node.leaf_measures(), measures[lo:hi]]),
                 np.concatenate([node.cols.live_hwords(), words[lo:hi]]),
+                cut,
             )
             stats.splits += len(nodes) - 1
             return nodes
-        if node.is_leaf:
-            node.cols.extend(coords[lo:hi], measures[lo:hi], words[lo:hi])
-        if node.key.expand_points_inplace(coords[lo:hi]):
+        if leaf:
+            cols.extend(part, measures[lo:hi], words[lo:hi])
+        if hi - lo == 1:  # a lone row: the scalar updates, several times cheaper
+            grew = node.key.expand_point_inplace(coords[lo])
+            node.agg.add_value(mlist[lo])
+        else:
+            grew = node.key.expand_points_inplace(part)
+            m = mlist[lo:hi]
+            node.agg.merge(Aggregate(hi - lo, sum(m), min(m), max(m)))
+        if grew:
             node.key_version += 1
             stats.key_expansions += 1
-        m = mlist[lo:hi]
-        node.agg.merge(Aggregate(hi - lo, sum(m), min(m), max(m)))
         if node.lhv is None or keys[hi - 1] > node.lhv:
             node.lhv = keys[hi - 1]
-        if node.is_leaf:
+        if leaf:
             return [node]
         old = node.children
-        lhvs = [c.lhv for c in old]
         last = len(old) - 1
         children: list[Node] = []
         done = 0  # old[:done] are placed
         while lo < hi:
-            i = min(bisect_left(lhvs, keys[lo]), last)
-            end = hi if i == last else bisect_right(keys, lhvs[i], lo, hi)
+            i = min(bisect_left(old, keys[lo], key=_LHV), last)
+            child = old[i]
+            end = hi if i == last else bisect_right(keys, child.lhv, lo, hi)
             children += old[done:i]
-            old[i].acquire()
+            child.acquire()
             try:
-                children += self._descend(old[i], rows, keys, lo, end, stats)
+                children += self._descend(child, rows, keys, lo, end, cut, stats)
             finally:
-                old[i].release()
+                child.release()
             done, lo = i + 1, end
         children += old[done:]
         node.children = children
         if len(children) <= self.config.fanout:
             return [node]
-        nodes = self._pack_dirs(children)
+        nodes = self._pack_dirs(children, cut)
         stats.splits += len(nodes) - 1
         return nodes
+
+    def _split_at(self, entries: list, grow) -> int:
+        """Where to cut ``entries`` (rows or child keys, in Hilbert
+        order, each grown into a side's key by ``grow``) in two."""
+        if self.config.split_policy == "middle":
+            return len(entries) // 2
+        return self.policy.least_overlap_split(entries, grow, self.num_dims)
 
     # -- packing: the one place rows become leaves and nodes directories ----
 
@@ -227,22 +224,29 @@ class HilbertTree(InsertEngineTree):
         return out
 
     def _pack_leaves(
-        self, coords: np.ndarray, measures: np.ndarray, words: np.ndarray
+        self, coords: np.ndarray, measures: np.ndarray, words: np.ndarray, cut: bool = False
     ) -> list[Node]:
-        """Sort rows by packed Hilbert key and pack them into leaves at
-        3/4 fill (the bulk-load rule)."""
+        """Sort rows by packed Hilbert key and pack them into leaves:
+        two at the split rule's cut when ``cut``, else at 3/4 fill (the
+        bulk-load rule)."""
         order = lexsort_words(words)
-        fill = max(2, (self.config.leaf_capacity * 3) // 4)
-        return self._leaves(
-            coords[order],
-            measures[order],
-            words[order],
-            np.arange(0, len(order), fill),
-        )
+        coords = coords[order]
+        if cut:
+            grow = type(self.root.key).expand_point_inplace
+            starts = np.array([0, self._split_at(list(coords), grow)])
+        else:
+            fill = max(2, (self.config.leaf_capacity * 3) // 4)
+            starts = np.arange(0, len(order), fill)
+        return self._leaves(coords, measures[order], words[order], starts)
 
-    def _pack_dirs(self, nodes: list[Node]) -> list[Node]:
-        """One directory level over ``nodes`` (kept in order) at 3/4
-        fanout."""
+    def _pack_dirs(self, nodes: list[Node], cut: bool = False) -> list[Node]:
+        """One directory level over ``nodes`` (kept in order): two at
+        the split rule's cut when ``cut``, else at 3/4 fanout."""
+        if cut:
+            at = self._split_at(
+                [c.key for c in nodes], type(nodes[0].key).expand_inplace
+            )
+            return [self._build_dir(nodes[:at]), self._build_dir(nodes[at:])]
         fill = max(2, (self.config.fanout * 3) // 4)
         return [
             self._build_dir(nodes[s : s + fill])
@@ -273,6 +277,7 @@ class HilbertTree(InsertEngineTree):
             )
             tree._count = len(batch)
         return tree
+
 
 class HilbertPDCTree(HilbertTree):
     """The Hilbert PDC tree -- VOLAP's core contribution.

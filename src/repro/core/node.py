@@ -16,6 +16,9 @@ or a *directory* holding a list of children.  Every node carries:
 
 Leaves in Hilbert trees keep per-item Hilbert keys packed as big-endian
 uint64 word rows inside the columns -- no per-record Python objects.
+A node has no insert logic of its own: the trees write its columns
+(one row at a time in geometric leaves, key-sorted blocks with their
+key words in Hilbert leaves) and update ``key``, ``agg`` and ``lhv``.
 """
 
 from __future__ import annotations
@@ -118,18 +121,6 @@ class Node:
     def leaf_hkeys(self) -> list[int]:
         """Live Hilbert keys as Python ints (tests / validation only)."""
         return self.cols.key_ints()
-
-    def append_item(
-        self, coords: np.ndarray, measure: float, hkey: Optional[int] = None
-    ) -> None:
-        """Append one item to a leaf (caller checks capacity)."""
-        cols = self.cols
-        if cols.hwords is not None:
-            cols.append(coords, measure, hkey)
-            if self.lhv is None or hkey > self.lhv:
-                self.lhv = hkey
-        else:
-            cols.append(coords, measure)
 
     def packed_children(self, policy, num_dims: int):
         """``(children, key versions, PackedKeys)`` of this directory, cached.

@@ -40,6 +40,9 @@ import numpy as np
 
 __all__ = ["LatencyDistribution", "PBSSimulator", "PBSResult"]
 
+#: shape of the parametric latency lognormal (sigma of its log)
+LOGNORMAL_SIGMA = 1.2
+
 
 class LatencyDistribution:
     """Sampler over an empirical or parametric latency distribution."""
@@ -49,11 +52,10 @@ class LatencyDistribution:
         samples: Optional[Sequence[float]] = None,
         *,
         lognormal_mean: float = 1.6e-3,
-        lognormal_sigma: float = 1.2,
         cap: float = 0.25,
     ):
         """Use measured ``samples`` when given (e.g. the latencies a
-        cluster run recorded), else a lognormal with the given mean,
+        cluster run recorded), else a lognormal (sigma :data:`LOGNORMAL_SIGMA`) with the given mean,
         capped at ``cap`` (queueing latencies have finite support)."""
         if samples is not None:
             arr = np.asarray(list(samples), dtype=np.float64)
@@ -64,15 +66,14 @@ class LatencyDistribution:
         else:
             self._samples = None
             # parameterise so that E[X] = lognormal_mean
-            self._sigma = lognormal_sigma
-            self._mu = float(np.log(lognormal_mean) - lognormal_sigma**2 / 2)
+            self._mu = float(np.log(lognormal_mean) - LOGNORMAL_SIGMA**2 / 2)
             self._cap = cap
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self._samples is not None:
             return rng.choice(self._samples, size=n, replace=True)
         return np.minimum(
-            rng.lognormal(self._mu, self._sigma, size=n), self._cap
+            rng.lognormal(self._mu, LOGNORMAL_SIGMA, size=n), self._cap
         )
 
     def mean(self, rng: Optional[np.random.Generator] = None) -> float:

@@ -339,7 +339,9 @@ def decode_batch(blob: bytes) -> RecordBatch:
 
     Version sniffing is by magic: v1 blobs start with a little-endian
     row count, which cannot collide with ``b"VOLC"`` for any realistic
-    shard (it would take ~1.13e9 rows).
+    shard (it would take ~1.13e9 rows).  A blob without the magic must
+    be exactly as long as its v1 ``(n, d)`` header says, so a frame
+    with a damaged magic raises :class:`FrameError` like any other.
     """
     if is_column_frame(blob):
         cols = decode_columns(blob)
@@ -347,4 +349,10 @@ def decode_batch(blob: bytes) -> RecordBatch:
             return RecordBatch(cols["coords"], cols["measures"])
         except KeyError as exc:
             raise FrameError(f"frame is missing column {exc}") from exc
-    return RecordBatch.from_bytes(blob)
+    if len(blob) >= 16:
+        n, d = np.frombuffer(blob[:16], dtype=np.int64).tolist()
+        if n >= 0 and d >= 0 and len(blob) == 16 + 8 * n * (d + 1):
+            return RecordBatch.from_bytes(blob)
+    raise FrameError(
+        f"not a column frame, nor a v1 blob of its header's length ({len(blob)} B)"
+    )

@@ -23,8 +23,11 @@ class RecordBatch:
     __slots__ = ("coords", "measures")
 
     def __init__(self, coords: np.ndarray, measures: np.ndarray, *, copy: bool = False):
-        coords = np.array(coords, dtype=np.int64, copy=copy)
-        measures = np.array(measures, dtype=np.float64, copy=copy)
+        # ``np.array(copy=False)`` means "never copy" on NumPy >= 2;
+        # ``asarray`` keeps matching arrays as views and converts the rest
+        as_array = np.array if copy else np.asarray
+        coords = as_array(coords, dtype=np.int64)
+        measures = as_array(measures, dtype=np.float64)
         if coords.ndim != 2:
             raise ValueError("coords must be (n, d)")
         if measures.shape != (coords.shape[0],):

@@ -37,6 +37,8 @@ __all__ = ["Cube", "RollupStore"]
 
 #: bytes per cube cell: four float64/int64 arrays (count, sum, min, max)
 CELL_BYTES = 32
+#: demand/hit decay rate (per virtual second, a halving exponent)
+DECAY = 0.1
 
 
 @dataclass
@@ -67,14 +69,11 @@ class RollupStore:
         budget_bytes: int = 32 << 20,
         max_cells: int = 1 << 16,
         admit_after: int = 2,
-        decay: float = 0.1,
     ):
         self.schema = schema
         self.budget_bytes = int(budget_bytes)
         self.max_cells = int(max_cells)
         self.admit_after = int(admit_after)
-        #: demand/hit decay rate (per virtual second)
-        self.decay = float(decay)
         self.cubes: dict[CubeKey, Cube] = {}
         self._demand: dict[CubeKey, tuple[float, float]] = {}  # ewma, t
         self.evictions = 0
@@ -142,7 +141,7 @@ class RollupStore:
 
     def _decayed(self, value: float, since: float, now: float) -> float:
         dt = max(0.0, now - since)
-        return value * (2.0 ** (-self.decay * dt))
+        return value * (2.0 ** (-DECAY * dt))
 
     def score(self, cube: Cube, now: float) -> float:
         """Hit-rate x cost-saved per resident byte.  The cell count a

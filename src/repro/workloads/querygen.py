@@ -35,6 +35,9 @@ PAPER_BINS: tuple[tuple[float, float], ...] = (
 
 PAPER_BIN_NAMES = ("low", "medium", "high")
 
+#: chance that a random query constrains a given dimension
+CONSTRAIN_PROB = 0.5
+
 
 class CoverageBins:
     """Queries grouped by measured coverage band."""
@@ -72,7 +75,6 @@ class QueryGenerator:
         schema: Schema,
         reference: RecordBatch,
         seed: int = 0,
-        constrain_prob: float = 0.5,
     ):
         """``reference`` is a sample of the database used to measure the
         true coverage of each generated query (the paper tests generated
@@ -81,7 +83,6 @@ class QueryGenerator:
             raise ValueError("reference sample must be non-empty")
         self.schema = schema
         self.rng = np.random.default_rng(seed)
-        self.constrain_prob = constrain_prob
         self._ref = ArrayStore.from_batch(schema, reference)
         self._ref_n = len(reference)
 
@@ -92,7 +93,7 @@ class QueryGenerator:
         lo = np.zeros(self.schema.num_dims, dtype=np.int64)
         hi = self.schema.leaf_limits.copy()
         for d, dim in enumerate(self.schema.dimensions):
-            if self.rng.random() >= self.constrain_prob:
+            if self.rng.random() >= CONSTRAIN_PROB:
                 continue
             h = dim.hierarchy
             depth = int(self.rng.integers(1, h.num_levels + 1))

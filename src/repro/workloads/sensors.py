@@ -35,6 +35,8 @@ __all__ = ["sensor_schema", "SensorStreamGenerator"]
 #: quantization step for sensor readings; dyadic so float64 sums of
 #: < 2**45 rows are exact regardless of summation order
 QUANTUM = 1.0 / 256.0
+#: readings per minute of the derived ``time`` dimension
+ROWS_PER_MINUTE = 256
 
 
 def sensor_schema() -> Schema:
@@ -69,7 +71,7 @@ class SensorStreamGenerator:
       categoricals (``skew``), so a handful of stations/channels carry
       most of the stream.
     * The ``time`` dimension is derived from a row counter: every
-      ``rows_per_minute`` readings advance one minute, minutes roll
+      :data:`ROWS_PER_MINUTE` readings advance one minute, minutes roll
       into hours, hours into days.  Batches therefore always append at
       the current edge of the time range -- the paper's high-velocity
       pattern -- and earlier days never receive new rows (they go cold).
@@ -85,12 +87,10 @@ class SensorStreamGenerator:
         schema: Optional[Schema] = None,
         seed: int = 0,
         skew: float = 0.9,
-        rows_per_minute: int = 256,
     ):
         self.schema = schema if schema is not None else sensor_schema()
         self.rng = np.random.default_rng(seed)
         self.skew = skew
-        self.rows_per_minute = max(1, rows_per_minute)
         self._clock = 0  # rows generated so far; the stream's only clock
         self._time_dim = next(
             (
@@ -135,7 +135,7 @@ class SensorStreamGenerator:
     def _time_coords(self, n: int) -> np.ndarray:
         """Row counter -> packed (day, hour, minute) ids; monotone."""
         levels = self.schema.dimensions[self._time_dim].hierarchy.levels
-        minutes = (self._clock + np.arange(n)) // self.rows_per_minute
+        minutes = (self._clock + np.arange(n)) // ROWS_PER_MINUTE
         value = np.zeros(n, dtype=np.int64)
         ids = []
         # split the absolute minute counter over the levels, finest last

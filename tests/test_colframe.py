@@ -245,6 +245,21 @@ class TestBatchCodec:
         assert_bit_identical(out.coords, batch.coords)
         assert_bit_identical(out.measures, batch.measures)
 
+    @pytest.mark.parametrize("byte", [0, 1, 3])
+    def test_damaged_magic_raises_frame_error(self, byte):
+        """A frame whose magic is hit falls to the v1 reader, whose
+        length check must reject it as a FrameError."""
+        blob = bytearray(encode_batch(random_batch(make_schema(), 40, seed=6)))
+        blob[byte] ^= 0x41
+        with pytest.raises(FrameError):
+            decode_batch(bytes(blob))
+
+    @pytest.mark.parametrize("extra", [1, 8])
+    def test_v1_blob_with_trailing_bytes_raises(self, extra):
+        blob = random_batch(make_schema(), 40, seed=7).to_bytes()
+        with pytest.raises(FrameError):
+            decode_batch(blob + b"\0" * extra)
+
     def test_missing_column_raises(self):
         blob = encode_columns([("coords", np.zeros((1, 2), dtype=np.int64))])
         with pytest.raises(FrameError, match="missing column"):

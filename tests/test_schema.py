@@ -120,6 +120,30 @@ class TestRecordBatch:
         with pytest.raises(ValueError):
             RecordBatch(np.zeros((3, 2), dtype=np.int64), np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "coords, measures",
+        [
+            ([[1, 2], [3, 4]], [1.5, 2.5]),
+            (np.array([[1, 2], [3, 4]], dtype=np.int32), np.array([1.5, 2.5])),
+            (np.array([[1, 2], [3, 4]]), np.array([1.5, 2.5], dtype=np.float32)),
+            (np.array([[1, 2], [3, 4]]), np.array([1.5, 2.5])),
+        ],
+        ids=["lists", "int32", "float32", "int64-float64"],
+    )
+    def test_inputs_convert_and_matching_arrays_stay_views(self, coords, measures):
+        """Any array-like converts to int64/float64 columns; arrays that
+        already match are kept as views unless a copy is asked for."""
+        b = RecordBatch(coords, measures)
+        assert b.coords.dtype == np.int64 and b.measures.dtype == np.float64
+        assert b.coords.tolist() == [[1, 2], [3, 4]]
+        assert b.measures.tolist() == [1.5, 2.5]
+        for col, given in ((b.coords, coords), (b.measures, measures)):
+            matching = isinstance(given, np.ndarray) and given.dtype == col.dtype
+            assert np.shares_memory(col, given) == matching
+        copied = RecordBatch(coords, measures, copy=True)
+        assert not np.shares_memory(copied.coords, b.coords)
+        assert not np.shares_memory(copied.measures, b.measures)
+
     def test_row_access(self):
         b = RecordBatch(np.array([[1, 2], [3, 4]]), np.array([1.5, 2.5]))
         coords, m = b.row(1)

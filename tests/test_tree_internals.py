@@ -440,3 +440,70 @@ def test_one_descent_under_stress(monkeypatch):
         thread.join()
     assert not errors
     assert grew >= 2 and twice
+
+
+@pytest.mark.parametrize("kind", ["mbr", "mds"])
+@pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree])
+def test_entry_point_picks_the_overflow_rule(cls, kind, monkeypatch):
+    """Both entry points run one descent; only the entry point decides
+    what becomes of a node it overfills.  Per-row ``insert`` cuts every
+    overfull leaf and directory in two at ``_split_at`` and repacks
+    nothing; ``insert_batch`` repacks overfull leaves and directories
+    and never runs the split scan (``KeyPolicy.least_overlap_split``)."""
+    from dataclasses import replace
+
+    from repro.core import OpStats
+    from repro.core.keypolicy import KeyPolicy
+
+    schema = make_schema()
+    config = replace(
+        cls._default_config(), leaf_capacity=6, fanout=4, key_kind=kind
+    )
+    data = random_batch(schema, 400, seed=13)
+
+    def count_calls(obj, name):
+        calls = []
+        inner = getattr(obj, name)
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(obj, name, counted)
+        return calls
+
+    scans = count_calls(KeyPolicy, "least_overlap_split")
+    by_row = cls(schema, config)
+    cuts = count_calls(by_row, "_split_at")
+    total = OpStats()
+    for coords, m in data.iter_rows():
+        total.merge(by_row.insert(coords, m))
+    by_row.validate()
+    assert total.repacks == 0
+    assert total.splits == len(cuts)
+    # leaves (capacity + 1 rows) and directories (fanout + 1 children)
+    assert {len(entries) for entries, _ in cuts} == {
+        config.leaf_capacity + 1,
+        config.fanout + 1,
+    }
+    assert len(scans) == (len(cuts) if config.split_policy == "least_overlap" else 0)
+
+    del scans[:]
+    by_batch = cls(schema, config)
+    batch_cuts = count_calls(by_batch, "_split_at")
+    descend = by_batch._descend
+    dirs_overfilled = []
+
+    def watched(node, *args):
+        out = descend(node, *args)
+        if not node.is_leaf and len(out) > 1:
+            dirs_overfilled.append(node)
+        return out
+
+    monkeypatch.setattr(by_batch, "_descend", watched)
+    total = OpStats()
+    for lo in range(0, len(data), 25):
+        total.merge(by_batch.insert_batch(data.slice(lo, lo + 25)))
+    by_batch.validate()
+    assert total.repacks > 0 and dirs_overfilled
+    assert scans == [] and batch_cuts == []
