@@ -186,7 +186,7 @@ def encode_columns(
             if len(packed) < len(raw):
                 flags, body = _FLAG_LZ4, packed
         else:
-            packed = zlib.compress(raw, 6)
+            packed = zlib.compress(raw, 1)
             if len(packed) < len(raw):
                 flags, body = _FLAG_ZLIB, packed
 

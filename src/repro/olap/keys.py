@@ -21,6 +21,7 @@ where needed).
 
 from __future__ import annotations
 
+from operator import le
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,45 +141,34 @@ class Box:
 
     # -- combination ------------------------------------------------------
 
-    def expand_inplace(self, other: "Box") -> bool:
-        """Grow to cover ``other``; return True if anything changed."""
-        if other.is_empty():
+    def _grow(self, lo: np.ndarray, hi: np.ndarray) -> bool:
+        """Grow to cover ``[lo, hi]``; True if anything changed.  The
+        covered test runs on Python lists: as numpy calls on d-element
+        arrays it cost several times more."""
+        if all(map(le, self.lo.tolist(), lo.tolist())) and all(
+            map(le, hi.tolist(), self.hi.tolist())
+        ):
             return False
         if self.is_empty():
-            self.lo[:] = other.lo
-            self.hi[:] = other.hi
-            return True
-        changed = bool((other.lo < self.lo).any() or (other.hi > self.hi).any())
-        np.minimum(self.lo, other.lo, out=self.lo)
-        np.maximum(self.hi, other.hi, out=self.hi)
-        return changed
+            self.lo[:] = lo
+            self.hi[:] = hi
+        else:
+            np.minimum(self.lo, lo, out=self.lo)
+            np.maximum(self.hi, hi, out=self.hi)
+        return True
+
+    def expand_inplace(self, other: "Box") -> bool:
+        """Grow to cover ``other``; return True if anything changed."""
+        return not other.is_empty() and self._grow(other.lo, other.hi)
 
     def expand_point_inplace(self, coords: np.ndarray) -> bool:
         c = np.asarray(coords, dtype=np.int64)
-        if self.is_empty():
-            self.lo[:] = c
-            self.hi[:] = c
-            return True
-        changed = bool((c < self.lo).any() or (c > self.hi).any())
-        np.minimum(self.lo, c, out=self.lo)
-        np.maximum(self.hi, c, out=self.hi)
-        return changed
+        return self._grow(c, c)
 
     def expand_points_inplace(self, coords: np.ndarray) -> bool:
         """Grow to cover every row of an ``(n, d)`` array; True if changed."""
         c = np.asarray(coords, dtype=np.int64)
-        if c.shape[0] == 0:
-            return False
-        lo = c.min(axis=0)
-        hi = c.max(axis=0)
-        if self.is_empty():
-            self.lo[:] = lo
-            self.hi[:] = hi
-            return True
-        changed = bool((lo < self.lo).any() or (hi > self.hi).any())
-        np.minimum(self.lo, lo, out=self.lo)
-        np.maximum(self.hi, hi, out=self.hi)
-        return changed
+        return c.shape[0] > 0 and self._grow(c.min(axis=0), c.max(axis=0))
 
     def center(self) -> np.ndarray:
         return (self.lo.astype(np.float64) + self.hi.astype(np.float64)) / 2.0

@@ -19,12 +19,15 @@ makes PDC trees scale to many dimensions (paper Fig. 5).
 **Layout.**  A key is one ``(2, d, cap)`` int64 block: ``[0]`` the
 interval starts and ``[1]`` the ends of each dimension, sorted, unused
 slots holding :meth:`Box.empty`'s sentinels ``[max // 2, -1]`` (they
-match no id and sort last).  Every test is a broadcast over the block;
-growth runs the interval-list algorithms below on only the dimensions
-the covered test found wanting and commits each with **one** slice
-assignment, because readers pack child keys without the child's lock
-(:meth:`repro.core.node.Node.packed_children`): a dimension's coverage
-may grow under them but is never seen blanked.
+match no id and sort last).  The predicates are broadcasts over the
+block; growth (:meth:`MDS._grow`) works on its ``tolist()``, as bisects
+cost less than numpy calls at the few ids a node grows by per insert,
+and writes the key back with **one** assignment, only if it grew.
+Readers pack child keys without the child's lock
+(:meth:`repro.core.node.Node.packed_children`); numpy holds the GIL
+through a copy of at most 500 ids (``d * cap <= 250``, every key the
+cluster builds), so they see a key before or after a growth, never
+part of one.
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ def _blank(shape: tuple) -> np.ndarray:
     block[..., 0, :, :] = _UNUSED[0]
     block[..., 1, :, :] = _UNUSED[1]
     return block
+
+
+def _pad(starts: list[int], ends: list[int], cap: int) -> None:
+    """Fill two interval lists up to ``cap`` slots with unused ones."""
+    pad = cap - len(starts)
+    starts += [_UNUSED[0]] * pad
+    ends += [_UNUSED[1]] * pad
 
 
 def _coalesce_smallest_gap(starts: list[int], ends: list[int]) -> None:
@@ -98,7 +108,7 @@ def _insert_value(
 
 
 def _merge_values(
-    starts: list[int], ends: list[int], col: np.ndarray, cap: int
+    starts: list[int], ends: list[int], col: list[int], cap: int
 ) -> tuple[list[int], list[int]]:
     """The intervals covering ``[starts[i], ends[i]]`` and every value
     of ``col``, as two new parallel lists.
@@ -118,7 +128,7 @@ def _merge_values(
         e_idx = np.concatenate((brk, [len(vals) - 1]))
         new = list(zip(vals[s_idx].tolist(), vals[e_idx].tolist()))
     else:
-        svals = sorted(col.tolist())
+        svals = sorted(col)
         new = []
         lo = hi = svals[0]
         for v in svals[1:]:
@@ -171,7 +181,8 @@ class MDS:
                 raise ValueError("intervals within a dimension must be disjoint")
             while len(starts) > max_intervals:
                 _coalesce_smallest_gap(starts, ends)
-            self._set(d, starts, ends)
+            _pad(starts, ends, max_intervals)
+            self._iv[:, d] = starts, ends
 
     # -- constructors ------------------------------------------------------
 
@@ -247,25 +258,11 @@ class MDS:
         """The per-dimension ``[lo, hi]`` lists (a read-only copy)."""
         return [[list(iv) for iv in ivs] for ivs in self.to_tuple()]
 
-    def _dim(self, d: int) -> tuple[list[int], list[int]]:
-        """Dimension ``d``'s starts and ends, unused slots dropped."""
-        starts, ends = self._iv[:, d].tolist()
-        used = len(ends) - ends.count(_UNUSED[1])
-        return starts[:used], ends[:used]
-
-    def _set(self, d: int, starts: list[int], ends: list[int]) -> None:
-        """Commit dimension ``d`` -- one assignment (module docstring)."""
-        pad = self._iv.shape[2] - len(starts)
-        self._iv[:, d, :] = (
-            starts + [_UNUSED[0]] * pad,
-            ends + [_UNUSED[1]] * pad,
-        )
-
     def _hits(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """``(..., d, cap)`` mask: the slot of dimension ``d`` that
         holds all of ``[lo, hi]`` (both ``(..., d)``) -- at most one,
         the intervals of a dimension being disjoint, except that every
-        slot holds an unused one, which so never asks for growth."""
+        slot holds an unused one, which so never fails a cover test."""
         starts, ends = self._iv
         return (starts <= lo[..., None]) & (hi[..., None] <= ends)
 
@@ -333,49 +330,58 @@ class MDS:
 
     # -- combination -------------------------------------------------------
 
-    def _expand(self, lo: np.ndarray, hi: np.ndarray, held=None) -> bool:
-        """Insert the intervals ``[lo[j, d], hi[j, d]]`` that dimension
-        ``d`` does not hold, in order of ``j`` (one it holds stays held:
-        coverage only grows).  ``held`` is the ``(k, d)`` mask, when the
-        caller has it."""
-        if held is None:
-            held = self._hits(lo, hi).any(axis=2)
-        if held.all():
+    def _grow(self, lo: list[int], hi: list[int], los: list, his: list) -> bool:
+        """Grow to hold each ``[los[d][j], his[d][j]]`` in dimension ``d``:
+        the ids of a column of rows (``his is los``) or another key's
+        slots, ``[lo[d], hi[d]]`` spanning them.  A dimension is held if a
+        bisect finds one interval holding the span, or one per id or slot
+        finds each held (unused slots sort last and hold no id, only an
+        unused slot).  One that is not runs :func:`_merge_values` on its
+        ids for several rows, else :func:`_insert_value` on what it lacks."""
+        block = self._iv.tolist()
+        cap = self._iv.shape[2]
+        grown = []
+        for d, (starts, ends, a, b) in enumerate(zip(*block, lo, hi)):
+            i = bisect_right(starts, a)
+            if i and ends[i - 1] >= b:
+                continue  # one interval holds the span
+            lacking = []
+            for a, b in zip(los[d], his[d]):
+                i = bisect_right(starts, a)
+                if not i or ends[i - 1] < b:
+                    lacking.append((a, b))
+            if not lacking:
+                continue
+            grown.append(d)
+            used = cap - ends.count(_UNUSED[1])
+            del starts[used:], ends[used:]
+            if his is los and len(los[d]) > 1:
+                starts[:], ends[:] = _merge_values(starts, ends, los[d], cap)
+            else:
+                for a, b in lacking:
+                    _insert_value(starts, ends, a, b, cap)
+            _pad(starts, ends, cap)
+        if not grown:
             return False
-        cap = self.max_intervals
-        asked = zip(held.T.tolist(), lo.T.tolist(), hi.T.tolist())
-        for d, (has, los, his) in enumerate(asked):
-            if not all(has):
-                starts, ends = self._dim(d)
-                for done, a, b in zip(has, los, his):
-                    if not done:
-                        _insert_value(starts, ends, a, b, cap)
-                self._set(d, starts, ends)
+        span = slice(grown[0], grown[-1] + 1)  # one assignment (module docstring)
+        self._iv[:, span] = block[0][span], block[1][span]
         return True
 
     def expand_point_inplace(self, coords: Sequence[int]) -> bool:
-        return self.expand_points_inplace(np.asarray(coords)[None])
+        row = np.asarray(coords, dtype=np.int64).tolist()
+        ids = list(zip(row))
+        return self._grow(row, row, ids, ids)
 
     def expand_points_inplace(self, coords: np.ndarray) -> bool:
-        """Grow to cover every row of an ``(n, d)`` array in one pass:
-        nothing to do when each id has its one hit, else one row grows
-        like a point and more by :func:`_merge_values`, each in the
-        dimensions that lack an id."""
-        c = np.asarray(coords, dtype=np.int64)
-        hits = self._hits(c, c)
-        if np.count_nonzero(hits) == c.size:
+        """Grow to cover every row of an ``(n, d)`` array."""
+        cols = np.asarray(coords, dtype=np.int64).T.tolist()
+        if not cols or not cols[0]:
             return False
-        held = hits.any(axis=2)
-        if len(c) == 1:
-            return self._expand(c, c, held)
-        cap = self.max_intervals
-        for d, done in enumerate(held.all(axis=0).tolist()):
-            if not done:
-                self._set(d, *_merge_values(*self._dim(d), c[:, d], cap))
-        return True
+        return self._grow(list(map(min, cols)), list(map(max, cols)), cols, cols)
 
     def expand_inplace(self, other: "MDS") -> bool:
-        return self._expand(other._iv[0].T, other._iv[1].T)
+        starts, ends = other._iv.tolist()
+        return self._grow([s[0] for s in starts], list(map(max, ends)), starts, ends)
 
     # -- conversions ---------------------------------------------------------
 

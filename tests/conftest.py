@@ -204,6 +204,62 @@ def reference_least_overlap(policy, keys, grown, num_dims):
     return best
 
 
+def reference_mds_grow(key, by):
+    """The numpy growth rule ``MDS._grow`` replaced, kept as its
+    oracle: one broadcast of the block against the rows (an ``(n, d)``
+    array) or another key's intervals (an ``MDS``) decides which ids
+    each dimension holds.  A lone row or a key then inserts what a
+    dimension does not hold interval by interval, several rows merge a
+    wanting dimension's whole column, and every grown dimension is
+    committed by its own slice assignment.  Grows ``key`` in place and
+    returns whether it grew."""
+    from repro.olap import mds
+
+    iv = key._iv
+    cap = iv.shape[2]
+
+    def dim(d):
+        starts, ends = iv[:, d].tolist()
+        used = len(ends) - ends.count(mds._UNUSED[1])
+        return starts[:used], ends[:used]
+
+    def commit(d, starts, ends):
+        pad = cap - len(starts)
+        iv[:, d, :] = (
+            starts + [mds._UNUSED[0]] * pad,
+            ends + [mds._UNUSED[1]] * pad,
+        )
+
+    def hits(lo, hi):  # (k, d, cap): the slot holding [lo, hi], if any
+        return (iv[0] <= lo[..., None]) & (hi[..., None] <= iv[1])
+
+    if isinstance(by, mds.MDS):  # another key's unused slots are held
+        lo, hi = by._iv[0].T, by._iv[1].T
+    else:
+        lo = hi = np.asarray(by, dtype=np.int64)
+        if np.count_nonzero(hits(lo, hi)) == lo.size:
+            return False
+        if len(lo) > 1:
+            held = hits(lo, hi).any(axis=2).all(axis=0).tolist()
+            for d, done in enumerate(held):
+                if not done:
+                    col = lo[:, d].tolist()
+                    commit(d, *mds._merge_values(*dim(d), col, cap))
+            return True
+    held = hits(lo, hi).any(axis=2)
+    if held.all():
+        return False
+    for d in range(iv.shape[1]):
+        if not held[:, d].all():
+            starts, ends = dim(d)
+            asked = zip(held[:, d].tolist(), lo[:, d].tolist(), hi[:, d].tolist())
+            for done, a, b in asked:
+                if not done:
+                    mds._insert_value(starts, ends, a, b, cap)
+            commit(d, starts, ends)
+    return True
+
+
 def reference_image_route(image, row):
     """One row's insert routing as the image did it before it took
     batches, scalar key calls only: expand every key on the path,

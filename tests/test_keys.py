@@ -109,6 +109,16 @@ class TestCombination:
         assert a == box([3, 4], [3, 4])
         assert not a.expand_point_inplace(np.array([3, 4]))
 
+    def test_covered_growth_writes_nothing(self):
+        """A covered point, rows or box return before touching the key
+        (read-only bounds raise on any write)."""
+        a = box([0, 0], [5, 5])
+        a.lo.flags.writeable = a.hi.flags.writeable = False
+        assert not a.expand_point_inplace(np.array([5, 0]))
+        assert not a.expand_points_inplace(np.array([[1, 2], [4, 5]]))
+        assert not a.expand_inplace(box([1, 1], [5, 4]))
+        assert a == box([0, 0], [5, 5])
+
     def test_union_all(self):
         boxes = [box([0, 0], [1, 1]), box([5, 5], [6, 6])]
         assert union_all(boxes) == box([0, 0], [6, 6])

@@ -8,6 +8,8 @@ from repro.core.keypolicy import MBRPolicy
 from repro.olap.keys import Box
 from repro.olap.mds import MDS
 
+from .conftest import reference_mds_grow
+
 
 def box(lo, hi):
     return Box(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
@@ -227,6 +229,86 @@ def test_equal_gaps_keep_the_leftmost():
     for v in col.ravel():
         one_by_one.expand_point_inplace([v])
     assert one_by_one == grown
+
+
+# -- growth: the list routine against the numpy rule it replaced --------------
+
+
+@st.composite
+def _built_key(draw, d, cap, span=60):
+    """An empty key, or one from the ``MDS(...)`` constructor: up to
+    eight intervals a dimension, adjacent ones common (the constructor
+    keeps them apart) and more than ``cap`` coalesced."""
+    if draw(st.booleans()):
+        return MDS.empty(d, cap)
+    dims = []
+    for _ in range(d):
+        ivs, at = [], draw(st.integers(0, 10))
+        for _ in range(draw(st.integers(0, 8))):
+            hi = at + draw(st.integers(0, 4))
+            ivs.append((at, hi))
+            at = hi + 1 + draw(st.sampled_from([0, 0, 1, 3, 7]))
+        dims.append([iv for iv in ivs if iv[1] <= span])
+    return MDS(dims, max_intervals=cap)
+
+
+@st.composite
+def _growths(draw):
+    """A key of cap 1-6 and the growths it takes in turn: lone rows,
+    multi-row slices (past the 64 where ``_merge_values`` turns to
+    numpy, now and then) and other keys, on ids from a coarse grid so
+    that duplicate ids and equal gaps are common."""
+    d = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, 6))
+    step = draw(st.sampled_from([1, 2, 5]))
+    key = draw(_built_key(d, cap))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["point", "rows", "key"]))
+        if kind == "key":
+            steps.append(draw(_built_key(d, draw(st.integers(1, 6)))))
+            continue
+        n = 1 if kind == "point" else draw(st.sampled_from([1, 2, 3, 6, 10, 70]))
+        ids = draw(st.lists(st.integers(0, 12), min_size=n * d, max_size=n * d))
+        steps.append(np.array(ids, dtype=np.int64).reshape(n, d) * step)
+    return key, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_growths())
+def test_growth_is_the_reference_rule(case):
+    """Block for block and in its return value, every growth equals the
+    numpy rule it replaced (``conftest.reference_mds_grow``)."""
+    key, steps = case
+    ref = key.copy()
+    for by in steps:
+        if isinstance(by, MDS):
+            grew = key.expand_inplace(by)
+        elif len(by) == 1 and by[0, 0] % 2:  # both lone-row entry points
+            grew = key.expand_point_inplace(by[0])
+        else:
+            grew = key.expand_points_inplace(by)
+        assert grew == reference_mds_grow(ref, by)
+        assert np.array_equal(key._iv, ref._iv)
+
+
+def test_covered_growth_writes_nothing(monkeypatch):
+    """Rows and keys the key already holds are decided by bisects on
+    the block's lists alone: no interval algorithm runs and the block
+    is not written (a read-only one raises on any write)."""
+    from repro.olap import mds
+
+    for name in ("_insert_value", "_merge_values"):
+        monkeypatch.setattr(mds, name, lambda *a, _name=name: pytest.fail(_name))
+    key = MDS([[(0, 3), (4, 4), (10, 12)], [(5, 9)]], max_intervals=3)
+    before = key._iv.tobytes()
+    key._iv.flags.writeable = False
+    assert not key.expand_point_inplace([11, 5])
+    assert not key.expand_points_inplace(np.array([[0, 9], [4, 6], [12, 5]]))
+    assert not key.expand_points_inplace(np.empty((0, 2), dtype=np.int64))
+    assert not key.expand_inplace(MDS([[(1, 2), (10, 11)], [(6, 8)]]))
+    assert not key.expand_inplace(MDS.empty(2))
+    assert key._iv.tobytes() == before
 
 
 # -- the leaf-key builder: every segment's key in one pass -------------------
