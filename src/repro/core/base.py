@@ -242,7 +242,7 @@ class BaseTree(ShardStore):
         """A directory over ``children``: their key union, merged
         aggregate, and -- when the children carry one -- largest LHV."""
         out = self._new_dir()
-        out.children = children
+        out.set_children(children)
         out.key = self.policy.union_of([c.key for c in children], self.num_dims)
         agg = Aggregate.empty()
         for c in children:
@@ -280,23 +280,23 @@ class BaseTree(ShardStore):
 
         Only the root's key is tested in Python.  Below it the walk
         visits directories only: one ``policy.classify`` over the
-        directory's :meth:`~repro.core.node.Node.packed_children`
-        snapshot decides all its children at once -- those *within* the
-        box contribute their cached aggregate, the other *hit* children
-        are queued if directories and collected if leaves -- and the
+        directory's key block (:attr:`~repro.core.node.Node.block`)
+        decides all its children at once -- those *within* the box
+        contribute their cached aggregate, the other *hit* children are
+        queued if directories and collected if leaves -- and the
         collected leaves are then scanned in one pass: one gather of
         their live columns, one containment mask, one
         ``Aggregate.of_array``.  ``OpStats`` count what a node-by-node
         pointer walk would (``tests/conftest.py::reference_query``).
 
         A reader holds one node lock at a time: a directory's while its
-        snapshot is read, a child's while its aggregate is read, a
-        leaf's while its size is read (rows below a published size
-        never change, so the views outlive the lock).  *Within* was
-        decided from the snapshot, so under the child's lock it stands
-        only if ``key_version`` is still the one the snapshot recorded;
-        a key that grew since is re-tested, or an insert racing the
-        query could put a row outside the box into the answer.
+        block is classified and its *within* children's aggregates are
+        read -- children's keys and aggregates change only under their
+        parent's lock, so the two agree -- and a leaf's while its size
+        is read (rows below a published size never change, so the views
+        outlive the lock).  A directory replaced after it was queued has
+        no block; its children are all queued, decided under their own
+        locks.
         """
         stats = OpStats()
         agg = Aggregate.empty()
@@ -326,29 +326,23 @@ class BaseTree(ShardStore):
             node = dirs.pop()
             node.acquire()
             try:
-                children, versions, packed = node.packed_children(
-                    policy, self.num_dims
-                )
+                children, block = node.children, node.block
+                if block is None:  # replaced: its keys moved on
+                    hits, inside = range(len(children)), None
+                else:
+                    hit, within = policy.classify(block, qlo, qhi)
+                    hits = hit.nonzero()[0].tolist()
+                    inside = within.tolist() if cache else None
+                stats.nodes_visited += len(hits)
+                for i in hits:
+                    child = children[i]
+                    if inside and inside[i]:
+                        agg.merge(child.agg)
+                        stats.agg_hits += 1
+                    else:
+                        (leaves if child.is_leaf else dirs).append(child)
             finally:
                 node.release()
-            hit, within = policy.classify(packed, qlo, qhi)
-            hits = hit.nonzero()[0].tolist()
-            stats.nodes_visited += len(hits)
-            inside = within.tolist() if cache else None
-            for i in hits:
-                child = children[i]
-                if cache and inside[i]:
-                    child.acquire()
-                    try:
-                        if child.key_version == versions[i] or (
-                            child.key.within_box(box)
-                        ):
-                            agg.merge(child.agg)
-                            stats.agg_hits += 1
-                            continue
-                    finally:
-                        child.release()
-                (leaves if child.is_leaf else dirs).append(child)
         if leaves:
             coords_parts, measure_parts = [], []
             rows = 0
@@ -426,8 +420,7 @@ class BaseTree(ShardStore):
         return count
 
     def resident_bytes(self) -> int:
-        """Exact buffer bytes: leaf columns plus the packed-key snapshot
-        of every directory a query has expanded (``Node.packed``)."""
+        """Exact buffer bytes: leaf columns plus directory key blocks."""
         total = 0
         stack = [self.root]
         while stack:
@@ -435,8 +428,7 @@ class BaseTree(ShardStore):
             if n.is_leaf:
                 total += n.cols.nbytes
             else:
-                if n.packed is not None:
-                    total += n.packed[2].nbytes
+                total += n.block.nbytes
                 stack.extend(n.children)
         return total
 
@@ -490,6 +482,15 @@ class BaseTree(ShardStore):
         assert len(node.children) <= self.config.fanout, "dir over fanout"
         if not is_root:
             assert len(node.children) >= 1, "empty directory node"
+        # one copy of each child key: child i's key is row i of the block
+        assert len(node.block) == len(node.children), "block rows != children"
+        for row, child in zip(node.block, node.children):
+            key = child.key
+            views = (key.lo, key.hi) if self.policy.kind == "mbr" else (key._iv,)
+            assert all(np.shares_memory(v, row) for v in views), (
+                "child key is not a view of its block row"
+            )
+            assert np.array_equal(type(key).stack([key])[0], row)
         total = 0
         coords_parts: list[np.ndarray] = []
         agg = Aggregate.empty()

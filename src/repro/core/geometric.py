@@ -17,10 +17,11 @@ An insert descends from the root choosing one child per level,
 expanding keys and aggregates along the path, appends to a leaf, and
 splits bottom-up on overflow.  Concurrency follows the PDC-tree
 protocol (paper Section III-C/D): pessimistic hand-over-hand lock
-coupling.  A node's lock is released as soon as a descendant proves
-*safe* (cannot split), so in the common case only one or two locks are
-held at a time, and splits always own every node they touch.  With
-``thread_safe=False`` all lock calls are no-ops.
+coupling.  The ancestors are released as soon as a node, its key and
+aggregate grown under its parent's lock, proves *safe* (cannot split),
+so in the common case only one or two locks are held at a time, and
+splits always own every node they touch.  With ``thread_safe=False``
+all lock calls are no-ops.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ class GeometricTree(BaseTree):
         try:
             while True:
                 stats.nodes_visited += 1
+                # Expand this node's key and aggregate for the new item
+                # while its parent is still held (see repro.core.node).
+                if node.key.expand_point_inplace(coords):
+                    stats.key_expansions += 1
+                node.agg.add_value(measure)
                 if self._node_safe(node):
                     for anc, _ in held:
                         anc.release()
@@ -63,11 +69,6 @@ class GeometricTree(BaseTree):
                     if tree_locked:
                         self._tree_lock.release()
                         tree_locked = False
-                # Expand this node's key and aggregate for the new item.
-                if node.key.expand_point_inplace(coords):
-                    node.key_version += 1
-                    stats.key_expansions += 1
-                node.agg.add_value(measure)
                 if node.is_leaf:
                     break
                 idx = self._choose_child(node, coords)
@@ -106,11 +107,12 @@ class GeometricTree(BaseTree):
                 if current.is_leaf
                 else self._split_dir(current)
             )
+            current.block = None  # replaced: its keys moved to left/right
             stats.splits += 1
             if held:
                 parent, idx = held.pop()
-                parent.children[idx] = left
-                parent.children.insert(idx + 1, right)
+                kids = parent.children
+                parent.set_children(kids[:idx] + [left, right] + kids[idx + 1 :])
                 current.release()
                 current = parent
             else:

@@ -131,12 +131,15 @@ class HilbertTree(BaseTree):
         rebuilt with them (:meth:`_pack_leaves`).  A directory grows
         its key, aggregate and LHV by the whole slice, hands child ``i``
         the keys up to its LHV (the last child the rest: a B+-tree
-        descent), locking each child under its own lock, and is rebuilt
-        (:meth:`_pack_dirs`) once, after all of them, if their
-        replacements overfill it.  ``cut`` rebuilds an overfull node as
-        two at the split rule's cut, else it is repacked at 3/4 fill.
-        Queries lock one node at a time, so they see each node before
-        or after the insert, never half of it.
+        descent), locking each child under its own lock, and -- only if
+        some child was replaced -- takes the replacements as its
+        children (:meth:`~repro.core.node.Node.set_children`), or is
+        rebuilt (:meth:`_pack_dirs`) if they overfill it.  ``cut``
+        rebuilds an overfull node as two at the split rule's cut, else
+        it is repacked at 3/4 fill.  A node's key and aggregate grow
+        while its parent is held, and queries lock one node at a time,
+        so they see each node before or after the insert, never half
+        of it.
         """
         stats.nodes_visited += 1
         coords, measures, words, mlist = rows
@@ -163,31 +166,35 @@ class HilbertTree(BaseTree):
             m = mlist[lo:hi]
             node.agg.merge(Aggregate(hi - lo, sum(m), min(m), max(m)))
         if grew:
-            node.key_version += 1
             stats.key_expansions += 1
         if node.lhv is None or keys[hi - 1] > node.lhv:
             node.lhv = keys[hi - 1]
         if leaf:
             return [node]
-        old = node.children
-        last = len(old) - 1
-        children: list[Node] = []
-        done = 0  # old[:done] are placed
+        children = node.children
+        last = len(children) - 1
+        swaps = []  # (i, the nodes that replace children[i])
         while lo < hi:
-            i = min(bisect_left(old, keys[lo], key=_LHV), last)
-            child = old[i]
+            i = min(bisect_left(children, keys[lo], key=_LHV), last)
+            child = children[i]
             end = hi if i == last else bisect_right(keys, child.lhv, lo, hi)
-            children += old[done:i]
             child.acquire()
             try:
-                children += self._descend(child, rows, keys, lo, end, cut, stats)
+                nodes = self._descend(child, rows, keys, lo, end, cut, stats)
             finally:
                 child.release()
-            done, lo = i + 1, end
-        children += old[done:]
-        node.children = children
-        if len(children) <= self.config.fanout:
+            if nodes[0] is not child:
+                swaps.append((i, nodes))
+            lo = end
+        if not swaps:
             return [node]
+        children = list(children)
+        for i, nodes in reversed(swaps):
+            children[i : i + 1] = nodes
+        if len(children) <= self.config.fanout:
+            node.set_children(children)
+            return [node]
+        node.block = None  # replaced: its keys move to the new directories
         nodes = self._pack_dirs(children, cut)
         stats.splits += len(nodes) - 1
         return nodes

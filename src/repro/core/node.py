@@ -11,8 +11,18 @@ or a *directory* holding a list of children.  Every node carries:
 * ``lhv`` -- the largest Hilbert value in the subtree (Hilbert variants
   only; ``None`` in geometric trees);
 * ``lock`` -- an RLock when the tree is configured thread-safe;
-* ``key_version`` / ``packed`` -- the packed-key snapshot the read
-  engine prunes with (see :meth:`Node.packed_children`).
+* ``block`` -- in a directory, its children's keys as one block (the
+  key kind's ``stack``): child ``i``'s key is a view of row ``i``, so
+  a child's key grows inside its parent's block, and the read engine
+  decides all children from the block as it is.  The root's key keeps
+  its own array.  :meth:`Node.set_children` is the one place a
+  directory's children are set.
+
+A node's key and aggregate change only while its parent's lock is held
+(the root's under its own lock); a reader that holds a directory's lock
+so sees its block and its children's aggregates agree.  A directory
+that is replaced drops its block (``None``): its children's keys have
+moved to the new directories' blocks.
 
 Leaves in Hilbert trees keep per-item Hilbert keys packed as big-endian
 uint64 word rows inside the columns -- no per-record Python objects.
@@ -43,8 +53,7 @@ class Node:
         "_size",
         "lhv",
         "lock",
-        "key_version",
-        "packed",
+        "block",
     )
 
     def __init__(
@@ -59,11 +68,7 @@ class Node:
     ):
         self.key = key
         self.lhv: Optional[int] = None
-        #: bumped on every in-place mutation of ``key``; lets a parent's
-        #: packed-key cache detect stale snapshots structurally
-        self.key_version = 0
-        #: (child objects, child key versions, PackedKeys) or None
-        self.packed = None
+        self.block: Optional[np.ndarray] = None
         self.lock: Optional[threading.RLock] = (
             threading.RLock() if thread_safe else None
         )
@@ -122,35 +127,11 @@ class Node:
         """Live Hilbert keys as Python ints (tests / validation only)."""
         return self.cols.key_ints()
 
-    def packed_children(self, policy, num_dims: int):
-        """``(children, key versions, PackedKeys)`` of this directory, cached.
-
-        The read engine decides every child of a directory from this
-        snapshot in one broadcast.  Validity is structural, no explicit
-        invalidation hook needed: splits / repacks / bulk rebuilds
-        always install *new* child objects (checked by identity), and
-        the only in-place child-key mutations are the insert path's key
-        expansions, which bump the child's ``key_version``.  Callers
-        must hold this node's lock so the children list cannot change
-        while the snapshot is read or rebuilt.  The children's own
-        locks are not taken, so the versions are read *before* the keys
-        are packed: a key that grows meanwhile leaves a snapshot whose
-        recorded version is already behind, never one that vouches for
-        a key it did not pack.
-        """
-        children = self.children
-        versions = [c.key_version for c in children]
-        cached = self.packed
-        # nodes compare by identity, so both tests are one C-level pass
-        if (
-            cached is not None
-            and cached[0] == children
-            and cached[1] == versions
-        ):
-            return cached
-        packed = policy.pack_keys([c.key for c in children], num_dims)
-        self.packed = cached = (list(children), versions, packed)
-        return cached
+    def set_children(self, children: list["Node"]) -> None:
+        """Make ``children`` this directory's: their keys are stacked
+        into one block and each child's key rebound to view its row."""
+        self.block = type(children[0].key).stack([c.key for c in children], bind=True)
+        self.children = children
 
     def acquire(self) -> None:
         if self.lock is not None:

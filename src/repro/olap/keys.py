@@ -10,7 +10,9 @@ A box and an MDS key (:mod:`repro.olap.mds`) answer one key interface
 -- ``covers_point``, ``covers``, ``intersects_box``, ``within_box``,
 ``log_volume``, ``log_overlap_volume``, the ``expand_*_inplace``
 growths, ``mbr`` and ``copy`` -- which the trees and the server image
-call on the key itself, whatever its kind.
+call on the key itself, whatever its kind.  Each kind also stacks many
+keys into one block (``stack``): a tree directory holds its children's
+keys that way, each child's key a view of its row.
 
 All operations are numpy-vectorised over dimensions.  Volumes are
 computed in float64: dimension ranges can reach 2**62, so products are
@@ -26,15 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Box",
-    "PackedKeys",
-    "point_box",
-    "empty_like",
-    "union_all",
-    "pack_boxes",
-    "boxes_intersect_many",
-]
+__all__ = ["Box", "point_box", "empty_like", "union_all"]
 
 
 class Box:
@@ -48,8 +42,11 @@ class Box:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, *, copy: bool = True):
-        lo = np.array(lo, dtype=np.int64, copy=copy)
-        hi = np.array(hi, dtype=np.int64, copy=copy)
+        # ``np.array(copy=False)`` means "never copy" on NumPy >= 2 and
+        # raises on lists and int32 arrays
+        make = np.array if copy else np.asarray
+        lo = make(lo, dtype=np.int64)
+        hi = make(hi, dtype=np.int64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo/hi must be 1-d arrays of equal length")
         self.lo = lo
@@ -182,6 +179,19 @@ class Box:
         """The single-interval bounding box: a copy (as for MDS)."""
         return self.copy()
 
+    @staticmethod
+    def stack(boxes: Sequence["Box"], bind: bool = False) -> np.ndarray:
+        """The ``(n, 2, d)`` block of ``n`` boxes' bounds, a copy; with
+        ``bind`` each box's ``lo``/``hi`` become views of its row, so
+        the box grows inside the block."""
+        block = np.concatenate(
+            [a for b in boxes for a in (b.lo, b.hi)]
+        ).reshape(len(boxes), 2, -1)
+        if bind:
+            for b, row in zip(boxes, block):
+                b.lo, b.hi = row
+        return block
+
     def to_tuple(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(int(x) for x in self.lo), tuple(int(x) for x in self.hi)
 
@@ -207,72 +217,6 @@ class Box:
             return f"Box.empty({self.num_dims})"
         pairs = ", ".join(f"[{l},{h}]" for l, h in zip(self.lo, self.hi))
         return f"Box({pairs})"
-
-
-class PackedKeys:
-    """Struct-of-arrays snapshot of ``m`` node keys for broadcast pruning.
-
-    ``lo``/``hi`` are the ``(m, d)`` MBR summaries of each key and
-    ``empty`` flags keys with no content; these three drive the shared
-    *within* test (a key lies inside a query box iff its MBR does).
-    MDS packs additionally carry the dense interval unions: ``ilo`` /
-    ``ihi`` are the ``(m, d, cap)`` interval bounds, unused slots never
-    matching (:func:`repro.olap.mds.pack_mds`; ``lo`` is then a view of
-    ``ilo``).
-    """
-
-    __slots__ = ("lo", "hi", "empty", "ilo", "ihi")
-
-    def __init__(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        empty: np.ndarray,
-        ilo: np.ndarray | None = None,
-        ihi: np.ndarray | None = None,
-    ):
-        self.lo = lo
-        self.hi = hi
-        self.empty = empty
-        self.ilo = ilo
-        self.ihi = ihi
-
-    @property
-    def nbytes(self) -> int:
-        """Buffer bytes of the snapshot (resident-memory accounting),
-        each owned buffer once however many of the fields view it."""
-        owned = {}
-        for a in (self.lo, self.hi, self.empty, self.ilo, self.ihi):
-            if a is not None:
-                buf = a if a.base is None else a.base
-                owned[id(buf)] = buf.nbytes
-        return sum(owned.values())
-
-
-def pack_boxes(keys: Sequence[Box], num_dims: int) -> PackedKeys:
-    """Pack ``m`` Box keys into ``(m, d)`` lo/hi arrays plus empty flags."""
-    m = len(keys)
-    lo = np.empty((m, num_dims), dtype=np.int64)
-    hi = np.empty((m, num_dims), dtype=np.int64)
-    for i, k in enumerate(keys):
-        lo[i] = k.lo
-        hi[i] = k.hi
-    empty = (lo > hi).any(axis=1)
-    return PackedKeys(lo, hi, empty)
-
-
-def boxes_intersect_many(
-    packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
-) -> np.ndarray:
-    """``(m,)`` intersection mask of one query box vs m packed MBRs.
-
-    ``qlo``/``qhi`` are the ``(d,)`` bounds of a *non-empty* box; on
-    those it matches :meth:`Box.intersects_box` exactly (empty keys
-    intersect nothing).
-    """
-    hit = ((packed.lo <= qhi) & (qlo <= packed.hi)).all(axis=1)
-    hit &= ~packed.empty
-    return hit
 
 
 def point_box(coords: Iterable[int]) -> Box:

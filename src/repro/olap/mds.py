@@ -22,12 +22,10 @@ slots holding :meth:`Box.empty`'s sentinels ``[max // 2, -1]`` (they
 match no id and sort last).  The predicates are broadcasts over the
 block; growth (:meth:`MDS._grow`) works on its ``tolist()``, as bisects
 cost less than numpy calls at the few ids a node grows by per insert,
-and writes the key back with **one** assignment, only if it grew.
-Readers pack child keys without the child's lock
-(:meth:`repro.core.node.Node.packed_children`); numpy holds the GIL
-through a copy of at most 500 ids (``d * cap <= 250``, every key the
-cluster builds), so they see a key before or after a growth, never
-part of one.
+and writes the key back in place, only if it grew.  :meth:`MDS.stack`
+stacks many keys into one ``(n, 2, d, cap)`` block; a tree directory
+holds its children's keys so, each child's block a view of its row, and
+a growth writes straight into the directory's block.
 """
 
 from __future__ import annotations
@@ -37,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .keys import Box, PackedKeys
+from .keys import Box
 
-__all__ = ["MDS", "DEFAULT_MAX_INTERVALS", "pack_mds", "mds_intersect_many"]
+__all__ = ["MDS", "DEFAULT_MAX_INTERVALS"]
 
 DEFAULT_MAX_INTERVALS = 4
 
@@ -244,7 +242,7 @@ class MDS:
             blocks[g // d, side, g % d, slot[g, j]] = v[g, j]
         keys = [MDS.__new__(MDS) for _ in range(k)]
         for key, block in zip(keys, blocks):
-            key._iv = block.copy()
+            key._iv = block
         return keys
 
     # -- the block ---------------------------------------------------------
@@ -363,7 +361,7 @@ class MDS:
             _pad(starts, ends, cap)
         if not grown:
             return False
-        span = slice(grown[0], grown[-1] + 1)  # one assignment (module docstring)
+        span = slice(grown[0], grown[-1] + 1)
         self._iv[:, span] = block[0][span], block[1][span]
         return True
 
@@ -396,6 +394,17 @@ class MDS:
         m._iv = self._iv.copy()
         return m
 
+    @staticmethod
+    def stack(keys: Sequence["MDS"], bind: bool = False) -> np.ndarray:
+        """The ``(n, 2, d, cap)`` block of ``n`` keys of one cap, a copy;
+        with ``bind`` each key's block becomes a view of its row, so the
+        key grows inside the stack."""
+        block = np.stack([k._iv for k in keys])
+        if bind:
+            for key, row in zip(keys, block):
+                key._iv = row
+        return block
+
     def to_tuple(self) -> tuple:
         """Nested tuples of Python ints (znode values, pickles, ``==``)."""
         return tuple(
@@ -413,34 +422,3 @@ class MDS:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MDS({self.to_tuple()})"
-
-
-def pack_mds(keys: Sequence[MDS], num_dims: int) -> PackedKeys:
-    """Pack ``m`` MDS keys into one dense ``(m, 2, d, cap)`` stack.
-
-    ``ilo`` / ``ihi`` (``(m, d, cap)`` views of it) drive the exact
-    per-interval tests; the MBR summary feeds the shared within test,
-    ``lo`` being the first-start view of the same stack.  Slots a
-    narrower key does not have stay unused.
-    """
-    cap = max((k.max_intervals for k in keys), default=1)
-    block = _blank((len(keys), 2, num_dims, cap))
-    for i, key in enumerate(keys):
-        block[i, :, :, : key.max_intervals] = key._iv
-    ilo, ihi = block[:, 0], block[:, 1]
-    lo, hi = ilo[:, :, 0], ihi.max(axis=2)
-    return PackedKeys(lo, hi, (lo > hi).any(axis=1), ilo, ihi)
-
-
-def mds_intersect_many(
-    packed: PackedKeys, qlo: np.ndarray, qhi: np.ndarray
-) -> np.ndarray:
-    """``(m,)`` intersection mask of one query box vs m packed MDS keys.
-
-    ``qlo``/``qhi`` are the ``(d,)`` bounds of a *non-empty* box; on
-    those it matches :meth:`MDS.intersects_box` exactly: a key
-    intersects the box iff in *every* dimension *some* interval
-    overlaps the box's range (an empty key has a dimension with none).
-    """
-    hit = (packed.ilo <= qhi[:, None]) & (qlo[:, None] <= packed.ihi)
-    return hit.any(axis=2).all(axis=1)

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import HilbertPDCTree, PDCTree, TreeConfig
+from repro.core import HilbertPDCTree, HilbertRTree, PDCTree, RTree, TreeConfig
 from repro.olap.keys import Box
 from repro.olap.query import full_query
 
@@ -234,6 +234,93 @@ def test_no_out_of_box_row_under_key_growth(cls, entry):
     assert not bad
     tree.validate()
     agg, _ = ask(box)
+    assert agg.count == n_inside and agg.total == float(n_inside)
+
+
+@pytest.mark.parametrize(
+    "cls, writer",
+    [
+        (HilbertPDCTree, "insert_batch"),
+        (PDCTree, "insert_batch"),
+        (HilbertRTree, "insert"),
+        (RTree, "insert"),
+        (HilbertRTree, "insert_batch"),
+        (RTree, "insert_batch"),
+    ],
+)
+def test_no_out_of_box_row_under_batch_and_box_growth(cls, writer):
+    """The check above for what it leaves out: a batch writer (2-8 rows
+    a call, growing a key by several rows at once) and the MBR trees,
+    whose ``Box`` growth is two writes (``lo`` then ``hi``).  A node's
+    key and aggregate change only under its parent's lock, which a
+    reader holds while it classifies the parent's key block and reads
+    the *within* children's aggregates; an answer with ``total !=
+    count`` saw a key and an aggregate of different moments."""
+    schema = make_schema([[8, 8], [8, 8]])
+    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    tree = cls(schema, config)
+    half = int(schema.leaf_limits[0]) // 2
+    box = Box(np.zeros(2, dtype=np.int64), schema.leaf_limits)
+    box.hi[0] = half
+    batch = random_batch(schema, 1500, seed=98)
+    inside = batch.coords[:, 0] <= half
+    batch.measures[:] = np.where(inside, 1.0, 1000.0)
+    order = np.concatenate([np.flatnonzero(inside), np.flatnonzero(~inside)])
+    batch = batch.take(order)
+    n_inside = int(inside.sum())
+    cuts = [0]
+    rng = np.random.default_rng(5)
+    while cuts[-1] < len(batch):
+        cuts.append(min(len(batch), cuts[-1] + int(rng.integers(2, 9))))
+    stop = threading.Event()
+    errors = []
+    bad = []
+
+    def inserter():
+        try:
+            if writer == "insert":
+                for coords, m in batch.iter_rows():
+                    tree.insert(coords, m)
+            else:
+                for lo, hi in zip(cuts, cuts[1:]):
+                    tree.insert_batch(batch.slice(lo, hi))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def querier():
+        seen, turn = 0, 0
+        try:
+            while not stop.is_set():
+                turn += 1
+                if turn % 2:
+                    agg, _ = tree.query(box)
+                else:
+                    agg, _ = tree.query_batch([box, box])[1]
+                if agg.total != agg.count or agg.count < seen:
+                    bad.append((seen, agg.count, agg.total))
+                seen = agg.count
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=inserter)] + [
+        threading.Thread(target=querier) for _ in range(2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert not bad
+    tree.validate()
+    agg, _ = tree.query(box)
     assert agg.count == n_inside and agg.total == float(n_inside)
 
 

@@ -58,7 +58,7 @@ def make_chain_tree(cls, schema, depth):
     node = tree.root
     for _ in range(depth):
         parent = tree._new_dir()
-        parent.children = [node]
+        parent.set_children([node])
         parent.key = node.key.copy()
         parent.agg = Aggregate(*node.agg.to_tuple())
         parent.lhv = node.lhv

@@ -350,7 +350,7 @@ def test_search_builds_no_volumes(monkeypatch):
     """Only insert routing reads the child volumes of a snapshot."""
     img = _bench_shaped_image("mbr", monkeypatch)
     assert len(img.search(box([0, 0, 0], [900, 50, 50]))) == 8
-    assert img.policy.calls == {"pack_keys": 1, "intersects_many": 1}
+    assert img.policy.calls == {"stack": 1, "intersects_many": 1}
 
 
 @pytest.mark.parametrize("kind", ["mbr", "mds"])

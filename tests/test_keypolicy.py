@@ -153,12 +153,35 @@ def test_covers_points_many_is_covers_point(policy):
         key.expand_points_inplace(rng.integers(0, 60, (6, 3)))
         keys.append(key)
     rows = rng.integers(0, 60, (200, 3))
-    got = policy.covers_points_many(policy.pack_keys(keys, 3), rows)
+    got = policy.covers_points_many(policy.stack(keys), rows)
     assert got.shape == (200, 6)
     assert got.tolist() == [
         [key.covers_point(row) for key in keys] for row in rows
     ]
-    assert policy.covers_points_many(policy.pack_keys(keys, 3), rows[:0]).shape == (0, 6)
+    assert policy.covers_points_many(policy.stack(keys), rows[:0]).shape == (0, 6)
+
+
+def test_classify_is_intersects_and_within(policy):
+    """On the raw block, hit and within equal the keys' own answers --
+    empty keys and, for MDS, unused slots included -- and the block is
+    read, never written."""
+    rng = np.random.default_rng(12)
+    keys = [policy.empty(3)]
+    for n in (1, 3, 6, 6, 6, 20):
+        key = policy.empty(3)
+        key.expand_points_inplace(rng.integers(0, 60, (n, 3)))
+        keys.append(key)
+    block = policy.stack(keys)
+    block.flags.writeable = False
+    for _ in range(300):
+        lo = rng.integers(0, 60, 3)
+        box = Box(lo, lo + rng.integers(0, 60, 3))
+        hit, within = policy.classify(block, box.lo, box.hi)
+        assert hit.tolist() == [k.intersects_box(box) for k in keys]
+        assert within.tolist() == [k.within_box(box) for k in keys]
+        assert policy.intersects_many(block, box.lo, box.hi).tolist() == hit.tolist()
+    whole = Box(np.zeros(3, dtype=np.int64), np.full(3, 60))
+    assert policy.classify(block, whole.lo, whole.hi)[1].tolist() == [False] + [True] * 6
 
 
 # -- placement rules --------------------------------------------------------

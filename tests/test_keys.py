@@ -34,6 +34,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Box(np.array([1, 2]), np.array([3]))
 
+    def test_no_copy_takes_lists_and_int32(self):
+        """``copy=False`` converts what is not int64 and views what is
+        (on NumPy >= 2 ``np.array(copy=False)`` refuses to convert)."""
+        for lo, hi in (([1, 2], [3, 4]), (np.array([1, 2], np.int32), np.array([3, 4], np.int32))):
+            b = Box(lo, hi, copy=False)
+            assert b.lo.dtype == np.int64 and b == box([1, 2], [3, 4])
+        rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        b = Box(rows[0], rows[1], copy=False)
+        assert np.shares_memory(b.lo, rows) and np.shares_memory(b.hi, rows)
+        assert not np.shares_memory(Box(rows[0], rows[1]).lo, rows)
+
+    def test_stack_binds_each_box_to_its_row(self):
+        boxes = [box([0, 0], [3, 4]), Box.empty(2), box([5, 1], [9, 2])]
+        copy = Box.stack(boxes)
+        block = Box.stack(boxes, bind=True)
+        assert block.shape == (3, 2, 2) and np.array_equal(block, copy)
+        for b, row in zip(boxes, block):
+            assert np.shares_memory(b.lo, row) and np.shares_memory(b.hi, row)
+        assert boxes[1].expand_point_inplace(np.array([7, 7]))
+        assert boxes[2].expand_point_inplace(np.array([0, 9]))
+        assert block[1].tolist() == [[7, 7], [7, 7]]
+        assert block[2].tolist() == [[0, 1], [9, 9]]
+        assert np.array_equal(copy[1:], Box.stack([Box.empty(2), box([5, 1], [9, 2])]))
+
 
 class TestPredicates:
     def test_contains_point(self):

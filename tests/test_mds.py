@@ -385,8 +385,8 @@ def test_a_key_is_one_block():
 
 
 def test_growth_is_in_place():
-    """The image's ``ShardInfo.key is leaf.key`` and the trees' packed
-    snapshots both rely on a key growing inside its own block."""
+    """The image's ``ShardInfo.key is leaf.key`` and the trees'
+    directory blocks both rely on a key growing inside its own block."""
     key = MDS.from_point(np.array([5, 5]))
     block = key._iv
     key.expand_point_inplace([9, 1])
@@ -397,15 +397,23 @@ def test_growth_is_in_place():
     assert key.covers_point([90, 90]) and key.covers_point([65, 61])
 
 
-def test_packed_nbytes_counts_each_buffer_once():
-    from repro.olap.mds import pack_mds
-
+def test_stack_binds_each_key_to_its_row():
+    """A directory's block is the one copy of its children's keys:
+    ``stack(bind=True)`` makes each key a view of its row, so growth
+    writes into the block; without ``bind`` the block is a copy."""
     keys = _leaf_keys(16)
-    packed = pack_mds(keys, 8)
-    dense = 16 * 2 * 8 * keys[0].max_intervals * 8
-    assert packed.ilo.base is packed.ihi.base is packed.lo.base
-    assert packed.nbytes == dense + packed.hi.nbytes + packed.empty.nbytes
-    assert not hasattr(packed, "dim_idx")
+    copy = MDS.stack(keys)
+    block = MDS.stack(keys, bind=True)
+    assert block.shape == (16, 2, 8, keys[0].max_intervals)
+    assert np.array_equal(block, copy)
+    for key, row in zip(keys, block):
+        assert np.shares_memory(key._iv, row) and key._iv.shape == row.shape
+        assert not np.shares_memory(key._iv, copy)
+    grown = keys[3].copy()
+    assert keys[3].expand_point_inplace(np.full(8, 5000))
+    grown.expand_point_inplace(np.full(8, 5000))
+    assert np.array_equal(block[3], grown._iv)
+    assert not np.array_equal(copy[3], grown._iv)
 
 
 def _all_python_ints(obj):

@@ -113,45 +113,42 @@ class TestResidencyStateMachine:
         assert len(store) == items and sid not in w.storage.cold
         assert w.storage.spills == 1 and w.storage.rehydrates == 1
 
-    def test_resident_bytes_counts_query_snapshots(self, schema):
-        """Every directory a query expands keeps a packed-key snapshot;
-        ``resident_bytes()`` is leaf columns + those snapshots, and a
-        spill -> rehydrate round trip is back at the bare figure."""
+    def test_resident_bytes_is_leaves_plus_directory_blocks(self, schema):
+        """``resident_bytes()`` is leaf columns + every directory's key
+        block (each child key is a row of it, never a second copy); a
+        query leaves it alone, and a spill -> rehydrate round trip
+        comes back at the same figure."""
         cluster, _ = residency_cluster(schema)
         w = cluster.workers[0]
         sid = sorted(w.shards)[0]
         store = w.shards[sid]
 
-        def snapshots(tree):
-            out, stack = [], [tree.root]
+        def parts(tree):
+            leaves, blocks, stack = 0, 0, [tree.root]
             while stack:
                 node = stack.pop()
-                if not node.is_leaf:
+                if node.is_leaf:
+                    leaves += node.cols.nbytes
+                else:
                     stack.extend(node.children)
-                    if node.packed is not None:
-                        out.append(node.packed[2])
-            return out
+                    blocks += node.block.nbytes
+            return leaves, blocks
 
-        leaf_bytes = sum(
-            leaf.cols.nbytes for leaf in store._iter_leaves(store.root)
-        )
+        leaf_bytes, block_bytes = parts(store)
+        assert block_bytes > 0
         bare = store.resident_bytes()
-        assert bare == leaf_bytes and not snapshots(store)
+        assert bare == leaf_bytes + block_bytes
         # half of the shard's own extent: the root is hit, not within,
         # so the scan expands directories
         box = store.mbr()
         box.hi[0] = (box.lo[0] + box.hi[0]) // 2
         store.query(box)
-        held = snapshots(store)
-        assert held
-        assert store.resident_bytes() == leaf_bytes + sum(
-            p.nbytes for p in held
-        )
+        assert store.resident_bytes() == bare
         assert w.resident_bytes() >= store.resident_bytes()
 
         w.storage.spill(sid)
         back = w.storage.rehydrate(sid)
-        assert not snapshots(back)
+        assert parts(back) == (leaf_bytes, block_bytes)
         assert back.resident_bytes() == bare
 
     def test_rehydrate_is_idempotent(self, schema):

@@ -218,10 +218,10 @@ class TestReadPathIsArrayShaped:
     """The read engine's shape, counted -- not timed.
 
     Below the root no key is tested in Python: a scan query makes one
-    ``classify`` per directory it expands and one ``Aggregate.of_array``
-    for all its leaves, and the packed snapshots it prunes with are
-    rebuilt only where an insert moved a key.  (Wall-clock is
-    ``benchmarks/e2e``'s job.)
+    ``classify`` per directory it expands, on the directory's key block
+    as it is, and one ``Aggregate.of_array`` for all its leaves; it
+    stacks no keys, on a fresh tree or after an insert.  (Wall-clock
+    is ``benchmarks/e2e``'s job.)
     """
 
     @pytest.fixture
@@ -253,16 +253,6 @@ class TestReadPathIsArrayShaped:
         monkeypatch.setattr(obj, name, staticmethod(counted) if static else counted)
         return calls
 
-    @staticmethod
-    def directories(tree):
-        out, stack = [], [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                out.append(node)
-                stack.extend(node.children)
-        return out
-
     def test_scan_query_call_shape(self, shard, monkeypatch):
         from repro.core.aggregates import Aggregate
 
@@ -285,7 +275,7 @@ class TestReadPathIsArrayShaped:
         scalar = self.count_calls(monkeypatch, key_cls, "within_box")
         scalar += self.count_calls(monkeypatch, key_cls, "intersects_box")
         classify = self.count_calls(monkeypatch, policy, "classify")
-        pack = self.count_calls(monkeypatch, policy, "pack_keys")
+        stacked = self.count_calls(monkeypatch, key_cls, "stack", static=True)
         of_array = self.count_calls(
             monkeypatch, Aggregate, "of_array", static=True
         )
@@ -293,43 +283,40 @@ class TestReadPathIsArrayShaped:
         assert len(scalar) <= 1  # the root
         assert len(classify) == expanded
         assert len(of_array) == 1
-        assert len(pack) == expanded  # first query: every snapshot is new
+        assert not stacked
         assert agg.approx_equal(want)
         assert stats.nodes_visited == wstats.nodes_visited
         assert stats.leaves_visited == wstats.leaves_visited
 
-        # the same query again rebuilds nothing
-        del pack[:], classify[:]
-        tree.query(box)
-        assert len(pack) == 0 and len(classify) == expanded
-
-    def test_insert_restales_only_its_path(self, shard, monkeypatch):
+    def test_a_query_after_an_insert_stacks_nothing(self, shard, monkeypatch):
+        """An insert that grows the keys on its path writes them into
+        the directories' blocks; the next query classifies those blocks
+        as they are and sees the row."""
         tree, box = shard
-        tree.query(box)
-        before = {id(n): n.packed for n in self.directories(tree)}
+        before, _ = tree.query(box)
         # a corner of the box: inside it, and new to the keys on its path
         tree.insert(box.lo.copy(), -12345.0)
-        path, node = [], tree.root
-        while not node.is_leaf:
-            path.append(node)
-            node = next(
-                c
-                for c in node.children
-                if any(
-                    -12345.0 in leaf.leaf_measures()
-                    for leaf in tree._iter_leaves(c)
-                )
-            )
-        pack = self.count_calls(monkeypatch, tree.policy, "pack_keys")
-        tree.query(box)
-        rebuilt = [
-            n
-            for n in self.directories(tree)
-            if n.packed is not None and n.packed is not before.get(id(n))
-        ]
-        assert 1 <= len(rebuilt) <= len(path)
-        assert all(any(n is p for p in path) for n in rebuilt)
-        assert len(pack) == len(rebuilt)
+        tree.validate()
+        stacked = self.count_calls(
+            monkeypatch, type(tree.root.key), "stack", static=True
+        )
+        agg, _ = tree.query(box)
+        assert not stacked
+        assert agg.count == before.count + 1 and agg.vmin == -12345.0
+
+    def test_a_replaced_directory_is_read_through_its_children(self, shard):
+        """A directory a split or repack replaced after a query queued
+        it has no block (its children's keys moved to the new
+        directories' blocks): the query takes none of its children's
+        cached aggregates and queues them all, and still answers
+        right."""
+        tree, box = shard
+        want, _ = reference_query(tree, box)
+        assert not tree.root.is_leaf
+        tree.root.block = None
+        agg, stats = tree.query(box)
+        assert agg.approx_equal(want)
+        assert stats.nodes_visited >= 1 + len(tree.root.children)
 
 
 def test_covered_rows_grow_no_key(monkeypatch):
