@@ -182,7 +182,8 @@ class Server(Entity):
         for the same worker travel in one ``insert_batch`` message.  A
         row that must be retried is re-routed alone as a one-entry
         ``insert_batch``, so batching never weakens the delivery
-        guarantees."""
+        guarantees.  A row outside the schema's id space is answered
+        ``insert_failed`` instead of routed: no tree may hold it."""
         p = msg.payload
         now = self.clock.now
         obs = self.transport.obs
@@ -193,6 +194,8 @@ class Server(Entity):
         #: worker id -> indices of the rows routed to it
         by_worker: dict[int, list[int]] = {}
         coords = p.c  # one object for the batch: the image decides ahead on it
+        limits = self.schema.leaf_limits
+        outside = ((coords < 0) | (coords > limits)).any(axis=1).tolist()
         for i, (op_id, measure) in enumerate(zip(p.o.tolist(), p.v.tolist())):
             token = self._next_token()
             span = None
@@ -203,6 +206,11 @@ class Server(Entity):
             self._pending_inserts[token] = _PendingInsert(
                 token, op_id, p.reply_to, now, coords[i], measure, span=span
             )
+            if outside[i]:
+                self._fail_insert(token)
+                entries.append((-1, token, op_id))  # never sent: keeps rows aligned
+                span_ctx.append(None)
+                continue
             info = self.image.route_insert(coords, i)
             nodes += self.image.nodes_visited_last
             self.inserts_routed += 1
@@ -320,7 +328,8 @@ class Server(Entity):
         pending = self._pending_inserts.pop(token, None)
         if pending is None:
             return
-        pending.timer.cancel()
+        if pending.timer is not None:
+            pending.timer.cancel()
         self._finish_span(pending.span, ok=False)
         self.insert_failures += 1
         self.transport.send(

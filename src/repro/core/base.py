@@ -252,6 +252,15 @@ class BaseTree(ShardStore):
             out.lhv = max(c.lhv for c in children)
         return out
 
+    def _rows(self, coords) -> np.ndarray:
+        """``coords`` (a row or an ``(n, d)`` array) as int64, checked to
+        lie in the schema's id space -- ``ValueError`` otherwise.  Every
+        entry point that stores rows calls it once: the read engine
+        tests only the dimensions a query constrains."""
+        coords = np.asarray(coords, dtype=np.int64)
+        self.schema.validate_coords(coords)
+        return coords
+
     def __len__(self) -> int:
         return self._count
 
@@ -276,33 +285,54 @@ class BaseTree(ShardStore):
         return [self._scan(box) for box in boxes]
 
     def _scan(self, box: Box) -> tuple[Aggregate, OpStats]:
-        """The read engine: decide directories as arrays, scan leaves once.
+        """The read engine: one classify per tree level, one leaf scan.
 
-        Only the root's key is tested in Python.  Below it the walk
-        visits directories only: one ``policy.classify`` over the
-        directory's key block (:attr:`~repro.core.node.Node.block`)
-        decides all its children at once -- those *within* the box
-        contribute their cached aggregate, the other *hit* children are
-        queued if directories and collected if leaves -- and the
-        collected leaves are then scanned in one pass: one gather of
+        Only the root's key is tested in Python.  Below it the walk is
+        level-synchronous: the *frontier* is the directories queued in
+        one step, whose key blocks (:attr:`~repro.core.node.Node.block`)
+        are stacked -- a lone directory's used as it is -- and decided
+        by one ``policy.classify``.  Children *within* the box
+        contribute their cached aggregate; the other *hit* children are
+        collected if leaves and make the next frontier if directories.
+        The collected leaves are then scanned in one pass: one gather of
         their live columns, one containment mask, one
         ``Aggregate.of_array``.  ``OpStats`` count what a node-by-node
         pointer walk would (``tests/conftest.py::reference_query``).
 
-        A reader holds one node lock at a time: a directory's while its
-        block is classified and its *within* children's aggregates are
-        read -- children's keys and aggregates change only under their
-        parent's lock, so the two agree -- and a leaf's while its size
-        is read (rows below a published size never change, so the views
-        outlive the lock).  A directory replaced after it was queued has
-        no block; its children are all queued, decided under their own
-        locks.
+        The root's step tests every dimension: most point queries end
+        there, and on one block finding the constrained dimensions
+        costs more than it saves.  The later steps and the leaf mask
+        test only the dimensions the box constrains
+        (:meth:`_constrained`): every stored row lies in the schema's id
+        space (:meth:`_rows`), so an unconstrained dimension decides
+        nothing.  A box that constrains none is tested on all of them:
+        a zero-dimension test would call an empty key a hit.
+
+        Locking (``thread_safe``).  A step holds the tree lock and takes
+        its frontier's locks one at a time, left to right, holding them
+        all until the *within* children's aggregates are read: a block
+        is classified and its children's aggregates read under that
+        directory's lock, and children's keys and aggregates change
+        only under their parent's lock, so the two agree.  A leaf's
+        lock is held alone while its size is read (rows below a
+        published size never change, so the views outlive the lock).
+        A directory replaced after it was queued has no block; its
+        children are all queued, decided under their own locks.
+
+        No cycle of waits can form.  A node keeps one height for its
+        life (leaves 0, a directory one above its children), and
+        writers lock top-down along one path: a batch descent takes
+        siblings one at a time in key order, releasing each before the
+        next, so a writer only ever waits for a node below every node
+        it holds.  Only a step holds several nodes of one height, and
+        steps exclude each other through the tree lock, which nobody
+        takes while holding a node.  So the locks a cycle would need
+        are taken in order of descending height: there is none.
         """
         stats = OpStats()
         agg = Aggregate.empty()
         if not self._count:
             return agg, stats
-        policy = self.policy
         cache = self.config.cache_aggregates
         root = self.root
         stats.nodes_visited = 1
@@ -314,57 +344,91 @@ class BaseTree(ShardStore):
                 return agg, stats
         finally:
             root.release()
-        # explicit stack: deep split chains must not hit the recursion limit
-        dirs: list[Node] = []
         leaves: list[Node] = []
+        frontier: list[Node] = []
         if root.is_leaf:
             leaves.append(root)
         elif not box.is_empty():
-            dirs.append(root)
-        qlo, qhi = box.lo, box.hi
-        while dirs:
-            node = dirs.pop()
-            node.acquire()
+            frontier.append(root)
+        qlo, qhi, dims, narrowed = box.lo, box.hi, None, False
+        tree_lock = self._tree_lock
+        while frontier:
+            if tree_lock is not None:
+                tree_lock.acquire()
+                for node in frontier:
+                    node.acquire()
             try:
-                children, block = node.children, node.block
-                if block is None:  # replaced: its keys moved on
-                    hits, inside = range(len(children)), None
-                else:
-                    hit, within = policy.classify(block, qlo, qhi)
-                    hits = hit.nonzero()[0].tolist()
-                    inside = within.tolist() if cache else None
-                stats.nodes_visited += len(hits)
-                for i in hits:
-                    child = children[i]
-                    if inside and inside[i]:
-                        agg.merge(child.agg)
-                        stats.agg_hits += 1
+                kids: list[Node] = []
+                blocks = []
+                queued: list[Node] = []
+                for node in frontier:
+                    if node.block is None:  # replaced: its keys moved on
+                        queued.extend(node.children)
+                        stats.nodes_visited += len(node.children)
                     else:
-                        (leaves if child.is_leaf else dirs).append(child)
+                        kids.extend(node.children)
+                        blocks.append(node.block)
+                if blocks:
+                    block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+                    if dims is not None:
+                        block = block[:, :, dims]
+                    hit, within = self.policy.classify(block, qlo, qhi)
+                    hits = hit.nonzero()[0].tolist()
+                    stats.nodes_visited += len(hits)
+                    if hits and cache and within.any():
+                        for i in within.nonzero()[0].tolist():
+                            agg.merge(kids[i].agg)
+                            stats.agg_hits += 1
+                        hits = (hit ^ within).nonzero()[0].tolist()
+                    queued.extend([kids[i] for i in hits])
             finally:
-                node.release()
+                if tree_lock is not None:
+                    for node in frontier:
+                        node.release()
+                    tree_lock.release()
+            frontier = []
+            for child in queued:
+                (leaves if child.is_leaf else frontier).append(child)
+            if not narrowed and (frontier or leaves):
+                qlo, qhi, dims = self._constrained(box)
+                narrowed = True
         if leaves:
+            if not narrowed:  # the root is a leaf
+                qlo, qhi, dims = self._constrained(box)
             coords_parts, measure_parts = [], []
             rows = 0
             for leaf in leaves:
                 cols = leaf.cols
-                leaf.acquire()
-                n = cols.size
-                leaf.release()
+                if tree_lock is None:
+                    n = cols.size
+                else:
+                    with leaf.lock:
+                        n = cols.size
                 rows += n
                 coords_parts.append(cols.coords[:n])
                 measure_parts.append(cols.measures[:n])
             stats.leaves_visited = len(leaves)
             stats.items_scanned = rows
-            # gathered dimension-major: the mask then reduces over whole
-            # columns instead of over d-long rows
+            # gathered dimension-major: the constrained dimensions are
+            # then whole rows, and the mask reduces over whole columns
             coords = np.empty((self.num_dims, rows), dtype=np.int64)
             np.concatenate(coords_parts, out=coords.T)
+            if dims is not None:
+                coords = coords[dims]
             mask = (
                 (qlo[:, None] <= coords) & (coords <= qhi[:, None])
             ).all(axis=0)
             agg.merge(Aggregate.of_array(np.concatenate(measure_parts)[mask]))
         return agg, stats
+
+    def _constrained(self, box: Box) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(lo, hi, dims)``: the dimensions ``box`` constrains (a bound
+        inside ``[0, leaf_limit]``) and its bounds on them; ``dims`` is
+        None, and the bounds whole, when it constrains all or none."""
+        dims = ((box.lo > 0) | (box.hi < self.schema.leaf_limits)).nonzero()[0]
+        if 0 < len(dims) < self.num_dims:
+            return box.lo[dims], box.hi[dims], dims
+        return box.lo, box.hi, None
 
     # -- enumeration -------------------------------------------------------
 
@@ -472,7 +536,11 @@ class BaseTree(ShardStore):
             assert node.size <= self.config.leaf_capacity, "leaf over capacity"
             agg = Aggregate.of_array(node.leaf_measures())
             assert node.agg.approx_equal(agg), "leaf aggregate mismatch"
-            for row in node.leaf_coords():
+            coords = node.leaf_coords()
+            assert ((coords >= 0) & (coords <= self.schema.leaf_limits)).all(), (
+                "row outside the schema's id space"
+            )
+            for row in coords:
                 assert node.key.covers_point(row), (
                     "leaf key does not cover item"
                 )

@@ -26,8 +26,11 @@ all lock calls are no-ops.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from ..olap.records import RecordBatch
 from .base import BaseTree
 from .config import OpStats, TreeConfig
 from .node import Node
@@ -46,7 +49,19 @@ class GeometricTree(BaseTree):
         return len(node.children) < self.config.fanout
 
     def insert(self, coords: np.ndarray, measure: float) -> OpStats:
-        coords = np.asarray(coords, dtype=np.int64)
+        return self._insert_row(self._rows(coords), measure)
+
+    def insert_batch(
+        self, batch: RecordBatch, words: Optional[np.ndarray] = None
+    ) -> OpStats:
+        """One :meth:`insert` per row, the batch checked once."""
+        self._rows(batch.coords)
+        stats = OpStats()
+        for coords, measure in batch.iter_rows():
+            stats.merge(self._insert_row(coords, measure))
+        return stats
+
+    def _insert_row(self, coords: np.ndarray, measure: float) -> OpStats:
         stats = OpStats()
         if self._tree_lock is not None:
             self._tree_lock.acquire()

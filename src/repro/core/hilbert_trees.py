@@ -72,7 +72,7 @@ class HilbertTree(BaseTree):
         """Insert one row: the descent of a one-row batch, keyed by the
         scalar kernel, cutting each node it overfills in two
         (:meth:`_split_at`)."""
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = self._rows(coords)
         key = self.mapper.key(coords)
         words = pack_key(key, self.mapper.word_count)[None]
         mlist = [float(measure)]
@@ -86,6 +86,7 @@ class HilbertTree(BaseTree):
         rows when the caller has them -- so that every node the batch
         touches is visited, locked and updated once; a node the batch
         overfills is repacked."""
+        self._rows(batch.coords)
         if not len(batch):
             return OpStats()
         if words is None:
@@ -277,6 +278,7 @@ class HilbertTree(BaseTree):
         computation and O(1) packing work per item, no per-item descent.
         """
         tree = cls(schema, config)
+        tree._rows(batch.coords)
         if len(batch):
             kwords = tree.mapper.key_words(batch.coords)
             tree.root = tree._pack_root(

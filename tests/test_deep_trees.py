@@ -43,7 +43,7 @@ def int_batch(schema, n, seed=0):
     return b
 
 
-def make_chain_tree(cls, schema, depth):
+def make_chain_tree(cls, schema, depth, config=None):
     """A real tree whose root sits atop ``depth`` single-child dirs.
 
     The chain keeps every invariant ``validate()`` asserts: each
@@ -51,7 +51,7 @@ def make_chain_tree(cls, schema, depth):
     cached-aggregate short-circuits, and the validator all behave as on
     an organically grown tree -- just absurdly deep.
     """
-    tree = cls(schema, TreeConfig(leaf_capacity=8, fanout=4))
+    tree = cls(schema, config or TreeConfig(leaf_capacity=8, fanout=4))
     data = int_batch(schema, 4, seed=7)
     tree.insert_batch(data)
     assert tree.root.is_leaf

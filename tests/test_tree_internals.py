@@ -218,10 +218,13 @@ class TestReadPathIsArrayShaped:
     """The read engine's shape, counted -- not timed.
 
     Below the root no key is tested in Python: a scan query makes one
-    ``classify`` per directory it expands, on the directory's key block
-    as it is, and one ``Aggregate.of_array`` for all its leaves; it
-    stacks no keys, on a fresh tree or after an insert.  (Wall-clock
-    is ``benchmarks/e2e``'s job.)
+    ``classify`` per tree level, over its frontier's key blocks stacked
+    (a lone directory's as it is) and, past the root's step, on the
+    dimensions the box constrains, and one ``Aggregate.of_array`` for
+    all its leaves; it stacks no keys, on a fresh tree or after an
+    insert.  Whatever the tree, key kind, cache setting or box, it
+    answers what the pointer walk does, with the same ``OpStats``.
+    (Wall-clock is ``benchmarks/e2e``'s job.)
     """
 
     @pytest.fixture
@@ -281,12 +284,18 @@ class TestReadPathIsArrayShaped:
         )
         agg, stats = tree.query(box)
         assert len(scalar) <= 1  # the root
-        assert len(classify) == expanded
+        # one per level below the root, not one per expanded directory
+        assert 1 <= len(classify) <= tree.depth() - 1 < expanded
+        # the box constrains dimension 0 alone: past the root's step,
+        # the blocks are cut to it
+        d = tree.num_dims
+        assert [block.shape[2] for block, _, _ in classify] == [d] + [1] * (
+            len(classify) - 1
+        )
         assert len(of_array) == 1
         assert not stacked
         assert agg.approx_equal(want)
-        assert stats.nodes_visited == wstats.nodes_visited
-        assert stats.leaves_visited == wstats.leaves_visited
+        assert stats == wstats
 
     def test_a_query_after_an_insert_stacks_nothing(self, shard, monkeypatch):
         """An insert that grows the keys on its path writes them into
@@ -303,6 +312,53 @@ class TestReadPathIsArrayShaped:
         agg, _ = tree.query(box)
         assert not stacked
         assert agg.count == before.count + 1 and agg.vmin == -12345.0
+
+    @staticmethod
+    def boxes(schema, data):
+        """Boxes constraining no dimension (the full domain), one, some
+        and all of them, a row's cell, and an empty box."""
+        from repro.olap.keys import Box
+
+        full = full_query(schema).box
+        out = [full]
+        for dims in ([0], [2], [0, 1]):
+            for cut in random_boxes(schema, 3, seed=len(dims)):
+                box = full.copy()
+                box.lo[dims], box.hi[dims] = cut.lo[dims], cut.hi[dims]
+                out.append(box)
+        out += random_boxes(schema, 4, seed=17)
+        out.append(Box(data.coords[5], data.coords[5]))
+        out.append(Box.empty(schema.num_dims))
+        return out
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("kind", ["mbr", "mds"])
+    @pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree, PDCTree, RTree])
+    def test_answers_and_stats_equal_the_pointer_walk(self, cls, kind, cache):
+        from dataclasses import replace
+
+        from .test_deep_trees import make_chain_tree
+
+        schema = make_schema()
+        config = replace(
+            cls._default_config(),
+            leaf_capacity=8,
+            fanout=4,
+            key_kind=kind,
+            cache_aggregates=cache,
+        )
+        data = random_batch(schema, 700, seed=29)
+        chain, _ = make_chain_tree(cls, schema, 40, config)
+        trees = [cls(schema, config), cls.from_batch(schema, data, config), chain]
+        assert trees[1].depth() >= 4
+        boxes = self.boxes(schema, data)
+        for tree in trees:
+            batched = tree.query_batch(boxes)
+            for box, (bagg, bstats) in zip(boxes, batched):
+                want, wstats = reference_query(tree, box)
+                agg, stats = tree.query(box)
+                assert stats == wstats == bstats
+                assert agg.approx_equal(want) and bagg.approx_equal(want)
 
     def test_a_replaced_directory_is_read_through_its_children(self, shard):
         """A directory a split or repack replaced after a query queued
@@ -346,6 +402,80 @@ def test_covered_rows_grow_no_key(monkeypatch):
     assert calls == [] and len(tree) == 606
     tree.validate()
 
+
+@pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree, PDCTree, RTree])
+def test_level_steps_do_not_deadlock_a_batch_writer(cls):
+    """A deadlock canary for the read engine's lock rule: a step holds
+    the tree lock and all its frontier's directory locks at once, while
+    an ``insert_batch`` writer whose batches land in several sibling
+    subtrees locks top-down.  Two readers (``query`` and
+    ``query_batch``) race it on tiny nodes, with the interpreter
+    switching threads as often as it can; every thread must finish
+    within the wall-clock timeout, no answer may be torn (measures are
+    1.0, so ``total == count``), and the tree must end valid and right."""
+    import sys
+    import threading
+    import time
+
+    from repro.core import ArrayStore
+
+    schema = make_schema([[8, 8], [8, 8]])
+    boot, data = random_batch(schema, 300, seed=61), random_batch(schema, 600, seed=62)
+    boot.measures[:] = data.measures[:] = 1.0
+    tree = cls.from_batch(
+        schema, boot, TreeConfig(leaf_capacity=4, fanout=3, thread_safe=True)
+    )
+    oracle = ArrayStore.from_batch(schema, boot)
+    oracle.insert_batch(data)
+    boxes = [full_query(schema).box] + random_boxes(schema, 3, seed=63)
+    boxes[0].hi[0] //= 2  # one constrained dimension
+    stop = threading.Event()
+    errors, torn, visited = [], [], []
+
+    def writer():
+        try:
+            for lo in range(0, len(data), 20):
+                depth = tree.depth()
+                stats = tree.insert_batch(data.slice(lo, lo + 20))
+                visited.append(stats.nodes_visited > depth)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def reader(batched):
+        try:
+            while not stop.is_set():
+                if batched:
+                    answers = [agg for agg, _ in tree.query_batch(boxes)]
+                else:
+                    answers = [tree.query(box)[0] for box in boxes]
+                torn.extend(agg for agg in answers if agg.total != agg.count)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    # daemons: a deadlocked thread fails the test instead of hanging exit
+    threads = [threading.Thread(target=writer, daemon=True)] + [
+        threading.Thread(target=reader, args=(b,), daemon=True)
+        for b in (False, True)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    deadline = time.monotonic() + 120
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "deadlock"
+    assert not errors and not torn
+    assert visited and all(visited)  # each batch took more than one path
+    tree.validate()
+    for box in boxes:
+        assert tree.query(box)[0] == oracle.query(box)[0]
 
 
 def test_one_descent_under_stress(monkeypatch):

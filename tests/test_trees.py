@@ -163,6 +163,39 @@ def test_small_capacities_force_deep_trees(cls):
     assert agg.count == 400
 
 
+@pytest.mark.parametrize("entry", ["insert", "insert_batch", "from_batch"])
+@pytest.mark.parametrize("cls", ALL_TREES)
+def test_rows_outside_the_id_space_are_refused(cls, entry, schema, batch):
+    """A tree holds only rows inside the schema's id space: every entry
+    point refuses a batch with one row above a dimension's limit or
+    below 0 and stores none of it, and ``validate`` catches a row that
+    got in anyway.  (The read engine tests only the dimensions a query
+    constrains, which is exact only for such trees.)"""
+    tree = cls.from_batch(schema, batch.slice(0, 40))
+    for dim, value in ((0, schema.leaf_limits[0] + 1), (2, -1)):
+        rows = batch.take(np.arange(40, 45))  # a copy
+        rows.coords[3, dim] = value
+        with pytest.raises(ValueError, match="out of range"):
+            if entry == "insert":
+                tree.insert(rows.coords[3], 1.0)
+            elif entry == "insert_batch":
+                tree.insert_batch(rows)
+            else:
+                cls.from_batch(schema, rows)
+        assert len(tree) == 40
+        tree.validate()
+    agg, _ = tree.query(full_query(schema).box)
+    assert agg.count == 40
+
+    leaf = cls(schema)
+    leaf.insert_batch(batch.slice(0, 3))
+    leaf.root.cols.coords[1, 0] = schema.leaf_limits[0] + 1
+    leaf.root.key = leaf.policy.empty(schema.num_dims)
+    leaf.root.key.expand_points_inplace(leaf.root.leaf_coords())
+    with pytest.raises(AssertionError, match="id space"):
+        leaf.validate()
+
+
 @pytest.mark.parametrize("cls", ALL_TREES)
 def test_cached_aggregates_are_used(cls, schema):
     """Full-coverage queries terminate near the root via cached aggregates."""

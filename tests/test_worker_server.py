@@ -336,6 +336,33 @@ class TestServer:
         assert sink.received[0].payload.o.tolist() == [1]
         assert w.total_items() == len(batch) + 1
 
+    def test_out_of_space_row_fails_and_is_not_routed(self, rig, schema, batch):
+        """A client batch whose middle row lies outside the schema's id
+        space: that row is answered ``insert_failed``, reaches no
+        shard and grows no key; its neighbours go in as usual."""
+        clock, transport, zk = rig
+        w = make_worker(rig, schema)
+        install(w, schema, batch)
+        server = self.make_server(rig, schema, {0: w})
+        server.load_image()
+        coords = batch.coords[:3].copy()
+        coords[1, 0] = schema.leaf_limits[0] + 1
+        sink = Sink()
+        server.receive(
+            Message(
+                "client_insert_batch",
+                ClientInsertBatch(i64([1, 2, 3]), coords, f64([1.0, 2.0, 3.0]), sink),
+            )
+        )
+        clock.run_until(1.0 - 1e-9)
+        kinds = {m.kind: m for m in sink.received}
+        assert set(kinds) == {"insert_failed", "insert_done_batch"}
+        assert kinds["insert_failed"].payload.op_id == 2
+        assert kinds["insert_done_batch"].payload.o.tolist() == [1, 3]
+        assert server.insert_failures == 1 and server.inserts_routed == 2
+        assert w.total_items() == len(batch) + 2
+        assert not server.image.search(Box(coords[1], coords[1]))
+
     def test_query_roundtrip(self, rig, schema, batch):
         clock, transport, zk = rig
         w = make_worker(rig, schema)
