@@ -21,6 +21,7 @@ from ..olap.keys import Box
 from ..olap.records import RecordBatch
 from ..olap.schema import Schema
 from .aggregates import Aggregate
+from .columns import LeafArena
 from .config import OpStats, TreeConfig
 from .keypolicy import make_policy
 from .node import Node
@@ -201,6 +202,12 @@ class BaseTree(ShardStore):
         self.config = config if config is not None else self._default_config()
         self.policy = make_policy(self.config.key_kind)
         self.num_dims = schema.num_dims
+        self.arena = LeafArena(
+            self.config.leaf_capacity + 1,
+            self.num_dims,
+            self._leaf_key_words(),
+            self.config.thread_safe,
+        )
         self.root = self._new_leaf()
         self._count = 0
         # guards the root pointer for the writers that replace it
@@ -224,19 +231,12 @@ class BaseTree(ShardStore):
     def _new_leaf(self, key=None) -> Node:
         return Node(
             self.policy.empty(self.num_dims) if key is None else key,
-            leaf=True,
-            capacity=self.config.leaf_capacity + 1,
-            num_dims=self.num_dims,
-            key_words=self._leaf_key_words(),
+            cols=self.arena.leaf(),
             thread_safe=self.config.thread_safe,
         )
 
     def _new_dir(self) -> Node:
-        return Node(
-            self.policy.empty(self.num_dims),
-            leaf=False,
-            thread_safe=self.config.thread_safe,
-        )
+        return Node(self.policy.empty(self.num_dims), thread_safe=self.config.thread_safe)
 
     def _build_dir(self, children: list[Node]) -> Node:
         """A directory over ``children``: their key union, merged
@@ -294,10 +294,16 @@ class BaseTree(ShardStore):
         by one ``policy.classify``.  Children *within* the box
         contribute their cached aggregate; the other *hit* children are
         collected if leaves and make the next frontier if directories.
-        The collected leaves are then scanned in one pass: one gather of
-        their live columns, one containment mask, one
-        ``Aggregate.of_array``.  ``OpStats`` count what a node-by-node
-        pointer walk would (``tests/conftest.py::reference_query``).
+        A directory whose children are all leaves keeps their arena
+        slots beside its block (:attr:`~repro.core.node.Node.slots`),
+        so its hit leaves are collected as slots in one take.  The
+        collected leaves are then read in one pass over the tree's
+        column arena (:meth:`~repro.core.columns.LeafArena.select`):
+        one take of the constrained dimensions of their slots, one mask
+        of the rows inside the box and below each leaf's published
+        size, one take of the measures and one ``Aggregate.of_array``.
+        ``OpStats`` count what a node-by-node pointer walk would
+        (``tests/conftest.py::reference_query``).
 
         The root's step tests every dimension: most point queries end
         there, and on one block finding the constrained dimensions
@@ -313,11 +319,17 @@ class BaseTree(ShardStore):
         all until the *within* children's aggregates are read: a block
         is classified and its children's aggregates read under that
         directory's lock, and children's keys and aggregates change
-        only under their parent's lock, so the two agree.  A leaf's
-        lock is held alone while its size is read (rows below a
-        published size never change, so the views outlive the lock).
-        A directory replaced after it was queued has no block; its
-        children are all queued, decided under their own locks.
+        only under their parent's lock, so the two agree.  Leaves are
+        read without their locks: the arena takes the published sizes
+        before the rows, rows below a published size never change, and
+        a leaf's slot is not reused while a scan that may have collected
+        it runs -- writers free a slot only once its leaf is out of the
+        tree, the scan is registered with the arena from before it reads
+        the root until its rows are taken
+        (:meth:`~repro.core.columns.LeafArena.enter`), and a slot
+        released meanwhile waits for it.  A directory replaced after it
+        was queued has no block; its children are all queued, decided
+        under their own locks.
 
         No cycle of waits can form.  A node keeps one height for its
         life (leaves 0, a directory one above its children), and
@@ -327,8 +339,20 @@ class BaseTree(ShardStore):
         it holds.  Only a step holds several nodes of one height, and
         steps exclude each other through the tree lock, which nobody
         takes while holding a node.  So the locks a cycle would need
-        are taken in order of descending height: there is none.
+        are taken in order of descending height: there is none.  The
+        arena's own lock is held for a few list operations and never
+        while waiting for another.
         """
+        if self._tree_lock is None:
+            return self._read(box)
+        epoch = self.arena.enter()
+        try:
+            return self._read(box)
+        finally:
+            self.arena.leave(epoch)
+
+    def _read(self, box: Box) -> tuple[Aggregate, OpStats]:
+        """:meth:`_scan`'s walk and leaf read."""
         stats = OpStats()
         agg = Aggregate.empty()
         if not self._count:
@@ -344,10 +368,11 @@ class BaseTree(ShardStore):
                 return agg, stats
         finally:
             root.release()
-        leaves: list[Node] = []
+        taken: list[np.ndarray] = []  # slots of leaves hit under bottom directories
+        loose: list[int] = []  # slots of other collected leaves
         frontier: list[Node] = []
         if root.is_leaf:
-            leaves.append(root)
+            loose.append(root.cols.slot)
         elif not box.is_empty():
             frontier.append(root)
         qlo, qhi, dims, narrowed = box.lo, box.hi, None, False
@@ -359,7 +384,8 @@ class BaseTree(ShardStore):
                     node.acquire()
             try:
                 kids: list[Node] = []
-                blocks = []
+                blocks, slots = [], []
+                bottom = True  # every classified child is a leaf
                 queued: list[Node] = []
                 for node in frontier:
                     if node.block is None:  # replaced: its keys moved on
@@ -368,19 +394,24 @@ class BaseTree(ShardStore):
                     else:
                         kids.extend(node.children)
                         blocks.append(node.block)
+                        slots.append(node.slots)
+                        bottom = bottom and node.slots is not None
                 if blocks:
                     block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
                     if dims is not None:
                         block = block[:, :, dims]
                     hit, within = self.policy.classify(block, qlo, qhi)
-                    hits = hit.nonzero()[0].tolist()
-                    stats.nodes_visited += len(hits)
+                    hits = int(np.count_nonzero(hit))
+                    stats.nodes_visited += hits
                     if hits and cache and within.any():
                         for i in within.nonzero()[0].tolist():
                             agg.merge(kids[i].agg)
                             stats.agg_hits += 1
-                        hits = (hit ^ within).nonzero()[0].tolist()
-                    queued.extend([kids[i] for i in hits])
+                        hit = hit ^ within
+                    if hits and bottom:
+                        taken.append((slots[0] if len(slots) == 1 else np.concatenate(slots))[hit])
+                    elif hits:
+                        queued.extend([kids[i] for i in hit.nonzero()[0].tolist()])
             finally:
                 if tree_lock is not None:
                     for node in frontier:
@@ -388,37 +419,24 @@ class BaseTree(ShardStore):
                     tree_lock.release()
             frontier = []
             for child in queued:
-                (leaves if child.is_leaf else frontier).append(child)
-            if not narrowed and (frontier or leaves):
+                if child.is_leaf:
+                    loose.append(child.cols.slot)
+                else:
+                    frontier.append(child)
+            if frontier and not narrowed:
                 qlo, qhi, dims = self._constrained(box)
                 narrowed = True
-        if leaves:
-            if not narrowed:  # the root is a leaf
+        if loose:
+            taken.append(np.array(loose))
+        if not taken:
+            return agg, stats
+        leaves = taken[0] if len(taken) == 1 else np.concatenate(taken)
+        if len(leaves):
+            if not narrowed:
                 qlo, qhi, dims = self._constrained(box)
-            coords_parts, measure_parts = [], []
-            rows = 0
-            for leaf in leaves:
-                cols = leaf.cols
-                if tree_lock is None:
-                    n = cols.size
-                else:
-                    with leaf.lock:
-                        n = cols.size
-                rows += n
-                coords_parts.append(cols.coords[:n])
-                measure_parts.append(cols.measures[:n])
             stats.leaves_visited = len(leaves)
-            stats.items_scanned = rows
-            # gathered dimension-major: the constrained dimensions are
-            # then whole rows, and the mask reduces over whole columns
-            coords = np.empty((self.num_dims, rows), dtype=np.int64)
-            np.concatenate(coords_parts, out=coords.T)
-            if dims is not None:
-                coords = coords[dims]
-            mask = (
-                (qlo[:, None] <= coords) & (coords <= qhi[:, None])
-            ).all(axis=0)
-            agg.merge(Aggregate.of_array(np.concatenate(measure_parts)[mask]))
+            stats.items_scanned, measures = self.arena.select(leaves, dims, qlo, qhi)
+            agg.merge(Aggregate.of_array(measures))
         return agg, stats
 
     def _constrained(self, box: Box) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -484,14 +502,15 @@ class BaseTree(ShardStore):
         return count
 
     def resident_bytes(self) -> int:
-        """Exact buffer bytes: leaf columns plus directory key blocks."""
-        total = 0
+        """Exact buffer bytes: the arena slots the leaves own plus the
+        directory key blocks.  The arena's headroom -- slots free,
+        awaiting reuse or never used -- is not counted: it is the
+        allocator's, as the slack of a per-leaf buffer was."""
+        total = self.arena.owned * self.arena.slot_bytes
         stack = [self.root]
         while stack:
             n = stack.pop()
-            if n.is_leaf:
-                total += n.cols.nbytes
-            else:
+            if not n.is_leaf:
                 total += n.block.nbytes
                 stack.extend(n.children)
         return total
@@ -525,6 +544,16 @@ class BaseTree(ShardStore):
             )
         total, _ = results[id(self.root)]
         assert total == self._count, f"count mismatch {total} != {self._count}"
+        # the arena: one slot per leaf, its columns views of that slot
+        arena = self.arena
+        leaves = [node.cols for node in order if node.is_leaf]
+        slots = {cols.slot for cols in leaves}
+        assert len(slots) == len(leaves), "two leaves share an arena slot"
+        assert len(slots) == arena.owned, "an owned arena slot has no leaf"
+        idle = set(arena.free) | {slot for _, slot in arena.limbo}
+        assert not slots & idle, "a leaf's arena slot is free"
+        for cols in leaves:
+            assert arena.holds(cols), "leaf columns are not views of their slot"
 
     def _validate_one(
         self,
@@ -546,12 +575,17 @@ class BaseTree(ShardStore):
                 )
             if node.cols.hwords is not None and node.size:
                 assert node.lhv == node.cols.max_key(), "leaf LHV wrong"
-            return node.size, [node.leaf_coords()]
+            return node.size, [coords]
         assert len(node.children) <= self.config.fanout, "dir over fanout"
         if not is_root:
             assert len(node.children) >= 1, "empty directory node"
         # one copy of each child key: child i's key is row i of the block
         assert len(node.block) == len(node.children), "block rows != children"
+        leaf_slots = [c.cols.slot for c in node.children if c.is_leaf]
+        if len(leaf_slots) == len(node.children):
+            assert node.slots.tolist() == leaf_slots, "directory slots != leaf slots"
+        else:
+            assert node.slots is None, "slots kept beside directory children"
         for row, child in zip(node.block, node.children):
             key = child.key
             views = (key.lo, key.hi) if self.policy.kind == "mbr" else (key._iv,)
@@ -560,19 +594,19 @@ class BaseTree(ShardStore):
             )
             assert np.array_equal(type(key).stack([key])[0], row)
         total = 0
-        coords_parts: list[np.ndarray] = []
+        subtree_rows: list[np.ndarray] = []
         agg = Aggregate.empty()
         for child in node.children:
             n, parts = results.pop(id(child))
             total += n
-            coords_parts.extend(parts)
+            subtree_rows.extend(parts)
             agg.merge(child.agg)
             if self.policy.kind == "mbr":
                 assert node.key.covers(child.key), (
                     "parent MBR does not cover child MBR"
                 )
         assert node.agg.approx_equal(agg), "directory aggregate mismatch"
-        for part in coords_parts:
+        for part in subtree_rows:
             for row in part:
                 assert node.key.covers_point(row), (
                     "node key does not cover subtree item"
@@ -581,4 +615,4 @@ class BaseTree(ShardStore):
             lhvs = [c.lhv for c in node.children]
             assert lhvs == sorted(lhvs), "children not in LHV order"
             assert node.lhv == max(lhvs), "directory LHV wrong"
-        return total, coords_parts
+        return total, subtree_rows

@@ -124,10 +124,14 @@ class GeometricTree(BaseTree):
             )
             current.block = None  # replaced: its keys moved to left/right
             stats.splits += 1
+            # a split leaf's slot is freed once the leaf is out of the tree
+            gone = current.cols
             if held:
                 parent, idx = held.pop()
                 kids = parent.children
                 parent.set_children(kids[:idx] + [left, right] + kids[idx + 1 :])
+                if gone is not None:
+                    self.arena.release(gone)
                 current.release()
                 current = parent
             else:
@@ -135,6 +139,8 @@ class GeometricTree(BaseTree):
                 new_root = self._build_dir([left, right])
                 current.release()
                 self.root = new_root
+                if gone is not None:
+                    self.arena.release(gone)
                 return
         current.release()
 

@@ -38,6 +38,7 @@ from ..hilbert.id_expansion import HilbertKeyMapper
 from ..olap.records import RecordBatch
 from .aggregates import Aggregate
 from .base import BaseTree
+from .columns import LeafColumns
 from .config import OpStats, TreeConfig
 from .node import Node
 
@@ -104,17 +105,22 @@ class HilbertTree(BaseTree):
         ``rows`` -- coords, measures, key words and the measures as a
         list (a lone row's one-item list serves as both) -- sorted by
         ``keys``, and stack directories over whatever replaces the
-        root."""
+        root.  The slots of the leaves the descent repacked are freed
+        last, when no node of the tree points to those leaves."""
         stats = OpStats()
         if self._tree_lock is not None:
             self._tree_lock.acquire()
         root = self.root
         root.acquire()
         try:
+            self._replaced: list[LeafColumns] = []
             nodes = self._descend(root, rows, keys, 0, len(keys), cut, stats)
             if nodes[0] is not root:
                 self.root = self._pack_root(nodes)
             self._count += len(keys)
+            # the repacked leaves are out of the tree now: free their slots
+            for cols in self._replaced:
+                self.arena.release(cols)
         finally:
             root.release()
             if self._tree_lock is not None:
@@ -155,6 +161,7 @@ class HilbertTree(BaseTree):
                 np.concatenate([node.cols.live_hwords(), words[lo:hi]]),
                 cut,
             )
+            self._replaced.append(cols)
             stats.splits += len(nodes) - 1
             return nodes
         if leaf:
@@ -217,19 +224,26 @@ class HilbertTree(BaseTree):
         starts: np.ndarray,
     ) -> list[Node]:
         """New leaves over key-sorted rows, leaf ``i`` holding rows
-        ``starts[i]`` up to the next start: LHV = its last row's key,
-        aggregate over its rows, and the keys of all of them computed
-        in one pass (:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`)."""
+        ``starts[i]`` up to the next start: their rows written into the
+        arena in one assignment per column
+        (:meth:`~repro.core.columns.LeafArena.fill`), LHV = its last
+        row's key, aggregate over its rows, and the keys of all of them
+        computed in one pass
+        (:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`)."""
         keys = self.policy.segment_keys(coords, starts)
-        bounds = starts.tolist() + [len(measures)]
+        ends = starts.tolist()[1:] + [len(measures)]
+        safe = self.config.thread_safe
         out = []
-        for key, s, e in zip(keys, bounds, bounds[1:]):
-            leaf = self._new_leaf(key)
-            leaf.cols.set_rows(coords[s:e], measures[s:e], words[s:e])
+        for key, cols, e in zip(keys, self.arena.fill(coords, measures, words, starts), ends):
+            leaf = Node(key, cols=cols, thread_safe=safe)
             leaf.lhv = key_from_words(words[e - 1])
-            leaf.cols.reaggregate()
+            cols.reaggregate()
             out.append(leaf)
         return out
+
+    def _leaf_fill(self) -> int:
+        """Rows per leaf of a repack or a bulk load: 3/4 full."""
+        return max(2, (self.config.leaf_capacity * 3) // 4)
 
     def _pack_leaves(
         self, coords: np.ndarray, measures: np.ndarray, words: np.ndarray, cut: bool = False
@@ -243,8 +257,7 @@ class HilbertTree(BaseTree):
             grow = type(self.root.key).expand_point_inplace
             starts = np.array([0, self._split_at(list(coords), grow)])
         else:
-            fill = max(2, (self.config.leaf_capacity * 3) // 4)
-            starts = np.arange(0, len(order), fill)
+            starts = np.arange(0, len(order), self._leaf_fill())
         return self._leaves(coords, measures[order], words[order], starts)
 
     def _pack_dirs(self, nodes: list[Node], cut: bool = False) -> list[Node]:
@@ -280,6 +293,8 @@ class HilbertTree(BaseTree):
         tree = cls(schema, config)
         tree._rows(batch.coords)
         if len(batch):
+            # the arena's first chunk holds exactly the packed leaves
+            tree.arena.restart(-(-len(batch) // tree._leaf_fill()))
             kwords = tree.mapper.key_words(batch.coords)
             tree.root = tree._pack_root(
                 tree._pack_leaves(batch.coords, batch.measures, kwords)

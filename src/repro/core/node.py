@@ -1,8 +1,9 @@
 """Tree nodes shared by all PDC / Hilbert-PDC / R-tree variants.
 
-A node is either a *leaf* holding columnar item storage (a
-:class:`~repro.core.columns.LeafColumns` of preallocated numpy buffers)
-or a *directory* holding a list of children.  Every node carries:
+A node is either a *leaf*, whose rows are a
+:class:`~repro.core.columns.LeafColumns` -- views of one slot of its
+tree's column arena (:class:`~repro.core.columns.LeafArena`) -- or a
+*directory* holding a list of children.  Every node carries:
 
 * ``key`` -- its bounding key, a Box or an MDS (the tree's key kind),
   which answers the key operations itself;
@@ -15,14 +16,18 @@ or a *directory* holding a list of children.  Every node carries:
   key kind's ``stack``): child ``i``'s key is a view of row ``i``, so
   a child's key grows inside its parent's block, and the read engine
   decides all children from the block as it is.  The root's key keeps
-  its own array.  :meth:`Node.set_children` is the one place a
-  directory's children are set.
+  its own array;
+* ``slots`` -- in a directory whose children are all leaves, their
+  arena slots as one int array beside ``block``, so the read engine
+  maps the leaves it hits to slots without touching them.
 
-A node's key and aggregate change only while its parent's lock is held
-(the root's under its own lock); a reader that holds a directory's lock
-so sees its block and its children's aggregates agree.  A directory
-that is replaced drops its block (``None``): its children's keys have
-moved to the new directories' blocks.
+:meth:`Node.set_children` is the one place a directory's children, its
+block and its slots are set.  A node's key and aggregate change only
+while its parent's lock is held (the root's under its own lock); a
+reader that holds a directory's lock so sees its block and its
+children's aggregates agree.  A directory that is replaced drops its
+block (``None``): its children's keys have moved to the new
+directories' blocks.
 
 Leaves in Hilbert trees keep per-item Hilbert keys packed as big-endian
 uint64 word rows inside the columns -- no per-record Python objects.
@@ -54,32 +59,31 @@ class Node:
         "lhv",
         "lock",
         "block",
+        "slots",
     )
 
     def __init__(
         self,
         key: Any,
         *,
-        leaf: bool,
-        capacity: int = 0,
-        num_dims: int = 0,
-        key_words: int = 0,
+        cols: Optional[LeafColumns] = None,
         thread_safe: bool = False,
     ):
+        """A leaf over ``cols``, or a directory when ``cols`` is None."""
         self.key = key
         self.lhv: Optional[int] = None
         self.block: Optional[np.ndarray] = None
+        self.slots: Optional[np.ndarray] = None
         self.lock: Optional[threading.RLock] = (
             threading.RLock() if thread_safe else None
         )
         self._size = 0
-        if leaf:
+        self.cols = cols
+        if cols is not None:
             self.children = None
-            self.cols = LeafColumns(capacity, num_dims, key_words)
             self._agg = None
         else:
             self.children: Optional[list["Node"]] = []
-            self.cols = None
             self._agg = Aggregate.empty()
 
     @property
@@ -110,7 +114,7 @@ class Node:
     def size(self, value: int) -> None:
         cols = self.cols
         if cols is not None:
-            cols.size = value
+            cols.publish(value)
         else:
             self._size = value
 
@@ -129,8 +133,14 @@ class Node:
 
     def set_children(self, children: list["Node"]) -> None:
         """Make ``children`` this directory's: their keys are stacked
-        into one block and each child's key rebound to view its row."""
+        into one block and each child's key rebound to view its row;
+        leaf children's slots are kept beside it."""
         self.block = type(children[0].key).stack([c.key for c in children], bind=True)
+        self.slots = (
+            np.array([c.cols.slot for c in children])
+            if all(c.cols is not None for c in children)
+            else None
+        )
         self.children = children
 
     def acquire(self) -> None:

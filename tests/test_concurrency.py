@@ -6,21 +6,55 @@ The Python GIL removes parallel speedup but not interleaving, so these
 tests genuinely exercise the hand-over-hand protocol: concurrent
 inserters and queriers race on one tree, and afterwards all invariants
 must hold and no item may be lost.
+
+Every thread is a daemon and a test waits for its threads up to one
+shared deadline (:func:`run`), so a deadlock fails that test within
+``DEADLINE_S`` instead of hanging the suite.
 """
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import HilbertPDCTree, HilbertRTree, PDCTree, RTree, TreeConfig
 from repro.olap.keys import Box
+from repro.olap.records import RecordBatch
 from repro.olap.query import full_query
 
 from .conftest import make_schema, random_batch
 
 THREADED = [HilbertPDCTree, PDCTree]
+
+#: wall-clock budget for all the threads of one test
+DEADLINE_S = 120
+
+
+def thread(target, *args):
+    """A daemon thread: one left deadlocked cannot block the exit."""
+    return threading.Thread(target=target, args=args, daemon=True)
+
+
+def run(threads, stop=None, after=()):
+    """Start ``after`` and then ``threads``; wait for ``threads``, set
+    ``stop``, then wait for ``after`` -- all by one deadline."""
+    deadline = time.monotonic() + DEADLINE_S
+
+    def wait(group):
+        for t in group:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+
+    try:
+        for t in (*after, *threads):
+            t.start()
+        wait(threads)
+    finally:
+        if stop is not None:
+            stop.set()
+    wait(after)
+    assert not any(t.is_alive() for t in (*threads, *after)), "deadlock"
 
 
 @pytest.mark.parametrize("cls", THREADED)
@@ -40,11 +74,8 @@ def test_concurrent_inserts_lose_nothing(cls):
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(b,)) for b in batches]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [thread(worker, b) for b in batches]
+    run(threads)
     assert not errors
     assert len(tree) == n_threads * per_thread
     tree.validate()
@@ -94,14 +125,11 @@ def test_concurrent_inserts_and_queries(cls):
             errors.append(exc)
 
     threads = (
-        [threading.Thread(target=inserter)]
-        + [threading.Thread(target=querier) for _ in range(2)]
-        + [threading.Thread(target=depth_walker)]
+        [thread(inserter)]
+        + [thread(querier) for _ in range(2)]
+        + [thread(depth_walker)]
     )
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run(threads, stop)
     assert not errors
     assert len(tree) == 600
     tree.validate()
@@ -147,13 +175,10 @@ def test_query_batch_races_inserts(cls):
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=inserter)] + [
-        threading.Thread(target=batch_querier) for _ in range(2)
+    threads = [thread(inserter)] + [
+        thread(batch_querier) for _ in range(2)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run(threads, stop)
     assert not errors
     assert not torn
     assert len(tree) == 500
@@ -217,16 +242,13 @@ def test_no_out_of_box_row_under_key_growth(cls, entry):
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=inserter)] + [
-        threading.Thread(target=querier) for _ in range(2)
+    threads = [thread(inserter)] + [
+        thread(querier) for _ in range(2)
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        run(threads, stop)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
@@ -304,16 +326,13 @@ def test_no_out_of_box_row_under_batch_and_box_growth(cls, writer):
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=inserter)] + [
-        threading.Thread(target=querier) for _ in range(2)
+    threads = [thread(inserter)] + [
+        thread(querier) for _ in range(2)
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        run(threads, stop)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
@@ -377,14 +396,11 @@ def test_query_batch_and_depth_walker_race_repacks(cls):
             errors.append(exc)
 
     threads = (
-        [threading.Thread(target=inserter)]
-        + [threading.Thread(target=batch_querier) for _ in range(2)]
-        + [threading.Thread(target=depth_walker)]
+        [thread(inserter)]
+        + [thread(batch_querier) for _ in range(2)]
+        + [thread(depth_walker)]
     )
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run(threads, stop)
     assert not errors
     assert not torn
     assert len(tree) == total_rows
@@ -454,16 +470,10 @@ def test_concurrent_batch_inserts_and_queries():
             errors.append(exc)
 
     inserters = [
-        threading.Thread(target=inserter, args=(b,)) for b in batches
+        thread(inserter, b) for b in batches
     ]
-    queriers = [threading.Thread(target=querier) for _ in range(2)]
-    for t in queriers + inserters:
-        t.start()
-    for t in inserters:
-        t.join()
-    stop.set()
-    for t in queriers:
-        t.join()
+    queriers = [thread(querier) for _ in range(2)]
+    run(inserters, stop, after=queriers)
     assert not errors
     assert not torn
     total = n_threads * per_thread
@@ -497,13 +507,10 @@ def test_mixed_single_and_batch_inserts():
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=one_by_one),
-        threading.Thread(target=in_chunks),
+        thread(one_by_one),
+        thread(in_chunks),
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run(threads)
     assert not errors
     assert len(tree) == 600
     tree.validate()
@@ -511,3 +518,163 @@ def test_mixed_single_and_batch_inserts():
     assert agg.count == 600
     expected = float(single.measures.sum()) + float(batched.measures.sum())
     assert agg.total == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("entry", ["query", "query_batch"])
+@pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree, PDCTree, RTree])
+def test_released_slots_wait_for_running_scans(cls, entry, monkeypatch):
+    """A scan collects leaves as arena slots and reads their rows after
+    its last step, without their locks; a batch writer meanwhile
+    repacks or splits those leaves and releases their slots.  Were a
+    released slot reused while such a scan runs, the scan would read
+    another leaf's rows (or none) in its place.  Tiny leaves make every
+    batch give slots back, each scan waits a little between its walk
+    and its read of the rows, and the interpreter switches threads as
+    often as it can.  Every answer must lie between the box's counts
+    before and after the writes, with ``total == count`` (measures are
+    1.0).  The writes land outside the box, so those two counts are
+    one: a scan that reads one leaf's rows in another's place is off by
+    the difference."""
+    from repro.core import ArrayStore
+
+    schema = make_schema([[8, 8], [8, 8]])
+    boot, data = random_batch(schema, 300, seed=111), random_batch(schema, 600, seed=112)
+    boot.measures[:] = data.measures[:] = 1.0
+    tree = cls.from_batch(
+        schema, boot, TreeConfig(leaf_capacity=4, fanout=3, thread_safe=True)
+    )
+    box = full_query(schema).box
+    box.hi[0] = int(schema.leaf_limits[0]) // 2
+    data.coords[:, 0] = np.maximum(data.coords[:, 0], box.hi[0] + 1)
+    before = ArrayStore.from_batch(schema, boot)
+    low = before.query(box)[0].count
+    before.insert_batch(data)
+    high = before.query(box)[0].count
+    ask = tree.query if entry == "query" else lambda b: tree.query_batch([b, b])[1]
+    select = tree.arena.select
+
+    def late_select(*args):
+        time.sleep(0.002)  # the writer runs between the walk and the read
+        return select(*args)
+
+    monkeypatch.setattr(tree.arena, "select", late_select)
+    stop = threading.Event()
+    errors, bad = [], []
+
+    def writer():
+        try:
+            rng = np.random.default_rng(113)
+            lo = 0
+            while lo < len(data):
+                hi = lo + int(rng.integers(3, 12))
+                tree.insert_batch(data.slice(lo, min(hi, len(data))))
+                lo = hi
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def reader():
+        try:
+            while not stop.is_set():
+                agg, _ = ask(box)
+                if not low <= agg.count <= high or agg.total != agg.count:
+                    bad.append((agg.count, agg.total))
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [thread(writer)] + [thread(reader) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run(threads, stop)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not bad, (errors, bad[:5], low, high)
+    tree.validate()
+    agg, _ = ask(box)
+    assert agg.count == high
+
+
+@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree, PDCTree, RTree])
+def test_a_read_takes_sizes_before_rows(cls, thread_safe):
+    """A scan reads its leaves' rows after the walk, without their
+    locks, so a writer can append to a scanned leaf between any two of
+    the read's takes.  The read must take the published sizes first:
+    rows below a size read earlier never change, while rows at or above
+    it may be a fresh slot's leftovers.  Here the root leaf's next free
+    row holds a leftover inside the box, and a row outside the box is
+    appended into it right after the read's first take (one-shot hook
+    on the arena's arrays).  A read that took the coordinates before
+    the sizes would count the leftover under the new size."""
+    schema = make_schema([[8, 8], [8, 8]])
+    half = int(schema.leaf_limits[0]) // 2
+    coords = np.array([[0, 1], [half, 2], [half + 1, 3]], dtype=np.int64)
+    tree = cls.from_batch(
+        schema,
+        RecordBatch(coords, np.ones(3)),
+        TreeConfig(leaf_capacity=8, fanout=4, thread_safe=thread_safe),
+    )
+    assert tree.root.is_leaf
+    box = full_query(schema).box
+    box.hi[0] = half
+    tree.root.cols.coords[3] = [0, 0]  # a leftover inside the box
+    hooks = [lambda: tree.insert(np.array([half + 1, 0]), 1.0)]
+
+    class Hooked(np.ndarray):
+        def __getitem__(self, index):
+            out = np.asarray(super().__getitem__(index))
+            if hooks:
+                hooks.pop()()
+            return out
+
+    chunk = tree.arena._chunks[0]
+    for name in ("coords", "measures", "sizes"):
+        setattr(chunk, name, getattr(chunk, name).view(Hooked))
+    agg, _ = tree.query(box)
+    assert not hooks, "the writer did not run inside the read"
+    assert (agg.count, agg.total) == (2, 2.0)
+    assert len(tree) == 4
+
+
+@pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree, PDCTree, RTree])
+@pytest.mark.parametrize("entry", ["insert", "insert_batch"])
+def test_slots_are_released_once_their_leaf_is_out_of_the_tree(cls, entry, monkeypatch):
+    """A scan that starts after a slot's release must not be able to
+    reach the leaf that held it (the slot may already hold another
+    leaf's rows).  So when a split or repack frees a leaf's slot, no
+    node of the tree -- the root pointer included, for a root leaf --
+    may still point to that leaf.  The tree starts empty, so its first
+    splits replace a root leaf."""
+    schema = make_schema([[8, 8], [8, 8]])
+    data = random_batch(schema, 200, seed=121)
+    tree = cls(schema, TreeConfig(leaf_capacity=4, fanout=3, thread_safe=True))
+    release = tree.arena.release
+    released, linked = [], []
+
+    def leaves():
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                yield node.cols
+            else:
+                stack.extend(node.children)
+
+    def checked_release(cols):
+        released.append(cols.slot)
+        if any(c is cols for c in leaves()):
+            linked.append(cols.slot)
+        release(cols)
+
+    monkeypatch.setattr(tree.arena, "release", checked_release)
+    if entry == "insert":
+        for row, m in zip(data.coords, data.measures):
+            tree.insert(row, float(m))
+    else:
+        for lo in range(0, len(data), 7):
+            tree.insert_batch(data.slice(lo, lo + 7))
+    assert released, "no slot was released"
+    assert not linked, f"slots freed while their leaf was in the tree: {linked[:5]}"
+    tree.validate()

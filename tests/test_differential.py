@@ -337,7 +337,9 @@ def test_repack_on_overflow_is_exercised_and_correct(cls):
 @pytest.mark.parametrize("cls", ALL_TREES)
 def test_leaves_are_numpy_columns(cls):
     """No per-record Python objects remain in any leaf: every leaf holds
-    contiguous int64/float64 (and uint64 key) numpy columns."""
+    contiguous int64/float64 (and uint64 key) numpy columns -- one
+    contiguous run per coordinate dimension, all views of the leaf's
+    slot in the tree's arena."""
     schema = make_schema()
     tree = cls(schema, TreeConfig(leaf_capacity=CAP, fanout=4))
     tree.insert_batch(int_batch(schema, 200, seed=59))
@@ -345,7 +347,9 @@ def test_leaves_are_numpy_columns(cls):
     assert leaves
     for leaf in leaves:
         cols = leaf.cols
-        assert cols.coords.dtype == np.int64 and cols.coords.flags.c_contiguous
+        assert cols.coords.dtype == np.int64
+        assert all(col.flags.c_contiguous for col in cols.coords.T)
+        assert tree.arena.holds(cols)
         assert cols.measures.dtype == np.float64
         if tree.uses_hilbert:
             assert cols.hwords is not None
