@@ -4,8 +4,8 @@ Defines the :class:`ShardStore` interface every shard implementation
 satisfies (insert, query, and the load-balancing operations of paper
 Section III-E: ``SplitQuery``, ``Split``, ``SerializeShard``), plus
 :class:`BaseTree`, the common query/validation/serialisation code for
-the four tree variants, with the tree lock and the directory builder
-their inserts share.
+the four tree variants, with the tree lock (:class:`TreeLock`) and the
+directory builder their inserts share.
 """
 
 from __future__ import annotations
@@ -26,7 +26,47 @@ from .config import OpStats, TreeConfig
 from .keypolicy import make_policy
 from .node import Node
 
-__all__ = ["ShardStore", "BaseTree", "Hyperplane"]
+__all__ = ["ShardStore", "BaseTree", "Hyperplane", "TreeLock"]
+
+
+class TreeLock:
+    """A re-entrant lock granted in arrival order: a ticket lock.
+
+    A thread that releases an ``RLock`` and asks for it again can take
+    it ahead of one already waiting, so two readers in a loop can starve
+    a writer for good.  Here each first entry takes a ticket and waits
+    until the holder before it leaves; a thread that holds the lock
+    enters again at once (a write from inside a read's hook)."""
+
+    __slots__ = ("_mutex", "_turn", "_next", "_serving", "_owner", "_depth")
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        self._turn = threading.Condition(self._mutex)
+        self._next = 0  # the next ticket handed out
+        self._serving = 0  # the ticket that holds the lock
+        self._owner: Optional[int] = None
+        self._depth = 0
+
+    def __enter__(self) -> None:
+        me = threading.get_ident()
+        if self._owner != me:  # only the holder ever finds itself here
+            with self._mutex:
+                ticket = self._next
+                self._next += 1
+                while ticket != self._serving:
+                    self._turn.wait()
+                self._owner = me
+        self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        self._depth -= 1
+        if not self._depth:
+            with self._mutex:
+                self._owner = None
+                self._serving += 1
+                if self._serving != self._next:  # a ticket waits
+                    self._turn.notify_all()
 
 
 class Hyperplane:
@@ -195,7 +235,15 @@ class ShardStore(ABC):
 
 
 class BaseTree(ShardStore):
-    """Common structure and query path of the four tree variants."""
+    """Common structure and query path of the four tree variants.
+
+    Every public call -- ``insert``, ``insert_batch``, ``query``,
+    ``query_batch``, ``items`` and ``depth`` (``split``, ``split_query``
+    and ``serialize`` read through ``items``) -- holds the tree's one
+    :attr:`lock` from start to end, so no call sees another half done.
+    The paper's k threads per node are modelled in virtual time by the
+    worker's service pool, not run here.
+    """
 
     def __init__(self, schema: Schema, config: Optional[TreeConfig] = None):
         self.schema = schema
@@ -203,17 +251,11 @@ class BaseTree(ShardStore):
         self.policy = make_policy(self.config.key_kind)
         self.num_dims = schema.num_dims
         self.arena = LeafArena(
-            self.config.leaf_capacity + 1,
-            self.num_dims,
-            self._leaf_key_words(),
-            self.config.thread_safe,
+            self.config.leaf_capacity + 1, self.num_dims, self._leaf_key_words()
         )
         self.root = self._new_leaf()
         self._count = 0
-        # guards the root pointer for the writers that replace it
-        self._tree_lock: Optional[threading.RLock] = (
-            threading.RLock() if self.config.thread_safe else None
-        )
+        self.lock = TreeLock()
 
     # subclasses override to pick their canonical defaults
     @staticmethod
@@ -232,11 +274,10 @@ class BaseTree(ShardStore):
         return Node(
             self.policy.empty(self.num_dims) if key is None else key,
             cols=self.arena.leaf(),
-            thread_safe=self.config.thread_safe,
         )
 
     def _new_dir(self) -> Node:
-        return Node(self.policy.empty(self.num_dims), thread_safe=self.config.thread_safe)
+        return Node(self.policy.empty(self.num_dims))
 
     def _build_dir(self, children: list[Node]) -> Node:
         """A directory over ``children``: their key union, merged
@@ -277,12 +318,14 @@ class BaseTree(ShardStore):
     # -- query -----------------------------------------------------------
 
     def query(self, box: Box) -> tuple[Aggregate, OpStats]:
-        return self._scan(box)
+        with self.lock:
+            return self._scan(box)
 
     def query_batch(
         self, boxes: list[Box]
     ) -> list[tuple[Aggregate, OpStats]]:
-        return [self._scan(box) for box in boxes]
+        with self.lock:
+            return [self._scan(box) for box in boxes]
 
     def _scan(self, box: Box) -> tuple[Aggregate, OpStats]:
         """The read engine: one classify per tree level, one leaf scan.
@@ -313,46 +356,7 @@ class BaseTree(ShardStore):
         space (:meth:`_rows`), so an unconstrained dimension decides
         nothing.  A box that constrains none is tested on all of them:
         a zero-dimension test would call an empty key a hit.
-
-        Locking (``thread_safe``).  A step holds the tree lock and takes
-        its frontier's locks one at a time, left to right, holding them
-        all until the *within* children's aggregates are read: a block
-        is classified and its children's aggregates read under that
-        directory's lock, and children's keys and aggregates change
-        only under their parent's lock, so the two agree.  Leaves are
-        read without their locks: the arena takes the published sizes
-        before the rows, rows below a published size never change, and
-        a leaf's slot is not reused while a scan that may have collected
-        it runs -- writers free a slot only once its leaf is out of the
-        tree, the scan is registered with the arena from before it reads
-        the root until its rows are taken
-        (:meth:`~repro.core.columns.LeafArena.enter`), and a slot
-        released meanwhile waits for it.  A directory replaced after it
-        was queued has no block; its children are all queued, decided
-        under their own locks.
-
-        No cycle of waits can form.  A node keeps one height for its
-        life (leaves 0, a directory one above its children), and
-        writers lock top-down along one path: a batch descent takes
-        siblings one at a time in key order, releasing each before the
-        next, so a writer only ever waits for a node below every node
-        it holds.  Only a step holds several nodes of one height, and
-        steps exclude each other through the tree lock, which nobody
-        takes while holding a node.  So the locks a cycle would need
-        are taken in order of descending height: there is none.  The
-        arena's own lock is held for a few list operations and never
-        while waiting for another.
         """
-        if self._tree_lock is None:
-            return self._read(box)
-        epoch = self.arena.enter()
-        try:
-            return self._read(box)
-        finally:
-            self.arena.leave(epoch)
-
-    def _read(self, box: Box) -> tuple[Aggregate, OpStats]:
-        """:meth:`_scan`'s walk and leaf read."""
         stats = OpStats()
         agg = Aggregate.empty()
         if not self._count:
@@ -360,14 +364,10 @@ class BaseTree(ShardStore):
         cache = self.config.cache_aggregates
         root = self.root
         stats.nodes_visited = 1
-        root.acquire()
-        try:
-            if cache and root.key.within_box(box):
-                agg.merge(root.agg)
-                stats.agg_hits = 1
-                return agg, stats
-        finally:
-            root.release()
+        if cache and root.key.within_box(box):
+            agg.merge(root.agg)
+            stats.agg_hits = 1
+            return agg, stats
         taken: list[np.ndarray] = []  # slots of leaves hit under bottom directories
         loose: list[int] = []  # slots of other collected leaves
         frontier: list[Node] = []
@@ -376,53 +376,36 @@ class BaseTree(ShardStore):
         elif not box.is_empty():
             frontier.append(root)
         qlo, qhi, dims, narrowed = box.lo, box.hi, None, False
-        tree_lock = self._tree_lock
         while frontier:
-            if tree_lock is not None:
-                tree_lock.acquire()
-                for node in frontier:
-                    node.acquire()
-            try:
-                kids: list[Node] = []
-                blocks, slots = [], []
-                bottom = True  # every classified child is a leaf
-                queued: list[Node] = []
-                for node in frontier:
-                    if node.block is None:  # replaced: its keys moved on
-                        queued.extend(node.children)
-                        stats.nodes_visited += len(node.children)
-                    else:
-                        kids.extend(node.children)
-                        blocks.append(node.block)
-                        slots.append(node.slots)
-                        bottom = bottom and node.slots is not None
-                if blocks:
-                    block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-                    if dims is not None:
-                        block = block[:, :, dims]
-                    hit, within = self.policy.classify(block, qlo, qhi)
-                    hits = int(np.count_nonzero(hit))
-                    stats.nodes_visited += hits
-                    if hits and cache and within.any():
-                        for i in within.nonzero()[0].tolist():
-                            agg.merge(kids[i].agg)
-                            stats.agg_hits += 1
-                        hit = hit ^ within
-                    if hits and bottom:
-                        taken.append((slots[0] if len(slots) == 1 else np.concatenate(slots))[hit])
-                    elif hits:
-                        queued.extend([kids[i] for i in hit.nonzero()[0].tolist()])
-            finally:
-                if tree_lock is not None:
-                    for node in frontier:
-                        node.release()
-                    tree_lock.release()
+            kids: list[Node] = []
+            blocks, slots = [], []
+            bottom = True  # every classified child is a leaf
+            for node in frontier:
+                kids.extend(node.children)
+                blocks.append(node.block)
+                slots.append(node.slots)
+                bottom = bottom and node.slots is not None
+            block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            if dims is not None:
+                block = block[:, :, dims]
+            hit, within = self.policy.classify(block, qlo, qhi)
+            hits = int(np.count_nonzero(hit))
+            stats.nodes_visited += hits
+            if hits and cache and within.any():
+                for i in within.nonzero()[0].tolist():
+                    agg.merge(kids[i].agg)
+                    stats.agg_hits += 1
+                hit = hit ^ within
             frontier = []
-            for child in queued:
-                if child.is_leaf:
-                    loose.append(child.cols.slot)
-                else:
-                    frontier.append(child)
+            if hits and bottom:
+                taken.append((slots[0] if len(slots) == 1 else np.concatenate(slots))[hit])
+            elif hits:
+                for i in hit.nonzero()[0].tolist():
+                    child = kids[i]
+                    if child.is_leaf:
+                        loose.append(child.cols.slot)
+                    else:
+                        frontier.append(child)
             if frontier and not narrowed:
                 qlo, qhi, dims = self._constrained(box)
                 narrowed = True
@@ -453,15 +436,16 @@ class BaseTree(ShardStore):
     def items(self) -> RecordBatch:
         coords = []
         measures = []
-        for leaf in self._iter_leaves(self.root):
-            # views: ``np.concatenate`` below makes the one copy
-            coords.append(leaf.leaf_coords())
-            measures.append(leaf.leaf_measures())
-        if not coords:
-            return RecordBatch.empty(self.num_dims)
-        return RecordBatch(
-            np.concatenate(coords, axis=0), np.concatenate(measures)
-        )
+        with self.lock:
+            for leaf in self._iter_leaves(self.root):
+                # views: ``np.concatenate`` below makes the one copy
+                coords.append(leaf.leaf_coords())
+                measures.append(leaf.leaf_measures())
+            if not coords:
+                return RecordBatch.empty(self.num_dims)
+            return RecordBatch(
+                np.concatenate(coords, axis=0), np.concatenate(measures)
+            )
 
     def _iter_leaves(self, node: Node) -> Iterator[Node]:
         # iterative left-to-right walk (recursion-limit safe)
@@ -476,20 +460,13 @@ class BaseTree(ShardStore):
     # -- statistics ---------------------------------------------------------
 
     def depth(self) -> int:
-        # hand-over-hand locking: under thread_safe=True a concurrent
-        # split may swap children[0] mid-walk, so each hop is read
-        # under the parent's lock before the lock moves down
-        d = 1
-        node = self.root
-        node.acquire()
-        while not node.is_leaf:
-            child = node.children[0]
-            child.acquire()
-            node.release()
-            node = child
-            d += 1
-        node.release()
-        return d
+        with self.lock:
+            d = 1
+            node = self.root
+            while not node.is_leaf:
+                node = node.children[0]
+                d += 1
+            return d
 
     def node_count(self) -> int:
         count = 0
@@ -550,8 +527,7 @@ class BaseTree(ShardStore):
         slots = {cols.slot for cols in leaves}
         assert len(slots) == len(leaves), "two leaves share an arena slot"
         assert len(slots) == arena.owned, "an owned arena slot has no leaf"
-        idle = set(arena.free) | {slot for _, slot in arena.limbo}
-        assert not slots & idle, "a leaf's arena slot is free"
+        assert not slots & set(arena.free), "a leaf's arena slot is free"
         for cols in leaves:
             assert arena.holds(cols), "leaf columns are not views of their slot"
 

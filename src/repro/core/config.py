@@ -1,4 +1,8 @@
-"""Tree configuration and per-operation statistics."""
+"""Tree configuration and per-operation statistics.
+
+No setting concerns threads: every tree holds one lock for each whole
+call (:attr:`~repro.core.base.BaseTree.lock`), whatever its config.
+"""
 
 from __future__ import annotations
 
@@ -34,13 +38,6 @@ class TreeConfig:
         overfull node at 3/4 fill, whatever this says.
     cache_aggregates:
         Keep per-node cached aggregates (disable only for ablation).
-    thread_safe:
-        Create the tree lock and per-node locks (hand-over-hand coupling
-        in the geometric trees, the tree lock plus each touched node
-        once in the Hilbert trees).  Off by
-        default: the GIL makes it pure overhead in single-threaded
-        benchmarks, but the protocol itself is exercised by the
-        concurrency tests.
     """
 
     leaf_capacity: int = 64
@@ -49,7 +46,6 @@ class TreeConfig:
     insert_policy: str = "least_overlap"
     split_policy: str = "least_overlap"
     cache_aggregates: bool = True
-    thread_safe: bool = False
     #: Apply the Fig. 3 hierarchical-ID expansion before Hilbert mapping.
     #: True for the Hilbert PDC tree; False reproduces the plain Hilbert
     #: R-tree, whose curve sees raw concatenated ids.

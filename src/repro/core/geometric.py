@@ -15,13 +15,11 @@ themselves (``covers_point``, ``log_volume``, ``expand_point_inplace``,
 
 An insert descends from the root choosing one child per level,
 expanding keys and aggregates along the path, appends to a leaf, and
-splits bottom-up on overflow.  Concurrency follows the PDC-tree
-protocol (paper Section III-C/D): pessimistic hand-over-hand lock
-coupling.  The ancestors are released as soon as a node, its key and
-aggregate grown under its parent's lock, proves *safe* (cannot split),
-so in the common case only one or two locks are held at a time, and
-splits always own every node they touch.  With ``thread_safe=False``
-all lock calls are no-ops.
+splits bottom-up on overflow.  The paper's PDC tree couples per-node
+locks hand over hand (Section III-C/D); here an insert, like every
+call, holds the tree's one lock (:class:`~repro.core.base.TreeLock`)
+from start to end, and the paper's threads per node are modelled in
+virtual time instead.
 """
 
 from __future__ import annotations
@@ -41,15 +39,12 @@ __all__ = ["GeometricTree", "PDCTree", "RTree"]
 class GeometricTree(BaseTree):
     """Shared implementation of the geometric tree family."""
 
-    # -- insert: lock-coupled descent, bottom-up splits ----------------------
-
-    def _node_safe(self, node: Node) -> bool:
-        if node.is_leaf:
-            return node.size < self.config.leaf_capacity
-        return len(node.children) < self.config.fanout
+    # -- insert: one descent, bottom-up splits ----------------------------
 
     def insert(self, coords: np.ndarray, measure: float) -> OpStats:
-        return self._insert_row(self._rows(coords), measure)
+        coords = self._rows(coords)
+        with self.lock:
+            return self._insert_row(coords, measure)
 
     def insert_batch(
         self, batch: RecordBatch, words: Optional[np.ndarray] = None
@@ -57,92 +52,56 @@ class GeometricTree(BaseTree):
         """One :meth:`insert` per row, the batch checked once."""
         self._rows(batch.coords)
         stats = OpStats()
-        for coords, measure in batch.iter_rows():
-            stats.merge(self._insert_row(coords, measure))
+        with self.lock:
+            for coords, measure in batch.iter_rows():
+                stats.merge(self._insert_row(coords, measure))
         return stats
 
     def _insert_row(self, coords: np.ndarray, measure: float) -> OpStats:
         stats = OpStats()
-        if self._tree_lock is not None:
-            self._tree_lock.acquire()
-        tree_locked = self.config.thread_safe
-        held: list[tuple[Node, int]] = []  # (locked ancestor, child index)
+        path: list[tuple[Node, int]] = []  # (ancestor, child index)
         node = self.root
-        node.acquire()
-        try:
-            while True:
-                stats.nodes_visited += 1
-                # Expand this node's key and aggregate for the new item
-                # while its parent is still held (see repro.core.node).
-                if node.key.expand_point_inplace(coords):
-                    stats.key_expansions += 1
-                node.agg.add_value(measure)
-                if self._node_safe(node):
-                    for anc, _ in held:
-                        anc.release()
-                    held.clear()
-                    if tree_locked:
-                        self._tree_lock.release()
-                        tree_locked = False
-                if node.is_leaf:
-                    break
-                idx = self._choose_child(node, coords)
-                child = node.children[idx]
-                child.acquire()
-                held.append((node, idx))
-                node = child
-
-            node.cols.append(coords, measure)
-            self._count += 1
-            self._propagate_splits(node, held, stats)
-        finally:
-            for anc, _ in held:
-                anc.release()
-            if tree_locked:
-                self._tree_lock.release()
+        while True:
+            stats.nodes_visited += 1
+            if node.key.expand_point_inplace(coords):
+                stats.key_expansions += 1
+            node.agg.add_value(measure)
+            if node.is_leaf:
+                break
+            idx = self._choose_child(node, coords)
+            path.append((node, idx))
+            node = node.children[idx]
+        node.cols.append(coords, measure)
+        self._count += 1
+        self._propagate_splits(node, path, stats)
         return stats
 
     def _propagate_splits(
-        self, node: Node, held: list[tuple[Node, int]], stats: OpStats
+        self, node: Node, path: list[tuple[Node, int]], stats: OpStats
     ) -> None:
-        """Bottom-up split propagation through the held (locked) suffix.
-
-        Releases ``node`` and every ancestor it pops off ``held``; the
-        caller still owns (and must release) whatever remains in
-        ``held``.
-        """
-        current = node
+        """Split ``node`` and then each ancestor on ``path`` it overfills,
+        bottom-up."""
         while (
-            current.size > self.config.leaf_capacity
-            if current.is_leaf
-            else len(current.children) > self.config.fanout
+            node.size > self.config.leaf_capacity
+            if node.is_leaf
+            else len(node.children) > self.config.fanout
         ):
             left, right = (
-                self._split_leaf(current)
-                if current.is_leaf
-                else self._split_dir(current)
+                self._split_leaf(node)
+                if node.is_leaf
+                else self._split_dir(node)
             )
-            current.block = None  # replaced: its keys moved to left/right
             stats.splits += 1
-            # a split leaf's slot is freed once the leaf is out of the tree
-            gone = current.cols
-            if held:
-                parent, idx = held.pop()
+            if path:
+                parent, idx = path.pop()
                 kids = parent.children
                 parent.set_children(kids[:idx] + [left, right] + kids[idx + 1 :])
-                if gone is not None:
-                    self.arena.release(gone)
-                current.release()
-                current = parent
-            else:
-                # The root itself split: grow the tree by one level.
-                new_root = self._build_dir([left, right])
-                current.release()
-                self.root = new_root
-                if gone is not None:
-                    self.arena.release(gone)
-                return
-        current.release()
+            else:  # the root split: grow the tree by one level
+                parent = self.root = self._build_dir([left, right])
+            # a split leaf's slot is freed once the leaf is out of the tree
+            if node.cols is not None:
+                self.arena.release(node.cols)
+            node = parent
 
     # -- child choice -------------------------------------------------------
 

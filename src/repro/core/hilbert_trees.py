@@ -10,10 +10,10 @@ computations at all*, which is why ingestion is much faster than in the
 PDC tree and nearly flat in the number of dimensions (paper Fig. 5a).
 
 ``insert_batch`` sorts a batch by key once and inserts it in one
-descent, each directory dealing its slice of the sorted keys out among
-its children by LHV, so a touched node is locked (parent before child,
-under the tree lock) and updated once per batch.  ``insert`` is the
-same descent for a batch of one row.  Only the entry point decides
+descent, under the tree's one lock, each directory dealing its slice of
+the sorted keys out among its children by LHV, so a touched node is
+updated once per batch.  ``insert`` is the same descent for a batch of
+one row.  Only the entry point decides
 what becomes of a node it overfills: a batch repacks it the way a bulk
 load packs -- rows in key order into 3/4-full leaves, nodes into
 3/4-full directories -- while a row cuts it in two.  Child order is
@@ -85,7 +85,7 @@ class HilbertTree(BaseTree):
         """Insert a whole batch in one descent (:meth:`_descend`) over the
         rows sorted by key -- ``words``, the :meth:`key_words` of the
         rows when the caller has them -- so that every node the batch
-        touches is visited, locked and updated once; a node the batch
+        touches is visited and updated once; a node the batch
         overfills is repacked."""
         self._rows(batch.coords)
         if not len(batch):
@@ -108,12 +108,9 @@ class HilbertTree(BaseTree):
         root.  The slots of the leaves the descent repacked are freed
         last, when no node of the tree points to those leaves."""
         stats = OpStats()
-        if self._tree_lock is not None:
-            self._tree_lock.acquire()
-        root = self.root
-        root.acquire()
-        try:
+        with self.lock:
             self._replaced: list[LeafColumns] = []
+            root = self.root
             nodes = self._descend(root, rows, keys, 0, len(keys), cut, stats)
             if nodes[0] is not root:
                 self.root = self._pack_root(nodes)
@@ -121,32 +118,25 @@ class HilbertTree(BaseTree):
             # the repacked leaves are out of the tree now: free their slots
             for cols in self._replaced:
                 self.arena.release(cols)
-        finally:
-            root.release()
-            if self._tree_lock is not None:
-                self._tree_lock.release()
         return stats
 
     def _descend(
         self, node: Node, rows: tuple, keys: list[int], lo: int, hi: int, cut: bool,
         stats: OpStats,
     ) -> list[Node]:
-        """Insert sorted rows ``lo:hi`` below ``node``, which the caller
-        holds locked; returns the nodes that take its place.
+        """Insert sorted rows ``lo:hi`` below ``node``; returns the nodes
+        that take its place.
 
         A leaf the rows fit in grows by them; one they overflow is
         rebuilt with them (:meth:`_pack_leaves`).  A directory grows
         its key, aggregate and LHV by the whole slice, hands child ``i``
         the keys up to its LHV (the last child the rest: a B+-tree
-        descent), locking each child under its own lock, and -- only if
-        some child was replaced -- takes the replacements as its
-        children (:meth:`~repro.core.node.Node.set_children`), or is
-        rebuilt (:meth:`_pack_dirs`) if they overfill it.  ``cut``
-        rebuilds an overfull node as two at the split rule's cut, else
-        it is repacked at 3/4 fill.  A node's key and aggregate grow
-        while its parent is held, and queries lock one node at a time,
-        so they see each node before or after the insert, never half
-        of it.
+        descent), and -- only if some child was replaced -- takes the
+        replacements as its children
+        (:meth:`~repro.core.node.Node.set_children`), or is rebuilt
+        (:meth:`_pack_dirs`) if they overfill it.  ``cut`` rebuilds an
+        overfull node as two at the split rule's cut, else it is
+        repacked at 3/4 fill.
         """
         stats.nodes_visited += 1
         coords, measures, words, mlist = rows
@@ -186,11 +176,7 @@ class HilbertTree(BaseTree):
             i = min(bisect_left(children, keys[lo], key=_LHV), last)
             child = children[i]
             end = hi if i == last else bisect_right(keys, child.lhv, lo, hi)
-            child.acquire()
-            try:
-                nodes = self._descend(child, rows, keys, lo, end, cut, stats)
-            finally:
-                child.release()
+            nodes = self._descend(child, rows, keys, lo, end, cut, stats)
             if nodes[0] is not child:
                 swaps.append((i, nodes))
             lo = end
@@ -202,7 +188,6 @@ class HilbertTree(BaseTree):
         if len(children) <= self.config.fanout:
             node.set_children(children)
             return [node]
-        node.block = None  # replaced: its keys move to the new directories
         nodes = self._pack_dirs(children, cut)
         stats.splits += len(nodes) - 1
         return nodes
@@ -232,10 +217,9 @@ class HilbertTree(BaseTree):
         (:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`)."""
         keys = self.policy.segment_keys(coords, starts)
         ends = starts.tolist()[1:] + [len(measures)]
-        safe = self.config.thread_safe
         out = []
         for key, cols, e in zip(keys, self.arena.fill(coords, measures, words, starts), ends):
-            leaf = Node(key, cols=cols, thread_safe=safe)
+            leaf = Node(key, cols=cols)
             leaf.lhv = key_from_words(words[e - 1])
             cols.reaggregate()
             out.append(leaf)

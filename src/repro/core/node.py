@@ -11,7 +11,6 @@ tree's column arena (:class:`~repro.core.columns.LeafArena`) -- or a
   is the accumulator living inside the columns);
 * ``lhv`` -- the largest Hilbert value in the subtree (Hilbert variants
   only; ``None`` in geometric trees);
-* ``lock`` -- an RLock when the tree is configured thread-safe;
 * ``block`` -- in a directory, its children's keys as one block (the
   key kind's ``stack``): child ``i``'s key is a view of row ``i``, so
   a child's key grows inside its parent's block, and the read engine
@@ -22,12 +21,9 @@ tree's column arena (:class:`~repro.core.columns.LeafArena`) -- or a
   maps the leaves it hits to slots without touching them.
 
 :meth:`Node.set_children` is the one place a directory's children, its
-block and its slots are set.  A node's key and aggregate change only
-while its parent's lock is held (the root's under its own lock); a
-reader that holds a directory's lock so sees its block and its
-children's aggregates agree.  A directory that is replaced drops its
-block (``None``): its children's keys have moved to the new
-directories' blocks.
+block and its slots are set.  A node has no lock: its tree's one lock
+(:attr:`~repro.core.base.BaseTree.lock`) is held for each whole call,
+so no reader sees a node between two writes.
 
 Leaves in Hilbert trees keep per-item Hilbert keys packed as big-endian
 uint64 word rows inside the columns -- no per-record Python objects.
@@ -38,7 +34,6 @@ key words in Hilbert leaves) and update ``key``, ``agg`` and ``lhv``.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Optional
 
 import numpy as np
@@ -50,34 +45,14 @@ __all__ = ["Node"]
 
 
 class Node:
-    __slots__ = (
-        "key",
-        "_agg",
-        "children",
-        "cols",
-        "_size",
-        "lhv",
-        "lock",
-        "block",
-        "slots",
-    )
+    __slots__ = ("key", "_agg", "children", "cols", "lhv", "block", "slots")
 
-    def __init__(
-        self,
-        key: Any,
-        *,
-        cols: Optional[LeafColumns] = None,
-        thread_safe: bool = False,
-    ):
+    def __init__(self, key: Any, *, cols: Optional[LeafColumns] = None):
         """A leaf over ``cols``, or a directory when ``cols`` is None."""
         self.key = key
         self.lhv: Optional[int] = None
         self.block: Optional[np.ndarray] = None
         self.slots: Optional[np.ndarray] = None
-        self.lock: Optional[threading.RLock] = (
-            threading.RLock() if thread_safe else None
-        )
-        self._size = 0
         self.cols = cols
         if cols is not None:
             self.children = None
@@ -107,16 +82,9 @@ class Node:
 
     @property
     def size(self) -> int:
+        """A leaf's published size (0 in a directory)."""
         cols = self.cols
-        return cols.size if cols is not None else self._size
-
-    @size.setter
-    def size(self, value: int) -> None:
-        cols = self.cols
-        if cols is not None:
-            cols.publish(value)
-        else:
-            self._size = value
+        return cols.size if cols is not None else 0
 
     # -- leaf item access -------------------------------------------------
 
@@ -142,14 +110,6 @@ class Node:
             else None
         )
         self.children = children
-
-    def acquire(self) -> None:
-        if self.lock is not None:
-            self.lock.acquire()
-
-    def release(self) -> None:
-        if self.lock is not None:
-            self.lock.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else f"dir[{len(self.children)}]"

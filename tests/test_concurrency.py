@@ -1,11 +1,12 @@
-"""Concurrency tests: the PDC-tree locking protocol under real threads.
+"""Concurrency tests: real threads racing on one tree.
 
-The paper's trees are multi-threaded with minimal locking (Section
-III-C/D: "operations hold only one or two node locks at a given time").
-The Python GIL removes parallel speedup but not interleaving, so these
-tests genuinely exercise the hand-over-hand protocol: concurrent
-inserters and queriers race on one tree, and afterwards all invariants
-must hold and no item may be lost.
+The paper's trees run several threads per node under per-node locks
+(Section III-C/D); here each tree call holds the tree's one lock, a
+re-entrant lock granted in arrival order, and the paper's threads are
+modelled in virtual time.  The GIL removes parallel speedup but not
+interleaving, so these tests race inserters, queriers and depth walkers
+on one tree: no answer may be torn, no writer starved, no item lost,
+and afterwards every invariant must hold.
 
 Every thread is a daemon and a test waits for its threads up to one
 shared deadline (:func:`run`), so a deadlock fails that test within
@@ -60,7 +61,7 @@ def run(threads, stop=None, after=()):
 @pytest.mark.parametrize("cls", THREADED)
 def test_concurrent_inserts_lose_nothing(cls):
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    config = TreeConfig(leaf_capacity=8, fanout=4)
     tree = cls(schema, config)
     n_threads = 4
     per_thread = 250
@@ -89,7 +90,7 @@ def test_concurrent_inserts_lose_nothing(cls):
 def test_concurrent_inserts_and_queries(cls):
     """Queries racing with inserts see monotonically growing prefixes."""
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    config = TreeConfig(leaf_capacity=8, fanout=4)
     tree = cls(schema, config)
     batch = random_batch(schema, 600, seed=3)
     box = full_query(schema).box
@@ -115,8 +116,8 @@ def test_concurrent_inserts_and_queries(cls):
             errors.append(exc)
 
     def depth_walker():
-        # depth() takes node locks hand-over-hand, so it must never
-        # crash or see an inconsistent chain while splits race it
+        # depth() holds the tree lock, so it must never crash or see
+        # an inconsistent chain while splits race it
         try:
             while not stop.is_set():
                 d = tree.depth()
@@ -147,7 +148,7 @@ def test_query_batch_races_inserts(cls):
     is a torn read; stale packed snapshots would also show up as lost
     items in the final full-box batch."""
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    config = TreeConfig(leaf_capacity=8, fanout=4)
     tree = cls(schema, config)
     batch = random_batch(schema, 500, seed=91)
     batch.measures[:] = 1.0
@@ -202,7 +203,7 @@ def test_no_out_of_box_row_under_key_growth(cls, entry):
     inserter, the counts a querier sees never shrink.
     """
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    config = TreeConfig(leaf_capacity=8, fanout=4)
     tree = cls(schema, config)
     half = int(schema.leaf_limits[0]) // 2
     box = Box(np.zeros(2, dtype=np.int64), schema.leaf_limits)
@@ -273,13 +274,13 @@ def test_no_out_of_box_row_under_key_growth(cls, entry):
 def test_no_out_of_box_row_under_batch_and_box_growth(cls, writer):
     """The check above for what it leaves out: a batch writer (2-8 rows
     a call, growing a key by several rows at once) and the MBR trees,
-    whose ``Box`` growth is two writes (``lo`` then ``hi``).  A node's
-    key and aggregate change only under its parent's lock, which a
-    reader holds while it classifies the parent's key block and reads
-    the *within* children's aggregates; an answer with ``total !=
-    count`` saw a key and an aggregate of different moments."""
+    whose ``Box`` growth is two writes (``lo`` then ``hi``).  A writer
+    holds the tree lock for its whole call, and so does a reader while
+    it classifies key blocks and reads the *within* children's
+    aggregates; an answer with ``total != count`` saw a key and an
+    aggregate of different moments."""
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    config = TreeConfig(leaf_capacity=8, fanout=4)
     tree = cls(schema, config)
     half = int(schema.leaf_limits[0]) // 2
     box = Box(np.zeros(2, dtype=np.int64), schema.leaf_limits)
@@ -349,13 +350,13 @@ def test_query_batch_and_depth_walker_race_repacks(cls):
     torn aggregate or an out-of-bounds column view.
 
     Batched inserts use chunks larger than ``leaf_capacity``, so every
-    chunk overflows some leaf and takes the repack path (new column
-    buffers spliced under path locks).  Measures are 1.0: any observed
+    chunk overflows some leaf and takes the repack path (new leaves
+    spliced in, old slots released).  Measures are 1.0: any observed
     aggregate with ``total != count`` is a torn read, and a stale or
     over-long column view would crash the querier or produce
     ``count > inserted``."""
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=4, fanout=3, thread_safe=True)
+    config = TreeConfig(leaf_capacity=4, fanout=3)
     tree = cls(schema, config)
     total_rows = 800
     chunk = 13  # > leaf_capacity: every chunk forces grow/repack
@@ -409,29 +410,6 @@ def test_query_batch_and_depth_walker_race_repacks(cls):
         assert agg.count == total_rows and agg.total == float(total_rows)
 
 
-def test_thread_safe_flag_creates_locks():
-    schema = make_schema([[4, 4]])
-    safe = HilbertPDCTree(schema, TreeConfig(thread_safe=True))
-    unsafe = HilbertPDCTree(schema, TreeConfig(thread_safe=False))
-    assert safe.root.lock is not None
-    assert unsafe.root.lock is None
-
-
-def test_locking_overhead_is_optional(schema, batch):
-    """Both modes produce structurally identical results for serial input."""
-    cfg_on = TreeConfig(leaf_capacity=16, fanout=8, thread_safe=True)
-    cfg_off = TreeConfig(leaf_capacity=16, fanout=8, thread_safe=False)
-    a = HilbertPDCTree(schema, cfg_on)
-    b = HilbertPDCTree(schema, cfg_off)
-    for coords, m in batch.iter_rows():
-        a.insert(coords, m)
-        b.insert(coords, m)
-    a.validate()
-    b.validate()
-    assert a.depth() == b.depth()
-    assert a.node_count() == b.node_count()
-
-
 def test_concurrent_batch_inserts_and_queries():
     """Batched inserts race queries: no torn aggregates, nothing lost.
 
@@ -440,7 +418,7 @@ def test_concurrent_batch_inserts_and_queries():
     but not the sum, or a half-committed run) would break the equality.
     """
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    config = TreeConfig(leaf_capacity=8, fanout=4)
     tree = HilbertPDCTree(schema, config)
     n_threads = 3
     per_thread = 400
@@ -486,7 +464,7 @@ def test_concurrent_batch_inserts_and_queries():
 def test_mixed_single_and_batch_inserts():
     """Per-record and batched writers interleave on one tree."""
     schema = make_schema([[8, 8], [8, 8]])
-    config = TreeConfig(leaf_capacity=8, fanout=4, thread_safe=True)
+    config = TreeConfig(leaf_capacity=8, fanout=4)
     tree = HilbertPDCTree(schema, config)
     single = random_batch(schema, 300, seed=71)
     batched = random_batch(schema, 300, seed=72)
@@ -541,7 +519,7 @@ def test_released_slots_wait_for_running_scans(cls, entry, monkeypatch):
     boot, data = random_batch(schema, 300, seed=111), random_batch(schema, 600, seed=112)
     boot.measures[:] = data.measures[:] = 1.0
     tree = cls.from_batch(
-        schema, boot, TreeConfig(leaf_capacity=4, fanout=3, thread_safe=True)
+        schema, boot, TreeConfig(leaf_capacity=4, fanout=3)
     )
     box = full_query(schema).box
     box.hi[0] = int(schema.leaf_limits[0]) // 2
@@ -596,25 +574,27 @@ def test_released_slots_wait_for_running_scans(cls, entry, monkeypatch):
     assert agg.count == high
 
 
-@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree, PDCTree, RTree])
-def test_a_read_takes_sizes_before_rows(cls, thread_safe):
-    """A scan reads its leaves' rows after the walk, without their
-    locks, so a writer can append to a scanned leaf between any two of
-    the read's takes.  The read must take the published sizes first:
-    rows below a size read earlier never change, while rows at or above
-    it may be a fresh slot's leftovers.  Here the root leaf's next free
-    row holds a leftover inside the box, and a row outside the box is
-    appended into it right after the read's first take (one-shot hook
-    on the arena's arrays).  A read that took the coordinates before
-    the sizes would count the leftover under the new size."""
+def test_a_read_takes_sizes_before_rows(cls, held):
+    """A scan reads its leaves' rows after the walk, so a write from
+    inside the read (the tree lock is re-entrant) can append to a
+    scanned leaf between any two of the read's takes; with ``held`` the
+    test thread already holds the lock when the read starts.  The read must
+    take the published sizes first: rows below a size read earlier
+    never change, while rows at or above it may be a fresh slot's
+    leftovers.  Here the root leaf's next free row holds a leftover
+    inside the box, and a row outside the box is appended into it right
+    after the read's first take (one-shot hook on the arena's arrays).
+    A read that took the coordinates before the sizes would count the
+    leftover under the new size."""
     schema = make_schema([[8, 8], [8, 8]])
     half = int(schema.leaf_limits[0]) // 2
     coords = np.array([[0, 1], [half, 2], [half + 1, 3]], dtype=np.int64)
     tree = cls.from_batch(
         schema,
         RecordBatch(coords, np.ones(3)),
-        TreeConfig(leaf_capacity=8, fanout=4, thread_safe=thread_safe),
+        TreeConfig(leaf_capacity=8, fanout=4),
     )
     assert tree.root.is_leaf
     box = full_query(schema).box
@@ -629,9 +609,11 @@ def test_a_read_takes_sizes_before_rows(cls, thread_safe):
                 hooks.pop()()
             return out
 
-    chunk = tree.arena._chunks[0]
+    chunk = tree.arena.chunk
     for name in ("coords", "measures", "sizes"):
         setattr(chunk, name, getattr(chunk, name).view(Hooked))
+    if held:
+        tree.lock.__enter__()  # kept: the read and its writer re-enter it
     agg, _ = tree.query(box)
     assert not hooks, "the writer did not run inside the read"
     assert (agg.count, agg.total) == (2, 2.0)
@@ -649,7 +631,7 @@ def test_slots_are_released_once_their_leaf_is_out_of_the_tree(cls, entry, monke
     splits replace a root leaf."""
     schema = make_schema([[8, 8], [8, 8]])
     data = random_batch(schema, 200, seed=121)
-    tree = cls(schema, TreeConfig(leaf_capacity=4, fanout=3, thread_safe=True))
+    tree = cls(schema, TreeConfig(leaf_capacity=4, fanout=3))
     release = tree.arena.release
     released, linked = [], []
 

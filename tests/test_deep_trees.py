@@ -62,7 +62,6 @@ def make_chain_tree(cls, schema, depth, config=None):
         parent.key = node.key.copy()
         parent.agg = Aggregate(*node.agg.to_tuple())
         parent.lhv = node.lhv
-        parent.size = node.size
         node = parent
     tree.root = node
     return tree, data

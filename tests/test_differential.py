@@ -1,11 +1,11 @@
 """Differential-oracle suite for the batched ingestion path.
 
 Every tree variant, fed the same seeded workload through either
-``insert`` or ``insert_batch`` (with and without ``thread_safe``), must
-report byte-identical aggregates to the flat :class:`ArrayStore` oracle
-on random query boxes.  Measures are integer-valued floats so sums are
-exact regardless of accumulation order, making "identical" mean ``==``,
-not ``approx``.
+``insert`` or ``insert_batch`` (with and without the tree's lock already
+held by the calling thread), must report byte-identical aggregates to
+the flat :class:`ArrayStore` oracle on random query boxes.  Measures are
+integer-valued floats so sums are exact regardless of accumulation
+order, making "identical" mean ``==``, not ``approx``.
 
 The vectorized compact-Hilbert kernel is likewise pinned to the scalar
 reference: same curve, same keys, bit for bit, including multi-word
@@ -55,6 +55,15 @@ def int_batch(schema, n, seed=0, clustered=False) -> RecordBatch:
     return b
 
 
+def new_tree(cls, schema, config, held):
+    """A new tree; with ``held`` the calling thread takes its lock here
+    and keeps it, so every later call re-enters the lock."""
+    tree = cls(schema, config)
+    if held:
+        tree.lock.__enter__()
+    return tree
+
+
 def counters(stats):
     return (
         stats.nodes_visited,
@@ -93,12 +102,12 @@ def assert_matches_oracle(store, oracle, boxes):
 
 
 @pytest.mark.parametrize("cls", ALL_TREES)
-@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize("chunk", [1, 7, 256])
-def test_insert_batch_matches_oracle(cls, thread_safe, chunk):
+def test_insert_batch_matches_oracle(cls, held, chunk):
     schema = make_schema()
-    config = TreeConfig(leaf_capacity=16, fanout=8, thread_safe=thread_safe)
-    tree = cls(schema, config)
+    config = TreeConfig(leaf_capacity=16, fanout=8)
+    tree = new_tree(cls, schema, config, held)
     oracle = ArrayStore(schema)
     data = int_batch(schema, 700, seed=11)
     for lo in range(0, len(data), chunk):
@@ -149,9 +158,9 @@ def test_insert_and_insert_batch_agree(cls):
 
 
 @pytest.mark.parametrize("cls", ALL_TREES)
-@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize("chunk", [1, 7, 256])
-def test_query_batch_matches_per_box(cls, thread_safe, chunk):
+def test_query_batch_matches_per_box(cls, held, chunk):
     """Batched == loop-of-``query`` == oracle, at every batch size.
 
     The box set includes the degenerate cases the vectorized predicates
@@ -159,8 +168,8 @@ def test_query_batch_matches_per_box(cls, thread_safe, chunk):
     boxes taken from inserted rows.
     """
     schema = make_schema()
-    config = TreeConfig(leaf_capacity=16, fanout=8, thread_safe=thread_safe)
-    tree = cls(schema, config)
+    config = TreeConfig(leaf_capacity=16, fanout=8)
+    tree = new_tree(cls, schema, config, held)
     oracle = ArrayStore(schema)
     data = int_batch(schema, 700, seed=17)
     tree.insert_batch(data)
@@ -188,9 +197,9 @@ def test_query_batch_matches_per_box(cls, thread_safe, chunk):
 
 @pytest.mark.parametrize("cls", ALL_TREES)
 @pytest.mark.parametrize("key_kind", ["mds", "mbr"])
-@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize("cache", [True, False])
-def test_read_engine_matches_pointer_walk(cls, key_kind, thread_safe, cache):
+def test_read_engine_matches_pointer_walk(cls, key_kind, held, cache):
     """The array-shaped read engine vs the node-by-node walk it
     replaced (``reference_query``), through a tree's whole life: empty,
     a single-leaf root, after splits, after ``insert_batch`` repacks and
@@ -198,11 +207,7 @@ def test_read_engine_matches_pointer_walk(cls, key_kind, thread_safe, cache):
     schema = make_schema()
     d = schema.num_dims
     config = TreeConfig(
-        leaf_capacity=8,
-        fanout=4,
-        key_kind=key_kind,
-        thread_safe=thread_safe,
-        cache_aggregates=cache,
+        leaf_capacity=8, fanout=4, key_kind=key_kind, cache_aggregates=cache
     )
     data = int_batch(schema, 500, seed=71, clustered=True)
     # keep dimension 0's upper half free of rows: a box there is
@@ -218,7 +223,7 @@ def test_read_engine_matches_pointer_walk(cls, key_kind, thread_safe, cache):
     boxes += [full, disjoint, Box.empty(d), inverted, boxes[0], boxes[0]]
     boxes += [point_box(data.coords[i]) for i in (0, 3, 250, 499)]
 
-    tree = cls(schema, config)
+    tree = new_tree(cls, schema, config, held)
     assert_matches_walk(tree, boxes)
     assert counters(tree.query(full)[1]) == (0, 0, 0, 0)
 
@@ -272,19 +277,19 @@ CAP = 8
 
 
 @pytest.mark.parametrize("cls", ALL_TREES)
-@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize("n", [CAP - 1, CAP, CAP + 1])
-def test_split_boundary_at_leaf_capacity(cls, thread_safe, n):
+def test_split_boundary_at_leaf_capacity(cls, held, n):
     """Exactly leaf_capacity ± 1 records: the overflow/split boundary.
 
     At ``n == CAP`` the root leaf is exactly full; ``CAP + 1`` forces
     the first split (or repack) out of a full columnar leaf.  Both the
     per-record and the batched path must agree with the oracle."""
     schema = make_schema()
-    config = TreeConfig(leaf_capacity=CAP, fanout=4, thread_safe=thread_safe)
+    config = TreeConfig(leaf_capacity=CAP, fanout=4)
     data = int_batch(schema, n, seed=40 + n)
-    one = cls(schema, config)
-    batched = cls(schema, config)
+    one = new_tree(cls, schema, config, held)
+    batched = new_tree(cls, schema, config, held)
     oracle = ArrayStore(schema)
     for coords, m in data.iter_rows():
         one.insert(coords, m)
@@ -299,15 +304,15 @@ def test_split_boundary_at_leaf_capacity(cls, thread_safe, n):
 
 
 @pytest.mark.parametrize("cls", ALL_TREES)
-@pytest.mark.parametrize("thread_safe", [False, True])
+@pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize("chunk", [CAP - 1, CAP, CAP + 1, 64])
-def test_chunks_around_capacity_match_oracle(cls, thread_safe, chunk):
+def test_chunks_around_capacity_match_oracle(cls, held, chunk):
     """Chunk sizes straddling leaf_capacity drive repack-on-overflow at
     every fill level; results stay oracle-identical (incl. OpStats
     between query and query_batch)."""
     schema = make_schema()
-    config = TreeConfig(leaf_capacity=CAP, fanout=4, thread_safe=thread_safe)
-    tree = cls(schema, config)
+    config = TreeConfig(leaf_capacity=CAP, fanout=4)
+    tree = new_tree(cls, schema, config, held)
     oracle = ArrayStore(schema)
     data = int_batch(schema, 400, seed=47, clustered=True)
     for lo in range(0, len(data), chunk):
@@ -362,14 +367,14 @@ def test_leaves_are_numpy_columns(cls):
 
 
 @pytest.mark.parametrize("cls", ALL_TREES)
-@pytest.mark.parametrize("thread_safe", [False, True])
-def test_serialize_roundtrip_matches_oracle(cls, thread_safe):
+@pytest.mark.parametrize("held", [False, True])
+def test_serialize_roundtrip_matches_oracle(cls, held):
     """store -> column frame -> store is oracle-identical, and the
     rebuilt tree equals a direct bulk load of the same items
     (query_batch OpStats included)."""
     schema = make_schema()
-    config = TreeConfig(leaf_capacity=CAP, fanout=4, thread_safe=thread_safe)
-    tree = cls(schema, config)
+    config = TreeConfig(leaf_capacity=CAP, fanout=4)
+    tree = new_tree(cls, schema, config, held)
     oracle = ArrayStore(schema)
     data = int_batch(schema, 350, seed=61)
     tree.insert_batch(data)
