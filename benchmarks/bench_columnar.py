@@ -54,11 +54,12 @@ def make_boxes(batch, n, seed=1):
 
 
 def collect_leaves(tree):
+    """``(coords, measures)`` of every leaf: live views of its arena slot."""
     leaves, stack = [], [tree.root]
     while stack:
         n = stack.pop()
         if n.is_leaf:
-            leaves.append(n)
+            leaves.append((tree.arena.coords(n.slot), tree.arena.measures(n.slot)))
         else:
             stack.extend(n.children)
     return leaves
@@ -88,13 +89,12 @@ def scan_columnar(leaves, boxes):
     out = []
     for lo, hi in boxes:
         count, total = 0, 0.0
-        for leaf in leaves:
-            c = leaf.cols.live_coords()
+        for c, m in leaves:
             mask = ((c >= lo) & (c <= hi)).all(axis=1)
             n = int(np.count_nonzero(mask))
             if n:
                 count += n
-                total += float(leaf.cols.live_measures()[mask].sum())
+                total += float(m[mask].sum())
         out.append((count, total))
     return time.perf_counter() - t0, out
 
@@ -126,11 +126,11 @@ def test_columnar_vs_per_record():
     aos_leaves = [
         list(
             zip(
-                (tuple(r) for r in leaf.cols.live_coords().tolist()),
-                leaf.cols.live_measures().tolist(),
+                (tuple(r) for r in c.tolist()),
+                m.tolist(),
             )
         )
-        for leaf in leaves
+        for c, m in leaves
     ]
     old_s, old_out = scan_per_record(aos_leaves, boxes)
     new_s, new_out = scan_columnar(leaves, boxes)

@@ -270,11 +270,8 @@ class BaseTree(ShardStore):
         """uint64 words per packed leaf Hilbert key (0: no Hilbert keys)."""
         return 0
 
-    def _new_leaf(self, key=None) -> Node:
-        return Node(
-            self.policy.empty(self.num_dims) if key is None else key,
-            cols=self.arena.leaf(),
-        )
+    def _new_leaf(self) -> Node:
+        return Node(self.policy.empty(self.num_dims), slot=self.arena.leaf())
 
     def _new_dir(self) -> Node:
         return Node(self.policy.empty(self.num_dims))
@@ -372,7 +369,7 @@ class BaseTree(ShardStore):
         loose: list[int] = []  # slots of other collected leaves
         frontier: list[Node] = []
         if root.is_leaf:
-            loose.append(root.cols.slot)
+            loose.append(root.slot)
         elif not box.is_empty():
             frontier.append(root)
         qlo, qhi, dims, narrowed = box.lo, box.hi, None, False
@@ -403,7 +400,7 @@ class BaseTree(ShardStore):
                 for i in hit.nonzero()[0].tolist():
                     child = kids[i]
                     if child.is_leaf:
-                        loose.append(child.cols.slot)
+                        loose.append(child.slot)
                     else:
                         frontier.append(child)
             if frontier and not narrowed:
@@ -436,11 +433,12 @@ class BaseTree(ShardStore):
     def items(self) -> RecordBatch:
         coords = []
         measures = []
+        arena = self.arena
         with self.lock:
             for leaf in self._iter_leaves(self.root):
                 # views: ``np.concatenate`` below makes the one copy
-                coords.append(leaf.leaf_coords())
-                measures.append(leaf.leaf_measures())
+                coords.append(arena.coords(leaf.slot))
+                measures.append(arena.measures(leaf.slot))
             if not coords:
                 return RecordBatch.empty(self.num_dims)
             return RecordBatch(
@@ -521,15 +519,13 @@ class BaseTree(ShardStore):
             )
         total, _ = results[id(self.root)]
         assert total == self._count, f"count mismatch {total} != {self._count}"
-        # the arena: one slot per leaf, its columns views of that slot
+        # the arena: one slot per leaf
         arena = self.arena
-        leaves = [node.cols for node in order if node.is_leaf]
-        slots = {cols.slot for cols in leaves}
+        leaves = [node.slot for node in order if node.is_leaf]
+        slots = set(leaves)
         assert len(slots) == len(leaves), "two leaves share an arena slot"
         assert len(slots) == arena.owned, "an owned arena slot has no leaf"
         assert not slots & set(arena.free), "a leaf's arena slot is free"
-        for cols in leaves:
-            assert arena.holds(cols), "leaf columns are not views of their slot"
 
     def _validate_one(
         self,
@@ -538,10 +534,12 @@ class BaseTree(ShardStore):
         is_root: bool = False,
     ) -> tuple[int, list[np.ndarray]]:
         if node.is_leaf:
-            assert node.size <= self.config.leaf_capacity, "leaf over capacity"
-            agg = Aggregate.of_array(node.leaf_measures())
+            arena, slot = self.arena, node.slot
+            size = arena.size(slot)
+            assert size <= self.config.leaf_capacity, "leaf over capacity"
+            agg = Aggregate.of_array(arena.measures(slot))
             assert node.agg.approx_equal(agg), "leaf aggregate mismatch"
-            coords = node.leaf_coords()
+            coords = arena.coords(slot)
             assert ((coords >= 0) & (coords <= self.schema.leaf_limits)).all(), (
                 "row outside the schema's id space"
             )
@@ -549,15 +547,15 @@ class BaseTree(ShardStore):
                 assert node.key.covers_point(row), (
                     "leaf key does not cover item"
                 )
-            if node.cols.hwords is not None and node.size:
-                assert node.lhv == node.cols.max_key(), "leaf LHV wrong"
-            return node.size, [coords]
+            if arena.key_words and size:
+                assert node.lhv == arena.max_key(slot), "leaf LHV wrong"
+            return size, [coords]
         assert len(node.children) <= self.config.fanout, "dir over fanout"
         if not is_root:
             assert len(node.children) >= 1, "empty directory node"
         # one copy of each child key: child i's key is row i of the block
         assert len(node.block) == len(node.children), "block rows != children"
-        leaf_slots = [c.cols.slot for c in node.children if c.is_leaf]
+        leaf_slots = [c.slot for c in node.children if c.is_leaf]
         if len(leaf_slots) == len(node.children):
             assert node.slots.tolist() == leaf_slots, "directory slots != leaf slots"
         else:

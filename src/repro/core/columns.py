@@ -1,8 +1,10 @@
 """Columnar (SoA) leaf storage: one column arena per tree.
 
 Every leaf's rows live in its tree's :class:`LeafArena`, one *slot* per
-leaf.  A slot holds ``rows`` rows (``leaf_capacity + 1``: a geometric
-leaf holds one row over capacity until it splits) in three columns:
+leaf; a leaf node keeps only its slot number
+(:attr:`~repro.core.node.Node.slot`).  A slot holds ``rows`` rows
+(``leaf_capacity + 1``: a geometric leaf holds one row over capacity
+until it splits) in three columns:
 
 * ``coords`` -- ``(d, slots, rows)`` int64, dimension-major: one
   dimension of every slot is one plane, so a scan takes the dimensions
@@ -12,35 +14,36 @@ leaf holds one row over capacity until it splits) in three columns:
   (Hilbert trees only; ``None`` in geometric trees);
 
 and ``sizes``, ``(slots,)``, the size each slot's leaf has published
--- the one copy of a leaf's size (:attr:`LeafColumns.size` reads it).
+-- the one copy of a leaf's size (:meth:`LeafArena.size`).
 
-A :class:`LeafColumns` owns one slot for its leaf's life: its
-``coords`` (a ``(rows, d)`` view, row ``i`` being the leaf's row ``i``),
-``measures`` and ``hwords`` are views of that slot, and ``agg`` is the
-leaf's aggregate, recomputable from the live measures in one broadcast
-(:meth:`LeafColumns.reaggregate`).  No leaf allocates a buffer of its
-own and no per-record Python object remains anywhere in a leaf.  Key
-order is preserved because the words are unsigned big-endian:
-lexicographic row order equals numeric key order, so the stable
-``np.lexsort`` (:func:`~repro.hilbert.compact_hilbert.lexsort_words`)
-produces exactly the permutation ``sorted`` produced on Python ints.
+The arena answers every per-slot read and write itself, indexing its
+current chunk at call time.  No leaf allocates a buffer of its own and
+no per-record Python object remains anywhere in a leaf.  Key order is
+preserved because the words are unsigned big-endian: lexicographic row
+order equals numeric key order, so the stable ``np.lexsort``
+(:func:`~repro.hilbert.compact_hilbert.lexsort_words`) produces exactly
+the permutation ``sorted`` produced on Python ints.
 
-Geometric leaves take rows one at a time (:meth:`LeafColumns.append`);
-Hilbert leaves take key-sorted blocks with their key words
-(:meth:`LeafColumns.extend`), and a batch of new leaves is written in
-one assignment per column (:meth:`LeafArena.fill`).  Writers write rows
-*before* publishing the new size, and a reader reads the sizes
-*before* the rows (:meth:`LeafArena.select`), so a reader that takes
-the rows below a published size never sees a torn row.
+Rows are written only by arena methods: geometric leaves take rows one
+at a time (:meth:`LeafArena.append`), Hilbert leaves take key-sorted
+blocks with their key words (:meth:`LeafArena.extend`), and a batch of
+new leaves is written in one assignment per column
+(:meth:`LeafArena.fill`).  A view the arena hands out (``coords``,
+``measures``, ``hwords``) is only read.  Writers write rows *before*
+publishing the new size, and a reader reads the sizes *before* the
+rows (:meth:`LeafArena.select`), so a reader that takes the rows below
+a published size never sees a torn row.
 
 A bulk load sizes the arena to its leaves (:meth:`LeafArena.restart`);
 each later growth doubles it by moving the used slots into one larger
-chunk and rebinding their leaves' views, so a read is always one take
-from one chunk.  A leaf replaced by a split or a repack gives its slot
-back (:meth:`LeafArena.release`) once it is out of the tree, and the
-next new leaf reuses it.  The arena has no lock: its tree holds its one
-lock for each whole call (:attr:`~repro.core.base.BaseTree.lock`), so
-no read runs while a slot moves or is reused.
+chunk, so a read is always one take from one chunk.  A view taken
+before a growth still reads the right rows: the growth copied them, and
+the old chunk lives as long as a view of it.  A leaf replaced by a
+split or a repack gives its slot back (:meth:`LeafArena.release`) once
+it is out of the tree, and the next new leaf reuses it.  The arena has
+no lock: its tree holds its one lock for each whole call
+(:attr:`~repro.core.base.BaseTree.lock`), so no read runs while a slot
+moves or is reused.
 """
 
 from __future__ import annotations
@@ -51,9 +54,8 @@ from typing import Optional
 import numpy as np
 
 from ..hilbert.compact_hilbert import argmax_words, key_from_words
-from .aggregates import Aggregate
 
-__all__ = ["LeafArena", "LeafColumns"]
+__all__ = ["LeafArena"]
 
 #: slots of an empty tree's first chunk
 _FIRST_CHUNK = 8
@@ -99,66 +101,97 @@ class LeafArena:
         """Drop every slot and make a chunk of ``slots``: a bulk load
         sizes it to its leaves (the empty root it replaces keeps no
         slot)."""
-        slots = max(1, slots)
-        self.chunk = _Chunk(slots, self.rows, self.num_dims, self.key_words)
-        self._owners: list[Optional[LeafColumns]] = [None] * slots  # by slot
+        self.chunk = _Chunk(max(1, slots), self.rows, self.num_dims, self.key_words)
         self._next = 0  # first never-used slot
         self.free: list[int] = []
         self.owned = 0
 
     def _grow(self) -> None:
-        """Double the slots: move the used ones into one larger chunk
-        and rebind their leaves' views."""
-        old, used, end = self.chunk, self._next, len(self._owners)
-        slots = max(_FIRST_CHUNK, end)
-        chunk = _Chunk(end + slots, self.rows, self.num_dims, self.key_words)
+        """Double the slots, all used: move them into one larger chunk."""
+        old, used = self.chunk, self._next
+        chunk = _Chunk(used + max(_FIRST_CHUNK, used), self.rows, self.num_dims, self.key_words)
         chunk.coords[:, :used] = old.coords[:, :used]
         chunk.measures[:used] = old.measures[:used]
         if old.hwords is not None:
             chunk.hwords[:used] = old.hwords[:used]
         chunk.sizes[:used] = old.sizes[:used]
         self.chunk = chunk
-        for cols in self._owners:
-            if cols is not None:
-                cols.bind(chunk)
-        self._owners.extend([None] * slots)
 
     # -- slots -------------------------------------------------------------
 
-    def leaf(self) -> "LeafColumns":
-        """Columns for a new leaf, on a slot of its own."""
+    def leaf(self) -> int:
+        """A slot of its own for a new, empty leaf."""
         self.owned += 1
         if self.free:
             slot = self.free.pop()
         else:
-            if self._next == len(self._owners):
+            if self._next == len(self.chunk.sizes):
                 self._grow()
             slot = self._next
             self._next += 1
-        cols = self._owners[slot] = LeafColumns(self.chunk, slot)
-        return cols
+        self.chunk.sizes[slot] = 0  # a reused slot: its last leaf's size goes
+        return slot
 
-    def release(self, cols: "LeafColumns") -> None:
+    def release(self, slot: int) -> None:
         """Give back the slot of a leaf that left the tree."""
         self.owned -= 1
-        self._owners[cols.slot] = None
-        self.free.append(cols.slot)
+        self.free.append(slot)
 
-    def holds(self, cols: "LeafColumns") -> bool:
-        """Whether ``cols`` own their slot and are views of it."""
-        chunk, at = self.chunk, cols.slot
-        views = [
-            (cols.coords, chunk.coords[:, at]),
-            (cols.measures, chunk.measures[at]),
-            (cols._sizes[at : at + 1], chunk.sizes[at : at + 1]),
-        ]
-        if chunk.hwords is not None:
-            views.append((cols.hwords, chunk.hwords[at]))
-        return self._owners[at] is cols and all(
-            np.shares_memory(view, own) for view, own in views
-        )
+    # -- one slot's live rows (views: only read) ----------------------------
 
-    # -- bulk writes and reads ---------------------------------------------
+    def size(self, slot: int) -> int:
+        """Live rows: the size published for ``slot``."""
+        return self.chunk.sizes.item(slot)
+
+    def coords(self, slot: int) -> np.ndarray:
+        """``(size, d)``: row ``i`` is the leaf's row ``i``."""
+        chunk = self.chunk
+        return chunk.coords[:, slot, : chunk.sizes.item(slot)].T
+
+    def measures(self, slot: int) -> np.ndarray:
+        chunk = self.chunk
+        return chunk.measures[slot, : chunk.sizes.item(slot)]
+
+    def hwords(self, slot: int) -> np.ndarray:
+        chunk = self.chunk
+        return chunk.hwords[slot, : chunk.sizes.item(slot)]
+
+    def max_key(self, slot: int) -> int:
+        """Largest Hilbert key among the live rows, as a Python int."""
+        words = self.hwords(slot)
+        return key_from_words(words[argmax_words(words)])
+
+    def key_ints(self, slot: int) -> list[int]:
+        """Live Hilbert keys as Python ints (tests / validation only)."""
+        return [key_from_words(row) for row in self.hwords(slot)]
+
+    # -- writes: rows first, then the size that publishes them ---------------
+
+    def append(self, slot: int, coords: np.ndarray, measure: float) -> None:
+        """Append one row of a leaf without Hilbert keys (the caller
+        checks capacity)."""
+        chunk = self.chunk
+        i = chunk.sizes.item(slot)
+        chunk.coords[:, slot, i] = coords
+        chunk.measures[slot, i] = measure
+        chunk.sizes[slot] = i + 1
+
+    def extend(
+        self,
+        slot: int,
+        coords: np.ndarray,
+        measures: np.ndarray,
+        hwords: Optional[np.ndarray] = None,
+    ) -> None:
+        """Append a block of rows in three slice assignments."""
+        chunk = self.chunk
+        i = chunk.sizes.item(slot)
+        n = len(measures)
+        chunk.coords[:, slot, i : i + n] = coords.T
+        chunk.measures[slot, i : i + n] = measures
+        if hwords is not None:
+            chunk.hwords[slot, i : i + n] = hwords
+        chunk.sizes[slot] = i + n
 
     def fill(
         self,
@@ -166,8 +199,8 @@ class LeafArena:
         measures: np.ndarray,
         words: Optional[np.ndarray],
         starts: np.ndarray,
-    ) -> list["LeafColumns"]:
-        """Columns for new leaves over ``coords``, ``measures`` and
+    ) -> list[int]:
+        """Slots of new leaves over ``coords``, ``measures`` and
         ``words``, leaf ``i`` holding rows ``starts[i]`` up to the next
         start.  The leaves of a bulk load -- consecutive new slots, all
         but the last of one size -- take their rows in one assignment
@@ -175,12 +208,12 @@ class LeafArena:
         out = [self.leaf() for _ in range(len(starts))]
         bounds = starts.tolist() + [len(measures)]
         k, size = len(out) - 1, bounds[1]  # the leaves before the last
-        chunk, at = self.chunk, out[0].slot
+        chunk, at = self.chunk, out[0]
         done = 0
         if (
             k > 1
             and bounds[: k + 1] == list(range(0, k * size + 1, size))
-            and [c.slot for c in out[:k]] == list(range(at, at + k))
+            and out[:k] == list(range(at, at + k))
         ):
             n = k * size
             chunk.coords[:, at : at + k, :size] = coords[:n].T.reshape(-1, k, size)
@@ -189,8 +222,8 @@ class LeafArena:
                 chunk.hwords[at : at + k, :size] = words[:n].reshape(k, size, -1)
             chunk.sizes[at : at + k] = size
             done = k
-        for c, s, e in zip(out[done:], bounds[done:], bounds[done + 1 :]):
-            c.set_rows(coords[s:e], measures[s:e], None if words is None else words[s:e])
+        for slot, s, e in zip(out[done:], bounds[done:], bounds[done + 1 :]):
+            self.extend(slot, coords[s:e], measures[s:e], None if words is None else words[s:e])
         return out
 
     def select(
@@ -216,105 +249,3 @@ class LeafArena:
             keep = ((lo[:, None, None] <= planes) & (planes <= hi[:, None, None])).all(axis=0)
         keep &= self._live[sizes]
         return int(sizes.sum()), chunk.measures[slots][keep]
-
-
-class LeafColumns:
-    """One leaf's rows: views of its slot in the tree's arena."""
-
-    __slots__ = ("coords", "measures", "hwords", "agg", "slot", "_sizes")
-
-    def __init__(self, chunk: _Chunk, slot: int):
-        self.slot = slot
-        self.bind(chunk)
-        self.agg = Aggregate.empty()
-        self.publish(0)  # a reused slot: its last leaf's size goes
-
-    def bind(self, chunk: _Chunk) -> None:
-        """Make the columns views of this slot in ``chunk``."""
-        at = self.slot
-        self.coords = chunk.coords[:, at].T
-        self.measures = chunk.measures[at]
-        self.hwords = chunk.hwords[at] if chunk.hwords is not None else None
-        self._sizes = chunk.sizes
-
-    @property
-    def size(self) -> int:
-        """Live rows: the size published in the arena."""
-        return self._sizes.item(self.slot)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the slot (capacity, not just live rows)."""
-        n = self.coords.nbytes + self.measures.nbytes
-        if self.hwords is not None:
-            n += self.hwords.nbytes
-        return n
-
-    # -- live views --------------------------------------------------------
-
-    def live_coords(self) -> np.ndarray:
-        return self.coords[: self.size]
-
-    def live_measures(self) -> np.ndarray:
-        return self.measures[: self.size]
-
-    def live_hwords(self) -> np.ndarray:
-        return self.hwords[: self.size]
-
-    # -- mutation ----------------------------------------------------------
-
-    def publish(self, size: int) -> None:
-        """Make rows below ``size`` visible (written before this)."""
-        self._sizes[self.slot] = size
-
-    def append(self, coords: np.ndarray, measure: float) -> None:
-        """Append one row of a leaf without Hilbert keys (caller checks
-        capacity and holds the lock)."""
-        i = self.size
-        self.coords[i] = coords
-        self.measures[i] = measure
-        self.publish(i + 1)
-
-    def extend(
-        self,
-        coords: np.ndarray,
-        measures: np.ndarray,
-        hwords: Optional[np.ndarray] = None,
-    ) -> None:
-        """Append a block of rows in three slice assignments."""
-        i = self.size
-        n = len(measures)
-        self.coords[i : i + n] = coords
-        self.measures[i : i + n] = measures
-        if hwords is not None:
-            self.hwords[i : i + n] = hwords
-        self.publish(i + n)
-
-    def set_rows(
-        self,
-        coords: np.ndarray,
-        measures: np.ndarray,
-        hwords: Optional[np.ndarray] = None,
-    ) -> None:
-        """Fill a fresh (unpublished) leaf's columns from arrays."""
-        n = len(measures)
-        self.coords[:n] = coords
-        self.measures[:n] = measures
-        if hwords is not None:
-            self.hwords[:n] = hwords
-        self.publish(n)
-
-    # -- broadcasts --------------------------------------------------------
-
-    def reaggregate(self) -> Aggregate:
-        """Recompute and install the accumulator in one broadcast."""
-        self.agg = Aggregate.of_array(self.live_measures())
-        return self.agg
-
-    def max_key(self) -> int:
-        """Largest Hilbert key among the live rows, as a Python int."""
-        return key_from_words(self.hwords[argmax_words(self.live_hwords())])
-
-    def key_ints(self) -> list[int]:
-        """Live Hilbert keys as Python ints (tests / validation only)."""
-        return [key_from_words(row) for row in self.live_hwords()]

@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ..olap.records import RecordBatch
+from .aggregates import Aggregate
 from .base import BaseTree
 from .config import OpStats, TreeConfig
 from .node import Node
@@ -71,7 +72,7 @@ class GeometricTree(BaseTree):
             idx = self._choose_child(node, coords)
             path.append((node, idx))
             node = node.children[idx]
-        node.cols.append(coords, measure)
+        self.arena.append(node.slot, coords, measure)
         self._count += 1
         self._propagate_splits(node, path, stats)
         return stats
@@ -82,7 +83,7 @@ class GeometricTree(BaseTree):
         """Split ``node`` and then each ancestor on ``path`` it overfills,
         bottom-up."""
         while (
-            node.size > self.config.leaf_capacity
+            self.arena.size(node.slot) > self.config.leaf_capacity
             if node.is_leaf
             else len(node.children) > self.config.fanout
         ):
@@ -99,8 +100,8 @@ class GeometricTree(BaseTree):
             else:  # the root split: grow the tree by one level
                 parent = self.root = self._build_dir([left, right])
             # a split leaf's slot is freed once the leaf is out of the tree
-            if node.cols is not None:
-                self.arena.release(node.cols)
+            if node.is_leaf:
+                self.arena.release(node.slot)
             node = parent
 
     # -- child choice -------------------------------------------------------
@@ -127,17 +128,17 @@ class GeometricTree(BaseTree):
     # -- splits -----------------------------------------------------------
 
     def _split_leaf(self, leaf: Node) -> tuple[Node, Node]:
-        left, right = self.policy.halves(leaf.leaf_coords())
+        left, right = self.policy.halves(self.arena.coords(leaf.slot))
         return self._build_leaf(leaf, left), self._build_leaf(leaf, right)
 
     def _build_leaf(self, src: Node, idx: np.ndarray) -> Node:
+        arena = self.arena
         out = self._new_leaf()
-        cols = src.cols
-        out.cols.set_rows(cols.coords[idx], cols.measures[idx])
-        out.cols.reaggregate()
+        arena.extend(out.slot, arena.coords(src.slot)[idx], arena.measures(src.slot)[idx])
+        out.agg = Aggregate.of_array(arena.measures(out.slot))
         # point by point, as the inserts grew it: an MDS grown by a
         # whole batch at once can coalesce differently
-        for row in out.leaf_coords():
+        for row in arena.coords(out.slot):
             out.key.expand_point_inplace(row)
         return out
 

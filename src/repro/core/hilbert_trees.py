@@ -38,7 +38,6 @@ from ..hilbert.id_expansion import HilbertKeyMapper
 from ..olap.records import RecordBatch
 from .aggregates import Aggregate
 from .base import BaseTree
-from .columns import LeafColumns
 from .config import OpStats, TreeConfig
 from .node import Node
 
@@ -52,7 +51,7 @@ class HilbertTree(BaseTree):
 
     def __init__(self, schema, config=None):
         # the mapper must exist before BaseTree.__init__ creates the
-        # root leaf, whose columns are sized by _leaf_key_words()
+        # root leaf, whose arena is sized by _leaf_key_words()
         cfg = config if config is not None else self._default_config()
         self.mapper = HilbertKeyMapper(schema, expand=cfg.hilbert_expand_ids)
         super().__init__(schema, cfg)
@@ -109,15 +108,15 @@ class HilbertTree(BaseTree):
         last, when no node of the tree points to those leaves."""
         stats = OpStats()
         with self.lock:
-            self._replaced: list[LeafColumns] = []
+            self._replaced: list[int] = []  # slots of repacked leaves
             root = self.root
             nodes = self._descend(root, rows, keys, 0, len(keys), cut, stats)
             if nodes[0] is not root:
                 self.root = self._pack_root(nodes)
             self._count += len(keys)
             # the repacked leaves are out of the tree now: free their slots
-            for cols in self._replaced:
-                self.arena.release(cols)
+            for slot in self._replaced:
+                self.arena.release(slot)
         return stats
 
     def _descend(
@@ -141,21 +140,21 @@ class HilbertTree(BaseTree):
         stats.nodes_visited += 1
         coords, measures, words, mlist = rows
         part = coords[lo:hi]
-        cols = node.cols  # None in a directory
-        leaf = cols is not None
-        if leaf and cols.size + hi - lo > self.config.leaf_capacity:
+        arena, slot = self.arena, node.slot  # None in a directory
+        leaf = slot is not None
+        if leaf and arena.size(slot) + hi - lo > self.config.leaf_capacity:
             stats.repacks += not cut
             nodes = self._pack_leaves(
-                np.concatenate([node.leaf_coords(), part]),
-                np.concatenate([node.leaf_measures(), measures[lo:hi]]),
-                np.concatenate([node.cols.live_hwords(), words[lo:hi]]),
+                np.concatenate([arena.coords(slot), part]),
+                np.concatenate([arena.measures(slot), measures[lo:hi]]),
+                np.concatenate([arena.hwords(slot), words[lo:hi]]),
                 cut,
             )
-            self._replaced.append(cols)
+            self._replaced.append(slot)
             stats.splits += len(nodes) - 1
             return nodes
         if leaf:
-            cols.extend(part, measures[lo:hi], words[lo:hi])
+            arena.extend(slot, part, measures[lo:hi], words[lo:hi])
         if hi - lo == 1:  # a lone row: the scalar updates, several times cheaper
             grew = node.key.expand_point_inplace(coords[lo])
             node.agg.add_value(mlist[lo])
@@ -217,11 +216,12 @@ class HilbertTree(BaseTree):
         (:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`)."""
         keys = self.policy.segment_keys(coords, starts)
         ends = starts.tolist()[1:] + [len(measures)]
+        arena = self.arena
         out = []
-        for key, cols, e in zip(keys, self.arena.fill(coords, measures, words, starts), ends):
-            leaf = Node(key, cols=cols)
+        for key, slot, e in zip(keys, arena.fill(coords, measures, words, starts), ends):
+            leaf = Node(key, slot=slot)
             leaf.lhv = key_from_words(words[e - 1])
-            cols.reaggregate()
+            leaf.agg = Aggregate.of_array(arena.measures(slot))
             out.append(leaf)
         return out
 

@@ -142,10 +142,10 @@ def reference_query(tree, box):
                 stats.agg_hits += 1
             elif node.is_leaf:
                 stats.leaves_visited += 1
-                stats.items_scanned += node.size
-                mask = box.contains_points(node.leaf_coords())
+                stats.items_scanned += tree.arena.size(node.slot)
+                mask = box.contains_points(tree.arena.coords(node.slot))
                 if mask.any():
-                    agg.merge(Aggregate.of_array(node.leaf_measures()[mask]))
+                    agg.merge(Aggregate.of_array(tree.arena.measures(node.slot)[mask]))
             else:
                 stack.extend(
                     c

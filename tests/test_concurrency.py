@@ -599,7 +599,7 @@ def test_a_read_takes_sizes_before_rows(cls, held):
     assert tree.root.is_leaf
     box = full_query(schema).box
     box.hi[0] = half
-    tree.root.cols.coords[3] = [0, 0]  # a leftover inside the box
+    tree.arena.chunk.coords[:, tree.root.slot, 3] = [0, 0]  # a leftover inside the box
     hooks = [lambda: tree.insert(np.array([half + 1, 0]), 1.0)]
 
     class Hooked(np.ndarray):
@@ -640,15 +640,15 @@ def test_slots_are_released_once_their_leaf_is_out_of_the_tree(cls, entry, monke
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                yield node.cols
+                yield node.slot
             else:
                 stack.extend(node.children)
 
-    def checked_release(cols):
-        released.append(cols.slot)
-        if any(c is cols for c in leaves()):
-            linked.append(cols.slot)
-        release(cols)
+    def checked_release(slot):
+        released.append(slot)
+        if slot in leaves():
+            linked.append(slot)
+        release(slot)
 
     monkeypatch.setattr(tree.arena, "release", checked_release)
     if entry == "insert":

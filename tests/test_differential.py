@@ -350,20 +350,22 @@ def test_leaves_are_numpy_columns(cls):
     tree.insert_batch(int_batch(schema, 200, seed=59))
     leaves = list(tree._iter_leaves(tree.root))
     assert leaves
+    arena = tree.arena
     for leaf in leaves:
-        cols = leaf.cols
-        assert cols.coords.dtype == np.int64
-        assert all(col.flags.c_contiguous for col in cols.coords.T)
-        assert tree.arena.holds(cols)
-        assert cols.measures.dtype == np.float64
+        slot = leaf.slot
+        coords = arena.coords(slot)
+        assert coords.dtype == np.int64
+        assert all(col.flags.c_contiguous for col in coords.T)
+        assert np.shares_memory(coords, arena.chunk.coords[:, slot])
+        assert arena.measures(slot).dtype == np.float64
         if tree.uses_hilbert:
-            assert cols.hwords is not None
-            assert cols.hwords.dtype == np.uint64
+            assert arena.chunk.hwords is not None
+            assert arena.hwords(slot).dtype == np.uint64
             # live rows are in packed-word (== numeric key) order
-            ints = cols.key_ints()
+            ints = arena.key_ints(slot)
             assert ints == sorted(ints)
         else:
-            assert cols.hwords is None
+            assert arena.chunk.hwords is None
 
 
 @pytest.mark.parametrize("cls", ALL_TREES)
@@ -402,7 +404,7 @@ def test_hilbert_word_keys_match_object_ints():
     got = sorted(
         k
         for leaf in tree._iter_leaves(tree.root)
-        for k in leaf.leaf_hkeys()
+        for k in tree.arena.key_ints(leaf.slot)
     )
     assert got == want
 

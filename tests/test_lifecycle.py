@@ -600,6 +600,6 @@ def test_every_apply_computes_its_keys_once(monkeypatch):
         for tree in w.shards.values():
             for leaf in tree._iter_leaves(tree.root):
                 assert np.array_equal(
-                    leaf.cols.live_hwords(),
-                    kernel(tree.mapper, leaf.leaf_coords()),
+                    tree.arena.hwords(leaf.slot),
+                    kernel(tree.mapper, tree.arena.coords(leaf.slot)),
                 )

@@ -128,7 +128,7 @@ class TestResidencyStateMachine:
             while stack:
                 node = stack.pop()
                 if node.is_leaf:
-                    leaves += node.cols.nbytes
+                    leaves += tree.arena.slot_bytes
                 else:
                     stack.extend(node.children)
                     blocks += node.block.nbytes

@@ -318,8 +318,15 @@ class TestFrames:
 
 
 def _drain_wall(clock, deadline=5.0):
+    """Start ``clock`` and fire its timers until none is left.
+
+    The clock runs only from here: a test registers its timers on a
+    paused clock, so a stall while it registers them (a long GC pass)
+    cannot put a deadline in the past, where ``WallClock.at`` would
+    clamp it to ``now`` and reorder it."""
     import time as _t
 
+    clock.start()
     end = _t.monotonic() + deadline
     while clock.next_deadline() is not None:
         clock.fire_due()
@@ -338,7 +345,6 @@ class TestTimers:
         # the test is fast, large enough that scheduling overhead (a
         # few microseconds real) cannot reorder 0.1-model-second gaps
         clock = WallClock(time_scale=0.01)
-        clock.start()
         return clock, lambda: _drain_wall(clock)
 
     def test_ordering_and_fifo_ties(self, impl):

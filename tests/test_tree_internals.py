@@ -25,7 +25,7 @@ class TestSplitMechanics:
             tree.insert(np.array([i]), float(i))
         assert not tree.root.is_leaf
         assert len(tree.root.children) == 2
-        sizes = [c.size for c in tree.root.children]
+        sizes = [tree.arena.size(c.slot) for c in tree.root.children]
         assert sum(sizes) == 5
         assert min(sizes) >= 1
 
@@ -74,7 +74,7 @@ class TestSplitMechanics:
         for coords, m in batch.iter_rows():
             tree.insert(coords, m)
         for leaf in tree._iter_leaves(tree.root):
-            assert leaf.size >= 1
+            assert tree.arena.size(leaf.slot) >= 1
         tree.validate()
 
 
@@ -165,7 +165,7 @@ class TestBulkLoadPacking:
         batch = random_batch(schema, 2000, seed=9)
         cfg = TreeConfig(leaf_capacity=64, fanout=16)
         tree = HilbertPDCTree.from_batch(schema, batch, cfg)
-        sizes = [l.size for l in tree._iter_leaves(tree.root)]
+        sizes = [tree.arena.size(l.slot) for l in tree._iter_leaves(tree.root)]
         # 3/4 fill target
         assert np.mean(sizes) >= 32
         assert max(sizes) <= 64
@@ -372,8 +372,8 @@ def test_covered_rows_grow_no_key(monkeypatch):
     batch = random_batch(schema, 600, seed=9)
     tree = HilbertPDCTree.from_batch(schema, batch, TreeConfig(leaf_capacity=16))
     leaves = list(tree._iter_leaves(tree.root))
-    one_run = leaves[0].leaf_coords()[:3].copy()
-    three_runs = np.array([leaf.leaf_coords()[0] for leaf in leaves[3:6]])
+    one_run = tree.arena.coords(leaves[0].slot)[:3].copy()
+    three_runs = np.array([tree.arena.coords(leaf.slot)[0] for leaf in leaves[3:6]])
     calls = []
     for name in ("_insert_value", "_merge_values"):
         monkeypatch.setattr(

@@ -63,7 +63,8 @@ def tree_shape(name: str, kind: str) -> dict:
     nodes, stack = [], [tree.root]
     while stack:
         node = stack.pop()
-        nodes.append((node.key.to_tuple(), node.lhv, node.size))
+        size = tree.arena.size(node.slot) if node.is_leaf else 0
+        nodes.append((node.key.to_tuple(), node.lhv, size))
         if not node.is_leaf:
             stack.extend(reversed(node.children))
     return {

@@ -189,9 +189,9 @@ def test_rows_outside_the_id_space_are_refused(cls, entry, schema, batch):
 
     leaf = cls(schema)
     leaf.insert_batch(batch.slice(0, 3))
-    leaf.root.cols.coords[1, 0] = schema.leaf_limits[0] + 1
+    leaf.arena.chunk.coords[0, leaf.root.slot, 1] = schema.leaf_limits[0] + 1
     leaf.root.key = leaf.policy.empty(schema.num_dims)
-    leaf.root.key.expand_points_inplace(leaf.root.leaf_coords())
+    leaf.root.key.expand_points_inplace(leaf.arena.coords(leaf.root.slot))
     with pytest.raises(AssertionError, match="id space"):
         leaf.validate()
 
@@ -232,7 +232,7 @@ def test_hilbert_leaf_order_is_curve_order(cls, schema):
     tree = build(cls, schema, batch)
     maxes = []
     for leaf in tree._iter_leaves(tree.root):
-        assert leaf.lhv == max(leaf.leaf_hkeys())
+        assert leaf.lhv == max(tree.arena.key_ints(leaf.slot))
         maxes.append(leaf.lhv)
     assert maxes == sorted(maxes)
 
