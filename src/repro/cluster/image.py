@@ -5,14 +5,14 @@ relevant to an insertion or query.  It is a PDC-tree-like structure
 whose **leaves are fixed**: exactly one leaf per shard.  Insertions
 never split leaves -- reaching a leaf expands its bounding key and
 returns that shard.  Descent and directory splits follow the PDC
-tree's placement rules in :mod:`repro.core.keypolicy`: the smallest
+tree's placement rules in :mod:`repro.core.placement`: the smallest
 covering child, else the least-overlap one, and median splits.
 
 Shard bounding keys are "either a Minimum Bounding Rectangle (MBR, one
 box) or Minimum Describing Subset (MDS, multiple boxes)" (Section
-III-A); the image supports both through the shared key-policy layer
-(``key_kind`` parameter) and *adopts* whatever kind the workers publish
-into its own.
+III-A); the image supports both (``key_kind`` parameter): it holds the
+kind's key class, as a tree does, and *adopts* whatever kind the
+workers publish into its own.
 
 Synchronisation needs two structural operations the query path never
 uses: *adding a shard* (a new leaf, with directory splits), and
@@ -26,12 +26,13 @@ here.
 Both routing operations read **directory snapshots**: copies of the
 child keys of one directory stacked into one block (and, for inserts,
 the child log-volumes), tagged with the image's version.  ``search``
-decides a directory's children in one ``intersects_many``;
-``route_insert``, asked row by row, decides a stretch of a client batch
-ahead in one ``covers_points_many`` per directory.  Every change of a
-key or of the structure bumps the version, which kills every snapshot
-(and what was decided ahead) at once.  Keys grow in two places only:
-the synchronisation path above and :meth:`LocalImage._route_alone`.
+decides a directory's children in one ``intersects_many`` of the key
+class; ``route_insert``, asked row by row, decides a stretch of a
+client batch ahead in one ``covers_points_many`` per directory.  Every
+change of a key or of the structure bumps the version, which kills
+every snapshot (and what was decided ahead) at once.  Keys grow in two
+places only: the synchronisation path above and
+:meth:`LocalImage._route_alone`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..core.keypolicy import KeyPolicy, make_policy
+from ..core import placement
+from ..core.config import key_class
 from ..olap.keys import Box
 from .wire import BoundingKey, key_from_wire, key_to_wire
 
@@ -143,8 +145,8 @@ class LocalImage:
             raise ValueError("fanout must be >= 2")
         self.num_dims = num_dims
         self.fanout = fanout
-        self.policy: KeyPolicy = make_policy(key_kind)
-        self.root = _ImageNode(self.policy.empty(num_dims))
+        self.key_class = key_class(key_kind)
+        self.root = _ImageNode(self.key_class.empty(num_dims))
         #: a directory above the root, so that the root's own key is
         #: tested like every other: as its directory's (only) child
         self._top = _ImageNode(None)
@@ -186,7 +188,7 @@ class LocalImage:
         # leaf's key *is* the shard's key thereafter, so path expansions
         # are visible through both.
         self._version += 1
-        info.key = self.policy.adopt(info.key)
+        info.key = self.key_class.adopt(info.key)
         leaf = _ImageNode(info.key, shard=info)
         self._leaves[info.shard_id] = leaf
         node = self.root
@@ -224,7 +226,7 @@ class LocalImage:
     def expand_shard(self, shard_id: int, key: BoundingKey) -> bool:
         """Bottom-up expansion from the leaf pointer table (sync path)."""
         leaf = self._leaves[shard_id]
-        grown = self.policy.adopt(key)
+        grown = self.key_class.adopt(key)
         if not leaf.key.expand_inplace(grown):
             return False
         self._version += 1
@@ -288,7 +290,7 @@ class LocalImage:
             if node.is_leaf:
                 out.append(node.shard)
             elif live and node.children:
-                hit = self.policy.intersects_many(
+                hit = self.key_class.intersects_many(
                     self._block(node), box.lo, box.hi
                 )
                 stack.extend(
@@ -304,7 +306,7 @@ class LocalImage:
         retaken if the image changed."""
         if node.version != self._version:
             node.version = self._version
-            node.block = self.policy.stack([c.key for c in node.children])
+            node.block = self.key_class.stack([c.key for c in node.children])
             node.volumes = None
         return node.block
 
@@ -331,7 +333,7 @@ class LocalImage:
                 node.volumes = np.array(
                     [c.key.log_volume() for c in node.children]
                 )
-            cover = self.policy.covers_points_many(block, coords[rows])
+            cover = self.key_class.covers_points_many(block, coords[rows])
             pick = np.where(cover, node.volumes, np.inf).argmin(axis=1)
             ok = cover[np.arange(len(rows)), pick]
             if not ok.all():
@@ -375,10 +377,10 @@ class LocalImage:
         if len(node.children) == 1:
             return 0
         keys = [c.key for c in node.children]
-        covering = self.policy.smallest_covering(keys, coords)
+        covering = placement.smallest_covering(keys, coords)
         if covering is not None:
             return covering
-        return self._least_overlap(node, self.policy.from_point(coords))
+        return self._least_overlap(node, self.key_class.from_point(coords))
 
     def _least_overlap(self, node: _ImageNode, key: BoundingKey) -> int:
         """The child of ``node`` least overlap places ``key`` in."""
@@ -386,14 +388,14 @@ class LocalImage:
         grown = [k.copy() for k in keys]
         for g in grown:
             g.expand_inplace(key)
-        return self.policy.least_overlap(keys, grown, self.num_dims)
+        return placement.least_overlap(self.key_class, keys, grown, self.num_dims)
 
     def _split_up(self, node: _ImageNode) -> None:
         """Split directory nodes upward while over fanout."""
         while node is not None and len(node.children) > self.fanout:
             groups = [
                 [node.children[i] for i in half]
-                for half in self.policy.halves(
+                for half in placement.halves(
                     [c.key.mbr().center() for c in node.children]
                 )
             ]
@@ -401,7 +403,7 @@ class LocalImage:
                 # root split: root becomes a directory of two new nodes
                 new_kids = []
                 for grp in groups:
-                    sub = _ImageNode(self.policy.empty(self.num_dims), parent=node)
+                    sub = _ImageNode(self.key_class.empty(self.num_dims), parent=node)
                     sub.children = grp
                     for g in grp:
                         g.parent = sub
@@ -410,14 +412,14 @@ class LocalImage:
                 node.children = new_kids
                 return
             sibling = _ImageNode(
-                self.policy.empty(self.num_dims), parent=node.parent
+                self.key_class.empty(self.num_dims), parent=node.parent
             )
             sibling.children = groups[1]
             for g in groups[1]:
                 g.parent = sibling
                 sibling.key.expand_inplace(g.key)
             node.children = groups[0]
-            node.key = self.policy.empty(self.num_dims)
+            node.key = self.key_class.empty(self.num_dims)
             for g in groups[0]:
                 g.parent = node
                 node.key.expand_inplace(g.key)

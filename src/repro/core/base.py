@@ -17,13 +17,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..olap.colframe import decode_batch, encode_batch
-from ..olap.keys import Box
+from ..olap.keys import Box, union_all
 from ..olap.records import RecordBatch
 from ..olap.schema import Schema
 from .aggregates import Aggregate
 from .columns import LeafArena
-from .config import OpStats, TreeConfig
-from .keypolicy import make_policy
+from .config import OpStats, TreeConfig, key_class
 from .node import Node
 
 __all__ = ["ShardStore", "BaseTree", "Hyperplane", "TreeLock"]
@@ -248,7 +247,7 @@ class BaseTree(ShardStore):
     def __init__(self, schema: Schema, config: Optional[TreeConfig] = None):
         self.schema = schema
         self.config = config if config is not None else self._default_config()
-        self.policy = make_policy(self.config.key_kind)
+        self.key_class = key_class(self.config.key_kind)
         self.num_dims = schema.num_dims
         self.arena = LeafArena(
             self.config.leaf_capacity + 1, self.num_dims, self._leaf_key_words()
@@ -271,17 +270,17 @@ class BaseTree(ShardStore):
         return 0
 
     def _new_leaf(self) -> Node:
-        return Node(self.policy.empty(self.num_dims), slot=self.arena.leaf())
+        return Node(self.key_class.empty(self.num_dims), slot=self.arena.leaf())
 
     def _new_dir(self) -> Node:
-        return Node(self.policy.empty(self.num_dims))
+        return Node(self.key_class.empty(self.num_dims))
 
     def _build_dir(self, children: list[Node]) -> Node:
         """A directory over ``children``: their key union, merged
         aggregate, and -- when the children carry one -- largest LHV."""
         out = self._new_dir()
         out.set_children(children)
-        out.key = self.policy.union_of([c.key for c in children], self.num_dims)
+        out.key = union_all([c.key for c in children])
         agg = Aggregate.empty()
         for c in children:
             agg.merge(c.agg)
@@ -309,7 +308,7 @@ class BaseTree(ShardStore):
 
     def bounding_key(self):
         if self._count == 0:
-            return self.policy.empty(self.num_dims)
+            return self.key_class.empty(self.num_dims)
         return self.root.key.copy()
 
     # -- query -----------------------------------------------------------
@@ -331,7 +330,7 @@ class BaseTree(ShardStore):
         level-synchronous: the *frontier* is the directories queued in
         one step, whose key blocks (:attr:`~repro.core.node.Node.block`)
         are stacked -- a lone directory's used as it is -- and decided
-        by one ``policy.classify``.  Children *within* the box
+        by one ``classify`` of the key class.  Children *within* the box
         contribute their cached aggregate; the other *hit* children are
         collected if leaves and make the next frontier if directories.
         A directory whose children are all leaves keeps their arena
@@ -385,7 +384,7 @@ class BaseTree(ShardStore):
             block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             if dims is not None:
                 block = block[:, :, dims]
-            hit, within = self.policy.classify(block, qlo, qhi)
+            hit, within = self.key_class.classify(block, qlo, qhi)
             hits = int(np.count_nonzero(hit))
             stats.nodes_visited += hits
             if hits and cache and within.any():
@@ -562,7 +561,7 @@ class BaseTree(ShardStore):
             assert node.slots is None, "slots kept beside directory children"
         for row, child in zip(node.block, node.children):
             key = child.key
-            views = (key.lo, key.hi) if self.policy.kind == "mbr" else (key._iv,)
+            views = (key.lo, key.hi) if self.key_class is Box else (key._iv,)
             assert all(np.shares_memory(v, row) for v in views), (
                 "child key is not a view of its block row"
             )
@@ -575,7 +574,7 @@ class BaseTree(ShardStore):
             total += n
             subtree_rows.extend(parts)
             agg.merge(child.agg)
-            if self.policy.kind == "mbr":
+            if self.key_class is Box:
                 assert node.key.covers(child.key), (
                     "parent MBR does not cover child MBR"
                 )

@@ -1,4 +1,5 @@
-"""Tree configuration and per-operation statistics.
+"""Tree configuration, the key class of each key kind, and
+per-operation statistics.
 
 No setting concerns threads: every tree holds one lock for each whole
 call (:attr:`~repro.core.base.BaseTree.lock`), whatever its config.
@@ -8,7 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["TreeConfig", "OpStats"]
+from ..olap.keys import Box
+from ..olap.mds import MDS
+
+__all__ = ["TreeConfig", "OpStats", "key_class"]
+
+_KEY_CLASSES = {"mbr": Box, "mds": MDS}
+
+
+def key_class(key_kind: str) -> type:
+    """The key class of a ``key_kind`` -- :class:`Box` for ``"mbr"``,
+    :class:`MDS` for ``"mds"`` -- which the trees and the server image
+    hold; ``ValueError`` on any other kind."""
+    if key_kind not in _KEY_CLASSES:
+        raise ValueError(f"unknown key_kind {key_kind!r}")
+    return _KEY_CLASSES[key_kind]
 
 
 @dataclass(frozen=True)
@@ -56,8 +71,7 @@ class TreeConfig:
             raise ValueError("leaf_capacity must be >= 2")
         if self.fanout < 2:
             raise ValueError("fanout must be >= 2")
-        if self.key_kind not in ("mds", "mbr"):
-            raise ValueError(f"unknown key_kind {self.key_kind!r}")
+        key_class(self.key_kind)
         if self.insert_policy not in ("least_overlap", "least_enlargement"):
             raise ValueError(f"unknown insert_policy {self.insert_policy!r}")
         if self.split_policy not in ("least_overlap", "middle"):

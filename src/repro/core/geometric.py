@@ -8,7 +8,7 @@ whose grown key has the least volume (the R-tree).  Nodes split at the
 median along the widest dimension, which keeps splits cheap for both
 key kinds while preserving the structural contrast the paper measures
 (MBR keys overlap increasingly with dimensionality; MDS keys stay
-tight).  The rules themselves live in :mod:`repro.core.keypolicy`,
+tight).  The rules themselves live in :mod:`repro.core.placement`,
 shared with the server image; they and this module ask the keys
 themselves (``covers_point``, ``log_volume``, ``expand_point_inplace``,
 ``mbr``), whatever their kind.
@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ..olap.records import RecordBatch
+from . import placement
 from .aggregates import Aggregate
 from .base import BaseTree
 from .config import OpStats, TreeConfig
@@ -110,16 +111,17 @@ class GeometricTree(BaseTree):
         children = node.children
         if len(children) == 1:
             return 0
-        policy = self.policy
         keys = [c.key for c in children]
-        covering = policy.smallest_covering(keys, coords)
+        covering = placement.smallest_covering(keys, coords)
         if covering is not None:
             return covering
         grown = [k.copy() for k in keys]
         for g in grown:
             g.expand_point_inplace(coords)
         if self.config.insert_policy == "least_overlap":
-            return policy.least_overlap(keys, grown, self.num_dims)
+            return placement.least_overlap(
+                self.key_class, keys, grown, self.num_dims
+            )
         # least enlargement: least grown volume (log space, so overflow-safe
         # in many dims), then least volume before; the first of equals
         ranks = [(g.log_volume(), k.log_volume()) for g, k in zip(grown, keys)]
@@ -128,7 +130,7 @@ class GeometricTree(BaseTree):
     # -- splits -----------------------------------------------------------
 
     def _split_leaf(self, leaf: Node) -> tuple[Node, Node]:
-        left, right = self.policy.halves(self.arena.coords(leaf.slot))
+        left, right = placement.halves(self.arena.coords(leaf.slot))
         return self._build_leaf(leaf, left), self._build_leaf(leaf, right)
 
     def _build_leaf(self, src: Node, idx: np.ndarray) -> Node:
@@ -144,7 +146,7 @@ class GeometricTree(BaseTree):
 
     def _split_dir(self, node: Node) -> tuple[Node, Node]:
         children = node.children
-        left, right = self.policy.halves([c.key.mbr().center() for c in children])
+        left, right = placement.halves([c.key.mbr().center() for c in children])
         return (
             self._build_dir([children[i] for i in left]),
             self._build_dir([children[i] for i in right]),

@@ -19,10 +19,10 @@ load packs -- rows in key order into 3/4-full leaves, nodes into
 3/4-full directories -- while a row cuts it in two.  Child order is
 fixed by the curve, so R-tree split heuristics cannot apply: the
 Hilbert PDC tree cuts where the two sides overlap least
-(:meth:`~repro.core.keypolicy.KeyPolicy.least_overlap_split`, one
-linear scan), the plain Hilbert R-tree at the middle.  One leaf builder
-makes every new leaf, computing all their keys in one vectorized pass
-(:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`).
+(:func:`~repro.core.placement.least_overlap_split`, one linear scan),
+the plain Hilbert R-tree at the middle.  One leaf builder makes every
+new leaf, computing all their keys in one vectorized pass (the key
+class's ``of_segments``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 from ..hilbert.compact_hilbert import key_from_words, lexsort_words, pack_key
 from ..hilbert.id_expansion import HilbertKeyMapper
 from ..olap.records import RecordBatch
+from . import placement
 from .aggregates import Aggregate
 from .base import BaseTree
 from .config import OpStats, TreeConfig
@@ -196,7 +197,9 @@ class HilbertTree(BaseTree):
         order, each grown into a side's key by ``grow``) in two."""
         if self.config.split_policy == "middle":
             return len(entries) // 2
-        return self.policy.least_overlap_split(entries, grow, self.num_dims)
+        return placement.least_overlap_split(
+            self.key_class, entries, grow, self.num_dims
+        )
 
     # -- packing: the one place rows become leaves and nodes directories ----
 
@@ -212,9 +215,8 @@ class HilbertTree(BaseTree):
         arena in one assignment per column
         (:meth:`~repro.core.columns.LeafArena.fill`), LHV = its last
         row's key, aggregate over its rows, and the keys of all of them
-        computed in one pass
-        (:meth:`~repro.core.keypolicy.KeyPolicy.segment_keys`)."""
-        keys = self.policy.segment_keys(coords, starts)
+        computed in one pass (the key class's ``of_segments``)."""
+        keys = self.key_class.of_segments(coords, starts)
         ends = starts.tolist()[1:] + [len(measures)]
         arena = self.arena
         out = []

@@ -4,7 +4,8 @@ A node is either a *leaf*, whose rows are one slot of its tree's column
 arena (:class:`~repro.core.columns.LeafArena`), or a *directory*
 holding a list of children.  Every node carries:
 
-* ``key`` -- its bounding key, a Box or an MDS (the tree's key kind),
+* ``key`` -- its bounding key, an instance of the tree's key class
+  (:attr:`~repro.core.base.BaseTree.key_class`, a Box or an MDS),
   which answers the key operations itself;
 * ``agg`` -- the cached aggregate of the whole subtree, one per node,
   leaves included;
@@ -13,7 +14,7 @@ holding a list of children.  Every node carries:
 * ``slot`` -- in a leaf, its arena slot (``None`` in a directory): the
   arena reads and writes the leaf's rows by it;
 * ``block`` -- in a directory, its children's keys as one block (the
-  key kind's ``stack``): child ``i``'s key is a view of row ``i``, so
+  key class's ``stack``): child ``i``'s key is a view of row ``i``, so
   a child's key grows inside its parent's block, and the read engine
   decides all children from the block as it is.  The root's key keeps
   its own array;

@@ -10,9 +10,13 @@ A box and an MDS key (:mod:`repro.olap.mds`) answer one key interface
 -- ``covers_point``, ``covers``, ``intersects_box``, ``within_box``,
 ``log_volume``, ``log_overlap_volume``, the ``expand_*_inplace``
 growths, ``mbr`` and ``copy`` -- which the trees and the server image
-call on the key itself, whatever its kind.  Each kind also stacks many
-keys into one block (``stack``): a tree directory holds its children's
-keys that way, each child's key a view of its row.
+call on the key itself, whatever its kind.  What needs the kind but no
+key in hand is a staticmethod of its class, which the trees and the
+image hold in place of a key kind: the factories (``empty``,
+``from_point``, ``of_segments``, ``adopt``), ``stack`` -- many keys in
+one block, as a tree directory holds its children's keys, each child's
+key a view of its row -- and the kernels over a block
+(``intersects_many``, ``covers_points_many``, ``classify``).
 
 All operations are numpy-vectorised over dimensions.  Volumes are
 computed in float64: dimension ranges can reach 2**62, so products are
@@ -28,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Box", "point_box", "empty_like", "union_all"]
+__all__ = ["Box", "point_box", "union_all"]
 
 
 class Box:
@@ -72,6 +76,19 @@ class Box:
         if c.ndim != 2 or c.shape[0] == 0:
             raise ValueError("need a non-empty (n, d) array")
         return Box(c.min(axis=0), c.max(axis=0), copy=False)
+
+    @staticmethod
+    def of_segments(coords: np.ndarray, starts: np.ndarray) -> list["Box"]:
+        """In one pass, the box of each segment of an ``(n, d)`` array
+        (rows ``starts[i]`` up to the next start)."""
+        lo = np.minimum.reduceat(coords, starts)
+        hi = np.maximum.reduceat(coords, starts)
+        return [Box(a, b, copy=False) for a, b in zip(lo, hi)]
+
+    @staticmethod
+    def adopt(key) -> "Box":
+        """A key of either kind as a box (a copy): its bounding box."""
+        return key.mbr()
 
     # -- predicates ----------------------------------------------------
 
@@ -192,6 +209,41 @@ class Box:
                 b.lo, b.hi = row
         return block
 
+    # -- block kernels (the read engine's and the image's tests) ----------
+    #
+    # A block is ``stack``'s ``(m, 2, d)`` bounds of ``m`` boxes; each
+    # kernel answers per box what the box's own method would.
+
+    @staticmethod
+    def intersects_many(
+        block: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
+    ) -> np.ndarray:
+        """``(m,)`` mask equal to ``key.intersects_box(box)`` per key,
+        ``qlo``/``qhi`` the ``(d,)`` bounds of a non-empty box."""
+        lo, hi = block[:, 0], block[:, 1]
+        # an empty box has lo > hi in some dimension: it meets no box
+        return ((lo <= qhi) & (qlo <= hi) & (lo <= hi)).all(axis=1)
+
+    @staticmethod
+    def covers_points_many(block: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """``(n, m)`` mask equal to ``key.covers_point(row)`` for every
+        row of an ``(n, d)`` array against every key of the block."""
+        c = coords[:, None, :]
+        return ((block[:, 0] <= c) & (c <= block[:, 1])).all(axis=2)
+
+    @staticmethod
+    def classify(
+        block: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decide all ``m`` keys of a block against one non-empty box:
+        ``(hit, within)``, two ``(m,)`` masks equal per key to
+        ``key.intersects_box(box)`` and ``key.within_box(box)``.  An
+        empty key passes the bounds test of *within*; ``& hit`` drops
+        it."""
+        hit = Box.intersects_many(block, qlo, qhi)
+        within = ((qlo <= block[:, 0]) & (block[:, 1] <= qhi)).all(axis=1)
+        return hit, within & hit
+
     def to_tuple(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(int(x) for x in self.lo), tuple(int(x) for x in self.hi)
 
@@ -224,20 +276,16 @@ def point_box(coords: Iterable[int]) -> Box:
     return Box.from_point(np.fromiter(coords, dtype=np.int64))
 
 
-def empty_like(box: Box) -> Box:
-    return Box.empty(box.num_dims)
-
-
-def union_all(boxes: Iterable[Box], num_dims: int | None = None) -> Box:
-    """Union of an iterable of boxes (empty box if the iterable is empty)."""
-    it = iter(boxes)
-    try:
-        first = next(it)
-    except StopIteration:
+def union_all(keys: Iterable, num_dims: int | None = None):
+    """The union of keys of one kind, boxes or MDS keys: an empty key of
+    that kind grown by each in turn.  Of no keys, the empty box of
+    ``num_dims`` dimensions."""
+    keys = list(keys)
+    if not keys:
         if num_dims is None:
-            raise ValueError("cannot union zero boxes without num_dims")
+            raise ValueError("cannot union zero keys without num_dims")
         return Box.empty(num_dims)
-    acc = first.copy()
-    for b in it:
-        acc.expand_inplace(b)
+    acc = type(keys[0]).empty(keys[0].num_dims)
+    for k in keys:
+        acc.expand_inplace(k)
     return acc

@@ -25,7 +25,10 @@ cost less than numpy calls at the few ids a node grows by per insert,
 and writes the key back in place, only if it grew.  :meth:`MDS.stack`
 stacks many keys into one ``(n, 2, d, cap)`` block; a tree directory
 holds its children's keys so, each child's block a view of its row, and
-a growth writes straight into the directory's block.
+a growth writes straight into the directory's block.  The kernels over
+such a block (:meth:`MDS.classify` and kin) and the factories are
+staticmethods, as on :class:`Box`: the trees and the image hold the
+key class and call them on it.
 """
 
 from __future__ import annotations
@@ -245,6 +248,17 @@ class MDS:
             key._iv = block
         return keys
 
+    @staticmethod
+    def adopt(key) -> "MDS":
+        """A key of either kind as an MDS of the default cap (a copy): a
+        box as one interval per dimension; a wire key carrying another
+        cap coalesced to it."""
+        if not isinstance(key, MDS):
+            return MDS.from_box(key)
+        if key.max_intervals == DEFAULT_MAX_INTERVALS:
+            return key.copy()
+        return MDS(key.intervals)
+
     # -- the block ---------------------------------------------------------
 
     @property
@@ -404,6 +418,36 @@ class MDS:
             for key, row in zip(keys, block):
                 key._iv = row
         return block
+
+    # -- block kernels: ``stack``'s ``(m, 2, d, cap)`` block of ``m`` keys,
+    # each answered as by the key's own method (see :class:`Box`)
+
+    @staticmethod
+    def intersects_many(
+        block: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
+    ) -> np.ndarray:
+        # in every dimension some interval overlaps the box's range (an
+        # empty key has a dimension with none)
+        hit = (block[:, 0] <= qhi[:, None]) & (qlo[:, None] <= block[:, 1])
+        return hit.any(axis=2).all(axis=1)
+
+    @staticmethod
+    def covers_points_many(block: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        c = coords[:, None, :, None]
+        return ((block[:, 0] <= c) & (c <= block[:, 1])).any(axis=3).all(axis=2)
+
+    @staticmethod
+    def classify(
+        block: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A key lies inside a box iff each of its slots does, the
+        unused ones (``[max // 2, -1]``) passing; two broadcasts over
+        the whole block, starts and ends at once."""
+        below = block <= qhi[:, None]
+        above = block >= qlo[:, None]
+        hit = (below[:, 0] & above[:, 1]).any(axis=2).all(axis=1)
+        within = (above[:, 0] & below[:, 1]).reshape(len(block), -1).all(axis=1)
+        return hit, within & hit
 
     def to_tuple(self) -> tuple:
         """Nested tuples of Python ints (znode values, pickles, ``==``)."""

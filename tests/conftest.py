@@ -172,21 +172,21 @@ def reference_image_search(image, box):
     return out, visited
 
 
-def reference_least_overlap(policy, keys, grown, num_dims):
-    """The scalar loop ``KeyPolicy.least_overlap`` replaced (the trees
+def reference_least_overlap(kind, keys, grown, num_dims):
+    """The scalar loop ``placement.least_overlap`` replaced (the trees
     and the image each had a copy), kept as its oracle: the siblings'
     union of child ``i`` from prefix/suffix unions, then the least
     ``(log overlap of grown[i] with it, log-volume growth)`` under a
     strict ``<``, so the first of equals wins."""
     n = len(keys)
     prefix = [None] * (n + 1)
-    prefix[0] = policy.empty(num_dims)
+    prefix[0] = kind.empty(num_dims)
     for i in range(n):
         acc = prefix[i].copy()
         acc.expand_inplace(keys[i])
         prefix[i + 1] = acc
     suffix = [None] * (n + 1)
-    suffix[n] = policy.empty(num_dims)
+    suffix[n] = kind.empty(num_dims)
     for i in range(n - 1, -1, -1):
         acc = suffix[i + 1].copy()
         acc.expand_inplace(keys[i])
@@ -266,7 +266,7 @@ def reference_image_route(image, row):
     descend into the smallest covering child (the first of equals), by
     least overlap when none covers.  Returns ``(shard, nodes visited)``
     and leaves the image as a one-row ``route_insert`` must."""
-    policy = image.policy
+    kind = image.key_class
     node, visited, changed = image.root, 1, False
     node.key.expand_point_inplace(row)
     while not node.is_leaf:
@@ -282,8 +282,8 @@ def reference_image_route(image, row):
             keys = [c.key for c in kids]
             grown = [k.copy() for k in keys]
             for g in grown:
-                g.expand_inplace(policy.from_point(row))
-            idx = reference_least_overlap(policy, keys, grown, image.num_dims)
+                g.expand_inplace(kind.from_point(row))
+            idx = reference_least_overlap(kind, keys, grown, image.num_dims)
         node = kids[idx]
         changed = node.key.expand_point_inplace(row)
         visited += 1

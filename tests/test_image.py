@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.image import LocalImage, ShardInfo
+from repro.core import placement
 from repro.olap.keys import Box
 from repro.olap.mds import MDS
 
@@ -18,6 +19,12 @@ def info(sid, lo, hi, worker=0):
 
 
 class TestMembership:
+    def test_key_kind_is_its_class(self):
+        assert LocalImage(2, key_kind="mbr").key_class is Box
+        assert LocalImage(2, key_kind="mds").key_class is MDS
+        with pytest.raises(ValueError):
+            LocalImage(2, key_kind="nope")
+
     def test_add_and_get(self):
         img = LocalImage(2)
         img.add_shard(info(1, [0, 0], [10, 10]))
@@ -275,18 +282,22 @@ def test_what_is_decided_ahead_is_only_a_memo(kind):
     assert [s.size for s in img.shards()] == [s.size for s in ref.shards()]
 
 
-class _CountingPolicy:
-    """Delegates to a key policy, counting the calls by name -- its own
-    and the scalar key calls of both key classes -- and the rows
-    handed to ``covers_points_many``."""
+class _Counting:
+    """Counts calls by name -- the kind-level staticmethods of both key
+    classes, the placement rules the image calls, and the scalar key
+    calls -- and the rows handed to ``covers_points_many``."""
 
-    def __init__(self, inner, monkeypatch):
-        self.inner = inner
+    def __init__(self, monkeypatch):
         self.calls = {}
         self.rows = 0
         for cls in (Box, MDS):
             for name in _SCALAR_KEY:
                 monkeypatch.setattr(cls, name, self._counted(name, getattr(cls, name)))
+            for name in _KIND:
+                fn = self._counted(name, getattr(cls, name))
+                monkeypatch.setattr(cls, name, staticmethod(fn))
+        for name in _RULES:
+            monkeypatch.setattr(placement, name, self._counted(name, getattr(placement, name)))
 
     def _counted(self, name, fn):
         def counted(*args):
@@ -297,20 +308,19 @@ class _CountingPolicy:
 
         return counted
 
-    def __getattr__(self, name):
-        return self._counted(name, getattr(self.inner, name))
-
 
 def _bench_shaped_image(kind, monkeypatch):
-    """8 shards under one root directory, as the e2e bench boots."""
+    """8 shards under one root directory, as the e2e bench boots; and
+    a counter of the calls made from then on."""
     img = LocalImage(3, fanout=8, key_kind=kind)
     for sid in range(8):
         img.add_shard(info(sid, [sid * 100, 0, 0], [sid * 100 + 60, 50, 50]))
-    img.policy = _CountingPolicy(img.policy, monkeypatch)
-    return img
+    return img, _Counting(monkeypatch)
 
 
 _SCALAR_KEY = ("covers_point", "log_volume", "expand_point_inplace", "expand_inplace")
+_KIND = ("empty", "from_point", "adopt", "stack", "intersects_many", "covers_points_many")
+_RULES = ("smallest_covering", "least_overlap", "halves")
 _SCALAR = _SCALAR_KEY + ("from_point",)
 
 
@@ -321,7 +331,7 @@ def test_covered_rows_route_by_broadcast(kind, monkeypatch):
     root's own key being the one child of a directory above it), made
     by the first row's call, and no scalar key call; the second batch
     rebuilds no snapshot."""
-    img = _bench_shaped_image(kind, monkeypatch)
+    img, counted = _bench_shaped_image(kind, monkeypatch)
     rng = np.random.default_rng(3)
     rows = np.column_stack(
         [
@@ -331,8 +341,8 @@ def test_covered_rows_route_by_broadcast(kind, monkeypatch):
         ]
     )
     for batch_no in range(2):
-        img.policy.calls.clear()
-        calls = img.policy.calls
+        counted.calls.clear()
+        calls = counted.calls
         rows = rows.copy()  # what is decided ahead is per batch object
         for i in range(64):
             assert img.route_insert(rows, i).shard_id == rows[i, 0] // 100
@@ -348,9 +358,9 @@ def test_covered_rows_route_by_broadcast(kind, monkeypatch):
 
 def test_search_builds_no_volumes(monkeypatch):
     """Only insert routing reads the child volumes of a snapshot."""
-    img = _bench_shaped_image("mbr", monkeypatch)
+    img, counted = _bench_shaped_image("mbr", monkeypatch)
     assert len(img.search(box([0, 0, 0], [900, 50, 50]))) == 8
-    assert img.policy.calls == {"stack": 1, "intersects_many": 1}
+    assert counted.calls == {"stack": 1, "intersects_many": 1}
 
 
 @pytest.mark.parametrize("kind", ["mbr", "mds"])
@@ -359,18 +369,18 @@ def test_growing_rows_do_not_rescan_the_batch(kind, monkeypatch):
     growing row is twice the covered stretch before it, and after none
     the rows descend alone, so the batch is tested once -- not 512 +
     511 + ... rows.  The first row that grows nothing ends that."""
-    img = _bench_shaped_image(kind, monkeypatch)
+    img, counted = _bench_shaped_image(kind, monkeypatch)
     rows = np.arange(1000, 1512)[:, None] * np.array([3, 1, 2])
     rows = np.concatenate([rows, rows[:8]])
     for i in range(512):
         img.route_insert(rows, i)
-    assert img.policy.rows == 520 and img.policy.calls["covers_points_many"] == 1
+    assert counted.rows == 520 and counted.calls["covers_points_many"] == 1
     for i in range(512, 520):
         img.route_insert(rows, i)
-    assert img.policy.calls["expand_point_inplace"] == (512 + 1) * 2  # root, leaf
+    assert counted.calls["expand_point_inplace"] == (512 + 1) * 2  # root, leaf
     # stretches of 2, 4 and the last row, through two directories each
-    assert img.policy.calls["covers_points_many"] == 1 + 3 * 2
-    assert img.policy.rows == 520 + (2 + 4 + 1) * 2
+    assert counted.calls["covers_points_many"] == 1 + 3 * 2
+    assert counted.rows == 520 + (2 + 4 + 1) * 2
     for row in rows[::37]:
         assert any(
             s.key.covers_point(row) for s in img.shards()

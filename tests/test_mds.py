@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.keypolicy import MBRPolicy
 from repro.olap.keys import Box
 from repro.olap.mds import MDS
 
@@ -350,7 +349,7 @@ def test_segment_keys_are_the_grown_keys(segments, cap):
 @given(_segments())
 def test_mbr_segment_keys_are_min_max(segments):
     coords, starts = segments
-    keys = MBRPolicy().segment_keys(coords, starts)
+    keys = Box.of_segments(coords, starts)
     for key, (s, e) in zip(keys, _bounds(coords, starts)):
         assert np.array_equal(key.lo, coords[s:e].min(axis=0))
         assert np.array_equal(key.hi, coords[s:e].max(axis=0))

@@ -260,7 +260,6 @@ class TestReadPathIsArrayShaped:
         from repro.core.aggregates import Aggregate
 
         tree, box = shard
-        policy = tree.policy
         # directories the pointer walk expands: visited, not within
         expanded, stack = 0, [tree.root]
         while stack:
@@ -274,10 +273,11 @@ class TestReadPathIsArrayShaped:
         want, wstats = reference_query(tree, box)
         assert expanded >= 3 and wstats.leaves_visited >= 10
 
-        key_cls = type(tree.root.key)
+        key_cls = tree.key_class
+        assert type(tree.root.key) is key_cls
         scalar = self.count_calls(monkeypatch, key_cls, "within_box")
         scalar += self.count_calls(monkeypatch, key_cls, "intersects_box")
-        classify = self.count_calls(monkeypatch, policy, "classify")
+        classify = self.count_calls(monkeypatch, key_cls, "classify", static=True)
         stacked = self.count_calls(monkeypatch, key_cls, "stack", static=True)
         of_array = self.count_calls(
             monkeypatch, Aggregate, "of_array", static=True
@@ -543,11 +543,11 @@ def test_entry_point_picks_the_overflow_rule(cls, kind, monkeypatch):
     what becomes of a node it overfills.  Per-row ``insert`` cuts every
     overfull leaf and directory in two at ``_split_at`` and repacks
     nothing; ``insert_batch`` repacks overfull leaves and directories
-    and never runs the split scan (``KeyPolicy.least_overlap_split``)."""
+    and never runs the split scan (``placement.least_overlap_split``)."""
     from dataclasses import replace
 
     from repro.core import OpStats
-    from repro.core.keypolicy import KeyPolicy
+    from repro.core import placement
 
     schema = make_schema()
     config = replace(
@@ -566,7 +566,7 @@ def test_entry_point_picks_the_overflow_rule(cls, kind, monkeypatch):
         monkeypatch.setattr(obj, name, counted)
         return calls
 
-    scans = count_calls(KeyPolicy, "least_overlap_split")
+    scans = count_calls(placement, "least_overlap_split")
     by_row = cls(schema, config)
     cuts = count_calls(by_row, "_split_at")
     total = OpStats()

@@ -190,7 +190,7 @@ def test_rows_outside_the_id_space_are_refused(cls, entry, schema, batch):
     leaf = cls(schema)
     leaf.insert_batch(batch.slice(0, 3))
     leaf.arena.chunk.coords[0, leaf.root.slot, 1] = schema.leaf_limits[0] + 1
-    leaf.root.key = leaf.policy.empty(schema.num_dims)
+    leaf.root.key = leaf.key_class.empty(schema.num_dims)
     leaf.root.key.expand_points_inplace(leaf.arena.coords(leaf.root.slot))
     with pytest.raises(AssertionError, match="id space"):
         leaf.validate()
