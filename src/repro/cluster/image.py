@@ -279,7 +279,8 @@ class LocalImage:
 
     def search(self, box: Box) -> list[ShardInfo]:
         """All shards whose bounding key intersects ``box`` (one
-        ``intersects_many`` over each directory's snapshot)."""
+        ``intersects_many`` over each directory's snapshot).  The box's
+        emptiness is tested once, for the whole descent."""
         out: list[ShardInfo] = []
         visited = 0
         stack = [self.root]
@@ -293,9 +294,7 @@ class LocalImage:
                 hit = self.key_class.intersects_many(
                     self._block(node), box.lo, box.hi
                 )
-                stack.extend(
-                    node.children[i] for i in np.flatnonzero(hit).tolist()
-                )
+                stack.extend(node.children[i] for i in hit.nonzero()[0].tolist())
         self.nodes_visited_last = visited
         return out
 

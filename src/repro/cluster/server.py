@@ -435,7 +435,8 @@ class Server(Entity):
         #: the entries' shard ids concatenated, span context per entry)
         by_worker: dict[int, tuple[list, list, list]] = {}
         ctxs = p.ctx if p.ctx is not None else [None] * len(p.queries)
-        for op_id, query, ctx in zip(p.x[:, 0].tolist(), p.queries, ctxs):
+        # a row is the op id, then the box's bounds as the entries carry them
+        for (op_id, *bounds), query, ctx in zip(p.x.tolist(), p.queries, ctxs):
             token = self._next_token()
             span = None
             if obs is not None:
@@ -503,7 +504,6 @@ class Server(Entity):
                 source="hybrid" if plan is not None else "tree",
             )
             self._pending_queries[token] = pending
-            bounds = (*query.box.lo.tolist(), *query.box.hi.tolist())
             sctx = span.ctx if span is not None else None
             for worker_id, shard_ids in grouped.items():
                 x, s, ctxs = by_worker.setdefault(worker_id, ([], [], []))

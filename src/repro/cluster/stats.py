@@ -96,20 +96,33 @@ class ClusterStats:
         self.failovers: list[tuple[float, int, int]] = []
         #: (time, shard_id, new_primary_worker) per replica promotion
         self.promotions: list[tuple[float, int, int]] = []
+        #: (kind, ok) -> the instruments every such op updates, looked
+        #: up in the registry by its first op (see :meth:`record_op`)
+        self._op_series: dict[tuple[str, bool], tuple] = {}
 
     # -- recording -----------------------------------------------------------
 
     def record_op(self, rec: OpRecord) -> None:
+        """Keep ``rec`` and count it.  The instruments every op of one
+        kind and outcome updates are looked up once, by the first such
+        op, as the lazily registered ones are still registered by the
+        first op that needs them."""
         self.ops.append(rec)
         if not rec.ok:
             self.failures += 1
         r = self.registry
-        r.counter(
-            "volap_ops_total", kind=rec.kind, ok=rec.ok
-        ).inc()
-        r.histogram(
-            "volap_op_latency_seconds", kind=rec.kind
-        ).observe(rec.latency)
+        series = self._op_series.get((rec.kind, rec.ok))
+        if series is None:
+            series = self._op_series[rec.kind, rec.ok] = (
+                r.counter("volap_ops_total", kind=rec.kind, ok=rec.ok),
+                r.histogram("volap_op_latency_seconds", kind=rec.kind),
+                r.histogram("volap_query_shards_searched", buckets=DEFAULT_COUNT_BUCKETS)
+                if rec.kind == "query"
+                else None,
+            )
+        ops, latency, searched = series
+        ops.inc()
+        latency.observe(rec.latency)
         if rec.attempts > 1:
             r.counter("volap_op_retransmits_total", kind=rec.kind).inc(
                 rec.attempts - 1
@@ -117,10 +130,7 @@ class ClusterStats:
         if rec.kind == "query":
             if rec.ok and rec.achieved < 1.0:
                 r.counter("volap_degraded_queries_total").inc()
-            r.histogram(
-                "volap_query_shards_searched",
-                buckets=DEFAULT_COUNT_BUCKETS,
-            ).observe(rec.shards_searched)
+            searched.observe(rec.shards_searched)
             if rec.staleness > 0.0:
                 # registered lazily so replication-free runs export the
                 # exact metric families they always did

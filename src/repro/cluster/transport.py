@@ -85,14 +85,21 @@ class Entity:
         return self
 
 
-def _wire_size(msg: Message, dst: Entity) -> int:
-    """Actual serialized frame length of ``msg`` (lazy import: the
-    frames codec sits above this module in the layering)."""
-    from ..runtime import frames
+#: :mod:`repro.runtime.frames`, imported by the first sizing: the frames
+#: codec sits above this module in the layering
+_frames = None
 
-    return frames.wire_size(
-        msg.kind, msg.payload, getattr(dst, "name", "") or ""
-    )
+
+def _wire_size(msg: Message, dst: Entity) -> int:
+    """Actual serialized frame length of ``msg``, by
+    :func:`repro.runtime.frames.wire_size` (looked up on its module at
+    each call, so a wrapper set on it there is the one called)."""
+    global _frames
+    if _frames is None:
+        from ..runtime import frames
+
+        _frames = frames
+    return _frames.wire_size(msg.kind, msg.payload, getattr(dst, "name", "") or "")
 
 
 class Transport:

@@ -387,6 +387,8 @@ class Worker(Entity):
         return out
 
     def _resolve_query(self, shard_id: int) -> list[int]:
+        if shard_id not in self.mapping:  # not split: almost every query
+            return [shard_id]
         # iterative (stack pushes high then low, so leaves come out
         # low-first, matching the old recursion): long split chains
         # must not hit Python's recursion limit
@@ -584,6 +586,7 @@ class Worker(Entity):
         tracing = obs is not None and obs.spans_enabled
         shards, cold = self.shards, self.storage.cold
         replicas = self.replication.replicas
+        queues = self.queues
         requested_ids = p.s.tolist()
         dims = (p.x.shape[1] - 2) // 2
         pos = 0
@@ -605,7 +608,8 @@ class Worker(Entity):
                 if tracing
                 else None
             )
-            box = Box(row[2 : 2 + dims], row[2 + dims :])
+            # views of the payload's row: a query never writes its box
+            box = Box(row[2 : 2 + dims], row[2 + dims :], copy=False)
             order: list[tuple[int, int]] = []
             searched = missing = 0
             for requested in requested_ids[pos : pos + n_shards]:
@@ -632,7 +636,7 @@ class Worker(Entity):
                         searched += 1
                         hit = True
                         self.replica_queries += 1
-                    queue = self.queues.get(sid)
+                    queue = queues.get(sid)
                     if queue is not None and len(queue):
                         order.append((sid, 1))
                         hit = True

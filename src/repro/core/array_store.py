@@ -22,6 +22,18 @@ from .config import OpStats, TreeConfig
 __all__ = ["ArrayStore"]
 
 
+def _resized(arr: np.ndarray, shape: tuple) -> np.ndarray:
+    """``arr`` grown along its first axis to ``shape``, the new rows
+    zeroed: in place where numpy allows it, else a copy."""
+    try:
+        arr.resize(shape)
+        return arr
+    except ValueError:  # referenced elsewhere: a profiler, a view
+        out = np.zeros(shape, dtype=arr.dtype)
+        out[: len(arr)] = arr
+        return out
+
+
 class ArrayStore(ShardStore):
     """Append-only columnar store with full-scan queries."""
 
@@ -40,12 +52,15 @@ class ArrayStore(ShardStore):
         without ever holding its old and its new buffer at once, where a
         copy into a doubled buffer peaks at twice the rows held each
         time it grows.  The new rows are zero-filled, i.e. touched,
-        hence the small step.
+        hence the small step.  numpy refuses the in-place resize while
+        anything else references the array -- a profiler's frame or a
+        view held by a caller -- and then the rows are copied into a
+        new buffer of the grown size instead.
         """
         while self._cap < need:
             self._cap += max(self._cap // 4, 1024)
-        self._coords.resize((self._cap, self.schema.num_dims))
-        self._measures.resize(self._cap)
+        self._coords = _resized(self._coords, (self._cap, self.schema.num_dims))
+        self._measures = _resized(self._measures, (self._cap,))
 
     def insert(self, coords: np.ndarray, measure: float) -> OpStats:
         if self._size == self._cap:

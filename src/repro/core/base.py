@@ -352,6 +352,14 @@ class BaseTree(ShardStore):
         space (:meth:`_rows`), so an unconstrained dimension decides
         nothing.  A box that constrains none is tested on all of them:
         a zero-dimension test would call an empty key a hit.
+
+        A point query pays per call, not per row, so the constant work
+        is cut: the root of a non-empty tree has a non-empty key, which
+        lies inside no empty box, so its *within* test is the bounds
+        test alone (``inside``); the box's emptiness is tested once,
+        only where ``classify`` needs a non-empty box; a step whose
+        frontier is one directory uses its block and slots as they are,
+        and a step that hits nothing ends the walk there.
         """
         stats = OpStats()
         agg = Aggregate.empty()
@@ -359,8 +367,11 @@ class BaseTree(ShardStore):
             return agg, stats
         cache = self.config.cache_aggregates
         root = self.root
+        qlo, qhi = box.lo, box.hi
         stats.nodes_visited = 1
-        if cache and root.key.within_box(box):
+        # a non-empty tree's root key is non-empty, and a non-empty key
+        # lies inside no empty box: its bounds alone decide
+        if cache and root.key.inside(qlo, qhi):
             agg.merge(root.agg)
             stats.agg_hits = 1
             return agg, stats
@@ -369,33 +380,40 @@ class BaseTree(ShardStore):
         frontier: list[Node] = []
         if root.is_leaf:
             loose.append(root.slot)
-        elif not box.is_empty():
+        elif not box.is_empty():  # ``classify`` takes a non-empty box
             frontier.append(root)
-        qlo, qhi, dims, narrowed = box.lo, box.hi, None, False
+        dims, narrowed = None, False
         while frontier:
-            kids: list[Node] = []
-            blocks, slots = [], []
-            bottom = True  # every classified child is a leaf
-            for node in frontier:
-                kids.extend(node.children)
-                blocks.append(node.block)
-                slots.append(node.slots)
-                bottom = bottom and node.slots is not None
-            block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            if len(frontier) == 1:  # the root's step, and most others
+                node = frontier[0]
+                kids, block, slots = node.children, node.block, node.slots
+            else:
+                kids, blocks, parts = [], [], []
+                for node in frontier:
+                    kids.extend(node.children)
+                    blocks.append(node.block)
+                    parts.append(node.slots)
+                block = np.concatenate(blocks)
+                # a bottom step: every classified child is a leaf
+                slots = None if any(p is None for p in parts) else np.concatenate(parts)
             if dims is not None:
                 block = block[:, :, dims]
             hit, within = self.key_class.classify(block, qlo, qhi)
-            hits = int(np.count_nonzero(hit))
-            stats.nodes_visited += hits
-            if hits and cache and within.any():
-                for i in within.nonzero()[0].tolist():
-                    agg.merge(kids[i].agg)
-                    stats.agg_hits += 1
-                hit = hit ^ within
             frontier = []
-            if hits and bottom:
-                taken.append((slots[0] if len(slots) == 1 else np.concatenate(slots))[hit])
-            elif hits:
+            hits = int(np.count_nonzero(hit))
+            if not hits:
+                continue
+            stats.nodes_visited += hits
+            if cache:
+                inside = within.nonzero()[0].tolist()
+                if inside:
+                    for i in inside:
+                        agg.merge(kids[i].agg)
+                    stats.agg_hits += len(inside)
+                    hit = hit ^ within
+            if slots is not None:
+                taken.append(slots[hit])
+            else:
                 for i in hit.nonzero()[0].tolist():
                     child = kids[i]
                     if child.is_leaf:
@@ -421,9 +439,12 @@ class BaseTree(ShardStore):
     def _constrained(self, box: Box) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """``(lo, hi, dims)``: the dimensions ``box`` constrains (a bound
         inside ``[0, leaf_limit]``) and its bounds on them; ``dims`` is
-        None, and the bounds whole, when it constrains all or none."""
-        dims = ((box.lo > 0) | (box.hi < self.schema.leaf_limits)).nonzero()[0]
-        if 0 < len(dims) < self.num_dims:
+        None, and the bounds whole, when it constrains all or none --
+        a point query's box constrains all, and then the mask is only
+        counted."""
+        mask = (box.lo > 0) | (box.hi < self.schema.leaf_limits)
+        if 0 < np.count_nonzero(mask) < self.num_dims:
+            dims = mask.nonzero()[0]
             return box.lo[dims], box.hi[dims], dims
         return box.lo, box.hi, None
 

@@ -88,8 +88,14 @@ _CRC = struct.Struct("<I")
 _DTYPES = {0: np.int64, 1: np.float64, 2: np.uint64}
 _STORED = {**_DTYPES, 3: np.uint8, 4: np.uint16, 5: np.uint32}
 _CODES = {np.dtype(np.int64): 0, np.dtype(np.float64): 1, np.dtype(np.uint64): 2}
+_ITEMSIZES = {code: np.dtype(dt).itemsize for code, dt in _STORED.items()}
 
 _U64_MASK = (1 << 64) - 1
+
+#: an int64 column of at most this many values finds its range in
+#: Python: ``tolist`` with ``min`` and ``max`` costs less than two numpy
+#: reductions there, and a message's columns hold a handful of values
+_SMALL = 48
 
 
 class FrameError(ValueError):
@@ -105,19 +111,36 @@ def _align8(n: int) -> int:
     return (n + 7) & ~7
 
 
+def _bounds(arr: np.ndarray) -> tuple[int, int]:
+    """``(min, max)`` of a non-empty int64 column as Python ints: by
+    ``tolist`` up to :data:`_SMALL` values, else by numpy reductions --
+    the same two ints either way."""
+    if arr.size <= _SMALL:
+        vals = arr.ravel().tolist()
+        return min(vals), max(vals)
+    return int(arr.min()), int(arr.max())
+
+
+def _stored_code(lo: int, hi: int) -> int:
+    """The stored dtype code of an int64 column spanning ``[lo, hi]``:
+    the narrowest unsigned width its deltas fit, else int64 (0)."""
+    rng = hi - lo
+    if rng < 1 << 8:
+        return 3
+    if rng < 1 << 16:
+        return 4
+    if rng < 1 << 32:
+        return 5
+    return 0
+
+
 def _narrow(arr: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Frame-of-reference narrowing for int64: (stored_code, bias, buffer)."""
     if arr.size == 0:
         return 0, 0, arr
-    lo = int(arr.min())
-    rng = int(arr.max()) - lo
-    if rng < 1 << 8:
-        code = 3
-    elif rng < 1 << 16:
-        code = 4
-    elif rng < 1 << 32:
-        code = 5
-    else:
+    lo, hi = _bounds(arr)
+    code = _stored_code(lo, hi)
+    if not code:
         return 0, 0, arr
     # wrap-around uint64 subtraction is exact for any int64 min/max pair
     delta = arr.view(np.uint64) - np.uint64(lo & _U64_MASK)
@@ -204,29 +227,25 @@ def measure_columns(columns: list[tuple[str, np.ndarray]]) -> int:
     data-plane payloads: the arithmetic mirrors the encoder's layout
     (narrowing decision, per-buffer 8-byte alignment, header, crc), so
     a frame actually put on a pipe or socket weighs exactly this many
-    bytes.
+    bytes.  It runs on every message, so a small column's range is
+    found without numpy reductions (:func:`_bounds`) and an ASCII
+    name's UTF-8 length is its length.
     """
     header = 2
     offset = 0
     for name, arr in columns:
         arr = np.asarray(arr)
-        if arr.dtype not in _CODES:
+        code = _CODES.get(arr.dtype)
+        if code is None:
             raise ValueError(f"unsupported column dtype {arr.dtype}")
         if arr.ndim not in (1, 2):
             raise ValueError(f"column {name!r} must be 1-D or 2-D")
-        if _CODES[arr.dtype] == 0 and arr.size:
-            rng = int(arr.max()) - int(arr.min())
-            if rng < 1 << 8:
-                itemsize = 1
-            elif rng < 1 << 16:
-                itemsize = 2
-            elif rng < 1 << 32:
-                itemsize = 4
-            else:
-                itemsize = 8
+        if code == 0 and arr.size:
+            itemsize = _ITEMSIZES[_stored_code(*_bounds(arr))]
         else:
             itemsize = arr.dtype.itemsize
-        header += 1 + len(name.encode("utf-8")) + _COLHEAD.size
+        name_len = len(name) if name.isascii() else len(name.encode("utf-8"))
+        header += 1 + name_len + _COLHEAD.size
         offset = _align8(offset + arr.size * itemsize)
     return _align8(_PREAMBLE.size + header) + offset + _CRC.size
 

@@ -7,12 +7,13 @@ any "rectangular" hierarchical region, and Minimum Bounding Rectangles of
 hierarchical data are exact in this space.
 
 A box and an MDS key (:mod:`repro.olap.mds`) answer one key interface
--- ``covers_point``, ``covers``, ``intersects_box``, ``within_box``,
-``log_volume``, ``log_overlap_volume``, the ``expand_*_inplace``
-growths, ``mbr`` and ``copy`` -- which the trees and the server image
-call on the key itself, whatever its kind.  What needs the kind but no
-key in hand is a staticmethod of its class, which the trees and the
-image hold in place of a key kind: the factories (``empty``,
+-- ``covers_point``, ``covers``, ``intersects_box``, ``within_box``
+and its bounds test ``inside``, ``log_volume``, ``log_overlap_volume``,
+the ``expand_*_inplace`` growths, ``mbr`` and ``copy`` -- which the
+trees and the server image call on the key itself, whatever its kind.
+What needs the kind but no key in hand is a staticmethod of its class,
+which the trees and the image hold in place of a key kind: the
+factories (``empty``,
 ``from_point``, ``of_segments``, ``adopt``), ``stack`` -- many keys in
 one block, as a tree directory holds its children's keys, each child's
 key a view of its row -- and the kernels over a block
@@ -97,7 +98,8 @@ class Box:
         return self.lo.shape[0]
 
     def is_empty(self) -> bool:
-        return bool((self.lo > self.hi).any())
+        # ``count_nonzero`` costs half what ``.any()`` does on d values
+        return bool(np.count_nonzero(self.lo > self.hi))
 
     def covers_point(self, coords: np.ndarray) -> bool:
         c = np.asarray(coords)
@@ -125,8 +127,18 @@ class Box:
 
     def within_box(self, box: "Box") -> bool:
         """True if non-empty and inside ``box``: an empty key is within
-        no box."""
-        return not self.is_empty() and box.covers(self)
+        no box.  The box's own emptiness needs no test: a non-empty
+        key's bounds lie inside no empty box."""
+        return not self.is_empty() and self.inside(box.lo, box.hi)
+
+    def inside(self, lo: np.ndarray, hi: np.ndarray) -> bool:
+        """The bounds test of :meth:`within_box`: every bound of this
+        box inside ``[lo, hi]``.  An empty key may pass it, so a caller
+        that knows the key is non-empty -- the root of a non-empty tree
+        -- calls this and skips the emptiness test."""
+        return not (
+            np.count_nonzero(self.lo < lo) or np.count_nonzero(self.hi > hi)
+        )
 
     # -- measures --------------------------------------------------------
 
@@ -239,8 +251,12 @@ class Box:
         ``(hit, within)``, two ``(m,)`` masks equal per key to
         ``key.intersects_box(box)`` and ``key.within_box(box)``.  An
         empty key passes the bounds test of *within*; ``& hit`` drops
-        it."""
+        it.  A block no key of which meets the box -- most steps of a
+        point query -- returns ``hit`` for both, without the *within*
+        test."""
         hit = Box.intersects_many(block, qlo, qhi)
+        if not np.count_nonzero(hit):
+            return hit, hit
         within = ((qlo <= block[:, 0]) & (block[:, 1] <= qhi)).all(axis=1)
         return hit, within & hit
 

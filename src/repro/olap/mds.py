@@ -285,7 +285,7 @@ class MDS:
         return self._iv.shape[1]
 
     def is_empty(self) -> bool:
-        return bool((self._iv[0, :, 0] > self._iv[1, :, 0]).any())
+        return bool(np.count_nonzero(self._iv[0, :, 0] > self._iv[1, :, 0]))
 
     def covers_point(self, coords: Sequence[int]) -> bool:
         c = np.asarray(coords, dtype=np.int64)
@@ -307,11 +307,21 @@ class MDS:
 
     def within_box(self, box: Box) -> bool:
         """True if every interval in every dimension lies inside ``box``;
-        an empty key is within no box."""
-        if self.is_empty() or box.is_empty():
-            return False
-        first, last = self._iv[0, :, 0], self._iv[1].max(axis=1)
-        return not ((first < box.lo) | (last > box.hi)).any()
+        an empty key is within no box.  The box's own emptiness needs no
+        test: a non-empty key's intervals lie inside no empty box."""
+        return not self.is_empty() and self.inside(box.lo, box.hi)
+
+    def inside(self, lo: np.ndarray, hi: np.ndarray) -> bool:
+        """The bounds test of :meth:`within_box`: each dimension's first
+        start at or above ``lo`` and every end at or below ``hi`` (an
+        unused slot's end, -1, always is).  An empty key may pass it, so
+        a caller that knows the key is non-empty -- the root of a
+        non-empty tree -- calls this and skips the emptiness test."""
+        starts, ends = self._iv
+        return not (
+            np.count_nonzero(starts[:, 0] < lo)
+            or np.count_nonzero(ends > hi[:, None])
+        )
 
     # -- measures --------------------------------------------------------
 
@@ -440,14 +450,26 @@ class MDS:
     def classify(
         block: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """A key lies inside a box iff each of its slots does, the
-        unused ones (``[max // 2, -1]``) passing; two broadcasts over
-        the whole block, starts and ends at once."""
-        below = block <= qhi[:, None]
-        above = block >= qlo[:, None]
-        hit = (below[:, 0] & above[:, 1]).any(axis=2).all(axis=1)
-        within = (above[:, 0] & below[:, 1]).reshape(len(block), -1).all(axis=1)
-        return hit, within & hit
+        """A key meets a box iff in each dimension one of its slots
+        does, and lies inside it iff each of its slots does, the unused
+        ones (``[max // 2, -1]``) passing.  The *within* test runs only
+        when some key is hit: most steps of a point query hit none, and
+        then ``hit`` is returned for both.
+
+        The tests read the block slot-major, ``(m, cap, d)``, into
+        C-ordered masks: the box's bounds then broadcast along the last
+        axis, and the any-slot reduction runs over whole rows of ``d``
+        values instead of ``d`` runs of ``cap``."""
+        slots = block.transpose(0, 1, 3, 2)
+        starts, ends = slots[:, 0], slots[:, 1]
+        meets = np.less_equal(starts, qhi, order="C")
+        meets &= np.greater_equal(ends, qlo, order="C")
+        hit = meets.any(axis=1).all(axis=1)
+        if not np.count_nonzero(hit):
+            return hit, hit
+        inside = np.greater_equal(starts, qlo, order="C")
+        inside &= np.less_equal(ends, qhi, order="C")
+        return hit, inside.reshape(len(block), -1).all(axis=1) & hit
 
     def to_tuple(self) -> tuple:
         """Nested tuples of Python ints (znode values, pickles, ``==``)."""

@@ -88,6 +88,13 @@ class WallClock(TimerQueue):
         # clamp instead of raising
         return super().at(max(when, self.now), fn)
 
+    def after(self, delay: float, fn: Callable[[], None]) -> Timer:
+        # one read of the clock: ``now + delay`` is not in the past, so
+        # ``at``'s clamp (and its second read) has nothing to do
+        if delay < 0:
+            raise ValueError("negative delay")
+        return TimerQueue.at(self, self.now + delay, fn)
+
     def make_pool(self, threads: int) -> "ImmediatePool":
         return ImmediatePool(self, threads)
 
@@ -134,8 +141,7 @@ class ImmediatePool:
             raise ValueError("negative service time")
         self.busy_time += service_time
         self.jobs += 1
-        self.clock.after(0.0, done)
-        return self.clock.now
+        return self.clock.after(0.0, done).when
 
     def utilization(self, horizon: float) -> float:
         if horizon <= 0:

@@ -166,8 +166,13 @@ def _envelope(kind_code: int, route: str, reply: str) -> bytes:
     return struct.pack("<BB", kind_code, len(rb)) + rb + struct.pack("<B", len(pb)) + pb
 
 
+def _utf8_len(name: str) -> int:
+    """UTF-8 length of an entity name: an ASCII one's is its length."""
+    return len(name) if name.isascii() else len(name.encode("utf-8"))
+
+
 def _envelope_len(route: str, reply: str) -> int:
-    return 3 + len(route.encode("utf-8")) + len(reply.encode("utf-8"))
+    return 3 + _utf8_len(route) + _utf8_len(reply)
 
 
 # -- public API --------------------------------------------------------------

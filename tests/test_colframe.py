@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import ArrayStore, HilbertPDCTree, TreeConfig
+from repro.olap import colframe
 from repro.olap.colframe import (
     MAGIC,
     FrameError,
@@ -27,6 +28,7 @@ from repro.olap.colframe import (
     encode_batch,
     encode_columns,
     is_column_frame,
+    measure_columns,
 )
 from repro.olap.records import RecordBatch
 
@@ -358,6 +360,78 @@ def test_fuzz_corruption(seed):
     assert_bit_identical(out.coords, batch.coords)
 
 
+# -- sizing: ``measure_columns`` is the unencoded frame's length ---------------
+
+#: column lengths on both sides of the cutoff below which an int64
+#: column's range is found in Python
+SIZES = (0, 1, 2, colframe._SMALL - 1, colframe._SMALL, colframe._SMALL + 1, 3 * colframe._SMALL)
+#: value ranges on both sides of each narrowing width
+SPANS = (0, 2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**63 - 1)
+I64 = np.iinfo(np.int64)
+
+
+def sized_column(rng, dtype, n: int, span: int, base: int, width: int) -> np.ndarray:
+    """``n`` rows (``width`` 0: a 1-D column) whose values span exactly
+    ``[base, base + span]`` (clipped to the dtype) when ``n`` allows."""
+    shape = (n, width) if width else (n,)
+    size = n * max(width, 1)
+    if dtype is np.float64:
+        return rng.normal(size=shape) * float(span + 1)
+    if dtype is np.uint64:
+        lo = min(max(base, 0), 2**64 - 1 - span)
+        vals = [lo + int(rng.integers(0, span, endpoint=True)) for _ in range(size)]
+    else:
+        lo = min(max(base, int(I64.min)), int(I64.max) - span)
+        vals = [lo + int(rng.integers(0, span, endpoint=True)) for _ in range(size)]
+    if size >= 2:  # pin both ends, so the range is the span
+        vals[0], vals[-1] = lo, lo + span
+    return np.array(vals, dtype=dtype).reshape(shape)
+
+
+def assert_sized(columns) -> None:
+    """``measure_columns`` equals the unencoded frame's length, and its
+    Python and numpy range finders agree on every column."""
+    expected = len(encode_columns(columns, compress=False))
+    assert measure_columns(columns) == expected
+    for _, arr in columns:
+        if arr.dtype == np.int64 and arr.size:
+            vals = arr.ravel().tolist()
+            assert colframe._bounds(arr) == (min(vals), max(vals)) == (
+                int(arr.min()),
+                int(arr.max()),
+            )
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("span", SPANS)
+def test_measure_is_the_encoded_length(dtype, span):
+    """Every size around the cutoff, 1-D and 2-D, with negative,
+    zero-based and extreme bases."""
+    rng = np.random.default_rng(span % 9973)
+    for n in SIZES:
+        for width in (0, 3):
+            for base in (int(I64.min), -(2**40), -7, 0, 2**40, int(I64.max)):
+                assert_sized([("c", sized_column(rng, dtype, n, span, base, width))])
+
+
+def test_measure_a_mixed_frame_and_both_range_finders(monkeypatch):
+    """Several columns of every dtype in one frame; forcing every
+    column through either range finder sizes it the same."""
+    rng = np.random.default_rng(11)
+    for n in SIZES:
+        cols = [
+            ("coords", sized_column(rng, np.int64, n, 2**16, -5, 4)),
+            ("id", sized_column(rng, np.int64, n, 0, 2**50, 0)),
+            ("words", sized_column(rng, np.uint64, n, 2**63 - 1, 0, 2)),
+            ("measure", sized_column(rng, np.float64, n, 1, 0, 0)),
+        ]
+        expected = len(encode_columns(cols, compress=False))
+        for small in (-1, 10**9):  # every column by numpy, then by Python
+            monkeypatch.setattr(colframe, "_SMALL", small)
+            assert measure_columns(cols) == expected
+            assert len(encode_columns(cols, compress=False)) == expected
+
+
 # -- hypothesis properties (skipped when the package is absent) ---------------
 
 
@@ -409,6 +483,35 @@ if HAS_HYPOTHESIS:
     @given(cols=column_sets(), compress=st.booleans())
     def test_property_roundtrip(cols, compress):
         roundtrip(cols, compress=compress)
+
+    @st.composite
+    def sized_sets(draw):
+        """Columns whose int ranges straddle 2^8, 2^16 and 2^32 around
+        every base (negatives, int64 extremes, constants), at lengths on
+        both sides of the small-column cutoff, beside float columns."""
+        cols = []
+        for i in range(draw(st.integers(min_value=1, max_value=3))):
+            kind = draw(st.sampled_from([np.int64, np.uint64, np.float64]))
+            n = draw(st.sampled_from(SIZES) | st.integers(min_value=0, max_value=2 * colframe._SMALL))
+            span = draw(
+                st.sampled_from(SPANS)
+                | st.builds(lambda w, d: max(2**w + d, 0), st.sampled_from([8, 16, 32]), st.integers(-2, 2))
+            )
+            base = draw(
+                st.sampled_from([int(I64.min), -1, 0, int(I64.max)])
+                | st.integers(min_value=int(I64.min), max_value=int(I64.max))
+            )
+            width = draw(st.sampled_from([0, 1, 5]))
+            seed = draw(st.integers(min_value=0, max_value=2**16))
+            cols.append(
+                (f"c{i}", sized_column(np.random.default_rng(seed), kind, n, span, base, width))
+            )
+        return cols
+
+    @settings(max_examples=150, deadline=None)
+    @given(cols=sized_sets())
+    def test_property_measure_is_the_encoded_length(cols):
+        assert_sized(cols)
 
     @settings(max_examples=50, deadline=None)
     @given(

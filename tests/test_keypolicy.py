@@ -183,6 +183,25 @@ def test_classify_is_intersects_and_within(kind):
     assert kind.classify(block, whole.lo, whole.hi)[1].tolist() == [False] + [True] * 6
 
 
+def test_inside_is_within_box_for_a_non_empty_key(kind):
+    """A non-empty key's bounds test alone answers ``within_box``, for
+    every box, empty ones included (inverted in one dimension or in
+    all): the read engine calls it on a non-empty tree's root."""
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 6, 20):
+        key = kind.empty(3)
+        key.expand_points_inplace(rng.integers(0, 60, (n, 3)))
+        for _ in range(200):
+            lo = rng.integers(-5, 65, 3)
+            hi = lo + rng.integers(-3, 60, 3)  # some dimensions inverted
+            box = Box(lo, hi)
+            want = not box.is_empty() and box.covers(key.mbr())
+            assert key.inside(box.lo, box.hi) == key.within_box(box) == want
+        empty = Box.empty(3)
+        assert not key.inside(empty.lo, empty.hi)
+    assert not kind.empty(3).within_box(Box(np.zeros(3, np.int64), np.full(3, 60)))
+
+
 # -- placement rules --------------------------------------------------------
 
 

@@ -360,6 +360,80 @@ class TestReadPathIsArrayShaped:
                 assert stats == wstats == bstats
                 assert agg.approx_equal(want) and bagg.approx_equal(want)
 
+    @staticmethod
+    def mixed_boxes(schema, data):
+        """One list of every box shape the read engine's hoisted tests
+        decide on: empty (every dimension inverted, or one, in the whole
+        domain or in a row's cell), a row's cell and its neighbour,
+        partial boxes, the full domain, and boxes past the id space
+        (above it, straddling its top, below zero)."""
+        from repro.olap.keys import Box
+
+        limits = schema.leaf_limits
+        full = full_query(schema).box
+        out = [Box.empty(schema.num_dims), full]
+        if len(data):
+            # inverted across the middle of the data: the keys a
+            # ``classify`` of it would call hits straddle the inversion
+            mid = int(np.median(data.coords[:, 0]))
+            inverted = full.copy()
+            inverted.lo[0], inverted.hi[0] = mid + 1, mid
+            row = data.coords[len(data) // 2]
+            cell = Box(row, row)
+            inverted_cell = Box(row, row)
+            inverted_cell.lo[1] += 1
+            shifted = Box(row, row)
+            shifted.lo[1] = shifted.hi[1] = (row[1] + 1) % (limits[1] + 1)
+            # a cell next to a row's is often empty
+            out += [inverted, inverted_cell, cell, Box(data.coords[0], data.coords[0]), shifted]
+        out += random_boxes(schema, 4, seed=41)
+        out += [
+            Box(limits + 1, limits + 10),  # wholly above the id space
+            Box(limits // 2, limits + 10),  # straddling its top
+            Box(np.full(schema.num_dims, -10), limits // 3),  # below zero
+            Box(np.full(schema.num_dims, -10), limits + 10),  # around all of it
+        ]
+        return out
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("kind", ["mbr", "mds"])
+    @pytest.mark.parametrize("cls", [HilbertPDCTree, HilbertRTree, PDCTree, RTree])
+    def test_a_mixed_batch_equals_lone_queries_and_the_pointer_walk(self, cls, kind, cache):
+        """``query_batch`` over a list mixing every box shape answers each
+        box as ``query`` does alone and as the pointer walk does: the
+        root's bounds-only within test, the one emptiness test per box
+        and the read engine's early exits change no answer and no
+        ``OpStats`` counter, on an empty, a one-leaf and a bulk-loaded
+        tree."""
+        from dataclasses import replace
+
+        schema = make_schema()
+        config = replace(
+            cls._default_config(),
+            leaf_capacity=8,
+            fanout=4,
+            key_kind=kind,
+            cache_aggregates=cache,
+        )
+        data = random_batch(schema, 600, seed=43)
+        few = random_batch(schema, 5, seed=44)
+        trees = [
+            (cls(schema, config), data),
+            (cls.from_batch(schema, few, config), few),
+            (cls.from_batch(schema, data, config), data),
+        ]
+        assert len(trees[0][0]) == 0 and trees[1][0].root.is_leaf
+        assert trees[2][0].depth() >= 3
+        for tree, rows in trees:
+            boxes = self.mixed_boxes(schema, rows)
+            batched = tree.query_batch(boxes)
+            assert len(batched) == len(boxes)
+            for box, (bagg, bstats) in zip(boxes, batched):
+                want, wstats = reference_query(tree, box)
+                agg, stats = tree.query(box)
+                assert bstats == stats == wstats
+                assert bagg.approx_equal(want) and agg.approx_equal(want)
+
 
 def test_covered_rows_grow_no_key(monkeypatch):
     """Rows every key on their path already covers -- three rows for

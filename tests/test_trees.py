@@ -271,3 +271,30 @@ def test_pdc_point_inserts_random(seed):
         got, _ = tree.query(box)
         want, _ = oracle.query(box)
         assert got.count == want.count
+
+
+def test_array_store_grows_under_a_profiler():
+    """numpy refuses to resize an array in place while anything else
+    references it, as a profiler's frame does: the store then copies
+    into the grown buffer, and answers as an unprofiled store does."""
+    import cProfile
+
+    schema = make_schema()
+    batch = random_batch(schema, 3000, seed=3)
+
+    def load() -> ArrayStore:
+        store = ArrayStore.from_batch(schema, batch.take(np.arange(1500)))
+        for coords, m in batch.take(np.arange(1500, 2100)).iter_rows():
+            store.insert(coords, m)  # grows one row at a time
+        store.insert_batch(batch.take(np.arange(2100, 3000)))
+        return store
+
+    profiled = cProfile.Profile().runcall(load)
+    plain = load()
+    assert len(profiled) == len(plain) == 3000
+    assert profiled.items().coords.tobytes() == batch.coords.tobytes()
+    assert profiled.items().measures.tobytes() == batch.measures.tobytes()
+    for box in random_boxes(schema, 12, seed=4) + [full_query(schema).box]:
+        got, got_stats = profiled.query(box)
+        want, want_stats = plain.query(box)
+        assert got == want and got_stats == want_stats
